@@ -10,9 +10,14 @@ another, each in a fresh process, on a synthetic instance made from
 ``--seed`` by the library's public generators.  The program receives only
 the generated files.
 
+Every command runs pinned to one CPU while ``calibrate.Monitor`` measures
+that CPU's speed, and its wall time is scaled to the host's reference speed
+(see calibrate.py).  ``info`` prints each command's raw wall time and
+slowdown, and the exponent fitted per command.
+
 ``--trace 0`` repeats the workload with tracing off for about S seconds
-and reports the end-to-end metrics of BENCHMARK.json: ``setup_s`` is the
-median of the set-up probes, ``select_s`` and ``simulate_s`` the fastest
+and reports the end-to-end metrics of BENCHMARK.json: ``setup_s`` (the
+set-up probes), ``select_s`` and ``simulate_s`` are each the median
 repetition of each instance averaged over the run's instances, and
 ``peak_rss_mb`` the largest peak RSS of any child.  ``--trace 1`` runs the
 select and simulate commands once more under ``tracer.py`` and reports the
@@ -41,6 +46,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 
+import calibrate
 import tracer
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -70,8 +76,12 @@ class Workload:
 
 
 WORKLOADS = {
+    # At epsilon 0.3 the estimated theta spreads 16k-31k between instances.
+    # At 0.2 it is 37k or more, so the cap fixes theta, and with it the work,
+    # while the estimator still runs.  The cap stays high because the capital
+    # estimate reads 1-4% above Monte Carlo there and more on smaller corpora.
     "select-ic-grid": Workload(
-        250, "ic", 1.0, ("--diversity", "aw", "--epsilon", "0.3"),
+        250, "ic", 1.0, ("--diversity", "aw", "--epsilon", "0.2", "--theta-cap", "30000"),
         (10, 20), ("0", "0.5", "1"), (20, "1"), 2000, True, 3),
     "select-hamming": Workload(
         1000, "ic", 1.0, ("--diversity", "hamming", "--xi", "2", "--theta-override", "2000"),
@@ -103,12 +113,23 @@ class Checks:
 @dataclass
 class Child:
     wall_s: float
+    slowdown: float     # host speed during the command, from calibrate.Monitor
     code: int
     stdout: str
 
 
+def pin_to_one_cpu() -> None:
+    """Keep this process, its monitor thread and its children on one CPU.
+
+    The monitor can only measure the speed of the CPU the command runs on."""
+    if hasattr(os, "sched_setaffinity"):
+        os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
+
+
 class Runner:
-    """Runs children one at a time; peak RSS comes from each child's own rusage."""
+    """Runs children one at a time under the host-speed monitor.
+
+    Peak RSS comes from each child's own rusage."""
 
     def __init__(self, work: Path, deadline: float):
         self.work = work
@@ -122,8 +143,9 @@ class Runner:
         stem = self.work / f"child-{self.count:03d}"
         timeout = self.deadline - time.perf_counter()
         if timeout <= 0:
-            return Child(0.0, -1, "")
-        with open(f"{stem}.out", "w+b") as out, open(f"{stem}.err", "wb") as err:
+            return Child(0.0, 1.0, -1, "")
+        with open(f"{stem}.out", "w+b") as out, open(f"{stem}.err", "wb") as err, \
+                calibrate.Monitor() as monitor:
             start = time.perf_counter()
             proc = subprocess.Popen(argv, stdout=out, stderr=err, env=self.env, cwd=ROOT)
             killer = threading.Timer(timeout, proc.kill)
@@ -138,7 +160,7 @@ class Runner:
             out.seek(0)
             text = out.read().decode("utf-8", "replace")
         self.rss_mb.append(usage.ru_maxrss / 1024.0)    # Linux reports KiB
-        return Child(wall, code, text)
+        return Child(wall, monitor.slowdown, code, text)
 
 
 @dataclass
@@ -286,6 +308,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"no divtim sources under {SRC}", file=sys.stderr)
         return 2
     sys.path.insert(0, str(SRC))
+    pin_to_one_cpu()
     units = declared_metrics(args.trace)
 
     w = WORKLOADS[args.workload]
@@ -298,9 +321,9 @@ def main(argv: list[str] | None = None) -> int:
     until = time.perf_counter() + args.seconds
     checks = Checks()
     thetas: list[dict[str, str]] = [{} for _ in insts]
-    # select_s and simulate_s samples are kept per instance
-    samples: dict[str, list] = {"setup_s": [], "select_s": [[] for _ in insts],
-                                "simulate_s": [[] for _ in insts]}
+    # (instance, wall_s, slowdown) of every timed command
+    points: dict[str, list[tuple[int, float, float]]] = {
+        "setup_s": [], "select_s": [], "simulate_s": []}
     info: dict = {"workload": args.workload, "seed": args.seed, "trace": args.trace,
                   "nodes": [i.nodes for i in insts], "edges": [i.edges for i in insts],
                   "theta": thetas, "src_lines": src_lines()}
@@ -309,13 +332,16 @@ def main(argv: list[str] | None = None) -> int:
     def untraced_select(i: int) -> tuple[Child, Path, bool]:
         out = work / f"select-{repetitions}"
         child = runner.run([sys.executable, "-m", "divtim.cli", *select_argv(w, insts[i], out)])
-        samples["select_s"][i].append(child.wall_s)
+        if child.code == 0:
+            points["select_s"].append((i, child.wall_s, child.slowdown))
         return child, out, check_select(checks, w, child, out, thetas[i])
 
-    def setup_probe(inst: Instance) -> bool:
+    def setup_probe(i: int) -> bool:
+        inst = insts[i]
         child = runner.run([sys.executable, str(ROOT / "perfbench" / "setup_probe.py"),
                             inst.edge_path, inst.weight_path, inst.profile_path])
-        samples["setup_s"].append(child.wall_s)
+        if child.code == 0:
+            points["setup_s"].append((i, child.wall_s, child.slowdown))
         counts = child.stdout.split()[:2]
         return checks.check(child.code == 0 and counts == [str(inst.nodes), str(inst.edges)],
                             f"setup probe exited {child.code}, printed {child.stdout.strip()!r}")
@@ -325,31 +351,39 @@ def main(argv: list[str] | None = None) -> int:
         i = repetitions % len(insts)
         repetitions += 1
         # Probes run in every repetition, so their median covers the whole run.
-        if not all(setup_probe(insts[i]) for _ in range(SETUP_PER_ITERATION)):
+        if not all(setup_probe(i) for _ in range(SETUP_PER_ITERATION)):
             return False
         _, out, ok = untraced_select(i)
         if not ok:
             return False
         child = runner.run([sys.executable, "-m", "divtim.cli",
                             *simulate_argv(w, insts[i], out)])
-        samples["simulate_s"][i].append(child.wall_s)
+        if child.code == 0:
+            points["simulate_s"].append((i, child.wall_s, child.slowdown))
         return check_simulate(checks, w, child, out)
 
-    def fastest(per_instance: list[list[float]]) -> float:
-        """Mean over instances of each instance's fastest repetition.
+    gammas: dict[str, float] = {}
 
-        Interference on a shared host only ever adds time, so the fastest
-        repetition is the steadiest estimate of a command's own cost."""
-        return statistics.fmean([min(s) for s in per_instance if s] or [0.0])
+    def at_reference(name: str) -> dict[int, list[float]]:
+        """The command's times at the reference host speed, per instance."""
+        gammas[name] = gamma = calibrate.fit_gamma(points[name])
+        scaled: dict[int, list[float]] = {}
+        for i, wall_s, slowdown in points[name]:
+            scaled.setdefault(i, []).append(calibrate.at_reference(wall_s, slowdown, gamma))
+        return scaled
+
+    def per_instance(name: str) -> float:
+        """Mean over instances of each instance's median repetition.
+
+        The work differs between instances, so each weighs the same however
+        many of its repetitions fit in the run."""
+        return statistics.fmean([statistics.median(s) for s in at_reference(name).values()]
+                                or [0.0])
 
     if args.trace == 0:
         closed_loop(iteration, until)
-        values = {
-            "setup_s": statistics.median(samples["setup_s"]),
-            "select_s": fastest(samples["select_s"]),
-            "simulate_s": fastest(samples["simulate_s"]),
-            "peak_rss_mb": max(runner.rss_mb),
-        }
+        values = {name: per_instance(name) for name in points}
+        values["peak_rss_mb"] = max(runner.rss_mb)
     else:
         # The traced run and the untraced selects it is compared with use instance 0.
         untraced_select(0)
@@ -361,7 +395,7 @@ def main(argv: list[str] | None = None) -> int:
             child = runner.run([sys.executable, str(ROOT / "perfbench" / "tracer.py"),
                                 str(record_path), "--", *cli_argv])
             if name == "select":
-                traced_select_s = child.wall_s
+                traced = child
                 check_select(checks, w, child, traced_out, thetas[0])
             else:
                 check_simulate(checks, w, child, traced_out)
@@ -375,8 +409,9 @@ def main(argv: list[str] | None = None) -> int:
 
         closed_loop(baseline_select, until)
         values = tracer.derive_metrics(records)
-        baseline = statistics.median(samples["select_s"][0])
-        values["trace.overhead_pct"] = (traced_select_s / baseline - 1.0) * 100.0 \
+        baseline = statistics.median(at_reference("select_s").get(0, [0.0]))
+        traced_s = calibrate.at_reference(traced.wall_s, traced.slowdown, gammas["select_s"])
+        values["trace.overhead_pct"] = (traced_s / baseline - 1.0) * 100.0 \
             if baseline > 0 else 0.0
         absent = sorted({label for r in records for label in r["absent"]})
         times = {name: values[name] for name in tracer.EXCLUSIVE_TIMES}
@@ -387,7 +422,9 @@ def main(argv: list[str] | None = None) -> int:
 
     info.update(attempted=checks.attempted, failed=len(checks.failures),
                 error_rate=len(checks.failures) / max(1, checks.attempted),
-                failures=checks.failures, samples=samples,
+                failures=checks.failures, gamma=gammas,
+                commands={name: [[i, round(w, 4), round(sd, 4)] for i, w, sd in p]
+                          for name, p in points.items()},
                 peak_rss_mb=max(runner.rss_mb, default=0.0))
     missing = sorted(set(units) - set(values))
     if missing:
