@@ -15,7 +15,6 @@ import csv
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -89,6 +88,20 @@ def _load_graph_from_args(args) -> DiffusionGraph:
     return g
 
 
+def _rows_by_node(path: str, graph) -> tuple[np.ndarray, list[str]]:
+    """Numeric CSV (matrix, column names), rows in graph node order if labeled."""
+    mat, names, labels = profiles.load_numeric_matrix(path)
+    if labels is None:
+        return mat, names
+    row_of: dict[str, int] = {}
+    for i, lab in enumerate(labels):
+        row_of.setdefault(lab, i)
+    missing = next((lab for lab in graph.labels if lab not in row_of), None)
+    if missing is not None:
+        raise FormatError(f"{path}: no row for graph node {missing!r}")
+    return mat[[row_of[lab] for lab in graph.labels]], names
+
+
 def _targets_from_args(graph, args):
     mode = args.target_mode or "top_percent"
     if mode == "threshold":
@@ -121,10 +134,7 @@ def _build_diversity(kind: str, graph, profile_set, args):
     if kind in ("numeric-u", "numeric-w"):
         if not args.preferences:
             raise ConfigError("numeric diversity needs --preferences")
-        mat, _, labels = profiles.load_numeric_matrix(args.preferences)
-        if labels is not None:
-            order = [labels.index(lab) for lab in graph.labels]
-            mat = mat[order]
+        mat, _ = _rows_by_node(args.preferences, graph)
         if mat.shape[0] != graph.node_count:
             raise ConfigError("preference matrix must cover every node")
         prefs = profiles.derive_numeric_preferences(np.nan_to_num(mat))
@@ -220,8 +230,8 @@ def _select_parser(sub) -> None:
     p.add_argument("--theta-override", type=int)
     p.add_argument("--theta-cap", type=int)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int)
-    p.add_argument("--jobs", type=int)
+    p.add_argument("--workers", type=int, help="accepted for compatibility; no effect")
+    p.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--eager", action="store_true")
     p.add_argument("--dump-corpus")
@@ -241,7 +251,6 @@ def cmd_select(args) -> int:
     ks = _parse_list(args.k if args.k is not None else "10", int)
     alpha_tokens = _parse_list(args.alpha if args.alpha is not None else "0.5", str)
     alphas = [float(tok) for tok in alpha_tokens]
-    workers = int(args.workers or 1)
 
     profile_set = None
     if args.profiles and args.numeric_profiles:
@@ -249,10 +258,7 @@ def cmd_select(args) -> int:
     if args.profiles:
         profile_set = profiles.load_profiles(args.profiles, node_labels=graph.labels)
     elif args.numeric_profiles:
-        mat, names, labels = profiles.load_numeric_matrix(args.numeric_profiles)
-        if labels is not None:
-            order = [labels.index(lab) for lab in graph.labels]
-            mat = mat[order]
+        mat, names = _rows_by_node(args.numeric_profiles, graph)
         if mat.shape[0] != graph.node_count:
             raise ConfigError("numeric profile matrix must cover every node")
         bins = int(args.bins) if args.bins is not None else 10
@@ -278,12 +284,11 @@ def cmd_select(args) -> int:
             graph, targets, model, k, epsilon=epsilon, ell=ell, master_seed=master_seed,
             theta_override=args.theta_override,
             theta_cap=args.theta_cap or estimator.DEFAULT_THETA_CAP)
-        corpus = sampler.generate_corpus(graph, targets, model, params.theta,
-                                         master_seed, workers=workers)
+        corpus = sampler.generate_corpus(graph, targets, model, params.theta, master_seed)
         if args.dump_corpus:
             corpus.dump(args.dump_corpus)
 
-        def run_point(alpha_token: str, alpha: float, k=k, params=params, corpus=corpus):
+        for alpha_token, alpha in zip(alpha_tokens, alphas):
             start = time.perf_counter()
             div = _build_diversity(kind, graph, profile_set, args)
             res = selector.build_seed_set(corpus, k, alpha, div, lazy=not args.eager)
@@ -310,7 +315,7 @@ def cmd_select(args) -> int:
                 dmax = repr(res.diversity_max)
                 if res.diversity_max > 0:
                     ratio = repr(res.diversity_value / res.diversity_max)
-            return {
+            rows.append({
                 "dataset": os.path.basename(args.graph), "diversity": kind, "k": k,
                 "alpha": alpha_token, "target_mode": tmode, "target_param": tparam,
                 "master_seed": master_seed, "theta": res.theta,
@@ -319,15 +324,7 @@ def cmd_select(args) -> int:
                 "objective": repr(res.objective()),
                 "diversity_max": dmax, "diversity_ratio": ratio, "seed_entropy": ent,
                 "seeds": " ".join(graph.labels[v] for v in res.seeds),
-            }
-
-        jobs = int(args.jobs or 1)
-        if jobs > 1:
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                rows.extend(pool.map(lambda pair: run_point(pair[0], pair[1]),
-                                     zip(alpha_tokens, alphas)))
-        else:
-            rows.extend(run_point(tok, a) for tok, a in zip(alpha_tokens, alphas))
+            })
 
     with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS, lineterminator="\n")
@@ -410,10 +407,7 @@ def cmd_baseline(args) -> int:
     graph = _load_graph_from_args(args)
     if not args.preferences:
         raise UsageError("baseline needs --preferences")
-    mat, _, labels = profiles.load_numeric_matrix(args.preferences)
-    if labels is not None:
-        order = [labels.index(lab) for lab in graph.labels]
-        mat = mat[order]
+    mat, _ = _rows_by_node(args.preferences, graph)
     prefs = profiles.derive_numeric_preferences(np.nan_to_num(mat))
     if args.gamma is not None and args.alpha is not None:
         raise UsageError("give either --gamma or --alpha, not both")

@@ -15,14 +15,13 @@ or submodularity; they exist only so tests can pin down the violations.
 from __future__ import annotations
 
 import math
-from collections import deque
 from fractions import Fraction
 from typing import Sequence, TextIO
 
 import numpy as np
 
 from .errors import ConfigError, FormatError, UsageError
-from .graph import DiffusionGraph
+from .graph import DiffusionGraph, reach
 from .profiles import MISSING, ProfileSet
 
 
@@ -151,17 +150,8 @@ def influence_range(graph: DiffusionGraph, v: int) -> np.ndarray:
 
     Edge probabilities are ignored: reachability is purely topological.
     """
-    seen = np.zeros(graph.node_count, dtype=bool)
-    seen[v] = True
-    queue = deque([v])
-    out: list[int] = []
-    while queue:
-        x = queue.popleft()
-        for u in graph.out_neighbors(x):
-            if not seen[u]:
-                seen[u] = True
-                out.append(int(u))
-                queue.append(int(u))
+    ptr, heads, _ = graph.out_lists
+    out = reach(graph.node_count, [v], lambda x: heads[ptr[x]:ptr[x + 1]])[1:]
     return np.asarray(sorted(out), dtype=np.int64)
 
 
@@ -172,13 +162,12 @@ class HammingBallDiversity(DiversityFunction):
     at most ``radius`` attributes; diversity is the size of the union of
     the selected nodes' balls.  Missing values mismatch everything,
     including other missing values.  Balls are built on demand and
-    cached; pass ``precompute=True`` to build them all upfront.
+    cached.
     """
 
     name = "hamming"
 
-    def __init__(self, graph: DiffusionGraph, profiles: ProfileSet, radius: int,
-                 precompute: bool = False):
+    def __init__(self, graph: DiffusionGraph, profiles: ProfileSet, radius: int):
         super().__init__()
         if radius < 1:
             raise ConfigError("radius must be a positive integer")
@@ -189,9 +178,6 @@ class HammingBallDiversity(DiversityFunction):
         self.radius = int(radius)
         self._balls: dict[int, frozenset[int]] = {}
         self._covered: set[int] = set()
-        if precompute:
-            for v in range(graph.node_count):
-                self.ball(v)
 
     def ball(self, v: int) -> frozenset[int]:
         cached = self._balls.get(v)
@@ -416,9 +402,12 @@ def load_class_map(source: str | TextIO, node_labels: Sequence[str]
         cid = class_ids.setdefault(parts[1], len(class_ids))
         classes[index[parts[0]]] = cid
         if len(parts) == 3:
-            r = float(parts[2])
-            if r <= 0:
-                raise FormatError(f"class map line {lineno}: reward must be positive")
+            try:
+                r = float(parts[2])
+            except ValueError as exc:
+                raise FormatError(f"class map line {lineno}: bad reward {parts[2]!r}") from exc
+            if not math.isfinite(r) or r <= 0:
+                raise FormatError(f"class map line {lineno}: reward must be positive and finite")
             rewards[index[parts[0]]] = r
     return classes, rewards
 

@@ -9,15 +9,15 @@ corpus directly estimates the captured fraction of total target score.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import TextIO
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .graph import DiffusionGraph, TargetSet
-from .rng import stream
+from .graph import DiffusionGraph, TargetSet, reach
+from .rng import phase_seed, stream
 
 MODELS = ("ic", "lt")
 
@@ -41,49 +41,28 @@ def sample_root(targets: TargetSet, rng: np.random.Generator) -> int:
     return int(targets.members[min(i, len(targets) - 1)])
 
 
-def _reverse_reach_ic(graph: DiffusionGraph, root: int, rng: np.random.Generator) -> list[int]:
-    indptr, indices, probs = graph.in_indptr, graph.in_indices, graph.in_probs
-    visited = np.zeros(graph.node_count, dtype=bool)
-    visited[root] = True
-    members = [root]
-    frontier = [root]
-    while frontier:
-        x = frontier.pop()
-        lo, hi = indptr[x], indptr[x + 1]
-        if lo == hi:
-            continue
-        live = indices[lo:hi][rng.random(hi - lo) < probs[lo:hi]]
-        for u in live:
-            if not visited[u]:
-                visited[u] = True
-                u = int(u)
-                members.append(u)
-                frontier.append(u)
-    return members
+def ic_live(indptr: list, indices: list, probs: list, rng: np.random.Generator):
+    """Independent cascade: each edge of x in one CSR direction is live w.p. its b."""
+    draw = rng.random
+
+    def live(x: int) -> list[int]:
+        return [indices[i] for i in range(indptr[x], indptr[x + 1]) if draw() < probs[i]]
+    return live
 
 
-def _reverse_reach_lt(graph: DiffusionGraph, root: int, rng: np.random.Generator) -> list[int]:
-    indptr, indices, cum = graph.in_indptr, graph.in_indices, graph.in_cum
-    visited = np.zeros(graph.node_count, dtype=bool)
-    visited[root] = True
-    members = [root]
-    frontier = [root]
-    while frontier:
-        x = frontier.pop()
-        lo, hi = indptr[x], indptr[x + 1]
+def lt_trigger(graph: DiffusionGraph, rng: np.random.Generator):
+    """Linear threshold: v's single live in-edge comes from u w.p. b(u, v), else none (-1)."""
+    indptr, indices, _, cum = graph.in_lists
+
+    def pick(v: int) -> int:
+        lo, hi = indptr[v], indptr[v + 1]
         if lo == hi:
-            continue
+            return -1
         if cum[hi - 1] > 1.0 + 1e-9:
-            raise ConfigError(f"node {x}: incoming probabilities sum beyond 1")
-        r = rng.random()
-        j = int(np.searchsorted(cum[lo:hi], r, side="right"))
-        if j < hi - lo:  # otherwise x picks no trigger
-            u = int(indices[lo + j])
-            if not visited[u]:
-                visited[u] = True
-                members.append(u)
-                frontier.append(u)
-    return members
+            raise ConfigError(f"node {v}: incoming probabilities sum beyond 1")
+        j = bisect_right(cum, rng.random(), lo, hi)
+        return indices[j] if j < hi else -1
+    return pick
 
 
 @dataclass
@@ -103,12 +82,14 @@ def generate_rr_set(graph: DiffusionGraph, targets: TargetSet, model: str,
     """Sample one root and collect the nodes that reach it under a live-edge draw."""
     root = sample_root(targets, rng)
     if model == "ic":
-        members = _reverse_reach_ic(graph, root, rng)
+        live = ic_live(*graph.in_lists[:3], rng)
     elif model == "lt":
-        members = _reverse_reach_lt(graph, root, rng)
+        pick = lt_trigger(graph, rng)
+        live = lambda x: [u for u in (pick(x),) if u >= 0]  # x's trigger, if it has one
     else:
         raise ConfigError(f"unknown diffusion model {model!r}")
-    return RRSet(id=set_id, root=root, members=np.asarray(members, dtype=np.int64))
+    return RRSet(id=set_id, root=root,
+                 members=np.asarray(reach(graph.node_count, [root], live), dtype=np.int64))
 
 
 class RRCorpus:
@@ -179,31 +160,15 @@ def load_corpus_dump(source: str | TextIO, node_count: int, t: np.ndarray,
 
 
 def generate_corpus(graph: DiffusionGraph, targets: TargetSet, model: str,
-                    theta: int, master_seed: int, workers: int = 1,
-                    phase: int = CORPUS_PHASE) -> RRCorpus:
+                    theta: int, master_seed: int, phase: int = CORPUS_PHASE) -> RRCorpus:
     """Generate theta reverse reachable sets, reproducibly.
 
-    Set i draws from a stream keyed by (master seed, phase, i), so the
-    corpus is identical for any worker count.
+    Set i draws only from the stream keyed by (master seed, phase, i), so
+    the first m sets of a corpus equal the corpus of size m.
     """
     if theta < 1:
         raise ConfigError("theta must be at least 1")
     check_model(graph, model)
-
-    from .rng import phase_seed
     base = phase_seed(master_seed, phase)
-
-    def one(i: int) -> RRSet:
-        return generate_rr_set(graph, targets, model, i, stream(base, i))
-
-    if workers <= 1:
-        sets = [one(i) for i in range(theta)]
-    else:
-        chunks = [range(w, theta, workers) for w in range(workers)]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = pool.map(lambda ids: [one(i) for i in ids], chunks)
-        sets = [None] * theta
-        for part in parts:
-            for s in part:
-                sets[s.id] = s
+    sets = [generate_rr_set(graph, targets, model, i, stream(base, i)) for i in range(theta)]
     return RRCorpus(sets, graph.node_count, graph.t, targets.total_score)

@@ -16,9 +16,9 @@ from itertools import product
 import numpy as np
 
 from .errors import ConfigError
-from .graph import DiffusionGraph, TargetSet
+from .graph import DiffusionGraph, TargetSet, reach
 from .rng import phase_seed, stream
-from .sampler import check_model
+from .sampler import check_model, ic_live, lt_trigger
 
 SIM_PHASE = 201
 
@@ -35,47 +35,27 @@ class SimulationReport:
     stderr_capital: float
 
 
-def _forward_ic(graph: DiffusionGraph, seeds: list[int], rng: np.random.Generator) -> np.ndarray:
-    active = np.zeros(graph.node_count, dtype=bool)
-    active[seeds] = True
-    frontier = list(seeds)
-    indptr, indices, probs = graph.out_indptr, graph.out_indices, graph.out_probs
-    while frontier:
-        x = frontier.pop()
-        lo, hi = indptr[x], indptr[x + 1]
-        if lo == hi:
-            continue
-        hit = indices[lo:hi][rng.random(hi - lo) < probs[lo:hi]]
-        for v in hit:
-            if not active[v]:
-                active[v] = True
-                frontier.append(int(v))
-    return active
+def _lt_forward_live(graph: DiffusionGraph, trigger_of):
+    """Linear threshold, forward: edge x -> v is live iff v's trigger is x."""
+    ptr, heads, _ = graph.out_lists
+    return lambda x: [v for v in heads[ptr[x]:ptr[x + 1]] if trigger_of(v) == x]
 
 
-def _forward_lt(graph: DiffusionGraph, seeds: list[int], rng: np.random.Generator) -> np.ndarray:
-    # trigger[v]: -2 not yet sampled, -1 picked nobody, else the picked in-neighbor
-    trigger = np.full(graph.node_count, -2, dtype=np.int64)
-    active = np.zeros(graph.node_count, dtype=bool)
-    active[seeds] = True
-    frontier = list(seeds)
-    in_indptr, in_indices, in_cum = graph.in_indptr, graph.in_indices, graph.in_cum
-    out_indptr, out_indices = graph.out_indptr, graph.out_indices
-    while frontier:
-        x = frontier.pop()
-        for v in out_indices[out_indptr[x]:out_indptr[x + 1]]:
-            v = int(v)
-            if active[v]:
-                continue
-            if trigger[v] == -2:
-                lo, hi = in_indptr[v], in_indptr[v + 1]
-                r = rng.random()
-                j = int(np.searchsorted(in_cum[lo:hi], r, side="right"))
-                trigger[v] = int(in_indices[lo + j]) if j < hi - lo else -1
-            if trigger[v] == x:
-                active[v] = True
-                frontier.append(v)
-    return active
+def _lazy_triggers(graph: DiffusionGraph, seeds: list[int], rng: np.random.Generator):
+    """Each node's trigger, drawn when first asked for.
+
+    Seeds are active from the start, so theirs are never drawn.
+    """
+    pick = lt_trigger(graph, rng)
+    trigger = [-2] * graph.node_count     # -2: not drawn yet
+    for v in seeds:
+        trigger[v] = -1
+
+    def trigger_of(v: int) -> int:
+        if trigger[v] == -2:
+            trigger[v] = pick(v)
+        return trigger[v]
+    return trigger_of
 
 
 def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
@@ -85,13 +65,12 @@ def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
     Run i draws from a stream keyed by (master seed, run), so reports are
     reproducible and insensitive to scheduling.
     """
-    seeds = sorted(int(v) for v in seeds)
+    seeds = sorted({int(v) for v in seeds})
     if not seeds:
         raise ConfigError("seed set must be non-empty")
     if runs < 1:
         raise ConfigError("need at least one run")
     check_model(graph, model)
-    step = _forward_ic if model == "ic" else _forward_lt
 
     target_score = np.zeros(graph.node_count, dtype=np.float64)
     if targets is not None:
@@ -101,8 +80,12 @@ def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
     spreads = np.empty(runs, dtype=np.float64)
     capitals = np.empty(runs, dtype=np.float64)
     for i in range(runs):
-        active = step(graph, seeds, stream(base, i))
-        spreads[i] = active.sum()
+        rng = stream(base, i)
+        live = (ic_live(*graph.out_lists, rng) if model == "ic"
+                else _lt_forward_live(graph, _lazy_triggers(graph, seeds, rng)))
+        # node order fixes the float summation order of the capital
+        active = sorted(reach(graph.node_count, seeds, live))
+        spreads[i] = len(active)
         capitals[i] = target_score[active].sum()
     return SimulationReport(
         runs=runs,
@@ -113,21 +96,6 @@ def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
     )
 
 
-def _reach(graph: DiffusionGraph, seeds: list[int], edge_live: np.ndarray) -> np.ndarray:
-    active = np.zeros(graph.node_count, dtype=bool)
-    active[seeds] = True
-    frontier = list(seeds)
-    while frontier:
-        x = frontier.pop()
-        lo, hi = graph.out_indptr[x], graph.out_indptr[x + 1]
-        for idx in range(lo, hi):
-            if edge_live[idx] and not active[graph.out_indices[idx]]:
-                v = int(graph.out_indices[idx])
-                active[v] = True
-                frontier.append(v)
-    return active
-
-
 def exhaustive_expectation(graph: DiffusionGraph, model: str, seeds,
                            targets: TargetSet | None = None) -> tuple[float, float]:
     """Exact expected (spread, capital) by enumerating live-edge outcomes.
@@ -135,7 +103,7 @@ def exhaustive_expectation(graph: DiffusionGraph, model: str, seeds,
     Refuses instances whose outcome space exceeds the module limits; this
     is a correctness oracle, not a production estimator.
     """
-    seeds = sorted(int(v) for v in seeds)
+    seeds = sorted({int(v) for v in seeds})
     if not seeds:
         raise ConfigError("seed set must be non-empty")
     check_model(graph, model)
@@ -143,48 +111,47 @@ def exhaustive_expectation(graph: DiffusionGraph, model: str, seeds,
     if targets is not None:
         target_score[targets.members] = graph.t[targets.members]
 
-    exp_spread = 0.0
-    exp_capital = 0.0
     if model == "ic":
         m = graph.edge_count
         if m > MAX_EXHAUSTIVE_EDGES:
             raise ConfigError(f"exhaustive ic enumeration limited to {MAX_EXHAUSTIVE_EDGES} edges")
+
         # out-CSR edge order; probability of a pattern is the product over edges
-        probs = graph.out_probs
-        for mask in range(1 << m):
-            live = np.array([(mask >> i) & 1 == 1 for i in range(m)], dtype=bool)
-            p = float(np.prod(np.where(live, probs, 1.0 - probs)))
-            if p == 0.0:
-                continue
-            active = _reach(graph, seeds, live)
-            exp_spread += p * active.sum()
-            exp_capital += p * target_score[active].sum()
+        def outcomes():
+            ptr, heads, _ = graph.out_lists
+            probs = graph.out_probs
+            for mask in range(1 << m):
+                bits = np.array([(mask >> i) & 1 == 1 for i in range(m)], dtype=bool)
+                yield (float(np.prod(np.where(bits, probs, 1.0 - probs))),
+                       lambda x, mask=mask: [heads[i] for i in range(ptr[x], ptr[x + 1])
+                                             if (mask >> i) & 1])
     else:
         choice_lists = []
-        outcomes = 1
+        count = 1
         for v in range(graph.node_count):
             lo, hi = graph.in_indptr[v], graph.in_indptr[v + 1]
             opts = [(int(graph.in_indices[i]), float(graph.in_probs[i])) for i in range(lo, hi)]
             none_p = 1.0 - sum(p for _, p in opts)
             opts.append((-1, none_p))
             choice_lists.append(opts)
-            outcomes *= len(opts)
-            if outcomes > MAX_EXHAUSTIVE_OUTCOMES:
+            count *= len(opts)
+            if count > MAX_EXHAUSTIVE_OUTCOMES:
                 raise ConfigError("exhaustive lt enumeration: too many trigger combinations")
-        for combo in product(*choice_lists):
-            p = 1.0
-            for _, cp in combo:
-                p *= cp
-            if p == 0.0:
-                continue
-            live = np.zeros(graph.edge_count, dtype=bool)
-            for v, (u, _) in enumerate(combo):
-                if u >= 0:
-                    lo, hi = graph.out_indptr[u], graph.out_indptr[u + 1]
-                    for idx in range(lo, hi):
-                        if graph.out_indices[idx] == v:
-                            live[idx] = True
-            active = _reach(graph, seeds, live)
-            exp_spread += p * active.sum()
-            exp_capital += p * target_score[active].sum()
+
+        # each node's trigger pick; edge u -> v is live iff v picked u
+        def outcomes():
+            for combo in product(*choice_lists):
+                p = 1.0
+                for _, cp in combo:
+                    p *= cp
+                yield p, _lt_forward_live(graph, [u for u, _ in combo].__getitem__)
+
+    exp_spread = 0.0
+    exp_capital = 0.0
+    for p, live in outcomes():
+        if p == 0.0:
+            continue
+        active = sorted(reach(graph.node_count, seeds, live))
+        exp_spread += p * len(active)
+        exp_capital += p * target_score[active].sum()
     return exp_spread, exp_capital

@@ -1,9 +1,13 @@
 import csv
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divtim
 from divtim.cli import main, parse_result_doc
 from divtim.graph import save_graph, synth_graph
 
@@ -203,3 +207,28 @@ def test_missing_graph_is_data_error(tmp_path):
 def test_usage_error_exit_code():
     assert main(["select"]) == 1          # missing --out
     assert main(["frobnicate"]) == 1      # unknown subcommand
+
+
+@pytest.mark.parametrize("case", ["numeric-u", "numeric-profiles", "baseline", "class-reward"])
+def test_bad_input_is_one_line_data_error(tmp_path, case):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
+    prefs = tmp_path / "prefs.csv"       # keyed by node, but lacks graph node c
+    prefs.write_text("node,p1,p2\na,0.1,0.9\nb,0.7,0.3\n", encoding="utf-8")
+    classes = tmp_path / "classes.txt"
+    classes.write_text("a red\nb blue abc\n", encoding="utf-8")
+    graph = ["--graph", str(edges), "--weight-mode", "explicit"]
+    select = ["select", *graph, "--k", "1", "--theta-override", "20",
+              "--out", str(tmp_path / "out")]
+    argv = {
+        "numeric-u": [*select, "--diversity", "numeric-u", "--preferences", str(prefs)],
+        "numeric-profiles": [*select, "--numeric-profiles", str(prefs)],
+        "baseline": ["baseline", "deg-d", *graph, "--preferences", str(prefs)],
+        "class-reward": [*select, "--diversity", "class", "--class-map", str(classes)],
+    }[case]
+    env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "divtim.cli", *argv], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1

@@ -138,15 +138,6 @@ def test_hamming_matches_oracle_on_random_instances():
         assert hb.value() == oracles.hamming_value(g, ps, picks, xi)
 
 
-def test_hamming_precompute_equals_lazy():
-    g = make_graph([("0", "1", 0.5), ("1", "2", 0.5)])
-    ps = make_profiles([(0,), (0,), (1,)], domain_sizes=[2])
-    lazy = HammingBallDiversity(g, ps, radius=1)
-    eager = HammingBallDiversity(g, ps, radius=1, precompute=True)
-    for v in range(3):
-        assert lazy.ball(v) == eager.ball(v)
-
-
 # ------------------------------------------------------------------- entropy
 
 def test_entropy_single_value_split():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from divtim.errors import ConfigError, FormatError
 from divtim.graph import (derive_targets_indegree, derive_weights_interaction,
-                          derive_weights_uniform, load_graph, load_node_weights,
+                          derive_weights_uniform, load_graph, load_node_weights, reach,
                           save_graph, select_targets, synth_graph)
 
 from conftest import make_graph
@@ -206,3 +206,32 @@ def test_dangling_and_malformed_lines():
         load_graph(io.StringIO("a b c d\n"), "explicit")
     with pytest.raises(FormatError):
         load_graph(io.StringIO(""), "uniform_indegree")
+
+
+# ------------------------------------------------------------ live-edge search
+
+def test_reach_lists_start_nodes_first_in_given_order():
+    edges = {0: [1], 3: [4], 2: [0]}
+    order = reach(6, [3, 0, 2], lambda x: edges.get(x, []))
+    assert order[:3] == [3, 0, 2]
+    assert sorted(order[3:]) == [1, 4]
+
+
+def test_reach_terminates_on_a_cycle():
+    order = reach(4, [0], lambda x: [(x + 1) % 4])
+    assert order == [0, 1, 2, 3]
+
+
+def test_reach_calls_live_once_per_reached_node():
+    edges = {0: [1, 2], 1: [2, 0], 2: [1, 3], 3: [0]}
+    calls = []
+
+    def live(x):
+        calls.append(x)
+        return edges[x]
+    order = reach(6, [0], live)
+    assert sorted(calls) == sorted(order) == [0, 1, 2, 3]
+
+
+def test_reach_without_live_edges_returns_start():
+    assert reach(5, [2, 4], lambda x: []) == [2, 4]

@@ -82,14 +82,16 @@ def test_corpus_rejects_nonpositive_theta():
         generate_corpus(g, targets_of(g), "ic", 0, master_seed=1)
 
 
-def test_corpus_deterministic_across_worker_counts():
-    g = make_graph([(str(u), str((u + 1) % 9), 0.6) for u in range(9)])
+def test_corpus_prefix_equals_smaller_corpus():
+    g = make_graph([(str(u), str((u + 1) % 9), 0.6) for u in range(9)]
+                   + [(str(u), str((u + 4) % 9), 0.3) for u in range(9)])
     ts = targets_of(g)
-    c1 = generate_corpus(g, ts, "ic", 200, master_seed=9, workers=1)
-    c8 = generate_corpus(g, ts, "ic", 200, master_seed=9, workers=8)
-    assert [s.root for s in c1.sets] == [s.root for s in c8.sets]
-    for a, b in zip(c1.sets, c8.sets):
-        assert np.array_equal(a.members, b.members)
+    for model in ("ic", "lt"):
+        small = generate_corpus(g, ts, model, 50, master_seed=9)
+        large = generate_corpus(g, ts, model, 200, master_seed=9)
+        assert [s.root for s in small.sets] == [s.root for s in large.sets[:50]]
+        for a, b in zip(small.sets, large.sets):
+            assert np.array_equal(a.members, b.members)
 
 
 def test_corpus_forced_membership():

@@ -39,6 +39,13 @@ def test_simulate_deterministic(two_node_half):
     assert a == b
 
 
+def test_repeated_seed_counts_once(two_node_half):
+    g = two_node_half
+    u = g.label_ids["u"]
+    assert simulate(g, "ic", [u, u], runs=2000, master_seed=4) == \
+        simulate(g, "ic", [u], runs=2000, master_seed=4)
+
+
 def test_simulate_rejects_empty_seed_set(chain3):
     with pytest.raises(ConfigError):
         simulate(chain3, "ic", [], runs=10, master_seed=0)
