@@ -17,7 +17,7 @@ from .graph import (DiffusionGraph, TargetSet, derive_targets_indegree,
 from .metrics import diversity_curve, seed_entropy, seed_overlap
 from .profiles import (ProfileSet, Schema, derive_numeric_preferences, load_profiles,
                        quantile_discretize, save_profiles, synth_profiles)
-from .sampler import RRCorpus, RRSet, generate_corpus, generate_rr_set, sample_root
+from .sampler import RRCorpus, generate_corpus, sample_roots
 from .selector import SeedResult, build_seed_set, objective_value
 from .simulator import SimulationReport, exhaustive_expectation, simulate
 

@@ -74,7 +74,7 @@ def _apply_config(args: argparse.Namespace, actions: dict[str, argparse.Action])
         if current is None:
             if action.choices and value not in action.choices:
                 raise UsageError(f"config key {key}: {value!r} not in {sorted(action.choices)}")
-            setattr(args, attr, action.type(value) if action.type else value)
+            setattr(args, attr, _cast(value, action.type) if action.type else value)
 
 
 def _load_graph_from_args(args) -> DiffusionGraph:
@@ -143,11 +143,18 @@ def _build_diversity(kind: str, graph, profile_set, args):
     raise ConfigError(f"unknown diversity kind {kind!r}")
 
 
+def _cast(token: str, cast):
+    try:
+        return cast(token)
+    except ValueError:
+        raise UsageError(f"bad value {token!r}: expected {cast.__name__}") from None
+
+
 def _parse_list(text: str, cast) -> list:
     items = [tok.strip() for tok in str(text).split(",") if tok.strip()]
     if not items:
         raise UsageError("empty value list")
-    return [cast(tok) for tok in items]
+    return [_cast(tok, cast) for tok in items]
 
 
 def _result_doc(res: selector.SeedResult, labels, config_pairs, extra) -> str:
@@ -250,7 +257,7 @@ def cmd_select(args) -> int:
     kind = args.diversity or "aw"
     ks = _parse_list(args.k if args.k is not None else "10", int)
     alpha_tokens = _parse_list(args.alpha if args.alpha is not None else "0.5", str)
-    alphas = [float(tok) for tok in alpha_tokens]
+    alphas = [_cast(tok, float) for tok in alpha_tokens]
 
     profile_set = None
     if args.profiles and args.numeric_profiles:
@@ -278,14 +285,18 @@ def cmd_select(args) -> int:
         "seed": master_seed, "normalize": bool(args.normalize), "eager": bool(args.eager),
     }
 
+    params = {k: estimator.estimate_params(
+        graph, targets, model, k, epsilon=epsilon, ell=ell, master_seed=master_seed,
+        theta_override=args.theta_override,
+        theta_cap=estimator.DEFAULT_THETA_CAP if args.theta_cap is None else args.theta_cap)
+        for k in ks}
+    # One corpus serves every k: the first theta_k sets are the theta_k-set corpus.
+    full = sampler.generate_corpus(graph, targets, model,
+                                   max(p.theta for p in params.values()), master_seed)
     rows = []
     for k in ks:
-        params = estimator.estimate_params(
-            graph, targets, model, k, epsilon=epsilon, ell=ell, master_seed=master_seed,
-            theta_override=args.theta_override,
-            theta_cap=args.theta_cap or estimator.DEFAULT_THETA_CAP)
-        corpus = sampler.generate_corpus(graph, targets, model, params.theta, master_seed)
-        if args.dump_corpus:
+        corpus = full.prefix(params[k].theta)
+        if args.dump_corpus and k == ks[-1]:
             corpus.dump(args.dump_corpus)
 
         for alpha_token, alpha in zip(alpha_tokens, alphas):
@@ -294,7 +305,7 @@ def cmd_select(args) -> int:
             res = selector.build_seed_set(corpus, k, alpha, div, lazy=not args.eager)
             res.timing_seconds = time.perf_counter() - start
             extra = {
-                "kpt_star": repr(params.kpt_star), "kpt_plus": repr(params.kpt_plus),
+                "kpt_star": repr(params[k].kpt_star), "kpt_plus": repr(params[k].kpt_plus),
                 "corpus_width": corpus.total_width,
             }
             ent = ""

@@ -5,17 +5,11 @@ of the committed set, ``gain(v)`` is the marginal value of adding ``v``,
 and ``commit(v)`` applies the addition.  Gains are computed
 incrementally, never by re-evaluating the whole set, and are clipped at
 zero to absorb negative floating-point dust.
-
-The module also ships reference evaluators for aggregate pairwise
-distance scores (mismatch counts, Hamming sums, Jaccard sums).  Those
-scores look like plausible diversity measures but violate monotonicity
-or submodularity; they exist only so tests can pin down the violations.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from typing import Sequence, TextIO
 
 import numpy as np
@@ -410,89 +404,3 @@ def load_class_map(source: str | TextIO, node_labels: Sequence[str]
                 raise FormatError(f"class map line {lineno}: reward must be positive and finite")
             rewards[index[parts[0]]] = r
     return classes, rewards
-
-
-# ---------------------------------------------------------------------------
-# Reference evaluators for unsuitable set scores (exact rational arithmetic).
-# Each of these aggregates pairwise distances and fails submodularity or
-# monotonicity; they are kept so tests can reproduce the failures.
-# ---------------------------------------------------------------------------
-
-Profile = Sequence[object]  # attribute values, None = missing
-
-
-def mismatch_pair_score(values: Sequence[object]) -> Fraction:
-    """Single-attribute score: unordered mismatching pairs over set size.
-
-    A missing value on either side counts as a mismatch.
-    """
-    n = len(values)
-    hits = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            a, b = values[i], values[j]
-            hits += 1 if (a is None or b is None or a != b) else 0
-    return Fraction(hits, n)
-
-
-def _hamming_pair(u: Profile, v: Profile) -> int:
-    # Both-missing coordinates agree here; one-sided missing mismatches.
-    return sum(1 for a, b in zip(u, v) if a != b)
-
-
-def hamming_sum_score(profiles: Sequence[Profile]) -> Fraction:
-    """Sum of profile Hamming distances over ordered pairs."""
-    total = 0
-    n = len(profiles)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += _hamming_pair(profiles[i], profiles[j])
-    return Fraction(total)
-
-
-def hamming_sum_halved(profiles: Sequence[Profile]) -> Fraction:
-    return hamming_sum_score(profiles) / (2 * len(profiles))
-
-
-def hamming_sum_pairnorm(profiles: Sequence[Profile]) -> Fraction:
-    n = len(profiles)
-    return hamming_sum_score(profiles) / (n * (n - 1))
-
-
-def _jaccard_pair(u: Profile, v: Profile) -> Fraction:
-    matches = sum(1 for a, b in zip(u, v) if a is not None and a == b)
-    lu = sum(1 for a in u if a is not None)
-    lv = sum(1 for a in v if a is not None)
-    union = lu + lv - matches
-    if union == 0:
-        return Fraction(1)
-    return 1 - Fraction(matches, union)
-
-
-def jaccard_sum_score(profiles: Sequence[Profile]) -> Fraction:
-    """Sum of profile Jaccard distances over ordered pairs."""
-    total = Fraction(0)
-    n = len(profiles)
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                total += _jaccard_pair(profiles[i], profiles[j])
-    return total
-
-
-def jaccard_sum_halved(profiles: Sequence[Profile]) -> Fraction:
-    return jaccard_sum_score(profiles) / (2 * len(profiles))
-
-
-def jaccard_set_score(profiles: Sequence[Profile]) -> Fraction:
-    """Whole-set Jaccard-style score over all attributes at once."""
-    m = len(profiles[0])
-    agree = 0
-    span = 0
-    for j in range(m):
-        col = [p[j] for p in profiles]
-        if all(c is not None for c in col) and len(set(col)) == 1:
-            agree += 1
-        span += len({c for c in col if c is not None})
-    return 1 - Fraction(agree, span)

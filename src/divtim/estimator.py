@@ -13,10 +13,12 @@ import math
 import warnings
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import ConfigError
 from .graph import DiffusionGraph, TargetSet
 from .rng import phase_seed, stream
-from .sampler import check_model, generate_rr_set
+from .sampler import batch_size, check_model, join_batches, rr_batch
 
 KPT_PHASE = 101
 REFINE_PHASE = 102
@@ -60,58 +62,58 @@ def compute_theta(kpt: float, epsilon: float, ell: float, k: int, n: int,
 
 
 def kpt_estimation(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
-                   ell: float, master_seed: int) -> tuple[float, list]:
+                   ell: float, master_seed: int) -> tuple[float, tuple | None]:
     """Iterative-doubling lower bound on the mean size-k spread.
 
     Round i draws c_i = ceil((6*ell*ln n + 6*ln log2 n) * 2^i) sets and
     scores each by kappa = 1 - (1 - w/W)^k, where w is the in-degree mass
     of the set's members and W the total in-degree mass.  The first round
-    whose mean kappa exceeds 2^-i returns mean * n / 2.  Also returns the
-    last round's sets so the refinement stage can reuse them.
+    whose mean kappa exceeds 2^-i returns mean * n / 2.  Rounds take
+    consecutive sets of one stream of batches.  Also returns the last
+    round's sets, as ``(set_ptr, members)`` (None if no round ran), so
+    the refinement stage can reuse them.
     """
     check_model(graph, model)
     n = graph.node_count
     total_in = float(graph.edge_count)
     base = phase_seed(master_seed, KPT_PHASE)
     indeg = graph.in_degrees()
-    sets: list = []
+    batches: list = []
+    kappas = np.empty(0)
+    start = c_i = 0
     if n >= 2 and total_in > 0:
-        rounds = int(math.floor(math.log2(n)))
-        counter = 0
-        for i in range(1, rounds):
+        for i in range(1, int(math.floor(math.log2(n)))):
+            start += c_i
             c_i = math.ceil((6 * ell * math.log(n) + 6 * math.log(math.log2(n))) * 2 ** i)
-            sets = []
-            kappa_sum = 0.0
-            for _ in range(c_i):
-                rr = generate_rr_set(graph, targets, model, counter, stream(base, counter))
-                counter += 1
-                sets.append(rr)
-                width = float(indeg[rr.members].sum())
-                kappa_sum += 1.0 - (1.0 - width / total_in) ** k
+            while len(kappas) < start + c_i:
+                batches.append(rr_batch(graph, targets, model, stream(base, len(batches))))
+                _, ptr, members = batches[-1]
+                width = np.add.reduceat(indeg[members], ptr[:-1])
+                kappas = np.concatenate([kappas, 1.0 - (1.0 - width / total_in) ** k])
+            kappa_sum = float(kappas[start:start + c_i].sum())
             if kappa_sum / c_i > 1.0 / (2 ** i):
-                return kappa_sum * n / (2.0 * c_i), sets
-    return 1.0, sets
+                return kappa_sum * n / (2.0 * c_i), join_batches(batches, start, start + c_i)[1:]
+    return 1.0, join_batches(batches, start, start + c_i)[1:] if batches else None
 
 
-def _greedy_cover(sets: list, node_count: int, k: int) -> list[int]:
+def _greedy_cover(set_ptr: np.ndarray, members: np.ndarray, node_count: int,
+                  k: int) -> list[int]:
     """Plain size-k maximum coverage over a small batch of sets."""
-    remaining = {s.id: set(int(v) for v in s.members) for s in sets}
+    set_of = np.repeat(np.arange(len(set_ptr) - 1), np.diff(set_ptr))
+    alive = np.ones(len(set_ptr) - 1, dtype=bool)
     chosen: list[int] = []
     for _ in range(min(k, node_count)):
-        counts: dict[int, int] = {}
-        for members in remaining.values():
-            for v in members:
-                counts[v] = counts.get(v, 0) + 1
-        if not counts:
+        counts = np.bincount(members[alive[set_of]], minlength=node_count)
+        if not counts.any():
             break
-        best = max(counts, key=lambda v: (counts[v], -v))
+        best = int(np.argmax(counts))       # most sets, then the smallest id
         chosen.append(best)
-        remaining = {i: m for i, m in remaining.items() if best not in m}
+        alive[set_of[members == best]] = False
     return chosen
 
 
 def refine_kpt(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
-               epsilon: float, ell: float, kpt_star: float, est_sets: list,
+               epsilon: float, ell: float, kpt_star: float, est_sets: tuple | None,
                master_seed: int, theta_cap: int = DEFAULT_THETA_CAP) -> float:
     """Tighten the doubling-stage bound with a greedy cover re-estimate.
 
@@ -119,19 +121,22 @@ def refine_kpt(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
     batch of lambda' / kpt_star sets with eps' = 5 * cbrt(ell*eps^2/(k+ell));
     the refined bound is max(f * n / (1 + eps'), kpt_star).
     """
+    check_model(graph, model)
     n = graph.node_count
-    if not est_sets or n < 2:
+    if est_sets is None or n < 2:
         return kpt_star
     eps_p = 5.0 * (ell * epsilon ** 2 / (k + ell)) ** (1.0 / 3.0)
     lam_p = (2 + eps_p) * ell * n * math.log(n) / (eps_p ** 2)
     theta_p = max(1, min(math.ceil(lam_p / kpt_star), theta_cap))
-    cover = set(_greedy_cover(est_sets, n, k))
+    cover = np.zeros(n, dtype=bool)
+    cover[_greedy_cover(*est_sets, n, k)] = True
     base = phase_seed(master_seed, REFINE_PHASE)
+    size = batch_size(n)
     hit = 0
-    for i in range(theta_p):
-        rr = generate_rr_set(graph, targets, model, i, stream(base, i))
-        if not cover.isdisjoint(int(v) for v in rr.members):
-            hit += 1
+    for b in range(-(-theta_p // size)):
+        _, ptr, members = rr_batch(graph, targets, model, stream(base, b))
+        hits = np.logical_or.reduceat(cover[members], ptr[:-1])
+        hit += int(np.count_nonzero(hits[:theta_p - b * size]))
     kpt_refined = (hit / theta_p) * n / (1.0 + eps_p)
     return max(kpt_refined, kpt_star)
 
@@ -143,6 +148,8 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, k: in
     """Run both estimation stages and size the main corpus."""
     if k < 1:
         raise ConfigError("budget k must be at least 1")
+    if theta_cap < 1:
+        raise ConfigError("theta cap must be at least 1")
     if theta_override is not None:
         if theta_override < 1:
             raise ConfigError("theta override must be positive")

@@ -67,12 +67,6 @@ class DiffusionGraph:
         return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
 
     @cached_property
-    def in_lists(self) -> tuple[list, list, list, list]:
-        """In-CSR ``(indptr, indices, probs, cum)`` as Python lists for per-node loops."""
-        return (self.in_indptr.tolist(), self.in_indices.tolist(),
-                self.in_probs.tolist(), self.in_cum.tolist())
-
-    @cached_property
     def out_lists(self) -> tuple[list, list, list]:
         """Out-CSR ``(indptr, indices, probs)`` as Python lists for per-node loops."""
         return self.out_indptr.tolist(), self.out_indices.tolist(), self.out_probs.tolist()

@@ -1,10 +1,12 @@
 """Deterministic random streams built on the Philox counter-based generator.
 
-Every stochastic unit of work (one reverse-reachable set, one simulation
-run, one estimation batch) draws only from its own stream keyed by
-``(master seed, stream id)``.  A unit's result therefore depends on its
-id alone, not on which units were drawn before it: set 17 of a corpus is
-the same whether the corpus holds 20 sets or 20,000.
+Every unit of work (one batch of reverse reachable sets or of simulation
+runs) draws only from its own stream keyed by ``(master seed, stream
+id)``, where the master seed already encodes the phase.  A batch's
+result therefore depends on its id and the batch size alone, not on
+which batches were drawn before it; since batches are always drawn in
+full, set 17 of a corpus is the same whether the corpus holds 20 sets or
+20,000.
 """
 
 from __future__ import annotations

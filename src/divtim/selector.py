@@ -78,7 +78,8 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
     n = corpus.n_nodes
     root_scores = corpus.root_scores
     covered = np.zeros(corpus.theta, dtype=bool)
-    remaining = [list(ids) for ids in corpus.node_index]
+    ptr, ids = corpus.node_ptr.tolist(), corpus.node_sets.tolist()
+    remaining = [ids[ptr[v]:ptr[v + 1]] for v in range(n)]   # lazy mode drops covered ids
     push_c = np.zeros(n, dtype=np.float64)
     push_d = np.zeros(n, dtype=np.float64)
 
@@ -115,7 +116,7 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
         while len(seeds) < k and candidates:
             best_v, best_score, best_c, best_d = -1, 0.0, 0.0, 0.0
             for v in sorted(candidates):
-                c = _capital_score(corpus.node_index[v], covered, root_scores)
+                c = _capital_score(remaining[v], covered, root_scores)
                 d = diversity.gain(v)
                 score = alpha * c + (1 - alpha) * d
                 if score > best_score:
@@ -124,8 +125,7 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
                 break
             seeds.append(best_v)
             candidates.discard(best_v)
-            for i in corpus.node_index[best_v]:
-                covered[i] = True
+            covered[corpus.sets_of(best_v)] = True
             diversity.commit(best_v)
             trace.append(IterationTrace(node=best_v, capital_gain=float(best_c),
                                         diversity_gain=float(best_d),

@@ -18,7 +18,7 @@ import numpy as np
 from .errors import ConfigError
 from .graph import DiffusionGraph, TargetSet, reach
 from .rng import phase_seed, stream
-from .sampler import check_model, ic_live, lt_trigger
+from .sampler import batch_size, check_model, live_edge_search
 
 SIM_PHASE = 201
 
@@ -35,35 +35,14 @@ class SimulationReport:
     stderr_capital: float
 
 
-def _lt_forward_live(graph: DiffusionGraph, trigger_of):
-    """Linear threshold, forward: edge x -> v is live iff v's trigger is x."""
-    ptr, heads, _ = graph.out_lists
-    return lambda x: [v for v in heads[ptr[x]:ptr[x + 1]] if trigger_of(v) == x]
-
-
-def _lazy_triggers(graph: DiffusionGraph, seeds: list[int], rng: np.random.Generator):
-    """Each node's trigger, drawn when first asked for.
-
-    Seeds are active from the start, so theirs are never drawn.
-    """
-    pick = lt_trigger(graph, rng)
-    trigger = [-2] * graph.node_count     # -2: not drawn yet
-    for v in seeds:
-        trigger[v] = -1
-
-    def trigger_of(v: int) -> int:
-        if trigger[v] == -2:
-            trigger[v] = pick(v)
-        return trigger[v]
-    return trigger_of
-
-
 def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
              master_seed: int, targets: TargetSet | None = None) -> SimulationReport:
     """Estimate expected spread and capital over independent runs.
 
-    Run i draws from a stream keyed by (master seed, run), so reports are
-    reproducible and insensitive to scheduling.
+    Runs are drawn in full batches of ``batch_size(n)`` by the live-edge
+    kernel; batch b draws from the stream keyed by (master seed, simulation
+    phase, b), so a report is reproducible and its first m runs are those
+    of an m-run report.
     """
     seeds = sorted({int(v) for v in seeds})
     if not seeds:
@@ -76,17 +55,17 @@ def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
     if targets is not None:
         target_score[targets.members] = graph.t[targets.members]
 
+    n, size = graph.node_count, batch_size(graph.node_count)
     base = phase_seed(master_seed, SIM_PHASE)
-    spreads = np.empty(runs, dtype=np.float64)
-    capitals = np.empty(runs, dtype=np.float64)
-    for i in range(runs):
-        rng = stream(base, i)
-        live = (ic_live(*graph.out_lists, rng) if model == "ic"
-                else _lt_forward_live(graph, _lazy_triggers(graph, seeds, rng)))
-        # node order fixes the float summation order of the capital
-        active = sorted(reach(graph.node_count, seeds, live))
-        spreads[i] = len(active)
-        capitals[i] = target_score[active].sum()
+    start = (np.arange(size)[:, None] * n + seeds).ravel()
+    spreads, capitals = [], []
+    for b in range(-(-runs // size)):
+        run, node = np.divmod(live_edge_search(graph, model, True, size, start,
+                                               stream(base, b)), n)
+        spreads.append(np.bincount(run, minlength=size))
+        capitals.append(np.bincount(run, weights=target_score[node], minlength=size))
+    spreads = np.concatenate(spreads)[:runs]
+    capitals = np.concatenate(capitals)[:runs]
     return SimulationReport(
         runs=runs,
         mean_spread=float(spreads.mean()),
@@ -138,13 +117,15 @@ def exhaustive_expectation(graph: DiffusionGraph, model: str, seeds,
             if count > MAX_EXHAUSTIVE_OUTCOMES:
                 raise ConfigError("exhaustive lt enumeration: too many trigger combinations")
 
-        # each node's trigger pick; edge u -> v is live iff v picked u
+        # each node's trigger pick; edge x -> v is live iff v picked x
         def outcomes():
+            ptr, heads, _ = graph.out_lists
             for combo in product(*choice_lists):
                 p = 1.0
                 for _, cp in combo:
                     p *= cp
-                yield p, _lt_forward_live(graph, [u for u, _ in combo].__getitem__)
+                yield p, lambda x, pick=[u for u, _ in combo]: [
+                    v for v in heads[ptr[x]:ptr[x + 1]] if pick[v] == x]
 
     exp_spread = 0.0
     exp_capital = 0.0

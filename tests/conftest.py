@@ -5,6 +5,7 @@ import pytest
 
 from divtim.graph import DiffusionGraph, load_graph
 from divtim.profiles import MISSING, ProfileSet, Schema
+from divtim.sampler import RRCorpus
 
 
 def make_graph(edges, mode="explicit", t=None) -> DiffusionGraph:
@@ -22,6 +23,13 @@ def make_graph(edges, mode="explicit", t=None) -> DiffusionGraph:
             scores[g.label_ids[str(label)]] = val
         g = g.with_target_scores(scores)
     return g
+
+
+def corpus_from_sets(sets, node_count, t, target_total) -> RRCorpus:
+    """Corpus from hand-written (root, members) pairs, set ids in list order."""
+    set_ptr = np.cumsum([0] + [len(members) for _, members in sets])
+    members = [int(v) for _, mem in sets for v in mem]
+    return RRCorpus([root for root, _ in sets], set_ptr, members, node_count, t, target_total)
 
 
 def make_profiles(rows, domain_sizes=None) -> ProfileSet:

@@ -1,14 +1,20 @@
 """From-scratch reference evaluators used to cross-check incremental state.
 
 Everything here recomputes set values directly from definitions, sharing
-no code with the package's incremental implementations.
+no code with the package's incremental implementations.  It also holds
+the reference evaluators for unsuitable set scores and a one-set-at-a-time
+reverse reachable sampler that the batched kernel is checked against.
 """
 
 import math
+from bisect import bisect_right
 from collections import deque
+from fractions import Fraction
+from typing import Sequence
 
 import numpy as np
 
+from divtim.graph import reach
 from divtim.profiles import MISSING
 
 
@@ -130,3 +136,113 @@ def numeric_value(preferences, node_gains, seed_set) -> float:
     for v in seed_set:
         acc += preferences[v] * node_gains[v]
     return float(np.sum(np.log2(1.0 + acc)))
+
+
+# ---------------------------------------------------------------------------
+# Reference evaluators for unsuitable set scores (exact rational arithmetic).
+# Each of these aggregates pairwise distances and fails submodularity or
+# monotonicity; they are kept so tests can reproduce the failures.
+# ---------------------------------------------------------------------------
+
+Profile = Sequence[object]  # attribute values, None = missing
+
+
+def mismatch_pair_score(values: Sequence[object]) -> Fraction:
+    """Single-attribute score: unordered mismatching pairs over set size.
+
+    A missing value on either side counts as a mismatch.
+    """
+    n = len(values)
+    hits = 0
+    for i in range(n):
+        for j in range(i + 1, n):
+            a, b = values[i], values[j]
+            hits += 1 if (a is None or b is None or a != b) else 0
+    return Fraction(hits, n)
+
+
+def _hamming_pair(u: Profile, v: Profile) -> int:
+    # Both-missing coordinates agree here; one-sided missing mismatches.
+    return sum(1 for a, b in zip(u, v) if a != b)
+
+
+def hamming_sum_score(profiles: Sequence[Profile]) -> Fraction:
+    """Sum of profile Hamming distances over ordered pairs."""
+    total = 0
+    n = len(profiles)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total += _hamming_pair(profiles[i], profiles[j])
+    return Fraction(total)
+
+
+def hamming_sum_halved(profiles: Sequence[Profile]) -> Fraction:
+    return hamming_sum_score(profiles) / (2 * len(profiles))
+
+
+def hamming_sum_pairnorm(profiles: Sequence[Profile]) -> Fraction:
+    n = len(profiles)
+    return hamming_sum_score(profiles) / (n * (n - 1))
+
+
+def _jaccard_pair(u: Profile, v: Profile) -> Fraction:
+    matches = sum(1 for a, b in zip(u, v) if a is not None and a == b)
+    lu = sum(1 for a in u if a is not None)
+    lv = sum(1 for a in v if a is not None)
+    union = lu + lv - matches
+    if union == 0:
+        return Fraction(1)
+    return 1 - Fraction(matches, union)
+
+
+def jaccard_sum_score(profiles: Sequence[Profile]) -> Fraction:
+    """Sum of profile Jaccard distances over ordered pairs."""
+    total = Fraction(0)
+    n = len(profiles)
+    for i in range(n):
+        for j in range(n):
+            if i != j:
+                total += _jaccard_pair(profiles[i], profiles[j])
+    return total
+
+
+def jaccard_sum_halved(profiles: Sequence[Profile]) -> Fraction:
+    return jaccard_sum_score(profiles) / (2 * len(profiles))
+
+
+def jaccard_set_score(profiles: Sequence[Profile]) -> Fraction:
+    """Whole-set Jaccard-style score over all attributes at once."""
+    m = len(profiles[0])
+    agree = 0
+    span = 0
+    for j in range(m):
+        col = [p[j] for p in profiles]
+        if all(c is not None for c in col) and len(set(col)) == 1:
+            agree += 1
+        span += len({c for c in col if c is not None})
+    return 1 - Fraction(agree, span)
+
+
+# ---------------------------------------------------------------------------
+# Reference reverse reachable sampler: one set at a time, over graph.reach.
+# ---------------------------------------------------------------------------
+
+def reference_rr_set(graph, targets, model, rng) -> tuple[int, list[int]]:
+    """One (root, members) draw: a score-weighted root, then every node that
+    reaches it over live in-edges (IC: one coin per edge; LT: one trigger
+    pick per reached node)."""
+    i = int(np.searchsorted(targets.cum_scores, rng.random() * targets.total_score,
+                            side="right"))
+    root = int(targets.members[min(i, len(targets) - 1)])
+    ptr, heads = graph.in_indptr.tolist(), graph.in_indices.tolist()
+    probs, cum = graph.in_probs.tolist(), graph.in_cum.tolist()
+
+    def ic(x):
+        return [heads[e] for e in range(ptr[x], ptr[x + 1]) if rng.random() < probs[e]]
+
+    def lt(x):
+        j = bisect_right(cum, rng.random(), ptr[x], ptr[x + 1])
+        return [heads[j]] if j < ptr[x + 1] else []
+
+    return root, reach(graph.node_count, [root], ic if model == "ic" else lt)

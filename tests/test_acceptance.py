@@ -16,19 +16,19 @@ from divtim.baselines import deg_d_greedy, deg_d_greedy_alpha
 from divtim.cli import main as cli_main
 from divtim.cli import parse_result_doc
 from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, EntropyDiversity,
-                              HammingBallDiversity, NumericDiversity, aw_theoretical_max,
-                              hamming_sum_halved, hamming_sum_pairnorm, hamming_sum_score,
-                              jaccard_sum_score, mismatch_pair_score)
+                              HammingBallDiversity, NumericDiversity, aw_theoretical_max)
 from divtim.estimator import estimate_params
 from divtim.graph import save_graph, select_targets, synth_graph
 from divtim.metrics import seed_entropy, seed_overlap
 from divtim.profiles import synth_profiles
-from divtim.sampler import RRCorpus, RRSet, generate_corpus
+from divtim.sampler import generate_corpus
 from divtim.selector import build_seed_set
 from divtim.simulator import exhaustive_expectation, simulate
 
 import oracles
-from conftest import make_graph, make_profiles
+from conftest import corpus_from_sets, make_graph, make_profiles
+from oracles import (hamming_sum_halved, hamming_sum_pairnorm, hamming_sum_score,
+                     jaccard_sum_score, mismatch_pair_score)
 
 
 def _verdict(number: int, ok: bool, text: str) -> None:
@@ -94,8 +94,8 @@ def _manual_corpus(rng, n, theta, t):
     sets = []
     for i in range(theta):
         members = sorted({int(x) for x in rng.integers(0, n, size=rng.integers(1, 5))})
-        sets.append(RRSet(i, int(rng.choice(members)), members))
-    return RRCorpus(sets, n, t, target_total=float(t.sum()))
+        sets.append((int(rng.choice(members)), members))
+    return corpus_from_sets(sets, n, t, target_total=float(t.sum()))
 
 
 def _random_diversity(rng, n, ps, g):

@@ -232,3 +232,59 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+def _docs_without_timing(out):
+    docs = {}
+    for name in sorted(os.listdir(out)):
+        if name.endswith(".txt"):
+            with open(out / name, encoding="utf-8") as fh:
+                docs[name] = "".join(line for line in fh if not line.startswith("timing"))
+    return docs
+
+
+@pytest.mark.parametrize("sizing", [["--epsilon", "0.5"], ["--theta-override", "300"]],
+                         ids=["estimated", "override"])
+def test_one_corpus_serves_every_k(tmp_path, small_dataset, sizing):
+    base = ["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+            "--node-weights", str(small_dataset["nodes"]),
+            "--profiles", str(small_dataset["profiles"]), *sizing,
+            "--alpha", "0,1", "--seed", "3"]
+    runs = {}
+    for ks in ("2,4", "2", "4"):
+        runs[ks] = tmp_path / f"k{ks.replace(',', '_')}"
+        assert main([*base, "--k", ks, "--out", str(runs[ks]),
+                     "--dump-corpus", str(runs[ks] / "corpus.dump")]) == 0
+    both = _docs_without_timing(runs["2,4"])
+    assert both == {**_docs_without_timing(runs["2"]), **_docs_without_timing(runs["4"])}
+    assert (runs["2,4"] / "corpus.dump").read_text() == (runs["4"] / "corpus.dump").read_text()
+    if sizing[0] == "--epsilon":   # estimated thetas differ, so k=2 selects on a prefix
+        thetas = {parse_result_doc(str(runs["2,4"] / f"seeds_k{k}_a1.txt"))["theta"]
+                  for k in (2, 4)}
+        assert len(thetas) == 2
+
+
+@pytest.mark.parametrize("case", ["alpha", "k", "config-k"])
+def test_non_numeric_token_is_one_line_usage_error(tmp_path, small_dataset, case):
+    conf = tmp_path / "run.conf"
+    conf.write_text("k=abc\n", encoding="utf-8")
+    select = ["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+              "--profiles", str(small_dataset["profiles"]), "--theta-override", "20",
+              "--out", str(tmp_path / "out")]
+    extra = {"alpha": ["--alpha", "x"], "k": ["--k", "1,x"],
+             "config-k": ["--config", str(conf)]}[case]
+    env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "divtim.cli", *select, *extra], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert ("'x'" if case != "config-k" else "'abc'") in proc.stderr
+
+
+def test_theta_cap_below_one_is_data_error(tmp_path, small_dataset, capsys):
+    code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), "--k", "2",
+                 "--theta-cap", "0", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "theta cap" in capsys.readouterr().err

@@ -6,13 +6,14 @@ import pytest
 
 from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, EntropyDiversity,
                               HammingBallDiversity, NumericDiversity, aw_theoretical_max,
-                              hamming_sum_halved, hamming_sum_pairnorm, hamming_sum_score,
-                              influence_range, jaccard_set_score, jaccard_sum_halved,
-                              jaccard_sum_score, load_class_map, mismatch_pair_score)
+                              influence_range, load_class_map)
 from divtim.errors import ConfigError, UsageError
 
 import oracles
 from conftest import make_graph, make_profiles
+from oracles import (hamming_sum_halved, hamming_sum_pairnorm, hamming_sum_score,
+                     jaccard_set_score, jaccard_sum_halved, jaccard_sum_score,
+                     mismatch_pair_score)
 
 
 # ------------------------------------------------------------- attribute-wise

@@ -58,9 +58,9 @@ def test_kpt_complete_graph_exits_first_round():
     n = 8
     g = make_graph([(str(u), str(v), 1.0) for u in range(n) for v in range(n) if u != v])
     ts = select_targets(g, "threshold", tau=0.0)
-    kpt, sets = kpt_estimation(g, ts, "ic", k=2, ell=1.0, master_seed=5)
+    kpt, (set_ptr, members) = kpt_estimation(g, ts, "ic", k=2, ell=1.0, master_seed=5)
     assert kpt == pytest.approx(n / 2)
-    assert len(sets) > 0
+    assert len(set_ptr) > 1 and len(members) > 0
 
 
 def test_kpt_deterministic():

@@ -4,17 +4,16 @@ import pytest
 from divtim.diversity import AttributeWiseDiversity
 from divtim.errors import ConfigError
 from divtim.graph import select_targets
-from divtim.sampler import RRCorpus, RRSet, generate_corpus
+from divtim.sampler import generate_corpus
 from divtim.selector import build_seed_set, objective_value
 
-from conftest import make_graph, make_profiles, random_profiles
+from conftest import corpus_from_sets, make_graph, make_profiles, random_profiles
 
 
 def manual_corpus(sets, n, t=None, target_total=None):
     t = np.ones(n) if t is None else np.asarray(t, dtype=float)
     total = float(t.sum()) if target_total is None else target_total
-    return RRCorpus([RRSet(i, root, members) for i, (root, members) in enumerate(sets)],
-                    n, t, total)
+    return corpus_from_sets(sets, n, t, total)
 
 
 def flat_profiles(n, m=2, d=4, seed=0):
