@@ -106,7 +106,7 @@ class AttributeWiseDiversity(DiversityFunction):
     def __init__(self, profiles: ProfileSet, lam: float = 1.0,
                  weights: Sequence[float] | None = None):
         super().__init__()
-        if lam < 1.0:
+        if not lam >= 1.0:
             raise ConfigError("lambda must be >= 1")
         self.profiles = profiles
         self.lam = float(lam)

@@ -146,6 +146,10 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, k: in
                     theta_override: int | None = None,
                     theta_cap: int = DEFAULT_THETA_CAP) -> EstimationParams:
     """Run both estimation stages and size the main corpus."""
+    if not 0 < epsilon < 1:
+        raise ConfigError("epsilon must lie in (0, 1)")
+    if not 0 < ell < math.inf:
+        raise ConfigError("ell must be positive and finite")
     if k < 1:
         raise ConfigError("budget k must be at least 1")
     if theta_cap < 1:

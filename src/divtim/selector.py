@@ -5,6 +5,8 @@ diversity gain`` and the seed-set size at which the score was computed.
 Because both summands are monotone submodular, a stale score is an upper
 bound, so a popped candidate whose tag matches the current seed count is
 provably the best choice and can be committed without re-evaluation.
+Capital gains start as one bincount over the corpus; a stale one is
+re-folded over the popped node's uncovered sets only.
 """
 
 from __future__ import annotations
@@ -53,13 +55,19 @@ class SeedResult:
         return objective_value(self, self.alpha)
 
 
-def _capital_score(set_ids: list[int], covered: np.ndarray, root_scores: np.ndarray) -> float:
-    # Left-fold in stored order so lazy refreshes and eager rescans agree bitwise.
-    total = 0.0
-    for i in set_ids:
-        if not covered[i]:
-            total += root_scores[i]
-    return total
+def _capital_gains(corpus: RRCorpus, covered: np.ndarray) -> np.ndarray:
+    """Each node's root-score sum over its uncovered sets.  bincount adds in
+    stored order, ascending set id per node, as ``_refold`` does: bitwise equal."""
+    widths = np.diff(corpus.set_ptr)
+    open_members, weights = np.repeat(~covered, widths), np.repeat(corpus.root_scores, widths)
+    return np.bincount(corpus.members[open_members], weights=weights[open_members],
+                       minlength=corpus.n_nodes)
+
+
+def _refold(ids: np.ndarray, covered: np.ndarray, root_scores: np.ndarray) -> float:
+    # cumsum is a sequential left fold (np.sum is pairwise and would differ).
+    x = root_scores[ids[~covered[ids]]]
+    return x.cumsum()[-1] if x.size else 0.0
 
 
 def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
@@ -76,22 +84,15 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
         raise ConfigError("diversity state must be fresh")
 
     n = corpus.n_nodes
-    root_scores = corpus.root_scores
     covered = np.zeros(corpus.theta, dtype=bool)
-    ptr, ids = corpus.node_ptr.tolist(), corpus.node_sets.tolist()
-    remaining = [ids[ptr[v]:ptr[v + 1]] for v in range(n)]   # lazy mode drops covered ids
-    push_c = np.zeros(n, dtype=np.float64)
-    push_d = np.zeros(n, dtype=np.float64)
-
     seeds: list[int] = []
     trace: list[IterationTrace] = []
 
     if lazy:
-        heap: list[tuple[float, int, int]] = []
-        for v in range(n):
-            push_c[v] = _capital_score(remaining[v], covered, root_scores)
-            push_d[v] = diversity.gain(v)
-            heap.append((-(alpha * push_c[v] + (1 - alpha) * push_d[v]), v, 0))
+        push_c = _capital_gains(corpus, covered)
+        push_d = np.array([diversity.gain(v) for v in range(n)], dtype=np.float64)
+        neg_scores = -(alpha * push_c + (1 - alpha) * push_d)
+        heap = list(zip(neg_scores.tolist(), range(n), [0] * n))
         heapq.heapify(heap)
         while len(seeds) < k and heap:
             neg_score, v, tag = heapq.heappop(heap)
@@ -99,24 +100,23 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
                 break
             if tag == len(seeds):
                 seeds.append(v)
-                for i in remaining[v]:
-                    covered[i] = True
+                covered[corpus.sets_of(v)] = True
                 diversity.commit(v)
                 trace.append(IterationTrace(node=v, capital_gain=float(push_c[v]),
                                             diversity_gain=float(push_d[v]),
                                             combined_gain=float(-neg_score)))
             else:
-                remaining[v] = [i for i in remaining[v] if not covered[i]]
-                push_c[v] = _capital_score(remaining[v], covered, root_scores)
+                push_c[v] = _refold(corpus.sets_of(v), covered, corpus.root_scores)
                 push_d[v] = diversity.gain(v)
                 score = alpha * push_c[v] + (1 - alpha) * push_d[v]
                 heapq.heappush(heap, (-score, v, len(seeds)))
     else:
         candidates = set(range(n))
         while len(seeds) < k and candidates:
+            gains = _capital_gains(corpus, covered)
             best_v, best_score, best_c, best_d = -1, 0.0, 0.0, 0.0
             for v in sorted(candidates):
-                c = _capital_score(remaining[v], covered, root_scores)
+                c = gains[v]
                 d = diversity.gain(v)
                 score = alpha * c + (1 - alpha) * d
                 if score > best_score:
@@ -135,7 +135,7 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
         warnings.warn(f"only {len(seeds)} of {k} seeds carry positive gain; stopping early")
 
     covered_ids = np.flatnonzero(covered)
-    covered_score = float(root_scores[covered].sum())
+    covered_score = float(corpus.root_scores[covered].sum())
     cap = expected_capital(covered_score, corpus.total_root_score, corpus.target_total) \
         if corpus.total_root_score > 0 else 0.0
     return SeedResult(

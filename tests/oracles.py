@@ -2,10 +2,13 @@
 
 Everything here recomputes set values directly from definitions, sharing
 no code with the package's incremental implementations.  It also holds
-the reference evaluators for unsuitable set scores and a one-set-at-a-time
-reverse reachable sampler that the batched kernel is checked against.
+the reference evaluators for unsuitable set scores, a one-set-at-a-time
+reverse reachable sampler that the batched kernel is checked against, and
+a greedy that folds each node's capital gain in Python, which the
+vectorized selector is checked against bit for bit.
 """
 
+import heapq
 import math
 from bisect import bisect_right
 from collections import deque
@@ -246,3 +249,72 @@ def reference_rr_set(graph, targets, model, rng) -> tuple[int, list[int]]:
         return [heads[j]] if j < ptr[x + 1] else []
 
     return root, reach(graph.node_count, [root], ic if model == "ic" else lt)
+
+
+# ---------------------------------------------------------------------------
+# Reference greedy: per-node Python folds of the capital gain.
+# ---------------------------------------------------------------------------
+
+def _capital_score(set_ids, covered, root_scores) -> float:
+    # Left-fold in stored (ascending set id) order.
+    total = 0.0
+    for i in set_ids:
+        if not covered[i]:
+            total += root_scores[i]
+    return total
+
+
+def reference_seed_set(corpus, k, alpha, diversity, lazy=True):
+    """The lazy (CELF) or eager greedy with each node's capital gain folded
+    in Python over its own list of uncovered set ids.  Returns the seeds and
+    the per-round ``(capital, diversity, combined)`` gains."""
+    n = corpus.n_nodes
+    root_scores = corpus.root_scores
+    covered = np.zeros(corpus.theta, dtype=bool)
+    ptr, ids = corpus.node_ptr.tolist(), corpus.node_sets.tolist()
+    remaining = [ids[ptr[v]:ptr[v + 1]] for v in range(n)]   # lazy mode drops covered ids
+    push_c = np.zeros(n, dtype=np.float64)
+    push_d = np.zeros(n, dtype=np.float64)
+    seeds, trace = [], []
+
+    if lazy:
+        heap = []
+        for v in range(n):
+            push_c[v] = _capital_score(remaining[v], covered, root_scores)
+            push_d[v] = diversity.gain(v)
+            heap.append((-(alpha * push_c[v] + (1 - alpha) * push_d[v]), v, 0))
+        heapq.heapify(heap)
+        while len(seeds) < k and heap:
+            neg_score, v, tag = heapq.heappop(heap)
+            if -neg_score <= 0.0:
+                break
+            if tag == len(seeds):
+                seeds.append(v)
+                for i in remaining[v]:
+                    covered[i] = True
+                diversity.commit(v)
+                trace.append((float(push_c[v]), float(push_d[v]), float(-neg_score)))
+            else:
+                remaining[v] = [i for i in remaining[v] if not covered[i]]
+                push_c[v] = _capital_score(remaining[v], covered, root_scores)
+                push_d[v] = diversity.gain(v)
+                score = alpha * push_c[v] + (1 - alpha) * push_d[v]
+                heapq.heappush(heap, (-score, v, len(seeds)))
+    else:
+        candidates = set(range(n))
+        while len(seeds) < k and candidates:
+            best_v, best_score, best_c, best_d = -1, 0.0, 0.0, 0.0
+            for v in sorted(candidates):
+                c = _capital_score(remaining[v], covered, root_scores)
+                d = diversity.gain(v)
+                score = alpha * c + (1 - alpha) * d
+                if score > best_score:
+                    best_v, best_score, best_c, best_d = v, score, c, d
+            if best_v < 0:
+                break
+            seeds.append(best_v)
+            candidates.discard(best_v)
+            covered[corpus.sets_of(best_v)] = True
+            diversity.commit(best_v)
+            trace.append((float(best_c), float(best_d), float(best_score)))
+    return seeds, trace

@@ -282,6 +282,23 @@ def test_non_numeric_token_is_one_line_usage_error(tmp_path, small_dataset, case
     assert ("'x'" if case != "config-k" else "'abc'") in proc.stderr
 
 
+@pytest.mark.parametrize("flag,value,name", [("--epsilon", "nan", "epsilon"),
+                                             ("--ell", "nan", "ell"), ("--ell", "-1", "ell"),
+                                             ("--lam", "nan", "lambda")],
+                         ids=["epsilon-nan", "ell-nan", "ell-negative", "lam-nan"])
+def test_bad_number_is_one_line_data_error(tmp_path, small_dataset, flag, value, name):
+    select = ["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+              "--profiles", str(small_dataset["profiles"]), "--k", "2",
+              "--out", str(tmp_path / "out")]
+    env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "divtim.cli", *select, flag, value], env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1
+    assert name in proc.stderr
+
+
 def test_theta_cap_below_one_is_data_error(tmp_path, small_dataset, capsys):
     code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
                  "--profiles", str(small_dataset["profiles"]), "--k", "2",

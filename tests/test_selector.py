@@ -1,13 +1,14 @@
 import numpy as np
 import pytest
 
-from divtim.diversity import AttributeWiseDiversity
+from divtim.diversity import AttributeWiseDiversity, ClassDiversity, EntropyDiversity
 from divtim.errors import ConfigError
-from divtim.graph import select_targets
+from divtim.graph import select_targets, synth_graph
 from divtim.sampler import generate_corpus
 from divtim.selector import build_seed_set, objective_value
 
 from conftest import corpus_from_sets, make_graph, make_profiles, random_profiles
+from oracles import reference_seed_set
 
 
 def manual_corpus(sets, n, t=None, target_total=None):
@@ -167,3 +168,40 @@ def test_bad_arguments():
     used.commit(0)
     with pytest.raises(ConfigError):
         build_seed_set(corpus, 1, 0.5, used)
+
+
+def _oracle_corpora():
+    rng = np.random.default_rng(29)
+    corpora = []
+    for _ in range(6):
+        n = int(rng.integers(6, 14))
+        sets = [(int(rng.integers(0, n)),
+                 list(np.unique(rng.integers(0, n, size=rng.integers(1, 6)))))
+                for _ in range(int(rng.integers(20, 120)))]
+        corpora.append(manual_corpus(sets, n, t=rng.uniform(0.1, 1.0, size=n)))
+    g = synth_graph(60, 3, seed=5)
+    targets = select_targets(g, "top_percent", percent=30)
+    for model in ("ic", "lt"):
+        corpora.append(generate_corpus(g, targets, model, 3000, master_seed=17))
+    return corpora
+
+
+@pytest.mark.filterwarnings("ignore:only .* carry positive gain")
+@pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
+@pytest.mark.parametrize("name", ["aw", "entropy", "class"])
+def test_matches_reference_greedy_bitwise(name, lazy):
+    def make_div(n, seed):
+        rng = np.random.default_rng(seed)
+        if name == "class":
+            return ClassDiversity(rng.integers(0, 3, size=n), rng.uniform(0.5, 2.0, size=n))
+        ps = random_profiles(rng, n, 3, 3)
+        return AttributeWiseDiversity(ps) if name == "aw" else EntropyDiversity(ps)
+
+    for i, corpus in enumerate(_oracle_corpora()):
+        for alpha in (0.0, 0.5, 1.0):
+            res = build_seed_set(corpus, 6, alpha, make_div(corpus.n_nodes, i), lazy=lazy)
+            seeds, trace = reference_seed_set(corpus, 6, alpha, make_div(corpus.n_nodes, i),
+                                              lazy=lazy)
+            assert res.seeds == seeds
+            assert [(s.capital_gain, s.diversity_gain, s.combined_gain)
+                    for s in res.trace] == trace
