@@ -51,36 +51,39 @@ def _read_config_file(path: str) -> dict[str, str]:
     return out
 
 
-def _apply_config(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
-    """Fill unset args from the config file; reject unknown keys.
+_ON, _OFF = ("1", "true", "yes"), ("0", "false", "no")
 
-    Values are coerced through the corresponding flag's argparse type, so
-    ``k=5`` in a file behaves exactly like ``--k 5``.
+
+def _config_defaults(parser: _Parser, path: str) -> dict:
+    """The config file as parser defaults; keys are the long flag names.
+
+    argparse converts a string default through the flag's type, so ``k=5``
+    in a file behaves exactly like ``--k 5`` and an explicit flag still wins.
     """
-    if not getattr(args, "config", None):
-        return
-    conf = _read_config_file(args.config)
+    actions = {a.dest.replace("_", "-"): a for a in parser._actions
+               if a.option_strings and a.dest != "help"}
+    conf = _read_config_file(path)
     unknown = sorted(set(conf) - set(actions))
     if unknown:
         raise UsageError(f"unknown config keys: {', '.join(unknown)}")
+    defaults = {}
     for key, value in conf.items():
         action = actions[key]
-        attr = action.dest
-        current = getattr(args, attr, None)
-        if isinstance(current, bool):
-            if current is False:
-                setattr(args, attr, value.lower() in ("1", "true", "yes"))
-            continue
-        if current is None:
-            if action.choices and value not in action.choices:
-                raise UsageError(f"config key {key}: {value!r} not in {sorted(action.choices)}")
-            setattr(args, attr, _cast(value, action.type) if action.type else value)
+        if isinstance(action.default, bool):
+            if value.lower() not in _ON + _OFF:
+                raise UsageError(f"config key {key}: {value!r} is not one of "
+                                 f"{'/'.join(_ON + _OFF)}")
+            value = value.lower() in _ON
+        elif action.choices and value not in action.choices:
+            raise UsageError(f"config key {key}: {value!r} not in {sorted(action.choices)}")
+        defaults[action.dest] = value
+    return defaults
 
 
 def _load_graph_from_args(args) -> DiffusionGraph:
     if not args.graph:
         raise UsageError("a graph path is required")
-    g = load_graph(args.graph, args.weight_mode or "uniform_indegree")
+    g = load_graph(args.graph, args.weight_mode)
     if args.node_weights:
         g = load_node_weights(g, args.node_weights)
     if args.derive_targets == "indegree":
@@ -103,25 +106,22 @@ def _rows_by_node(path: str, graph) -> tuple[np.ndarray, list[str]]:
 
 
 def _targets_from_args(graph, args):
-    mode = args.target_mode or "top_percent"
-    if mode == "threshold":
-        return select_targets(graph, "threshold", tau=float(args.tau if args.tau is not None else 0.5)), \
-            "threshold", float(args.tau if args.tau is not None else 0.5)
-    percent = float(args.percent if args.percent is not None else 25.0)
-    return select_targets(graph, "top_percent", percent=percent), "top_percent", percent
+    """The target set and the value that chose it (tau or percent)."""
+    if args.target_mode == "threshold":
+        return select_targets(graph, "threshold", tau=args.tau), args.tau
+    return select_targets(graph, "top_percent", percent=args.percent), args.percent
 
 
-def _build_diversity(kind: str, graph, profile_set, args):
+def _build_diversity(graph, profile_set, args):
+    kind = args.diversity
     if kind == "aw":
         if profile_set is None:
             raise ConfigError("attribute-wise diversity needs --profiles")
-        lam = float(args.lam) if args.lam is not None else 1.0
-        return diversity.AttributeWiseDiversity(profile_set, lam=lam)
+        return diversity.AttributeWiseDiversity(profile_set, lam=args.lam)
     if kind == "hamming":
         if profile_set is None:
             raise ConfigError("hamming diversity needs --profiles")
-        xi = int(args.xi) if args.xi is not None else 3
-        return diversity.HammingBallDiversity(graph, profile_set, radius=xi)
+        return diversity.HammingBallDiversity(graph, profile_set, radius=args.xi)
     if kind == "entropy":
         if profile_set is None:
             raise ConfigError("entropy diversity needs --profiles")
@@ -204,60 +204,85 @@ def parse_result_doc(path: str) -> dict:
     return out
 
 
+def _metrics_row(doc: dict[str, str]) -> dict[str, str]:
+    """One metrics.csv row from a parsed result document."""
+    row = {col: doc.get(col, "") for col in METRIC_COLUMNS}
+    for col in ("diversity", "k", "alpha", "target_mode", "target_param"):
+        row[col] = doc.get(f"config.{col}", "")
+    row["dataset"] = os.path.basename(doc.get("config.graph", ""))
+    row["master_seed"] = doc.get("config.seed", "")
+    peak = float(row["diversity_max"] or 0)
+    row["diversity_ratio"] = repr(float(row["diversity_value"]) / peak) if peak > 0 else ""
+    return row
+
+
+def _write_metrics(path: str, rows: list[dict[str, str]]) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS, lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(rows)
+
+
 # ---------------------------------------------------------------------- select
 
 def _add_common_graph_flags(p: _Parser) -> None:
-    p.add_argument("--config")
+    p.add_argument("--config", default="")
     p.add_argument("--graph")
-    p.add_argument("--weight-mode", choices=("explicit", "uniform_indegree", "interaction"))
-    p.add_argument("--node-weights")
-    p.add_argument("--derive-targets", choices=("none", "indegree"))
-    p.add_argument("--target-mode", choices=("threshold", "top_percent"))
-    p.add_argument("--tau", type=float)
-    p.add_argument("--percent", type=float)
-    p.add_argument("--model", choices=("ic", "lt"))
+    p.add_argument("--weight-mode", choices=("explicit", "uniform_indegree", "interaction"),
+                   default="uniform_indegree")
+    p.add_argument("--node-weights", default="")
+    p.add_argument("--derive-targets", choices=("none", "indegree"), default="none")
+    p.add_argument("--target-mode", choices=("threshold", "top_percent"), default="top_percent")
+    p.add_argument("--tau", type=float, default=0.5)
+    p.add_argument("--percent", type=float, default=25.0)
+    p.add_argument("--model", choices=("ic", "lt"), default="ic")
 
 
-def _select_parser(sub) -> None:
+def _select_parser(sub) -> _Parser:
     p = sub.add_parser("select", help="run estimation, sampling, and seed selection")
     _add_common_graph_flags(p)
-    p.add_argument("--profiles")
-    p.add_argument("--numeric-profiles",
+    p.add_argument("--profiles", default="")
+    p.add_argument("--numeric-profiles", default="",
                    help="CSV of reals, quantile-binned into categorical profiles")
-    p.add_argument("--bins", type=int)
-    p.add_argument("--class-map")
-    p.add_argument("--preferences")
-    p.add_argument("--diversity", choices=DIVERSITY_KINDS)
-    p.add_argument("--xi", type=int)
-    p.add_argument("--lam", type=float)
-    p.add_argument("--k")
-    p.add_argument("--alpha")
-    p.add_argument("--epsilon", type=float)
-    p.add_argument("--ell", type=float)
+    p.add_argument("--bins", type=int, default=10)
+    p.add_argument("--class-map", default="")
+    p.add_argument("--preferences", default="")
+    p.add_argument("--diversity", choices=DIVERSITY_KINDS, default="aw")
+    p.add_argument("--xi", type=int, default=3)
+    p.add_argument("--lam", type=float, default=1.0)
+    p.add_argument("--k", default="10")
+    p.add_argument("--alpha", default="0.5")
+    p.add_argument("--epsilon", type=float, default=0.1)
+    p.add_argument("--ell", type=float, default=1.0)
     p.add_argument("--theta-override", type=int)
-    p.add_argument("--theta-cap", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--theta-cap", type=int, default=estimator.DEFAULT_THETA_CAP)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, help="accepted for compatibility; no effect")
     p.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
     p.add_argument("--normalize", action="store_true")
     p.add_argument("--eager", action="store_true")
-    p.add_argument("--dump-corpus")
-    p.add_argument("--out", required=False)
+    p.add_argument("--dump-corpus", default="")
+    p.add_argument("--out")
+    return p
+
+
+# Settings echoed as config.* lines in every result document.
+CONFIG_KEYS = ("graph", "weight_mode", "node_weights", "derive_targets", "target_mode",
+               "profiles", "numeric_profiles", "bins", "class_map", "preferences",
+               "diversity", "xi", "lam", "model", "epsilon", "ell", "seed", "normalize",
+               "eager")
 
 
 def cmd_select(args) -> int:
     if not args.out:
         raise UsageError("select needs --out DIR")
     graph = _load_graph_from_args(args)
-    targets, tmode, tparam = _targets_from_args(graph, args)
-    model = args.model or "ic"
-    master_seed = int(args.seed if args.seed is not None else 0)
-    epsilon = float(args.epsilon if args.epsilon is not None else 0.1)
-    ell = float(args.ell if args.ell is not None else 1.0)
-    kind = args.diversity or "aw"
-    ks = _parse_list(args.k if args.k is not None else "10", int)
-    alpha_tokens = _parse_list(args.alpha if args.alpha is not None else "0.5", str)
+    targets, target_param = _targets_from_args(graph, args)
+    ks = _parse_list(args.k, int)
+    alpha_tokens = _parse_list(args.alpha, str)
     alphas = [_cast(tok, float) for tok in alpha_tokens]
+    if not all(0.0 <= alpha <= 1.0 for alpha in alphas):
+        raise ConfigError("alpha must lie in [0, 1]")
 
     profile_set = None
     if args.profiles and args.numeric_profiles:
@@ -268,31 +293,24 @@ def cmd_select(args) -> int:
         mat, names = _rows_by_node(args.numeric_profiles, graph)
         if mat.shape[0] != graph.node_count:
             raise ConfigError("numeric profile matrix must cover every node")
-        bins = int(args.bins) if args.bins is not None else 10
-        profile_set = profiles.quantile_discretize(mat, bins, names)
+        profile_set = profiles.quantile_discretize(mat, args.bins, names)
+    # One diversity function serves the whole grid; reset() clears its
+    # selection but keeps what it caches (hamming balls).
+    div = _build_diversity(graph, profile_set, args)
+    if args.normalize and div.max_value_for_budget(max(ks)) is None:
+        raise ConfigError(f"diversity function {div.name!r} has no known maximum")
 
     os.makedirs(args.out, exist_ok=True)
-    config_pairs = {
-        "graph": args.graph, "weight_mode": args.weight_mode or "uniform_indegree",
-        "node_weights": args.node_weights or "", "derive_targets": args.derive_targets or "none",
-        "profiles": args.profiles or "", "numeric_profiles": args.numeric_profiles or "",
-        "bins": args.bins if args.bins is not None else 10,
-        "class_map": args.class_map or "",
-        "preferences": args.preferences or "", "diversity": kind,
-        "xi": args.xi if args.xi is not None else 3,
-        "lam": args.lam if args.lam is not None else 1.0, "model": model,
-        "target_mode": tmode, "target_param": tparam, "epsilon": epsilon, "ell": ell,
-        "seed": master_seed, "normalize": bool(args.normalize), "eager": bool(args.eager),
-    }
+    config_pairs = {key: getattr(args, key) for key in CONFIG_KEYS}
+    config_pairs["target_param"] = target_param
 
     params = {k: estimator.estimate_params(
-        graph, targets, model, k, epsilon=epsilon, ell=ell, master_seed=master_seed,
-        theta_override=args.theta_override,
-        theta_cap=estimator.DEFAULT_THETA_CAP if args.theta_cap is None else args.theta_cap)
+        graph, targets, args.model, k, epsilon=args.epsilon, ell=args.ell,
+        master_seed=args.seed, theta_override=args.theta_override, theta_cap=args.theta_cap)
         for k in ks}
     # One corpus serves every k: the first theta_k sets are the theta_k-set corpus.
-    full = sampler.generate_corpus(graph, targets, model,
-                                   max(p.theta for p in params.values()), master_seed)
+    full = sampler.generate_corpus(graph, targets, args.model,
+                                   max(p.theta for p in params.values()), args.seed)
     rows = []
     for k in ks:
         corpus = full.prefix(params[k].theta)
@@ -301,66 +319,44 @@ def cmd_select(args) -> int:
 
         for alpha_token, alpha in zip(alpha_tokens, alphas):
             start = time.perf_counter()
-            div = _build_diversity(kind, graph, profile_set, args)
+            div.reset()
             res = selector.build_seed_set(corpus, k, alpha, div, lazy=not args.eager)
             res.timing_seconds = time.perf_counter() - start
             extra = {
                 "kpt_star": repr(params[k].kpt_star), "kpt_plus": repr(params[k].kpt_plus),
                 "corpus_width": corpus.total_width,
             }
-            ent = ""
             if profile_set is not None and res.seeds:
-                ent = repr(metrics.seed_entropy(res.seeds, profile_set))
-                extra["seed_entropy"] = ent
+                extra["seed_entropy"] = repr(metrics.seed_entropy(res.seeds, profile_set))
             if args.normalize:
                 extra["objective_normalized"] = repr(
                     selector.objective_value(res, alpha, normalize=True))
             pairs = dict(config_pairs, k=k, alpha=alpha_token)
-            doc = _result_doc(res, graph.labels, pairs, extra)
             path = os.path.join(args.out, f"seeds_k{k}_a{alpha_token}.txt")
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(doc)
-            ratio = ""
-            dmax = ""
-            if res.diversity_max is not None:
-                dmax = repr(res.diversity_max)
-                if res.diversity_max > 0:
-                    ratio = repr(res.diversity_value / res.diversity_max)
-            rows.append({
-                "dataset": os.path.basename(args.graph), "diversity": kind, "k": k,
-                "alpha": alpha_token, "target_mode": tmode, "target_param": tparam,
-                "master_seed": master_seed, "theta": res.theta,
-                "expected_capital": repr(res.expected_capital),
-                "diversity_value": repr(res.diversity_value),
-                "objective": repr(res.objective()),
-                "diversity_max": dmax, "diversity_ratio": ratio, "seed_entropy": ent,
-                "seeds": " ".join(graph.labels[v] for v in res.seeds),
-            })
-
-    with open(os.path.join(args.out, "metrics.csv"), "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+                fh.write(_result_doc(res, graph.labels, pairs, extra))
+            rows.append(_metrics_row(parse_result_doc(path)))
+    _write_metrics(os.path.join(args.out, "metrics.csv"), rows)
     return 0
 
 
 # -------------------------------------------------------------------- simulate
 
-def _simulate_parser(sub) -> None:
+def _simulate_parser(sub) -> _Parser:
     p = sub.add_parser("simulate", help="Monte Carlo forward diffusion for a seed set")
     _add_common_graph_flags(p)
     p.add_argument("--seeds", help="comma-separated node labels")
     p.add_argument("--seeds-file", help="file with one node label per line")
     p.add_argument("--from-result", help="read the seeds line of a result document")
-    p.add_argument("--runs", type=int)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--runs", type=int, default=10_000)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", help="append a CSV row here instead of printing text")
+    return p
 
 
 def cmd_simulate(args) -> int:
     graph = _load_graph_from_args(args)
-    targets, tmode, tparam = _targets_from_args(graph, args)
+    targets, target_param = _targets_from_args(graph, args)
     if args.seeds:
         labels = _parse_list(args.seeds, str)
     elif args.seeds_file:
@@ -375,9 +371,7 @@ def cmd_simulate(args) -> int:
     if unknown:
         raise FormatError(f"unknown seed nodes: {unknown}")
     seed_ids = [graph.label_ids[lab] for lab in labels]
-    runs = int(args.runs if args.runs is not None else 10_000)
-    report = simulator.simulate(graph, args.model or "ic", seed_ids, runs,
-                                int(args.seed if args.seed is not None else 0),
+    report = simulator.simulate(graph, args.model, seed_ids, args.runs, args.seed,
                                 targets=targets)
     if args.out:
         new = not os.path.exists(args.out)
@@ -387,8 +381,8 @@ def cmd_simulate(args) -> int:
                 writer.writerow(["dataset", "target_mode", "target_param", "runs",
                                  "mean_spread", "stderr_spread", "mean_capital",
                                  "stderr_capital", "seeds"])
-            writer.writerow([os.path.basename(args.graph), tmode, tparam, report.runs,
-                             repr(report.mean_spread), repr(report.stderr_spread),
+            writer.writerow([os.path.basename(args.graph), args.target_mode, target_param,
+                             report.runs, repr(report.mean_spread), repr(report.stderr_spread),
                              repr(report.mean_capital), repr(report.stderr_capital),
                              " ".join(labels)])
     else:
@@ -402,16 +396,18 @@ def cmd_simulate(args) -> int:
 
 # -------------------------------------------------------------------- baseline
 
-def _baseline_parser(sub) -> None:
+def _baseline_parser(sub) -> _Parser:
     p = sub.add_parser("baseline", help="degree/diversity greedy baseline")
     p.add_argument("kind", choices=("deg-d",))
     _add_common_graph_flags(p)
-    p.add_argument("--preferences", help="CSV of per-node numeric preference vectors")
-    p.add_argument("--g-mode", choices=("unit", "degree"))
+    p.add_argument("--preferences", default="",
+                   help="CSV of per-node numeric preference vectors")
+    p.add_argument("--g-mode", choices=("unit", "degree"), default="unit")
     p.add_argument("--gamma", type=float)
     p.add_argument("--alpha", type=float, help="alternative parameterization, gamma = 1 - alpha")
-    p.add_argument("--k", type=int)
+    p.add_argument("--k", type=int, default=10)
     p.add_argument("--out")
+    return p
 
 
 def cmd_baseline(args) -> int:
@@ -422,10 +418,9 @@ def cmd_baseline(args) -> int:
     prefs = profiles.derive_numeric_preferences(np.nan_to_num(mat))
     if args.gamma is not None and args.alpha is not None:
         raise UsageError("give either --gamma or --alpha, not both")
-    gamma = float(args.gamma) if args.gamma is not None else \
-        (1.0 - float(args.alpha)) if args.alpha is not None else 0.5
-    seeds = baselines.deg_d_greedy(graph, prefs, args.g_mode or "unit", gamma,
-                                   int(args.k if args.k is not None else 10))
+    gamma = args.gamma if args.gamma is not None else \
+        1.0 - args.alpha if args.alpha is not None else 0.5
+    seeds = baselines.deg_d_greedy(graph, prefs, args.g_mode, gamma, args.k)
     lines = [graph.labels[v] for v in seeds]
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -437,109 +432,71 @@ def cmd_baseline(args) -> int:
 
 # --------------------------------------------------------------------- metrics
 
-def _metrics_parser(sub) -> None:
+def _metrics_parser(sub) -> _Parser:
     p = sub.add_parser("metrics", help="aggregate result documents into one CSV")
     p.add_argument("--results", required=True, help="directory of result documents")
     p.add_argument("--out", required=True)
+    return p
 
 
 def cmd_metrics(args) -> int:
-    rows = []
-    for name in sorted(os.listdir(args.results)):
-        if not name.endswith(".txt"):
-            continue
-        doc = parse_result_doc(os.path.join(args.results, name))
-        if "seeds" not in doc or "expected_capital" not in doc:
-            continue
-        dmax = doc.get("diversity_max", "")
-        ratio = ""
-        if dmax:
-            peak = float(dmax)
-            if peak > 0:
-                ratio = repr(float(doc["diversity_value"]) / peak)
-        rows.append({
-            "dataset": os.path.basename(doc.get("config.graph", "")),
-            "diversity": doc.get("config.diversity", ""),
-            "k": doc.get("config.k", ""), "alpha": doc.get("config.alpha", ""),
-            "target_mode": doc.get("config.target_mode", ""),
-            "target_param": doc.get("config.target_param", ""),
-            "master_seed": doc.get("config.seed", ""), "theta": doc.get("theta", ""),
-            "expected_capital": doc.get("expected_capital", ""),
-            "diversity_value": doc.get("diversity_value", ""),
-            "objective": doc.get("objective", ""),
-            "diversity_max": dmax, "diversity_ratio": ratio,
-            "seed_entropy": doc.get("seed_entropy", ""),
-            "seeds": doc.get("seeds", ""),
-        })
-    with open(args.out, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRIC_COLUMNS, lineterminator="\n")
-        writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    docs = (parse_result_doc(os.path.join(args.results, name))
+            for name in sorted(os.listdir(args.results)) if name.endswith(".txt"))
+    _write_metrics(args.out, [_metrics_row(doc) for doc in docs
+                              if "seeds" in doc and "expected_capital" in doc])
     return 0
 
 
 # ----------------------------------------------------------------------- synth
 
-def _synth_parser(sub) -> None:
+def _synth_parser(sub) -> _Parser:
     p = sub.add_parser("synth", help="generate synthetic categorical profiles")
-    p.add_argument("--config")
+    p.add_argument("--config", default="")
     p.add_argument("--nodes", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--domain-sizes")
-    p.add_argument("--distribution", choices=("uniform", "exponential"))
-    p.add_argument("--seed", type=int)
+    p.add_argument("--m", type=int, default=10)
+    p.add_argument("--domain-sizes", default="10")
+    p.add_argument("--distribution", choices=("uniform", "exponential"), default="uniform")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True)
+    return p
 
 
 def cmd_synth(args) -> int:
     if args.nodes is None:
         raise UsageError("synth needs --nodes")
-    m = int(args.m if args.m is not None else 10)
-    if args.domain_sizes:
-        sizes = _parse_list(args.domain_sizes, int)
-        sizes = sizes * m if len(sizes) == 1 else sizes
-    else:
-        sizes = [10] * m
-    pset = profiles.synth_profiles(int(args.nodes), m, sizes,
-                                   args.distribution or "uniform",
-                                   int(args.seed if args.seed is not None else 0))
+    sizes = _parse_list(args.domain_sizes, int)
+    pset = profiles.synth_profiles(args.nodes, args.m,
+                                   sizes * args.m if len(sizes) == 1 else sizes,
+                                   args.distribution, args.seed)
     profiles.save_profiles(pset, args.out)
     return 0
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="divtim",
-                     description="diversity-sensitive targeted influence maximization")
-    sub = parser.add_subparsers(dest="command", required=True)
-    _select_parser(sub)
-    _simulate_parser(sub)
-    _baseline_parser(sub)
-    _metrics_parser(sub)
-    _synth_parser(sub)
-    return parser
-
-
 _COMMANDS = {
-    "select": cmd_select,
-    "simulate": cmd_simulate,
-    "baseline": cmd_baseline,
-    "metrics": cmd_metrics,
-    "synth": cmd_synth,
+    "select": (_select_parser, cmd_select),
+    "simulate": (_simulate_parser, cmd_simulate),
+    "baseline": (_baseline_parser, cmd_baseline),
+    "metrics": (_metrics_parser, cmd_metrics),
+    "synth": (_synth_parser, cmd_synth),
 }
 
 
+def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
+    """The top-level parser and its subcommand parsers by name."""
+    parser = _Parser(prog="divtim",
+                     description="diversity-sensitive targeted influence maximization")
+    sub = parser.add_subparsers(dest="command", required=True)
+    return parser, {name: add(sub) for name, (add, _) in _COMMANDS.items()}
+
+
 def run(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    parser, commands = build_parser()
     args = parser.parse_args(argv)
-    actions: dict[str, argparse.Action] = {}
-    for group in parser._subparsers._group_actions:
-        for name, sp in group.choices.items():
-            if name == args.command:
-                for a in sp._actions:
-                    actions[a.dest.replace("_", "-")] = a
-    _apply_config(args, actions)
-    return _COMMANDS[args.command](args)
+    if getattr(args, "config", ""):
+        command = commands[args.command]
+        command.set_defaults(**_config_defaults(command, args.config))
+        args = parser.parse_args(argv)
+    return _COMMANDS[args.command][1](args)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -548,10 +505,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
-    except (FormatError, ConfigError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except (FormatError, ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
 

@@ -90,6 +90,8 @@ def aw_theoretical_max(k: int, domain_sizes: Sequence[int],
     w = np.full(m, 1.0 / m) if weights is None else np.asarray(weights, dtype=np.float64)
     total = 0.0
     for j, d in enumerate(domain_sizes):
+        if d == 0:
+            continue  # an attribute no node has a value for adds nothing
         q, r = divmod(k, d)
         total += w[j] * (d * harmonic_power_sum(q, lam) + r * (1.0 + q) ** -lam)
     return float(total)
@@ -283,7 +285,7 @@ class EntropyDiversity(DiversityFunction):
                 self._group_of[val] = moved_gids.get(old, old)
 
     def max_value_for_budget(self, k: int) -> float:
-        return math.log2(self.profiles.schema.total_domain_size())
+        return math.log2(max(1, self.profiles.schema.total_domain_size()))
 
 
 class ClassDiversity(DiversityFunction):

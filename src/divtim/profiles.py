@@ -107,7 +107,12 @@ def _rows_from_csv(source) -> tuple[list[str], list[list[str]]]:
         header = next(reader)
     except StopIteration:
         raise FormatError("profile CSV is empty") from None
-    return [h.strip() for h in header], [row for row in reader]
+    header, rows = [h.strip() for h in header], list(reader)
+    if header and header[0] == "node":
+        blank = next((i for i, row in enumerate(rows) if not row), None)
+        if blank is not None:
+            raise FormatError(f"row {blank + 2}: no node id")
+    return header, rows
 
 
 def load_profiles(source, schema: Schema | None = None,
@@ -191,6 +196,8 @@ def synth_profiles(node_count: int, m: int = 10, domain_sizes: int | list[int] =
     draws e ~ Exp(1) and maps it to index ceil(e), rejecting draws beyond
     the domain so the truncated shape is preserved.
     """
+    if node_count < 1:
+        raise ConfigError("need at least one node")
     if m < 1:
         raise ConfigError("need at least one attribute")
     sizes = [domain_sizes] * m if isinstance(domain_sizes, int) else list(domain_sizes)
@@ -226,6 +233,8 @@ def load_numeric_matrix(source) -> tuple[np.ndarray, list[str], list[str] | None
     mat = np.full((len(rows), len(names)), np.nan)
     for i, row in enumerate(rows):
         cells = row[1:] if keyed else row
+        if len(cells) > len(names):
+            raise FormatError(f"row {i + 2}: {len(cells)} cells for {len(names)} columns")
         for j, cell in enumerate(cells):
             if cell != "":
                 try:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,7 +49,6 @@ class SeedResult:
     diversity_name: str
     diversity_max: float | None = None
     timing_seconds: float | None = None
-    config: dict = field(default_factory=dict)
 
     def objective(self) -> float:
         return objective_value(self, self.alpha)

@@ -209,12 +209,17 @@ def test_usage_error_exit_code():
     assert main(["frobnicate"]) == 1      # unknown subcommand
 
 
-@pytest.mark.parametrize("case", ["numeric-u", "numeric-profiles", "baseline", "class-reward"])
+@pytest.mark.parametrize("case", ["numeric-u", "numeric-profiles", "baseline", "class-reward",
+                                  "wide-row", "non-utf8", "synth-negative"])
 def test_bad_input_is_one_line_data_error(tmp_path, case):
     edges = tmp_path / "edges.txt"
     edges.write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
     prefs = tmp_path / "prefs.csv"       # keyed by node, but lacks graph node c
     prefs.write_text("node,p1,p2\na,0.1,0.9\nb,0.7,0.3\n", encoding="utf-8")
+    wide = tmp_path / "wide.csv"         # row 3 has one cell more than the header
+    wide.write_text("p1,p2\n0.1,0.9\n0.7,0.3,0.5\n0.2,0.2\n", encoding="utf-8")
+    binary = tmp_path / "binary.txt"
+    binary.write_bytes(b"a b 0.5\n\xff\xfe\x00 c 0.5\n")
     classes = tmp_path / "classes.txt"
     classes.write_text("a red\nb blue abc\n", encoding="utf-8")
     graph = ["--graph", str(edges), "--weight-mode", "explicit"]
@@ -225,6 +230,9 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
         "numeric-profiles": [*select, "--numeric-profiles", str(prefs)],
         "baseline": ["baseline", "deg-d", *graph, "--preferences", str(prefs)],
         "class-reward": [*select, "--diversity", "class", "--class-map", str(classes)],
+        "wide-row": [*select, "--numeric-profiles", str(wide)],
+        "non-utf8": [*select, "--graph", str(binary)],
+        "synth-negative": ["synth", "--nodes", "-1", "--out", str(tmp_path / "p.csv")],
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-m", "divtim.cli", *argv], env=env,
@@ -305,3 +313,63 @@ def test_theta_cap_below_one_is_data_error(tmp_path, small_dataset, capsys):
                  "--theta-cap", "0", "--out", str(tmp_path / "out")])
     assert code == 2
     assert "theta cap" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra,message", [
+    (["--lam", "nan"], "lambda"), (["--alpha", "2"], "alpha"), (["--alpha", "nan"], "alpha"),
+    (["--diversity", "class"], "class-map"),
+    (["--diversity", "numeric-u", "--normalize"], "maximum"),
+], ids=["lam-nan", "alpha-2", "alpha-nan", "class-without-map", "numeric-u-normalize"])
+def test_select_config_error_precedes_estimation(tmp_path, small_dataset, monkeypatch, capsys,
+                                                 extra, message):
+    def estimate_params(*args, **kwargs):
+        raise AssertionError("estimation ran before the configuration was checked")
+
+    monkeypatch.setattr("divtim.estimator.estimate_params", estimate_params)
+    prefs = tmp_path / "prefs.csv"
+    prefs.write_text("p1,p2\n" + "0.5,0.25\n" * 40, encoding="utf-8")
+    code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), "--preferences", str(prefs),
+                 "--k", "2", "--theta-override", "50", "--out", str(tmp_path / "out"), *extra])
+    assert code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_config_on_off_value_is_checked(tmp_path, small_dataset, capsys):
+    conf = tmp_path / "run.conf"
+    conf.write_text("eager=maybe\n", encoding="utf-8")
+    code = main(["select", "--config", str(conf), "--graph", str(small_dataset["edges"]),
+                 "--weight-mode", "explicit", "--profiles", str(small_dataset["profiles"]),
+                 "--k", "2", "--theta-override", "50", "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert "eager" in capsys.readouterr().err
+
+
+def test_config_file_matches_flags(tmp_path, small_dataset):
+    conf = tmp_path / "run.conf"
+    conf.write_text("seed=5\ntheta-override=250\nlam=2\ndiversity=entropy\nnormalize=yes\n",
+                    encoding="utf-8")
+    base = ["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+            "--profiles", str(small_dataset["profiles"]), "--k", "2,3", "--alpha", "0,0.5"]
+    by_file, by_flags = tmp_path / "by_file", tmp_path / "by_flags"
+    assert main([*base, "--config", str(conf), "--out", str(by_file)]) == 0
+    assert main([*base, "--seed", "5", "--theta-override", "250", "--lam", "2",
+                 "--diversity", "entropy", "--normalize", "--out", str(by_flags)]) == 0
+    docs = _docs_without_timing(by_file)
+    assert len(docs) == 4 and docs == _docs_without_timing(by_flags)
+    assert "config.normalize: True" in docs["seeds_k2_a0.txt"]
+    assert (by_file / "metrics.csv").read_text() == (by_flags / "metrics.csv").read_text()
+
+
+def test_metrics_command_matches_select_csv(tmp_path, small_dataset):
+    out = run_select(tmp_path, small_dataset, "grid", "--k", "3,2", "--alpha", "1,0,0.5")
+    again = tmp_path / "again.csv"
+    assert main(["metrics", "--results", str(out), "--out", str(again)]) == 0
+
+    def sorted_lines(path):
+        header, *rows = path.read_text(encoding="utf-8").splitlines()
+        return header, sorted(rows)
+
+    header, rows = sorted_lines(out / "metrics.csv")
+    assert len(rows) == 6
+    assert (header, rows) == sorted_lines(again)

@@ -74,6 +74,14 @@ def test_aw_theoretical_max_rejects_bad_budget():
         aw_theoretical_max(0, [3])
 
 
+def test_attribute_without_values_adds_nothing_to_maxima():
+    ps = make_profiles([(None, 0), (None, 1)], domain_sizes=[0, 2])
+    assert AttributeWiseDiversity(ps).max_value_for_budget(2) == pytest.approx(1.0)
+    assert aw_theoretical_max(3, [0, 0]) == 0.0
+    no_values = make_profiles([(None,), (None,)], domain_sizes=[0])
+    assert EntropyDiversity(no_values).max_value_for_budget(2) == 0.0
+
+
 # ------------------------------------------------------------------- hamming
 
 def test_influence_range_excludes_center():
