@@ -204,15 +204,23 @@ def parse_result_doc(path: str) -> dict:
     return out
 
 
-def _metrics_row(doc: dict[str, str]) -> dict[str, str]:
-    """One metrics.csv row from a parsed result document."""
+def _doc_number(path: str, doc: dict[str, str], key: str) -> float:
+    try:
+        return float(doc.get(key, ""))
+    except ValueError:
+        raise FormatError(f"{path}: {key} is not a number: {doc.get(key, '')!r}") from None
+
+
+def _metrics_row(path: str, doc: dict[str, str]) -> dict[str, str]:
+    """One metrics.csv row from the result document parsed from path."""
     row = {col: doc.get(col, "") for col in METRIC_COLUMNS}
     for col in ("diversity", "k", "alpha", "target_mode", "target_param"):
         row[col] = doc.get(f"config.{col}", "")
     row["dataset"] = os.path.basename(doc.get("config.graph", ""))
     row["master_seed"] = doc.get("config.seed", "")
-    peak = float(row["diversity_max"] or 0)
-    row["diversity_ratio"] = repr(float(row["diversity_value"]) / peak) if peak > 0 else ""
+    peak = _doc_number(path, doc, "diversity_max") if row["diversity_max"] else 0.0
+    row["diversity_ratio"] = (repr(_doc_number(path, doc, "diversity_value") / peak)
+                              if peak > 0 else "")
     return row
 
 
@@ -260,7 +268,6 @@ def _select_parser(sub) -> _Parser:
     p.add_argument("--workers", type=int, help="accepted for compatibility; no effect")
     p.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
     p.add_argument("--normalize", action="store_true")
-    p.add_argument("--eager", action="store_true")
     p.add_argument("--dump-corpus", default="")
     p.add_argument("--out")
     return p
@@ -269,8 +276,7 @@ def _select_parser(sub) -> _Parser:
 # Settings echoed as config.* lines in every result document.
 CONFIG_KEYS = ("graph", "weight_mode", "node_weights", "derive_targets", "target_mode",
                "profiles", "numeric_profiles", "bins", "class_map", "preferences",
-               "diversity", "xi", "lam", "model", "epsilon", "ell", "seed", "normalize",
-               "eager")
+               "diversity", "xi", "lam", "model", "epsilon", "ell", "seed", "normalize")
 
 
 def cmd_select(args) -> int:
@@ -320,7 +326,7 @@ def cmd_select(args) -> int:
         for alpha_token, alpha in zip(alpha_tokens, alphas):
             start = time.perf_counter()
             div.reset()
-            res = selector.build_seed_set(corpus, k, alpha, div, lazy=not args.eager)
+            res = selector.build_seed_set(corpus, k, alpha, div)
             res.timing_seconds = time.perf_counter() - start
             extra = {
                 "kpt_star": repr(params[k].kpt_star), "kpt_plus": repr(params[k].kpt_plus),
@@ -335,7 +341,7 @@ def cmd_select(args) -> int:
             path = os.path.join(args.out, f"seeds_k{k}_a{alpha_token}.txt")
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(_result_doc(res, graph.labels, pairs, extra))
-            rows.append(_metrics_row(parse_result_doc(path)))
+            rows.append(_metrics_row(path, parse_result_doc(path)))
     _write_metrics(os.path.join(args.out, "metrics.csv"), rows)
     return 0
 
@@ -440,9 +446,10 @@ def _metrics_parser(sub) -> _Parser:
 
 
 def cmd_metrics(args) -> int:
-    docs = (parse_result_doc(os.path.join(args.results, name))
-            for name in sorted(os.listdir(args.results)) if name.endswith(".txt"))
-    _write_metrics(args.out, [_metrics_row(doc) for doc in docs
+    paths = (os.path.join(args.results, name)
+             for name in sorted(os.listdir(args.results)) if name.endswith(".txt"))
+    docs = {path: parse_result_doc(path) for path in paths}
+    _write_metrics(args.out, [_metrics_row(path, doc) for path, doc in docs.items()
                               if "seeds" in doc and "expected_capital" in doc])
     return 0
 

@@ -167,15 +167,12 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, k: in
                             kpt_plus=kpt_plus, theta=theta)
 
 
-def expected_capital(covered_score: float, total_score: float, target_total: float) -> float:
-    """Capital estimate from corpus coverage.
-
-    Roots are drawn proportionally to target score, so the covered share
-    of root score estimates the captured fraction of the total target
-    score; scaling by that total yields the expected capital.
-    """
-    if total_score <= 0:
-        raise ConfigError("corpus carries no root score (theta = 0?)")
-    if covered_score < 0 or covered_score > total_score * (1 + 1e-12):
-        raise ConfigError("covered score outside [0, total]")
-    return target_total * (covered_score / total_score)
+def expected_capital(covered: int, theta: int, target_total: float) -> float:
+    """Capital estimate: roots are drawn proportionally to target score, so
+    the covered fraction of the theta sets estimates the captured fraction
+    of the total target score (weighted RIS, as in KB-TIM)."""
+    if theta <= 0:
+        raise ConfigError("corpus holds no sets (theta = 0?)")
+    if covered < 0 or covered > theta:
+        raise ConfigError("covered count outside [0, theta]")
+    return target_total * covered / theta

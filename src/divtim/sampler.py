@@ -3,8 +3,8 @@
 A corpus of reverse reachable sets is the sampling backbone: the chance
 that a seed set intersects a random set equals the chance that the set's
 root gets activated by those seeds.  Roots are drawn from the target set
-with probability proportional to their target score, so coverage of the
-corpus directly estimates the captured fraction of total target score.
+with probability proportional to their target score, so the fraction of
+sets a seed set covers estimates its captured share of total target score.
 
 Sets are drawn in batches by one level-synchronous live-edge kernel,
 ``live_edge_search``, which also runs the forward Monte Carlo simulation.
@@ -149,20 +149,16 @@ class RRCorpus:
     Both directions are CSR arrays: set i has root ``roots[i]`` and
     members ``members[set_ptr[i]:set_ptr[i + 1]]``; node v lies in the sets
     ``node_sets[node_ptr[v]:node_ptr[v + 1]]``, listed in ascending order.
-    ``root_scores[i]`` is the target score of set i's root.  The total
-    member count is kept for memory/width accounting.
+    ``target_total`` is the total target score the roots were drawn by.
+    The total member count is kept for memory/width accounting.
     """
 
-    def __init__(self, roots, set_ptr, members, node_count: int, t: np.ndarray,
-                 target_total: float):
+    def __init__(self, roots, set_ptr, members, node_count: int, target_total: float):
         self.roots = np.asarray(roots, dtype=np.int64)
         self.set_ptr = np.asarray(set_ptr, dtype=np.int64)
         self.members = np.asarray(members, dtype=np.int32)
         self.n_nodes = node_count
-        self.t = t
         self.target_total = float(target_total)
-        self.root_scores = np.asarray(t, dtype=np.float64)[self.roots]
-        self.total_root_score = float(self.root_scores.sum())
         self.total_width = int(self.members.size)
         set_of = np.repeat(np.arange(self.theta, dtype=np.int32), np.diff(self.set_ptr))
         self.node_sets = set_of[np.argsort(self.members, kind="stable")]
@@ -182,8 +178,7 @@ class RRCorpus:
         if m == self.theta:
             return self
         return RRCorpus(self.roots[:m], self.set_ptr[:m + 1],
-                        self.members[:self.set_ptr[m]], self.n_nodes, self.t,
-                        self.target_total)
+                        self.members[:self.set_ptr[m]], self.n_nodes, self.target_total)
 
     def covered_mask(self, seed_set) -> np.ndarray:
         mask = np.zeros(self.theta, dtype=bool)
@@ -194,10 +189,6 @@ class RRCorpus:
     def coverage_fraction(self, seed_set) -> float:
         """Plain fraction of sets intersected by the seed set."""
         return float(self.covered_mask(seed_set).sum()) / self.theta
-
-    def covered_root_score(self, seed_set) -> float:
-        """Sum of root target scores over the sets the seed set intersects."""
-        return float(self.root_scores[self.covered_mask(seed_set)].sum())
 
     def dump(self, sink: str | TextIO) -> None:
         """Debug dump, one line per set: ``id root member*`` (format unstable)."""
@@ -210,11 +201,10 @@ class RRCorpus:
             sink.write(f"{i} {root} " + " ".join(map(str, members[ptr[i]:ptr[i + 1]])) + "\n")
 
 
-def load_corpus_dump(source: str | TextIO, node_count: int, t: np.ndarray,
-                     target_total: float) -> RRCorpus:
+def load_corpus_dump(source: str | TextIO, node_count: int, target_total: float) -> RRCorpus:
     if isinstance(source, str):
         with open(source, "r", encoding="utf-8") as fh:
-            return load_corpus_dump(fh, node_count, t, target_total)
+            return load_corpus_dump(fh, node_count, target_total)
     roots, set_ptr, members = [], [0], []
     for raw in source:
         if not raw.strip():
@@ -229,7 +219,7 @@ def load_corpus_dump(source: str | TextIO, node_count: int, t: np.ndarray,
         roots.append(ids[1])
         members.extend(ids[2:])
         set_ptr.append(len(members))
-    return RRCorpus(roots, set_ptr, members, node_count, t, target_total)
+    return RRCorpus(roots, set_ptr, members, node_count, target_total)
 
 
 def generate_corpus(graph: DiffusionGraph, targets: TargetSet, model: str,
@@ -246,5 +236,4 @@ def generate_corpus(graph: DiffusionGraph, targets: TargetSet, model: str,
     base = phase_seed(master_seed, phase)
     batches = [rr_batch(graph, targets, model, stream(base, b))
                for b in range(-(-theta // batch_size(graph.node_count)))]
-    return RRCorpus(*join_batches(batches, 0, theta), graph.node_count, graph.t,
-                    targets.total_score)
+    return RRCorpus(*join_batches(batches, 0, theta), graph.node_count, targets.total_score)

@@ -25,11 +25,11 @@ def make_graph(edges, mode="explicit", t=None) -> DiffusionGraph:
     return g
 
 
-def corpus_from_sets(sets, node_count, t, target_total) -> RRCorpus:
+def corpus_from_sets(sets, node_count, target_total) -> RRCorpus:
     """Corpus from hand-written (root, members) pairs, set ids in list order."""
     set_ptr = np.cumsum([0] + [len(members) for _, members in sets])
     members = [int(v) for _, mem in sets for v in mem]
-    return RRCorpus([root for root, _ in sets], set_ptr, members, node_count, t, target_total)
+    return RRCorpus([root for root, _ in sets], set_ptr, members, node_count, target_total)
 
 
 def make_profiles(rows, domain_sizes=None) -> ProfileSet:

@@ -252,24 +252,20 @@ def reference_rr_set(graph, targets, model, rng) -> tuple[int, list[int]]:
 
 
 # ---------------------------------------------------------------------------
-# Reference greedy: per-node Python folds of the capital gain.
+# Reference greedy: per-node Python counts of the capital gain.
 # ---------------------------------------------------------------------------
 
-def _capital_score(set_ids, covered, root_scores) -> float:
-    # Left-fold in stored (ascending set id) order.
-    total = 0.0
-    for i in set_ids:
-        if not covered[i]:
-            total += root_scores[i]
-    return total
+def _capital_score(set_ids, covered, unit) -> float:
+    # Capital per covered set times the count of uncovered sets.
+    return unit * sum(1 for i in set_ids if not covered[i])
 
 
 def reference_seed_set(corpus, k, alpha, diversity, lazy=True):
-    """The lazy (CELF) or eager greedy with each node's capital gain folded
+    """The lazy (CELF) or eager greedy with each node's capital gain counted
     in Python over its own list of uncovered set ids.  Returns the seeds and
     the per-round ``(capital, diversity, combined)`` gains."""
     n = corpus.n_nodes
-    root_scores = corpus.root_scores
+    unit = corpus.target_total / corpus.theta
     covered = np.zeros(corpus.theta, dtype=bool)
     ptr, ids = corpus.node_ptr.tolist(), corpus.node_sets.tolist()
     remaining = [ids[ptr[v]:ptr[v + 1]] for v in range(n)]   # lazy mode drops covered ids
@@ -280,7 +276,7 @@ def reference_seed_set(corpus, k, alpha, diversity, lazy=True):
     if lazy:
         heap = []
         for v in range(n):
-            push_c[v] = _capital_score(remaining[v], covered, root_scores)
+            push_c[v] = _capital_score(remaining[v], covered, unit)
             push_d[v] = diversity.gain(v)
             heap.append((-(alpha * push_c[v] + (1 - alpha) * push_d[v]), v, 0))
         heapq.heapify(heap)
@@ -296,7 +292,7 @@ def reference_seed_set(corpus, k, alpha, diversity, lazy=True):
                 trace.append((float(push_c[v]), float(push_d[v]), float(-neg_score)))
             else:
                 remaining[v] = [i for i in remaining[v] if not covered[i]]
-                push_c[v] = _capital_score(remaining[v], covered, root_scores)
+                push_c[v] = _capital_score(remaining[v], covered, unit)
                 push_d[v] = diversity.gain(v)
                 score = alpha * push_c[v] + (1 - alpha) * push_d[v]
                 heapq.heappush(heap, (-score, v, len(seeds)))
@@ -305,7 +301,7 @@ def reference_seed_set(corpus, k, alpha, diversity, lazy=True):
         while len(seeds) < k and candidates:
             best_v, best_score, best_c, best_d = -1, 0.0, 0.0, 0.0
             for v in sorted(candidates):
-                c = _capital_score(remaining[v], covered, root_scores)
+                c = _capital_score(remaining[v], covered, unit)
                 d = diversity.gain(v)
                 score = alpha * c + (1 - alpha) * d
                 if score > best_score:

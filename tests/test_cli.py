@@ -76,15 +76,6 @@ def test_end_to_end_determinism(tmp_path, small_dataset):
         assert strip_timing(out1 / name) == strip_timing(out2 / name)
 
 
-def test_eager_flag_matches_lazy(tmp_path, small_dataset):
-    lazy = run_select(tmp_path, small_dataset, "lz", "--k", "3", "--alpha", "0.4")
-    eager = run_select(tmp_path, small_dataset, "eg", "--k", "3", "--alpha", "0.4",
-                       "--eager")
-    a = parse_result_doc(str(lazy / "seeds_k3_a0.4.txt"))
-    b = parse_result_doc(str(eager / "seeds_k3_a0.4.txt"))
-    assert a["seeds"] == b["seeds"]
-
-
 def test_jobs_flag_is_deterministic(tmp_path, small_dataset):
     seq = run_select(tmp_path, small_dataset, "sq", "--k", "2", "--alpha", "0,0.5,1")
     par = run_select(tmp_path, small_dataset, "pr", "--k", "2", "--alpha", "0,0.5,1",
@@ -210,7 +201,8 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize("case", ["numeric-u", "numeric-profiles", "baseline", "class-reward",
-                                  "wide-row", "non-utf8", "synth-negative"])
+                                  "wide-row", "non-utf8", "synth-negative",
+                                  "metrics-value", "metrics-max"])
 def test_bad_input_is_one_line_data_error(tmp_path, case):
     edges = tmp_path / "edges.txt"
     edges.write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
@@ -222,6 +214,13 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
     binary.write_bytes(b"a b 0.5\n\xff\xfe\x00 c 0.5\n")
     classes = tmp_path / "classes.txt"
     classes.write_text("a red\nb blue abc\n", encoding="utf-8")
+    results = tmp_path / "results"       # a result document with a non-numeric field
+    results.mkdir()
+    bad_field = {"metrics-value": "diversity_value: abc\ndiversity_max: 2.0\n",
+                 "metrics-max": "diversity_value: 1.0\ndiversity_max: zz\n"}.get(case, "")
+    (results / "seeds.txt").write_text("seeds: a\nexpected_capital: 1.0\n" + bad_field,
+                                       encoding="utf-8")
+    metrics = ["metrics", "--results", str(results), "--out", str(tmp_path / "m.csv")]
     graph = ["--graph", str(edges), "--weight-mode", "explicit"]
     select = ["select", *graph, "--k", "1", "--theta-override", "20",
               "--out", str(tmp_path / "out")]
@@ -233,6 +232,8 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
         "wide-row": [*select, "--numeric-profiles", str(wide)],
         "non-utf8": [*select, "--graph", str(binary)],
         "synth-negative": ["synth", "--nodes", "-1", "--out", str(tmp_path / "p.csv")],
+        "metrics-value": metrics,
+        "metrics-max": metrics,
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-m", "divtim.cli", *argv], env=env,
@@ -337,12 +338,12 @@ def test_select_config_error_precedes_estimation(tmp_path, small_dataset, monkey
 
 def test_config_on_off_value_is_checked(tmp_path, small_dataset, capsys):
     conf = tmp_path / "run.conf"
-    conf.write_text("eager=maybe\n", encoding="utf-8")
+    conf.write_text("normalize=maybe\n", encoding="utf-8")
     code = main(["select", "--config", str(conf), "--graph", str(small_dataset["edges"]),
                  "--weight-mode", "explicit", "--profiles", str(small_dataset["profiles"]),
                  "--k", "2", "--theta-override", "50", "--out", str(tmp_path / "out")])
     assert code == 1
-    assert "eager" in capsys.readouterr().err
+    assert "normalize" in capsys.readouterr().err
 
 
 def test_config_file_matches_flags(tmp_path, small_dataset):

@@ -1,4 +1,5 @@
 import io
+import math
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from divtim.estimator import (compute_theta, estimate_params, expected_capital,
                               kpt_estimation, refine_kpt)
 from divtim.graph import load_graph, select_targets
 from divtim.sampler import generate_corpus
+from divtim.simulator import exhaustive_expectation
 
 from conftest import make_graph
 
@@ -91,24 +93,46 @@ def test_estimate_params_pipeline_and_override():
 
 
 def test_expected_capital_boundaries():
-    assert expected_capital(10.0, 10.0, 7.5) == pytest.approx(7.5)
-    assert expected_capital(0.0, 10.0, 7.5) == 0.0
+    assert expected_capital(10, 10, 7.5) == pytest.approx(7.5)
+    assert expected_capital(0, 10, 7.5) == 0.0
     with pytest.raises(ConfigError):
-        expected_capital(1.0, 0.0, 5.0)
+        expected_capital(1, 0, 5.0)
     with pytest.raises(ConfigError):
-        expected_capital(11.0, 10.0, 5.0)
+        expected_capital(11, 10, 5.0)
+    with pytest.raises(ConfigError):
+        expected_capital(-1, 10, 5.0)
 
 
 def test_expected_capital_forced_chain():
     g = make_graph([("u", "v", 1.0)], t={"u": 0.1, "v": 1.0})
     ts = select_targets(g, "threshold", tau=0.5)
     corpus = generate_corpus(g, ts, "ic", 64, master_seed=3)
-    covered = corpus.covered_root_score([g.label_ids["u"]])
-    assert expected_capital(covered, corpus.total_root_score, ts.total_score) \
-        == pytest.approx(1.0)
+    covered = int(corpus.covered_mask([g.label_ids["u"]]).sum())
+    assert expected_capital(covered, corpus.theta, ts.total_score) == pytest.approx(1.0)
 
 
 def test_expected_capital_monotone_in_coverage():
-    total = 20.0
-    values = [expected_capital(c, total, 5.0) for c in np.linspace(0, total, 11)]
+    values = [expected_capital(c, 20, 5.0) for c in range(0, 21, 2)]
     assert all(b >= a for a, b in zip(values, values[1:]))
+
+
+def test_expected_capital_unbiased_with_spread_scores():
+    # Micro-graphs built as in acceptance criterion 8, but with target
+    # scores spread over [0.05, 1], where weighting each covered set by its
+    # root's score a second time would bias the estimate.  LT edges
+    # stay below 0.2, so five in-edges sum to at most 1.
+    rng = np.random.default_rng(818)
+    for trial, (model, top) in enumerate((("ic", 0.45), ("ic", 0.45), ("lt", 0.2))):
+        edges = [(u, v, float(rng.uniform(top / 2, top)))
+                 for u in range(6) for v in range(6) if u != v and rng.random() < 0.3]
+        g = make_graph(edges[:11] or [(0, 1, 0.4)])
+        g = g.with_target_scores(rng.uniform(0.05, 1.0, size=g.node_count))
+        ts = select_targets(g, "threshold", tau=0.0)
+        seeds = [0, 1]
+        corpus = generate_corpus(g, ts, model, 100_000, master_seed=41 + trial)
+        covered = int(corpus.covered_mask(seeds).sum())
+        estimate = expected_capital(covered, corpus.theta, ts.total_score)
+        _, exact = exhaustive_expectation(g, model, seeds, targets=ts)
+        p = exact / ts.total_score
+        stderr = ts.total_score * math.sqrt(p * (1 - p) / corpus.theta)
+        assert abs(estimate - exact) <= 4 * stderr, (trial, estimate, exact, stderr)

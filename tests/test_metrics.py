@@ -13,7 +13,6 @@ from conftest import make_profiles
 
 def result_stub(k, alpha, diversity_value, name="aw"):
     return SeedResult(seeds=list(range(k)), trace=[], alpha=alpha, k=k, theta=10,
-                      covered_ids=[], covered_root_score=0.0, total_root_score=1.0,
                       target_total=1.0, expected_capital=0.0,
                       diversity_value=diversity_value, diversity_name=name)
 

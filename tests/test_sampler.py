@@ -146,9 +146,9 @@ def test_root_scores_match_roots():
     g = make_graph([("0", "1", 0.5)], t={"0": 0.7, "1": 0.9})
     ts = targets_of(g)
     corpus = generate_corpus(g, ts, "ic", 50, master_seed=6)
-    for i, score in enumerate(corpus.root_scores):
-        assert corpus.roots[i] in set_members(corpus, i)
-        assert score == g.t[corpus.roots[i]]
+    assert corpus.target_total == ts.total_score == pytest.approx(1.6)
+    for i, root in enumerate(corpus.roots):
+        assert root in set_members(corpus, i)
 
 
 def test_lt_requires_subunit_in_mass():
@@ -171,7 +171,7 @@ def test_corpus_dump_roundtrip(tmp_path):
     corpus = generate_corpus(g, ts, "ic", 25, master_seed=8)
     path = tmp_path / "corpus.txt"
     corpus.dump(str(path))
-    back = load_corpus_dump(str(path), g.node_count, g.t, ts.total_score)
+    back = load_corpus_dump(str(path), g.node_count, ts.total_score)
     assert back.theta == corpus.theta
     assert np.array_equal(back.roots, corpus.roots)
     assert np.array_equal(back.set_ptr, corpus.set_ptr)
@@ -182,12 +182,12 @@ def test_corpus_dump_roundtrip(tmp_path):
                          ids=["no-member", "non-integer", "wrong-id", "unknown-node"])
 def test_corpus_dump_rejects_bad_lines(text):
     with pytest.raises(FormatError):
-        load_corpus_dump(io.StringIO(text), 3, np.ones(3), 3.0)
+        load_corpus_dump(io.StringIO(text), 3, 3.0)
 
 
 def test_coverage_fraction_and_scores():
-    t = np.array([0.5, 1.0, 0.25])
-    corpus = corpus_from_sets([(0, [0, 1]), (2, [2]), (0, [0])], 3, t, target_total=1.75)
+    corpus = corpus_from_sets([(0, [0, 1]), (2, [2]), (0, [0])], 3, target_total=1.75)
     assert corpus.coverage_fraction([0]) == pytest.approx(2 / 3)
-    assert corpus.covered_root_score([0]) == pytest.approx(1.0)
-    assert corpus.covered_root_score([2]) == pytest.approx(0.25)
+    assert corpus.coverage_fraction([2]) == pytest.approx(1 / 3)
+    assert corpus.coverage_fraction([0, 2]) == 1.0
+    assert corpus.target_total == 1.75

@@ -4,6 +4,7 @@ import pytest
 from divtim.diversity import AttributeWiseDiversity, ClassDiversity, EntropyDiversity
 from divtim.errors import ConfigError
 from divtim.graph import select_targets, synth_graph
+from divtim.profiles import synth_profiles
 from divtim.sampler import generate_corpus
 from divtim.selector import build_seed_set, objective_value
 
@@ -11,10 +12,8 @@ from conftest import corpus_from_sets, make_graph, make_profiles, random_profile
 from oracles import reference_seed_set
 
 
-def manual_corpus(sets, n, t=None, target_total=None):
-    t = np.ones(n) if t is None else np.asarray(t, dtype=float)
-    total = float(t.sum()) if target_total is None else target_total
-    return corpus_from_sets(sets, n, t, total)
+def manual_corpus(sets, n, target_total=None):
+    return corpus_from_sets(sets, n, float(n) if target_total is None else target_total)
 
 
 def flat_profiles(n, m=2, d=4, seed=0):
@@ -24,11 +23,12 @@ def flat_profiles(n, m=2, d=4, seed=0):
 
 def test_hand_traced_coverage_pick():
     # node 0 sits in all three sets, node 1 in one; alpha=1, k=1 -> pick node 0
+    # with gain T * 3/3 = 4.0 (target total 4, all three sets covered)
     corpus = manual_corpus([(3, [0, 3]), (3, [0, 1, 3]), (3, [0, 3])], n=4)
     div = AttributeWiseDiversity(flat_profiles(4))
     res = build_seed_set(corpus, 1, 1.0, div)
     assert res.seeds == [0]
-    assert res.trace[0].capital_gain == pytest.approx(3.0)
+    assert res.trace[0].capital_gain == pytest.approx(4.0)
 
 
 def test_alpha_one_equals_pure_weighted_coverage():
@@ -38,17 +38,18 @@ def test_alpha_one_equals_pure_weighted_coverage():
              list(np.unique(rng.integers(0, n, size=rng.integers(1, 5)))))
             for _ in range(theta)]
     t = rng.uniform(0.1, 1.0, size=n)
-    corpus = manual_corpus(sets, n, t=t)
+    corpus = manual_corpus(sets, n, target_total=float(t.sum()))
     div = AttributeWiseDiversity(flat_profiles(n))
     res = build_seed_set(corpus, 3, 1.0, div)
 
-    # independent greedy weighted max-coverage
+    # independent greedy max-coverage: roots were drawn by target score,
+    # so every set weighs the same
     covered = set()
     expect = []
     for _ in range(3):
-        best, best_gain = -1, 0.0
+        best, best_gain = -1, 0
         for v in range(n):
-            gain = sum(t[s_root] for i, (s_root, mem) in enumerate(sets)
+            gain = sum(1 for i, (_, mem) in enumerate(sets)
                        if i not in covered and v in mem)
             if gain > best_gain:
                 best, best_gain = v, gain
@@ -88,13 +89,26 @@ def test_lazy_equals_eager_on_random_instances():
                  list(np.unique(rng.integers(0, n, size=rng.integers(1, 6)))))
                 for _ in range(theta)]
         t = rng.uniform(0.1, 1.0, size=n)
-        corpus = manual_corpus(sets, n, t=t)
+        corpus = manual_corpus(sets, n, target_total=float(t.sum()))
         ps = flat_profiles(n, seed=trial)
         alpha = float(rng.uniform(0, 1))
         k = int(rng.integers(1, 5))
-        lazy = build_seed_set(corpus, k, alpha, AttributeWiseDiversity(ps), lazy=True)
-        eager = build_seed_set(corpus, k, alpha, AttributeWiseDiversity(ps), lazy=False)
-        assert lazy.seeds == eager.seeds
+        lazy = build_seed_set(corpus, k, alpha, AttributeWiseDiversity(ps))
+        eager, _ = reference_seed_set(corpus, k, alpha, AttributeWiseDiversity(ps), lazy=False)
+        assert lazy.seeds == eager
+
+
+def test_alpha_trades_capital_for_diversity():
+    # the scripts/alpha_sweep.py instance at n = 500, k = 10, on one corpus
+    g = synth_graph(500, 4, seed=7, score_mode="uniform")
+    targets = select_targets(g, "top_percent", percent=25)
+    ps = synth_profiles(500, m=10, domain_sizes=10, distribution="exponential", seed=7)
+    corpus = generate_corpus(g, targets, "ic", 20_000, master_seed=7)
+    res = {alpha: build_seed_set(corpus, 10, alpha, AttributeWiseDiversity(ps))
+           for alpha in (0.0, 0.5, 1.0)}
+    assert res[1.0].expected_capital >= res[0.0].expected_capital
+    assert res[0.0].diversity_value >= res[1.0].diversity_value
+    assert res[0.5].seeds != res[0.0].seeds and res[0.5].seeds != res[1.0].seeds
 
 
 def test_selection_deterministic():
@@ -126,7 +140,7 @@ def test_trace_gains_sum_to_objective_components():
     corpus = manual_corpus(sets, n)
     ps = flat_profiles(n, seed=9)
     res = build_seed_set(corpus, 4, 0.5, AttributeWiseDiversity(ps))
-    assert sum(s.capital_gain for s in res.trace) == pytest.approx(res.covered_root_score)
+    assert sum(s.capital_gain for s in res.trace) == pytest.approx(res.expected_capital)
     assert sum(s.diversity_gain for s in res.trace) == pytest.approx(
         res.diversity_value, abs=1e-9)
 
@@ -135,12 +149,11 @@ def test_covered_ids_grow_and_match():
     corpus = manual_corpus([(0, [0, 1]), (1, [1]), (2, [2])], n=3)
     ps = flat_profiles(3)
     res = build_seed_set(corpus, 2, 1.0, AttributeWiseDiversity(ps))
-    mask = corpus.covered_mask(res.seeds)
-    assert np.array_equal(np.flatnonzero(mask), res.covered_ids)
+    assert res.expected_capital == corpus.target_total * corpus.coverage_fraction(res.seeds)
 
 
 def test_objective_value_mixing():
-    corpus = manual_corpus([(0, [0])], n=2, t=[1.0, 1.0], target_total=8.0)
+    corpus = manual_corpus([(0, [0])], n=2, target_total=8.0)
     ps = make_profiles([(0,), (1,)], domain_sizes=[2])
     res = build_seed_set(corpus, 1, 1.0, AttributeWiseDiversity(ps))
     res.expected_capital, res.diversity_value = 4.0, 2.0
@@ -150,7 +163,7 @@ def test_objective_value_mixing():
 
 
 def test_objective_normalized():
-    corpus = manual_corpus([(0, [0]), (1, [1])], n=2, t=[1.0, 1.0], target_total=2.0)
+    corpus = manual_corpus([(0, [0]), (1, [1])], n=2, target_total=2.0)
     ps = make_profiles([(0,), (1,)], domain_sizes=[2])
     res = build_seed_set(corpus, 2, 0.5, AttributeWiseDiversity(ps))
     # full coverage and maximal diversity: both terms normalize to 1
@@ -178,7 +191,7 @@ def _oracle_corpora():
         sets = [(int(rng.integers(0, n)),
                  list(np.unique(rng.integers(0, n, size=rng.integers(1, 6)))))
                 for _ in range(int(rng.integers(20, 120)))]
-        corpora.append(manual_corpus(sets, n, t=rng.uniform(0.1, 1.0, size=n)))
+        corpora.append(manual_corpus(sets, n, target_total=float(rng.uniform(0.1, 1.0) * n)))
     g = synth_graph(60, 3, seed=5)
     targets = select_targets(g, "top_percent", percent=30)
     for model in ("ic", "lt"):
@@ -199,7 +212,7 @@ def test_matches_reference_greedy_bitwise(name, lazy):
 
     for i, corpus in enumerate(_oracle_corpora()):
         for alpha in (0.0, 0.5, 1.0):
-            res = build_seed_set(corpus, 6, alpha, make_div(corpus.n_nodes, i), lazy=lazy)
+            res = build_seed_set(corpus, 6, alpha, make_div(corpus.n_nodes, i))
             seeds, trace = reference_seed_set(corpus, 6, alpha, make_div(corpus.n_nodes, i),
                                               lazy=lazy)
             assert res.seeds == seeds
