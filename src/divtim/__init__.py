@@ -19,6 +19,6 @@ from .profiles import (ProfileSet, Schema, derive_numeric_preferences, load_prof
                        quantile_discretize, save_profiles, synth_profiles)
 from .sampler import RRCorpus, generate_corpus, sample_roots
 from .selector import SeedResult, build_seed_set, objective_value
-from .simulator import SimulationReport, exhaustive_expectation, simulate
+from .simulator import SimulationReport, simulate
 
 __version__ = "0.1.0"

@@ -130,6 +130,9 @@ def _build_diversity(graph, profile_set, args):
         if not args.class_map:
             raise ConfigError("class diversity needs --class-map")
         classes, rewards = diversity.load_class_map(args.class_map, graph.labels)
+        if (classes < 0).any():
+            unlisted = graph.labels[int(np.argmax(classes < 0))]
+            raise ConfigError(f"class map assigns no class to node {unlisted!r}")
         return diversity.ClassDiversity(classes, rewards)
     if kind in ("numeric-u", "numeric-w"):
         if not args.preferences:
@@ -301,7 +304,7 @@ def cmd_select(args) -> int:
             raise ConfigError("numeric profile matrix must cover every node")
         profile_set = profiles.quantile_discretize(mat, args.bins, names)
     # One diversity function serves the whole grid; reset() clears its
-    # selection but keeps what it caches (hamming balls).
+    # selection but keeps what it built (hamming balls).
     div = _build_diversity(graph, profile_set, args)
     if args.normalize and div.max_value_for_budget(max(ks)) is None:
         raise ConfigError(f"diversity function {div.name!r} has no known maximum")

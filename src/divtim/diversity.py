@@ -15,8 +15,9 @@ from typing import Sequence, TextIO
 import numpy as np
 
 from .errors import ConfigError, FormatError, UsageError
-from .graph import DiffusionGraph, reach
+from .graph import DiffusionGraph
 from .profiles import MISSING, ProfileSet
+from .sampler import batch_size, live_edge_search
 
 
 def _h(mass: float) -> float:
@@ -33,8 +34,8 @@ class DiversityFunction:
         self._committed: set[int] = set()
 
     @property
-    def committed(self) -> frozenset[int]:
-        return frozenset(self._committed)
+    def committed(self) -> tuple[int, ...]:
+        return tuple(sorted(self._committed))
 
     def value(self) -> float:
         raise NotImplementedError
@@ -141,24 +142,49 @@ class AttributeWiseDiversity(DiversityFunction):
                                   self.weights, self.lam)
 
 
-def influence_range(graph: DiffusionGraph, v: int) -> np.ndarray:
-    """Nodes strictly reachable from v along directed edges (v excluded).
+def hamming_balls(graph: DiffusionGraph, codes: np.ndarray, radius: int
+                  ) -> tuple[np.ndarray, np.ndarray]:
+    """Every node's Hamming ball as one CSR pair ``(ball_ptr, ball_nodes)``.
 
-    Edge probabilities are ignored: reachability is purely topological.
+    Node v's ball, ``ball_nodes[ball_ptr[v]:ball_ptr[v + 1]]`` in ascending
+    order, holds the nodes v reaches along directed edges (v excluded,
+    even on a cycle) whose profiles differ from v's in at most ``radius``
+    attributes.  A missing value mismatches everything, another missing
+    value included.  Edge probabilities are ignored: reachability is
+    purely topological.
     """
-    ptr, heads, _ = graph.out_lists
-    out = reach(graph.node_count, [v], lambda x: heads[ptr[x]:ptr[x + 1]])[1:]
-    return np.asarray(sorted(out), dtype=np.int64)
+    n, m = codes.shape
+    # With every edge certain each coin lands live, so the forward search
+    # is topological and its result does not depend on the stream.
+    certain = graph.with_probs(np.ones(graph.edge_count))
+    rng = np.random.default_rng(0)
+    # A forward search over every edge finds about n keys per centre, not
+    # the handful of an RR set, so a call expands batch_size(n) // 32
+    # centres to keep its edge gathers as small as a sampling batch's.
+    step = max(1, batch_size(n) // 32)
+    counts, nodes = [], []
+    for lo in range(0, n, step):
+        centres = np.arange(lo, min(n, lo + step))
+        keys = np.sort(live_edge_search(certain, "ic", True, centres.size,
+                                        np.arange(centres.size) * n + centres, rng))
+        item, u = np.divmod(keys, n)
+        centre = centres[item]
+        mine = codes[centre]
+        dist = m - np.count_nonzero((codes[u] == mine) & (mine != MISSING), axis=1)
+        keep = (u != centre) & (dist <= radius)
+        counts.append(np.bincount(item[keep], minlength=centres.size))
+        nodes.append(u[keep].astype(np.int32))
+    ball_ptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
+    return ball_ptr, np.concatenate(nodes)
 
 
 class HammingBallDiversity(DiversityFunction):
     """Coverage of profile-space balls around each selected node.
 
     A node's ball holds the nodes it can reach whose profiles differ in
-    at most ``radius`` attributes; diversity is the size of the union of
-    the selected nodes' balls.  Missing values mismatch everything,
-    including other missing values.  Balls are built on demand and
-    cached.
+    at most ``radius`` attributes (see ``hamming_balls``); diversity is
+    the size of the union of the selected nodes' balls.  Every ball is
+    built once, at construction, and the union is a boolean node mask.
     """
 
     name = "hamming"
@@ -172,37 +198,24 @@ class HammingBallDiversity(DiversityFunction):
         self.graph = graph
         self.profiles = profiles
         self.radius = int(radius)
-        self._balls: dict[int, frozenset[int]] = {}
-        self._covered: set[int] = set()
+        self.ball_ptr, self.ball_nodes = hamming_balls(graph, profiles.codes, self.radius)
+        self._covered = np.zeros(graph.node_count, dtype=bool)
 
-    def ball(self, v: int) -> frozenset[int]:
-        cached = self._balls.get(v)
-        if cached is not None:
-            return cached
-        reach = influence_range(self.graph, v)
-        if len(reach) == 0:
-            ball = frozenset()
-        else:
-            codes = self.profiles.codes
-            mine = codes[v]
-            same = (codes[reach] == mine[None, :]) & (mine[None, :] != MISSING)
-            dist = self.profiles.schema.m - same.sum(axis=1)
-            ball = frozenset(int(u) for u in reach[dist <= self.radius])
-        self._balls[v] = ball
-        return ball
+    def ball(self, v: int) -> np.ndarray:
+        """Node v's ball, ascending."""
+        return self.ball_nodes[self.ball_ptr[v]:self.ball_ptr[v + 1]]
 
     def value(self) -> float:
-        return float(len(self._covered))
+        return float(np.count_nonzero(self._covered))
 
     def _gain(self, v: int) -> float:
-        ball = self.ball(v)
-        return float(len(ball) - len(ball & self._covered))
+        return np.count_nonzero(~self._covered[self.ball(v)])
 
     def _apply(self, v: int) -> None:
-        self._covered |= self.ball(v)
+        self._covered[self.ball(v)] = True
 
     def _reset(self) -> None:
-        self._covered.clear()
+        self._covered[:] = False
 
     def max_value_for_budget(self, k: int) -> float:
         return float(self.graph.node_count)
@@ -331,7 +344,12 @@ class ClassDiversity(DiversityFunction):
         self._acc[:] = 0.0
 
     def max_value_for_budget(self, k: int) -> float:
-        return float(k)
+        """Sum of the k largest log2(1 + r_v).
+
+        A bound because log2(1 + a + b) <= log2(1 + a) + log2(1 + b); with
+        unit rewards it is k (for k up to the node count).
+        """
+        return float(np.sum(np.log2(1.0 + np.sort(self.rewards)[::-1][:k])))
 
 
 class NumericDiversity(DiversityFunction):

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
-from typing import Callable, Iterable, Mapping, TextIO
+from typing import Iterable, Mapping, TextIO
 
 import numpy as np
 
@@ -66,11 +65,6 @@ class DiffusionGraph:
     def in_neighbors(self, v: int) -> np.ndarray:
         return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
 
-    @cached_property
-    def out_lists(self) -> tuple[list, list, list]:
-        """Out-CSR ``(indptr, indices, probs)`` as Python lists for per-node loops."""
-        return self.out_indptr.tolist(), self.out_indices.tolist(), self.out_probs.tolist()
-
     def max_in_prob_sum(self) -> float:
         """Largest sum of incoming b over all nodes (LT feasibility check)."""
         if self.edge_count == 0:
@@ -107,30 +101,6 @@ class TargetSet:
 
     def __len__(self) -> int:
         return len(self.members)
-
-
-def reach(node_count: int, start: Iterable[int],
-          live: Callable[[int], Iterable[int]]) -> list[int]:
-    """Nodes reachable from ``start`` over live edges, in discovery order.
-
-    ``live(x)`` yields the heads of x's live edges; it is called exactly
-    once per reached node, and nodes are expanded last in, first out, so a
-    ``live`` that draws random numbers consumes them in a fixed order.
-    ``start`` holds distinct nodes; the result lists them first, in the
-    order given.
-    """
-    order = list(start)
-    seen = bytearray(node_count)
-    for s in order:
-        seen[s] = 1
-    stack = order.copy()
-    while stack:
-        for u in live(stack.pop()):
-            if not seen[u]:
-                seen[u] = 1
-                order.append(u)
-                stack.append(u)
-    return order
 
 
 def _assemble(labels, label_ids, src, dst, b, t) -> DiffusionGraph:

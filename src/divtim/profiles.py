@@ -91,12 +91,6 @@ class ProfileSet:
     def total_value_occurrences(self) -> int:
         return int(sum(c.sum() for c in self.value_counts))
 
-    def hamming(self, u: int, v: int) -> int:
-        """Mismatch count over all attributes; any missing side mismatches."""
-        a, b = self.codes[u], self.codes[v]
-        same = (a == b) & (a != MISSING)
-        return int(self.schema.m - same.sum())
-
 
 def _rows_from_csv(source) -> tuple[list[str], list[list[str]]]:
     if isinstance(source, str):

@@ -3,9 +3,11 @@
 Everything here recomputes set values directly from definitions, sharing
 no code with the package's incremental implementations.  It also holds
 the reference evaluators for unsuitable set scores, a one-set-at-a-time
-reverse reachable sampler that the batched kernel is checked against, and
-a greedy that folds each node's capital gain in Python, which the
-vectorized selector is checked against bit for bit.
+reverse reachable sampler that the batched kernel is checked against, a
+greedy that folds each node's capital gain in Python, which the
+vectorized selector is checked against bit for bit, and the exact
+expected spread and capital of micro-graphs by enumerating every
+live-edge outcome.
 """
 
 import heapq
@@ -13,12 +15,17 @@ import math
 from bisect import bisect_right
 from collections import deque
 from fractions import Fraction
-from typing import Sequence
+from itertools import product
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from divtim.graph import reach
+from divtim.errors import ConfigError
 from divtim.profiles import MISSING
+from divtim.sampler import check_model
+
+MAX_EXHAUSTIVE_EDGES = 20
+MAX_EXHAUSTIVE_OUTCOMES = 2_000_000
 
 
 def aw_value(profiles, seed_set, weights=None, lam=1.0) -> float:
@@ -228,8 +235,33 @@ def jaccard_set_score(profiles: Sequence[Profile]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# Reference reverse reachable sampler: one set at a time, over graph.reach.
+# One search loop in Python ints, the reference sampler built on it, and the
+# exact oracle that enumerates every live-edge outcome.
 # ---------------------------------------------------------------------------
+
+def reach(node_count: int, start: Iterable[int],
+          live: Callable[[int], Iterable[int]]) -> list[int]:
+    """Nodes reachable from ``start`` over live edges, in discovery order.
+
+    ``live(x)`` yields the heads of x's live edges; it is called exactly
+    once per reached node, and nodes are expanded last in, first out, so a
+    ``live`` that draws random numbers consumes them in a fixed order.
+    ``start`` holds distinct nodes; the result lists them first, in the
+    order given.
+    """
+    order = list(start)
+    seen = bytearray(node_count)
+    for s in order:
+        seen[s] = 1
+    stack = order.copy()
+    while stack:
+        for u in live(stack.pop()):
+            if not seen[u]:
+                seen[u] = 1
+                order.append(u)
+                stack.append(u)
+    return order
+
 
 def reference_rr_set(graph, targets, model, rng) -> tuple[int, list[int]]:
     """One (root, members) draw: a score-weighted root, then every node that
@@ -249,6 +281,66 @@ def reference_rr_set(graph, targets, model, rng) -> tuple[int, list[int]]:
         return [heads[j]] if j < ptr[x + 1] else []
 
     return root, reach(graph.node_count, [root], ic if model == "ic" else lt)
+
+
+def exhaustive_expectation(graph, model, seeds, targets=None) -> tuple[float, float]:
+    """Exact expected (spread, capital) by enumerating live-edge outcomes.
+
+    Refuses instances whose outcome space exceeds the module limits.
+    """
+    seeds = sorted({int(v) for v in seeds})
+    if not seeds:
+        raise ConfigError("seed set must be non-empty")
+    check_model(graph, model)
+    target_score = np.zeros(graph.node_count, dtype=np.float64)
+    if targets is not None:
+        target_score[targets.members] = graph.t[targets.members]
+    ptr, heads = graph.out_indptr.tolist(), graph.out_indices.tolist()
+
+    if model == "ic":
+        m = graph.edge_count
+        if m > MAX_EXHAUSTIVE_EDGES:
+            raise ConfigError(f"exhaustive ic enumeration limited to {MAX_EXHAUSTIVE_EDGES} edges")
+
+        # out-CSR edge order; probability of a pattern is the product over edges
+        def outcomes():
+            probs = graph.out_probs
+            for mask in range(1 << m):
+                bits = np.array([(mask >> i) & 1 == 1 for i in range(m)], dtype=bool)
+                yield (float(np.prod(np.where(bits, probs, 1.0 - probs))),
+                       lambda x, mask=mask: [heads[i] for i in range(ptr[x], ptr[x + 1])
+                                             if (mask >> i) & 1])
+    else:
+        choice_lists = []
+        count = 1
+        for v in range(graph.node_count):
+            lo, hi = graph.in_indptr[v], graph.in_indptr[v + 1]
+            opts = [(int(graph.in_indices[i]), float(graph.in_probs[i])) for i in range(lo, hi)]
+            none_p = 1.0 - sum(p for _, p in opts)
+            opts.append((-1, none_p))
+            choice_lists.append(opts)
+            count *= len(opts)
+            if count > MAX_EXHAUSTIVE_OUTCOMES:
+                raise ConfigError("exhaustive lt enumeration: too many trigger combinations")
+
+        # each node's trigger pick; edge x -> v is live iff v picked x
+        def outcomes():
+            for combo in product(*choice_lists):
+                p = 1.0
+                for _, cp in combo:
+                    p *= cp
+                yield p, lambda x, pick=[u for u, _ in combo]: [
+                    v for v in heads[ptr[x]:ptr[x + 1]] if pick[v] == x]
+
+    exp_spread = 0.0
+    exp_capital = 0.0
+    for p, live in outcomes():
+        if p == 0.0:
+            continue
+        active = sorted(reach(graph.node_count, seeds, live))
+        exp_spread += p * len(active)
+        exp_capital += p * target_score[active].sum()
+    return exp_spread, exp_capital
 
 
 # ---------------------------------------------------------------------------

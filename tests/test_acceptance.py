@@ -23,12 +23,12 @@ from divtim.metrics import seed_entropy, seed_overlap
 from divtim.profiles import synth_profiles
 from divtim.sampler import generate_corpus
 from divtim.selector import build_seed_set
-from divtim.simulator import exhaustive_expectation, simulate
+from divtim.simulator import simulate
 
 import oracles
 from conftest import corpus_from_sets, make_graph, make_profiles
-from oracles import (hamming_sum_halved, hamming_sum_pairnorm, hamming_sum_score,
-                     jaccard_sum_score, mismatch_pair_score)
+from oracles import (exhaustive_expectation, hamming_sum_halved, hamming_sum_pairnorm,
+                     hamming_sum_score, jaccard_sum_score, mismatch_pair_score)
 
 
 def _verdict(number: int, ok: bool, text: str) -> None:

@@ -1,4 +1,5 @@
 import csv
+import math
 import os
 import subprocess
 import sys
@@ -183,6 +184,17 @@ def test_numeric_profiles_with_bins(tmp_path, small_dataset):
     assert len(doc["seeds"].split()) == 3
 
 
+def test_class_value_stays_within_its_maximum(tmp_path, small_dataset):
+    classes = tmp_path / "classes.txt"
+    classes.write_text("".join(f"{v} c{v % 2} 4\n" for v in range(40)), encoding="utf-8")
+    out = run_select(tmp_path, small_dataset, "class", "--diversity", "class",
+                     "--class-map", str(classes), "--k", "3", "--alpha", "0", "--normalize")
+    doc = parse_result_doc(str(out / "seeds_k3_a0.txt"))
+    # every reward is 4, so the bound is 3 * log2(1 + 4), not k
+    assert float(doc["diversity_max"]) == pytest.approx(3 * math.log2(5))
+    assert float(doc["diversity_value"]) <= float(doc["diversity_max"])
+
+
 def test_unknown_config_key_lists_it(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
     conf.write_text("grpah=typo.txt\n", encoding="utf-8")
@@ -320,15 +332,21 @@ def test_theta_cap_below_one_is_data_error(tmp_path, small_dataset, capsys):
     (["--lam", "nan"], "lambda"), (["--alpha", "2"], "alpha"), (["--alpha", "nan"], "alpha"),
     (["--diversity", "class"], "class-map"),
     (["--diversity", "numeric-u", "--normalize"], "maximum"),
-], ids=["lam-nan", "alpha-2", "alpha-nan", "class-without-map", "numeric-u-normalize"])
+    (["--diversity", "class", "--class-map", "partial-classes.txt"], "'17'"),
+], ids=["lam-nan", "alpha-2", "alpha-nan", "class-without-map", "numeric-u-normalize",
+        "class-map-partial"])
 def test_select_config_error_precedes_estimation(tmp_path, small_dataset, monkeypatch, capsys,
                                                  extra, message):
     def estimate_params(*args, **kwargs):
         raise AssertionError("estimation ran before the configuration was checked")
 
     monkeypatch.setattr("divtim.estimator.estimate_params", estimate_params)
+    monkeypatch.chdir(tmp_path)
     prefs = tmp_path / "prefs.csv"
     prefs.write_text("p1,p2\n" + "0.5,0.25\n" * 40, encoding="utf-8")
+    # every node but 17, so the message must name that label
+    (tmp_path / "partial-classes.txt").write_text(
+        "".join(f"{v} c{v % 3}\n" for v in range(40) if v != 17), encoding="utf-8")
     code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
                  "--profiles", str(small_dataset["profiles"]), "--preferences", str(prefs),
                  "--k", "2", "--theta-override", "50", "--out", str(tmp_path / "out"), *extra])

@@ -6,11 +6,12 @@ import pytest
 
 from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, EntropyDiversity,
                               HammingBallDiversity, NumericDiversity, aw_theoretical_max,
-                              influence_range, load_class_map)
+                              hamming_balls, load_class_map)
 from divtim.errors import ConfigError, UsageError
+from divtim.sampler import batch_size
 
 import oracles
-from conftest import make_graph, make_profiles
+from conftest import make_graph, make_profiles, random_profiles
 from oracles import (hamming_sum_halved, hamming_sum_pairnorm, hamming_sum_score,
                      jaccard_set_score, jaccard_sum_halved, jaccard_sum_score,
                      mismatch_pair_score)
@@ -86,15 +87,17 @@ def test_attribute_without_values_adds_nothing_to_maxima():
 
 def test_influence_range_excludes_center():
     g = make_graph([("0", "1", 0.5), ("1", "2", 0.5)])
-    assert list(influence_range(g, 0)) == [1, 2]
-    assert list(influence_range(g, 2)) == []
+    ball_ptr, ball_nodes = hamming_balls(g, make_profiles([(0,)] * 3).codes, 1)
+    assert ball_ptr.tolist() == [0, 2, 3, 3]
+    assert ball_nodes.tolist() == [1, 2, 2]
+    assert ball_nodes.dtype == np.int32
 
 
 def test_ball_of_sink_is_empty():
     g = make_graph([("0", "1", 0.5)])
     ps = make_profiles([(0,), (0,)])
     hb = HammingBallDiversity(g, ps, radius=1)
-    assert hb.ball(1) == frozenset()
+    assert hb.ball(1).tolist() == []
     assert hb.gain(1) == 0.0
 
 
@@ -102,15 +105,18 @@ def test_ball_contains_identical_reachable_profile():
     g = make_graph([("0", "1", 0.5)])
     ps = make_profiles([(0, 1), (0, 1)], domain_sizes=[2, 2])
     hb = HammingBallDiversity(g, ps, radius=1)
-    assert hb.ball(0) == frozenset({1})
+    assert hb.ball(0).tolist() == [1]
 
 
 def test_hamming_distance_counts_mismatches():
-    ps = make_profiles([(0, 0), (0, 1)], domain_sizes=[2, 2])
-    assert ps.hamming(0, 1) == 1
-    # missing values mismatch, even against another missing value
-    ps2 = make_profiles([(None, 0), (None, 0)], domain_sizes=[2, 2])
-    assert ps2.hamming(0, 1) == 1
+    g = make_graph([("0", "1", 0.5), ("2", "3", 0.5), ("4", "5", 0.5), ("6", "7", 0.5)])
+    ps = make_profiles([(0, 0), (0, 1),              # one mismatch: inside radius 1
+                        (None, None), (None, None),  # missing mismatches missing: distance 2
+                        (1, 1), (1, 1),              # identical profiles
+                        (None, 0), (None, 0)],       # one missing column: distance 1
+                       domain_sizes=[2, 2])
+    hb = HammingBallDiversity(g, ps, radius=1)
+    assert [hb.ball(v).tolist() for v in (0, 2, 4, 6)] == [[1], [], [5], [7]]
 
 
 def test_hamming_gain_is_uncovered_ball():
@@ -145,6 +151,27 @@ def test_hamming_matches_oracle_on_random_instances():
         for v in picks:
             hb.commit(v)
         assert hb.value() == oracles.hamming_value(g, ps, picks, xi)
+
+
+def test_hamming_balls_match_oracle_across_centre_chunks():
+    rng = np.random.default_rng(31)
+    n = 300
+    sinks = set(range(5, n, 10))
+    edges = {(0, 1), (1, 2), (2, 0)}                  # a cycle through centre 0
+    for u in range(n):
+        if u not in sinks:
+            edges |= {(u, int(v)) for v in rng.integers(0, n, size=2) if v != u}
+    for s in sinks:
+        edges.add((int(rng.integers(0, 5)), s))       # every sink is someone's head
+    g = make_graph([(u, v, 0.5) for u, v in sorted(edges)])
+    assert g.node_count == n
+    # hamming_balls expands batch_size(n) // 32 centres per kernel call
+    assert n > 2 * (batch_size(n) // 32)
+    ps = random_profiles(rng, n, 3, 2, missing_prob=0.2)
+    for xi in (1, 2, 3):
+        hb = HammingBallDiversity(g, ps, radius=xi)
+        for v in range(n):
+            assert hb.ball(v).tolist() == sorted(oracles.hamming_ball(g, ps, v, xi))
 
 
 # ------------------------------------------------------------------- entropy

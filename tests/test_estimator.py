@@ -9,9 +9,9 @@ from divtim.estimator import (compute_theta, estimate_params, expected_capital,
                               kpt_estimation, refine_kpt)
 from divtim.graph import load_graph, select_targets
 from divtim.sampler import generate_corpus
-from divtim.simulator import exhaustive_expectation
 
 from conftest import make_graph
+from oracles import exhaustive_expectation
 
 # regression constant: ceil(lambda / 50) for n=1000, k=10, eps=0.1, ell=1,
 # frozen from the first direct evaluation of the sizing formula

@@ -7,10 +7,11 @@ from hypothesis import strategies as st
 
 from divtim.errors import ConfigError, FormatError
 from divtim.graph import (derive_targets_indegree, derive_weights_interaction,
-                          derive_weights_uniform, load_graph, load_node_weights, reach,
-                          save_graph, select_targets, synth_graph)
+                          derive_weights_uniform, load_graph, load_node_weights, save_graph,
+                          select_targets, synth_graph)
 
 from conftest import make_graph
+from oracles import reach
 
 
 def test_uniform_indegree_two_sources():

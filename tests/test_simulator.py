@@ -3,9 +3,10 @@ import pytest
 
 from divtim.errors import ConfigError
 from divtim.graph import select_targets
-from divtim.simulator import exhaustive_expectation, simulate
+from divtim.simulator import simulate
 
 from conftest import make_graph
+from oracles import exhaustive_expectation
 
 
 def test_certain_edges_full_spread(chain3):
