@@ -87,6 +87,52 @@ class DiffusionGraph:
         return g
 
 
+def strong_components(graph: DiffusionGraph) -> np.ndarray:
+    """Strongly connected component label of every node, by Tarjan's search.
+
+    One iterative depth-first pass over the out-CSR arrays (Tarjan, SIAM J.
+    Comput. 1972).  Components are numbered 0, 1, ... in the order the
+    search completes them, which is reverse topological order: for every
+    edge u -> v between two components, ``label[u] > label[v]``.
+    """
+    n = graph.node_count
+    ptr, heads = graph.out_indptr.tolist(), graph.out_indices.tolist()
+    index, low, label = [-1] * n, [0] * n, [-1] * n
+    stack, found, visits = [], 0, 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = visits
+        visits += 1
+        stack.append(root)
+        path = [[root, ptr[root]]]          # the DFS path, with each node's next edge
+        while path:
+            top = path[-1]
+            v, e = top
+            if e < ptr[v + 1]:
+                top[1] = e + 1
+                w = heads[e]
+                if index[w] < 0:
+                    index[w] = low[w] = visits
+                    visits += 1
+                    stack.append(w)
+                    path.append([w, ptr[w]])
+                elif label[w] < 0 and index[w] < low[v]:   # w is still on the stack
+                    low[v] = index[w]
+                continue
+            path.pop()
+            if path and low[v] < low[path[-1][0]]:
+                low[path[-1][0]] = low[v]
+            if low[v] == index[v]:
+                while True:
+                    w = stack.pop()
+                    label[w] = found
+                    if w == v:
+                        break
+                found += 1
+    return np.asarray(label, dtype=np.int64)
+
+
 @dataclass
 class TargetSet:
     """Target nodes plus the cumulative score table used for root sampling."""

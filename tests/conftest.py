@@ -3,7 +3,7 @@ import io
 import numpy as np
 import pytest
 
-from divtim.graph import DiffusionGraph, load_graph
+from divtim.graph import DiffusionGraph, _assemble, load_graph
 from divtim.profiles import MISSING, ProfileSet, Schema
 from divtim.sampler import RRCorpus
 
@@ -23,6 +23,30 @@ def make_graph(edges, mode="explicit", t=None) -> DiffusionGraph:
             scores[g.label_ids[str(label)]] = val
         g = g.with_target_scores(scores)
     return g
+
+
+def graph_on(n, edges) -> DiffusionGraph:
+    """Graph on dense ids 0..n-1, isolated nodes included, with certain (u, v) edges."""
+    src = np.array([u for u, _ in edges], dtype=np.int64)
+    dst = np.array([v for _, v in edges], dtype=np.int64)
+    labels = [str(v) for v in range(n)]
+    return _assemble(labels, {label: v for v, label in enumerate(labels)}, src, dst,
+                     np.ones(src.size), np.ones(n))
+
+
+def mixed_components_graph(rng, n=300, tail=60) -> DiffusionGraph:
+    """A giant component through the cycle 0 -> 1 -> 2 -> 0, a sink at every
+    tenth node, small components in between, and a chain of ``tail`` nodes
+    hanging off node 0; ``n + tail`` nodes in all."""
+    sinks = set(range(5, n, 10))
+    edges = {(0, 1), (1, 2), (2, 0), (0, n)}
+    for u in range(n):
+        if u not in sinks:
+            edges |= {(u, int(v)) for v in rng.integers(0, n, size=2) if v != u}
+    for s in sinks:
+        edges.add((int(rng.integers(0, 5)), s))       # every sink is someone's head
+    edges |= {(u, u + 1) for u in range(n, n + tail - 1)}
+    return make_graph([(u, v, 0.5) for u, v in sorted(edges)])
 
 
 def corpus_from_sets(sets, node_count, target_total) -> RRCorpus:

@@ -1,17 +1,22 @@
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divtim
 from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, EntropyDiversity,
                               HammingBallDiversity, NumericDiversity, aw_theoretical_max,
-                              hamming_balls, load_class_map)
+                              filter_chunks, hamming_balls, load_class_map, search_batch)
 from divtim.errors import ConfigError, UsageError
-from divtim.sampler import batch_size
+from divtim.graph import strong_components
 
 import oracles
-from conftest import make_graph, make_profiles, random_profiles
+from conftest import make_graph, make_profiles, mixed_components_graph, random_profiles
 from oracles import (hamming_sum_halved, hamming_sum_pairnorm, hamming_sum_score,
                      jaccard_set_score, jaccard_sum_halved, jaccard_sum_score,
                      mismatch_pair_score)
@@ -155,23 +160,31 @@ def test_hamming_matches_oracle_on_random_instances():
 
 def test_hamming_balls_match_oracle_across_centre_chunks():
     rng = np.random.default_rng(31)
-    n = 300
-    sinks = set(range(5, n, 10))
-    edges = {(0, 1), (1, 2), (2, 0)}                  # a cycle through centre 0
-    for u in range(n):
-        if u not in sinks:
-            edges |= {(u, int(v)) for v in rng.integers(0, n, size=2) if v != u}
-    for s in sinks:
-        edges.add((int(rng.integers(0, 5)), s))       # every sink is someone's head
-    g = make_graph([(u, v, 0.5) for u, v in sorted(edges)])
-    assert g.node_count == n
-    # hamming_balls expands batch_size(n) // 32 centres per kernel call
-    assert n > 2 * (batch_size(n) // 32)
+    g = mixed_components_graph(rng)
+    n = g.node_count
+    assert n == 360
+    # more components than one kernel call searches from ...
+    assert strong_components(g).max() + 1 > search_batch(n)
+    # ... and more (centre, reached node) pairs than one filter chunk compares
+    width = np.array([len(oracles.reachable_from(g, v) | {v}) for v in range(n)])
+    assert len(filter_chunks(width)) > 1
     ps = random_profiles(rng, n, 3, 2, missing_prob=0.2)
     for xi in (1, 2, 3):
         hb = HammingBallDiversity(g, ps, radius=xi)
         for v in range(n):
             assert hb.ball(v).tolist() == sorted(oracles.hamming_ball(g, ps, v, xi))
+
+
+def test_building_balls_imports_no_scipy():
+    # importing scipy would add about 0.45 s to the start of every command
+    code = ("import sys\n"
+            "from divtim import HammingBallDiversity, synth_graph, synth_profiles\n"
+            "HammingBallDiversity(synth_graph(50, 3, seed=1), synth_profiles(50, m=3, seed=2), 2)\n"
+            "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 # ------------------------------------------------------------------- entropy

@@ -3,14 +3,14 @@ and incremental state always agrees with from-scratch evaluation."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, EntropyDiversity,
                               HammingBallDiversity, NumericDiversity)
 
 import oracles
-from conftest import make_graph, make_profiles
+from conftest import graph_on, make_graph, make_profiles, random_profiles
 
 profile_rows = st.lists(
     st.tuples(st.one_of(st.none(), st.integers(0, 2)),
@@ -117,3 +117,37 @@ def test_reset_restores_fresh_state(rows, seed):
     fn.reset()
     assert fn.value() == 0.0
     assert fn.gain(0) == pytest.approx(first_gain, abs=1e-12)
+
+
+@st.composite
+def ball_instances(draw):
+    """A digraph on 1-10 nodes (a DAG, one with a cycle, or two disconnected
+    parts), the seed of profiles with up to 30% missing values, and a radius."""
+    n = draw(st.integers(1, 10))
+    shape = draw(st.sampled_from(["dag", "cycle", "parts"]))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)),
+                          max_size=3 * n))
+    if shape == "dag":
+        edges = {(min(u, v), max(u, v)) for u, v in pairs}
+    elif shape == "cycle":
+        ring = draw(st.integers(min(2, n), n))
+        edges = set(pairs) | {(v, (v + 1) % ring) for v in range(ring)}
+    else:
+        edges = {(u, v) for u, v in pairs if (u < n // 2) == (v < n // 2)}
+    m = draw(st.integers(1, 4))
+    return (n, sorted((u, v) for u, v in edges if u != v), m,
+            draw(st.floats(0.0, 0.3)), draw(st.integers(0, 2 ** 16)), draw(st.integers(1, m)))
+
+
+@given(case=ball_instances())
+@example(case=(5, [], 2, 0.3, 0, 1))              # edgeless: every ball is empty
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+def test_hamming_balls_match_oracle(case):
+    n, edges, m, missing, seed, xi = case
+    g = graph_on(n, edges)
+    ps = random_profiles(np.random.default_rng(seed), n, m, 3, missing_prob=missing)
+    hb = HammingBallDiversity(g, ps, radius=xi)
+    assert hb.ball_ptr.shape == (n + 1,)
+    assert hb.ball_nodes.dtype == np.int32
+    for v in range(n):
+        assert hb.ball(v).tolist() == sorted(oracles.hamming_ball(g, ps, v, xi))

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from divtim.errors import ConfigError, FormatError
 from divtim.graph import (derive_targets_indegree, derive_weights_interaction,
                           derive_weights_uniform, load_graph, load_node_weights, save_graph,
-                          select_targets, synth_graph)
+                          select_targets, strong_components, synth_graph)
 
-from conftest import make_graph
-from oracles import reach
+from conftest import graph_on, make_graph, mixed_components_graph
+from oracles import reach, reachable_from
 
 
 def test_uniform_indegree_two_sources():
@@ -236,3 +236,30 @@ def test_reach_calls_live_once_per_reached_node():
 
 def test_reach_without_live_edges_returns_start():
     assert reach(5, [2, 4], lambda x: []) == [2, 4]
+
+
+# ---------------------------------------------------- strongly connected components
+
+@pytest.mark.parametrize("case, count", [("edgeless", 4), ("chain", 6), ("cycle", 1),
+                                         ("two-cycles", 2), ("mixed", None)])
+def test_strong_components_match_mutual_reachability(case, count):
+    g = {
+        "edgeless": lambda: graph_on(4, []),
+        "chain": lambda: graph_on(6, [(v, v + 1) for v in range(5)]),
+        "cycle": lambda: graph_on(5, [(v, (v + 1) % 5) for v in range(5)]),
+        "two-cycles": lambda: graph_on(6, [(0, 1), (1, 2), (2, 0), (2, 3),
+                                           (3, 4), (4, 5), (5, 3)]),
+        "mixed": lambda: mixed_components_graph(np.random.default_rng(31)),
+    }[case]()
+    label = strong_components(g)
+    n = g.node_count
+    assert label.shape == (n,)
+    assert sorted(set(label.tolist())) == list(range(count or label.max() + 1))
+    reached = [reachable_from(g, v) for v in range(n)]
+    for u in range(n):
+        for v in range(n):
+            mutual = u == v or (v in reached[u] and u in reached[v])
+            assert (label[u] == label[v]) == mutual
+    # reverse topological order: an edge never leads to a later component
+    for u, v in zip(g.src.tolist(), g.dst.tolist()):
+        assert label[u] >= label[v]
