@@ -142,25 +142,18 @@ class AttributeWiseDiversity(DiversityFunction):
                                   self.weights, self.lam)
 
 
-#: a filter chunk of ``hamming_balls`` compares about this many (centre, reached node) pairs
-FILTER_PAIRS = 1 << 16
-
-
-def search_batch(node_count: int) -> int:
-    """Starts per kernel call of ``hamming_balls``: a fixed rule of n, never a setting.
-
-    A forward search over every edge finds about n keys per start, not the
-    handful of an RR set, so a call expands batch_size(n) // 32 starts to
-    keep its edge gathers as small as a sampling batch's.
-    """
-    return max(1, batch_size(node_count) // 32)
-
-
-def filter_chunks(width: np.ndarray) -> list[np.ndarray]:
-    """All centres, ascending, cut where the running count of pairs crosses a
-    multiple of ``FILTER_PAIRS``; centre v compares ``width[v]`` pairs."""
-    chunk = (np.cumsum(width) - width) // FILTER_PAIRS
-    return np.split(np.arange(width.size), np.flatnonzero(np.diff(chunk)) + 1)
+def _ball_chunk(centre: np.ndarray, lo: np.ndarray, hi: np.ndarray, reach: np.ndarray,
+                ours: np.ndarray, theirs: np.ndarray, radius: int
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Ball sizes of the nodes in ``centre`` and their members, grouped by
+    centre: centre[i] is compared with each node of reach[lo[i]:hi[i]]."""
+    pos, owner = _expand(lo, hi)
+    node, width, m = reach[pos], hi - lo, len(theirs)
+    same = np.zeros(node.size, np.min_scalar_type(m))
+    for mine, other in zip(ours, theirs):
+        same += np.repeat(mine[centre], width) == other[node]
+    keep = (same >= m - radius) & (np.repeat(centre, width) != node)
+    return np.bincount(owner[keep], minlength=centre.size), node[keep].astype(np.int32)
 
 
 def hamming_balls(graph: DiffusionGraph, codes: np.ndarray, radius: int
@@ -176,13 +169,13 @@ def hamming_balls(graph: DiffusionGraph, codes: np.ndarray, radius: int
 
     Every member of a strongly connected component reaches the same nodes,
     so the kernel runs one search per component, from its smallest node.
-    The centres are then filtered in ascending chunks: the centres that
-    share a component in a chunk with one broadcast comparison per
-    attribute against its reach, and the rest in one pass over their
-    (centre, reached node) pairs.  The work is proportional to the total
-    reach of all centres.
+    Once the members of the components searched so far face 2^14 (centre,
+    reached node) pairs, or at the end, those centres are compared with
+    their component's reach, in chunks of about 2^14 pairs, and the reach
+    is dropped: memory stays within one kernel call's keys plus one chunk,
+    and the work is proportional to the total reach of all centres.
     """
-    n, m = codes.shape
+    n = codes.shape[0]
     label = strong_components(graph)
     first = np.unique(label, return_index=True)[1]     # each component's smallest node
     # Components are numbered by their smallest node, so kernel calls take
@@ -190,48 +183,49 @@ def hamming_balls(graph: DiffusionGraph, codes: np.ndarray, radius: int
     # more levels.
     starts = np.sort(first)
     component = np.searchsorted(starts, first[label])
-    per_call = search_batch(n)
+    by_component = np.argsort(component, kind="stable")
+    members = np.bincount(component)
+    member_ptr = np.concatenate([[0], np.cumsum(members)])
+    # A forward search over every edge finds about n keys per start, not
+    # the handful of an RR set, so a call expands batch_size(n) // 32
+    # starts to keep its edge gathers as small as a sampling batch's.
+    per_call = max(1, batch_size(n) // 32)
     # With every edge certain each coin lands live, so the forward search
     # is topological and its result does not depend on the stream.
     certain = graph.with_probs(np.ones(graph.edge_count))
     rng = np.random.default_rng(0)
-    sizes, reached = [], []
-    for lo in range(0, starts.size, per_call):
-        start = starts[lo:lo + per_call]
-        keys = np.sort(live_edge_search(certain, "ic", True, start.size,
-                                        np.arange(start.size) * n + start, rng))
-        item, u = np.divmod(keys, n)
-        sizes.append(np.bincount(item, minlength=start.size))
-        reached.append(u)
-    reach_ptr = np.concatenate([[0], np.cumsum(np.concatenate(sizes))])
-    reach_nodes = np.concatenate(reached)
     theirs = np.ascontiguousarray(codes.T)
     # a centre's missing value becomes a code that matches nothing
     ours = np.where(theirs == MISSING, MISSING - 1, theirs)
-
-    def near(centre: np.ndarray, node: np.ndarray) -> list[np.ndarray]:
-        """The (centre, node) pairs of the broadcast of both that lie in a ball, row-major."""
-        same = np.zeros(np.broadcast_shapes(centre.shape, node.shape), np.min_scalar_type(m))
-        for mine, other in zip(ours, theirs):
-            same += mine[centre] == other[node]
-        hit = np.nonzero((same >= m - radius) & (centre != node))
-        return [np.broadcast_to(side, same.shape)[hit] for side in (centre, node)]
-
-    counts, nodes = [], []
-    for centres in filter_chunks(np.diff(reach_ptr)[component]):
-        lo, comp = centres[0], component[centres]
-        ids, inverse, size = np.unique(comp, return_inverse=True, return_counts=True)
-        lone = centres[size[inverse] == 1]
-        pos, owner = _expand(reach_ptr[component[lone]], reach_ptr[component[lone] + 1])
-        pairs = [near(lone[owner], reach_nodes[pos])]
-        for c in ids[size > 1]:
-            pairs.append(near(centres[comp == c][:, None],
-                              reach_nodes[reach_ptr[c]:reach_ptr[c + 1]]))
-        owner, member = (np.concatenate(side) for side in zip(*pairs))
-        counts.append(np.bincount(owner - lo, minlength=centres.size))
-        nodes.append(member[np.argsort(owner, kind="stable")].astype(np.int32))
-    ball_ptr = np.concatenate([[0], np.cumsum(np.concatenate(counts))])
-    return ball_ptr, np.concatenate(nodes)
+    count, pieces = np.zeros(n, dtype=np.int64), []
+    sizes, reached, done, pairs = [], [], 0, 0
+    for lo in range(0, starts.size, per_call):
+        hi = min(lo + per_call, starts.size)
+        keys = np.sort(live_edge_search(certain, "ic", True, hi - lo,
+                                        np.arange(hi - lo) * n + starts[lo:hi], rng))
+        item, u = np.divmod(keys, n)
+        sizes.append(np.bincount(item, minlength=hi - lo))
+        reached.append(u)
+        pairs += int(sizes[-1] @ members[lo:hi])
+        if pairs < 1 << 14 and hi < starts.size:
+            continue
+        size, reach = np.concatenate(sizes), np.concatenate(reached)
+        reach_ptr = np.concatenate([[0], np.cumsum(size)])
+        centres = by_component[member_ptr[done]:member_ptr[hi]]
+        own = component[centres] - done
+        width = size[own]
+        cut = np.flatnonzero(np.diff((np.cumsum(width) - width) >> 14)) + 1
+        for chunk, search in zip(np.split(centres, cut), np.split(own, cut)):
+            count[chunk], nodes = _ball_chunk(chunk, reach_ptr[search], reach_ptr[search + 1],
+                                              reach, ours, theirs, radius)
+            pieces.append((chunk, nodes))
+        sizes, reached, done, pairs = [], [], hi, 0
+    # each chunk's members, grouped by centre, go to their centres' slots
+    ball_ptr = np.concatenate([[0], np.cumsum(count)])
+    ball_nodes = np.empty(ball_ptr[-1], dtype=np.int32)
+    for chunk, nodes in pieces:
+        ball_nodes[_expand(ball_ptr[chunk], ball_ptr[chunk + 1])[0]] = nodes
+    return ball_ptr, ball_nodes
 
 
 class HammingBallDiversity(DiversityFunction):

@@ -11,9 +11,10 @@ import pytest
 import divtim
 from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, EntropyDiversity,
                               HammingBallDiversity, NumericDiversity, aw_theoretical_max,
-                              filter_chunks, hamming_balls, load_class_map, search_batch)
+                              hamming_balls, load_class_map)
 from divtim.errors import ConfigError, UsageError
 from divtim.graph import strong_components
+from divtim.sampler import batch_size
 
 import oracles
 from conftest import make_graph, make_profiles, mixed_components_graph, random_profiles
@@ -163,11 +164,15 @@ def test_hamming_balls_match_oracle_across_centre_chunks():
     g = mixed_components_graph(rng)
     n = g.node_count
     assert n == 360
-    # more components than one kernel call searches from ...
-    assert strong_components(g).max() + 1 > search_batch(n)
-    # ... and more (centre, reached node) pairs than one filter chunk compares
-    width = np.array([len(oracles.reachable_from(g, v) | {v}) for v in range(n)])
-    assert len(filter_chunks(width)) > 1
+    label = strong_components(g)
+    # hamming_balls searches from batch_size(n) // 32 = 45 components per
+    # kernel call, so these 192 components take five calls ...
+    assert batch_size(n) // 32 == 45
+    assert label.max() + 1 == 192
+    # ... and compares about 2^14 (centre, reached node) pairs per chunk: the
+    # giant component, searched first, spans several chunks on its own
+    giant = np.flatnonzero(label == label[0])
+    assert giant.size * (len(oracles.reachable_from(g, 0)) + 1) > 2 * 2 ** 14
     ps = random_profiles(rng, n, 3, 2, missing_prob=0.2)
     for xi in (1, 2, 3):
         hb = HammingBallDiversity(g, ps, radius=xi)
