@@ -11,8 +11,7 @@ from .diversity import (AttributeWiseDiversity, ClassDiversity, DiversityFunctio
                         aw_theoretical_max)
 from .errors import ConfigError, FormatError, UsageError
 from .estimator import EstimationParams, compute_theta, estimate_params, expected_capital
-from .graph import (DiffusionGraph, TargetSet, derive_targets_indegree,
-                    derive_weights_interaction, derive_weights_uniform, load_graph,
+from .graph import (DiffusionGraph, TargetSet, derive_targets_indegree, load_graph,
                     load_node_weights, save_graph, select_targets, synth_graph)
 from .metrics import diversity_curve, seed_entropy, seed_overlap
 from .profiles import (ProfileSet, Schema, derive_numeric_preferences, load_profiles,

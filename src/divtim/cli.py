@@ -20,8 +20,9 @@ import numpy as np
 
 from . import baselines, diversity, estimator, metrics, profiles, sampler, selector, simulator
 from .errors import ConfigError, FormatError, UsageError
-from .graph import (DiffusionGraph, derive_targets_indegree, load_graph,
+from .graph import (WEIGHT_MODES, DiffusionGraph, derive_targets_indegree, load_graph,
                     load_node_weights, select_targets)
+from .textio import data_lines
 
 DIVERSITY_KINDS = ("aw", "hamming", "entropy", "class", "numeric-u", "numeric-w")
 
@@ -37,17 +38,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _read_config_file(path: str) -> dict[str, str]:
+def _read_config_file(source) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise UsageError(f"config line {lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, line in data_lines(source):
+        if "=" not in line:
+            raise UsageError(f"config line {lineno}: expected key=value")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -96,9 +93,7 @@ def _rows_by_node(path: str, graph) -> tuple[np.ndarray, list[str]]:
     mat, names, labels = profiles.load_numeric_matrix(path)
     if labels is None:
         return mat, names
-    row_of: dict[str, int] = {}
-    for i, lab in enumerate(labels):
-        row_of.setdefault(lab, i)
+    row_of = {lab: i for i, lab in enumerate(labels)}
     missing = next((lab for lab in graph.labels if lab not in row_of), None)
     if missing is not None:
         raise FormatError(f"{path}: no row for graph node {missing!r}")
@@ -187,23 +182,17 @@ def _result_doc(res: selector.SeedResult, labels, config_pairs, extra) -> str:
 def parse_result_doc(path: str) -> dict:
     """Read back a result document into a flat dict (trace excluded)."""
     out: dict[str, str] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        in_trace = False
-        for raw in fh:
-            line = raw.rstrip("\n")
-            if line.startswith("#"):
-                continue
-            if line == "trace:":
-                in_trace = True
-                continue
-            if in_trace and line.startswith("  "):
-                continue
-            in_trace = False
-            if ": " in line:
-                key, _, value = line.partition(": ")
-                out[key] = value
-            elif line.endswith(":"):
-                out[line[:-1]] = ""
+    in_trace = False
+    for _, line in data_lines(path):
+        # the trace: line and the steps under it, each "iter node gains..."
+        in_trace = line == "trace:" or in_trace and line[0].isdigit()
+        if in_trace:
+            continue
+        if ": " in line:
+            key, _, value = line.partition(": ")
+            out[key] = value
+        elif line.endswith(":"):
+            out[line[:-1]] = ""
     return out
 
 
@@ -239,14 +228,13 @@ def _write_metrics(path: str, rows: list[dict[str, str]]) -> None:
 def _add_common_graph_flags(p: _Parser) -> None:
     p.add_argument("--config", default="")
     p.add_argument("--graph")
-    p.add_argument("--weight-mode", choices=("explicit", "uniform_indegree", "interaction"),
-                   default="uniform_indegree")
+    p.add_argument("--weight-mode", choices=WEIGHT_MODES, default="uniform_indegree")
     p.add_argument("--node-weights", default="")
     p.add_argument("--derive-targets", choices=("none", "indegree"), default="none")
     p.add_argument("--target-mode", choices=("threshold", "top_percent"), default="top_percent")
     p.add_argument("--tau", type=float, default=0.5)
     p.add_argument("--percent", type=float, default=25.0)
-    p.add_argument("--model", choices=("ic", "lt"), default="ic")
+    p.add_argument("--model", choices=sampler.MODELS, default="ic")
 
 
 def _select_parser(sub) -> _Parser:
@@ -369,8 +357,7 @@ def cmd_simulate(args) -> int:
     if args.seeds:
         labels = _parse_list(args.seeds, str)
     elif args.seeds_file:
-        with open(args.seeds_file, "r", encoding="utf-8") as fh:
-            labels = [line.strip() for line in fh if line.strip()]
+        labels = [line for _, line in data_lines(args.seeds_file)]
     elif args.from_result:
         doc = parse_result_doc(args.from_result)
         labels = doc.get("seeds", "").split()
@@ -411,7 +398,7 @@ def _baseline_parser(sub) -> _Parser:
     _add_common_graph_flags(p)
     p.add_argument("--preferences", default="",
                    help="CSV of per-node numeric preference vectors")
-    p.add_argument("--g-mode", choices=("unit", "degree"), default="unit")
+    p.add_argument("--g-mode", choices=baselines.G_MODES, default="unit")
     p.add_argument("--gamma", type=float)
     p.add_argument("--alpha", type=float, help="alternative parameterization, gamma = 1 - alpha")
     p.add_argument("--k", type=int, default=10)

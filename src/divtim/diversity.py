@@ -18,6 +18,7 @@ from .errors import ConfigError, FormatError, UsageError
 from .graph import DiffusionGraph, strong_components
 from .profiles import MISSING, ProfileSet
 from .sampler import _expand, batch_size, live_edge_search
+from .textio import data_lines, once
 
 
 def _h(mass: float) -> float:
@@ -447,22 +448,18 @@ def load_class_map(source: str | TextIO, node_labels: Sequence[str]
     Unlisted nodes get class -1 (unassigned) and reward 1; class labels
     are densified in order of first appearance.
     """
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_class_map(fh, node_labels)
     index = {lab: i for i, lab in enumerate(node_labels)}
     classes = np.full(len(node_labels), -1, dtype=np.int64)
     rewards = np.ones(len(node_labels), dtype=np.float64)
     class_ids: dict[str, int] = {}
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    first: dict[str, int] = {}
+    for lineno, line in data_lines(source):
         parts = line.split()
         if len(parts) not in (2, 3):
             raise FormatError(f"class map line {lineno}: expected 'node class [reward]'")
         if parts[0] not in index:
             raise FormatError(f"class map line {lineno}: unknown node {parts[0]!r}")
+        once(first, parts[0], lineno, "class map lines")
         cid = class_ids.setdefault(parts[1], len(class_ids))
         classes[index[parts[0]]] = cid
         if len(parts) == 3:

@@ -10,12 +10,13 @@ arrays are indexed by dense id.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, TextIO
+from dataclasses import dataclass, field, replace
+from typing import TextIO
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
+from .textio import data_lines, once
 
 WEIGHT_MODES = ("explicit", "uniform_indegree", "interaction")
 
@@ -83,8 +84,7 @@ class DiffusionGraph:
             raise FormatError("target score vector has wrong length")
         if np.any(t <= 0) or np.any(t > 1):
             raise FormatError("target scores must lie in (0, 1]")
-        g = _assemble(self.labels, self.label_ids, self.src, self.dst, self.b, t)
-        return g
+        return replace(self, t=t)
 
 
 def strong_components(graph: DiffusionGraph) -> np.ndarray:
@@ -141,10 +141,6 @@ class TargetSet:
     total_score: float
     cum_scores: np.ndarray       # cumulative t over members, cum_scores[-1] == total
 
-    def __contains__(self, v: int) -> bool:
-        i = np.searchsorted(self.members, v)
-        return i < len(self.members) and self.members[i] == v
-
     def __len__(self) -> int:
         return len(self.members)
 
@@ -161,18 +157,29 @@ def _assemble(labels, label_ids, src, dst, b, t) -> DiffusionGraph:
     in_indices = src[in_order]
     out_probs = b[out_order]
     in_probs = b[in_order]
-    in_cum = np.empty_like(in_probs)
-    for v in range(n):
-        lo, hi = in_indptr[v], in_indptr[v + 1]
-        if hi > lo:
-            np.cumsum(in_probs[lo:hi], out=in_cum[lo:hi])
+    # The running sum of in_probs within each node, added one position at a
+    # time over the nodes with an edge there: every sum is formed in the order
+    # np.cumsum forms it, as LT picks compare against these exact values.
+    in_deg = np.diff(in_indptr)
+    by_deg = np.argsort(-in_deg, kind="stable")
+    heads = in_indptr[by_deg]
+    longer = np.searchsorted(-in_deg[by_deg], -np.arange(1, in_deg.max(initial=0)))
+    in_cum = in_probs.copy()
+    for j, count in enumerate(longer.tolist(), start=1):
+        at = heads[:count] + j
+        in_cum[at] += in_cum[at - 1]
     return DiffusionGraph(labels=labels, label_ids=label_ids, src=src, dst=dst,
                           b=b, t=t, out_indptr=out_indptr, out_indices=out_indices,
                           out_probs=out_probs, in_indptr=in_indptr,
                           in_indices=in_indices, in_probs=in_probs, in_cum=in_cum)
 
 
-def _parse_edge_lines(lines: Iterable[str], want_weight: bool):
+def _in_share(dst: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.ndarray:
+    """Each edge's share of its head's incoming weight; 1/in-degree unweighted."""
+    return (1.0 if weights is None else weights) / np.bincount(dst, weights, minlength=n)[dst]
+
+
+def _parse_edge_lines(source, want_weight: bool):
     labels: list[str] = []
     label_ids: dict[str, int] = {}
     src, dst, wts = [], [], []
@@ -186,10 +193,7 @@ def _parse_edge_lines(lines: Iterable[str], want_weight: bool):
             labels.append(name)
         return i
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in data_lines(source):
         parts = line.split()
         if want_weight:
             if len(parts) != 3:
@@ -228,10 +232,6 @@ def load_graph(source: str | TextIO, weight_mode: str = "uniform_indegree") -> D
     """
     if weight_mode not in WEIGHT_MODES:
         raise ConfigError(f"unknown weight mode {weight_mode!r}")
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_graph(fh, weight_mode)
-
     want_weight = weight_mode in ("explicit", "interaction")
     labels, label_ids, src, dst, wts = _parse_edge_lines(source, want_weight)
     n = len(labels)
@@ -243,52 +243,22 @@ def load_graph(source: str | TextIO, weight_mode: str = "uniform_indegree") -> D
         if np.any(wts > 1.0):
             raise FormatError("explicit edge weights must lie in (0, 1]")
         b = wts
-    elif weight_mode == "uniform_indegree":
-        indeg = np.bincount(dst, minlength=n)
-        b = 1.0 / indeg[dst]
-    else:  # interaction
-        totals = np.bincount(dst, weights=wts, minlength=n)
-        b = wts / totals[dst]
+    else:
+        b = _in_share(dst, n, wts if weight_mode == "interaction" else None)
     return _assemble(labels, label_ids, src, dst, b, t)
-
-
-def derive_weights_uniform(graph: DiffusionGraph) -> DiffusionGraph:
-    """Reweight every edge (u, v) to 1 / in-degree(v)."""
-    indeg = np.bincount(graph.dst, minlength=graph.node_count)
-    return graph.with_probs(1.0 / indeg[graph.dst])
-
-
-def derive_weights_interaction(graph: DiffusionGraph,
-                               counts: Mapping[tuple[str, str], float]) -> DiffusionGraph:
-    """Reweight edges by interaction volume: b(u,v) = P_uv / sum_u' P_u'v."""
-    raw = np.empty(graph.edge_count, dtype=np.float64)
-    for i in range(graph.edge_count):
-        key = (graph.labels[graph.src[i]], graph.labels[graph.dst[i]])
-        if key not in counts:
-            raise FormatError(f"missing interaction count for edge {key[0]!r} -> {key[1]!r}")
-        c = float(counts[key])
-        if c <= 0:
-            raise FormatError(f"interaction count for {key} must be positive")
-        raw[i] = c
-    totals = np.bincount(graph.dst, weights=raw, minlength=graph.node_count)
-    return graph.with_probs(raw / totals[graph.dst])
 
 
 def load_node_weights(graph: DiffusionGraph, source: str | TextIO) -> DiffusionGraph:
     """Read ``node t`` lines and attach target scores; t must lie in (0, 1]."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_node_weights(graph, fh)
     t = graph.t.copy()
-    for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    first: dict[str, int] = {}
+    for lineno, line in data_lines(source):
         parts = line.split()
         if len(parts) != 2:
             raise FormatError(f"node weight line {lineno}: expected 'node t'")
         if parts[0] not in graph.label_ids:
             raise FormatError(f"node weight line {lineno}: unknown node {parts[0]!r}")
+        once(first, parts[0], lineno, "node weight lines")
         try:
             val = float(parts[1])
         except ValueError as exc:
@@ -374,8 +344,7 @@ def synth_graph(node_count: int, arcs_per_node: int, seed: int,
     label_ids = {lab: i for i, lab in enumerate(labels)}
     src_a = np.asarray(src, dtype=np.int64)
     dst_a = np.asarray(dst, dtype=np.int64)
-    indeg = np.bincount(dst_a, minlength=node_count)
-    b = 1.0 / indeg[dst_a]
+    b = _in_share(dst_a, node_count)
     if score_mode == "ones":
         t = np.ones(node_count, dtype=np.float64)
     elif score_mode == "uniform":

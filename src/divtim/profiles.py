@@ -16,6 +16,7 @@ import numpy as np
 
 from .errors import ConfigError, FormatError
 from .rng import stream
+from .textio import once, open_text
 
 MISSING = -1
 
@@ -93,19 +94,19 @@ class ProfileSet:
 
 
 def _rows_from_csv(source) -> tuple[list[str], list[list[str]]]:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8", newline="") as fh:
-            return _rows_from_csv(fh)
-    reader = csv.reader(source)
-    try:
-        header = next(reader)
-    except StopIteration:
-        raise FormatError("profile CSV is empty") from None
-    header, rows = [h.strip() for h in header], list(reader)
+    with open_text(source, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise FormatError("profile CSV is empty") from None
+        header, rows = [h.strip() for h in header], list(reader)
     if header and header[0] == "node":
-        blank = next((i for i, row in enumerate(rows) if not row), None)
-        if blank is not None:
-            raise FormatError(f"row {blank + 2}: no node id")
+        first: dict[str, int] = {}
+        for rowno, row in enumerate(rows, start=2):
+            if not row:
+                raise FormatError(f"row {rowno}: no node id")
+            once(first, row[0], rowno, "rows")
     return header, rows
 
 

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import ConfigError, FormatError
 from .graph import DiffusionGraph, TargetSet
 from .rng import phase_seed, stream
+from .textio import data_lines, open_text
 
 MODELS = ("ic", "lt")
 
@@ -192,30 +193,22 @@ class RRCorpus:
 
     def dump(self, sink: str | TextIO) -> None:
         """Debug dump, one line per set: ``id root member*`` (format unstable)."""
-        if isinstance(sink, str):
-            with open(sink, "w", encoding="utf-8") as fh:
-                self.dump(fh)
-                return
         ptr, members = self.set_ptr.tolist(), self.members.tolist()
-        for i, root in enumerate(self.roots.tolist()):
-            sink.write(f"{i} {root} " + " ".join(map(str, members[ptr[i]:ptr[i + 1]])) + "\n")
+        with open_text(sink, "w") as fh:
+            for i, root in enumerate(self.roots.tolist()):
+                fh.write(f"{i} {root} " + " ".join(map(str, members[ptr[i]:ptr[i + 1]])) + "\n")
 
 
 def load_corpus_dump(source: str | TextIO, node_count: int, target_total: float) -> RRCorpus:
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as fh:
-            return load_corpus_dump(fh, node_count, target_total)
     roots, set_ptr, members = [], [0], []
-    for raw in source:
-        if not raw.strip():
-            continue
+    for lineno, line in data_lines(source):
         try:
-            ids = [int(p) for p in raw.split()]
+            ids = [int(p) for p in line.split()]
         except ValueError:
             ids = []
         if len(ids) < 3 or ids[0] != len(roots) or not all(0 <= v < node_count for v in ids[1:]):
-            raise FormatError(f"corpus dump line {len(roots) + 1} needs 'id root member*', with "
-                              f"id {len(roots)} and nodes below {node_count}: {raw.strip()!r}")
+            raise FormatError(f"corpus dump line {lineno} needs 'id root member*', with "
+                              f"id {len(roots)} and nodes below {node_count}: {line!r}")
         roots.append(ids[1])
         members.extend(ids[2:])
         set_ptr.append(len(members))

@@ -43,7 +43,8 @@ def test_select_grid_produces_one_file_per_point(tmp_path, small_dataset):
                      "--k", "2,3", "--alpha", "0,0.5,1")
     docs = sorted(p for p in os.listdir(out) if p.endswith(".txt"))
     assert len(docs) == 6
-    rows = list(csv.DictReader(open(out / "metrics.csv", encoding="utf-8")))
+    with open(out / "metrics.csv", encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 6
     assert {r["alpha"] for r in rows} == {"0", "0.5", "1"}
 
@@ -97,7 +98,8 @@ def test_metrics_command_aggregates(tmp_path, small_dataset):
     out = run_select(tmp_path, small_dataset, "agg", "--k", "2", "--alpha", "0.2,0.8")
     csv_out = tmp_path / "all.csv"
     assert main(["metrics", "--results", str(out), "--out", str(csv_out)]) == 0
-    rows = list(csv.DictReader(open(csv_out, encoding="utf-8")))
+    with open(csv_out, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 2
     assert all(r["diversity"] == "aw" for r in rows)
     assert all(r["diversity_ratio"] != "" for r in rows)
@@ -122,7 +124,8 @@ def test_simulate_csv_row(tmp_path, small_dataset):
                  "--weight-mode", "explicit", "--seeds", "0,1",
                  "--runs", "100", "--seed", "1", "--out", str(csv_path)])
     assert code == 0
-    rows = list(csv.DictReader(open(csv_path, encoding="utf-8")))
+    with open(csv_path, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1 and rows[0]["runs"] == "100"
 
 
@@ -253,6 +256,34 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("case, where", [
+    ("node-weights", "lines 1 and 3"), ("class-map", "lines 1 and 4"),
+    ("profiles", "rows 2 and 4"), ("numeric-profiles", "rows 3 and 5"),
+    ("preferences", "rows 3 and 5")])
+def test_node_listed_twice_is_one_line_data_error(tmp_path, capsys, case, where):
+    edges = tmp_path / "edges.txt"
+    edges.write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
+    text = {"node-weights": "a 0.5\nb 1\na 0.25\n",
+            "class-map": "a red\nb blue\nc red\na blue\n",
+            "profiles": "node,x\na,1\nb,2\na,3\n",
+            "numeric-profiles": "node,p1,p2\na,0.1,0.9\nb,0.7,0.3\nc,0.5,0.5\nb,0.2,0.2\n"}
+    text["preferences"] = text["numeric-profiles"]
+    listed, profiles = tmp_path / "listed.txt", tmp_path / "profiles.csv"
+    listed.write_text(text[case], encoding="utf-8")
+    profiles.write_text("node,x\na,1\nb,2\nc,1\n", encoding="utf-8")
+    flags = {"node-weights": ["--node-weights", str(listed), "--profiles", str(profiles)],
+             "class-map": ["--diversity", "class", "--class-map", str(listed)],
+             "profiles": ["--profiles", str(listed)],
+             "numeric-profiles": ["--numeric-profiles", str(listed), "--bins", "2"],
+             "preferences": ["--diversity", "numeric-u", "--preferences", str(listed)]}[case]
+    code = main(["select", "--graph", str(edges), "--weight-mode", "explicit", "--k", "1",
+                 "--theta-override", "20", "--out", str(tmp_path / "out"), *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert where in err and "listed twice" in err
 
 
 def _docs_without_timing(out):

@@ -6,8 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divtim.errors import ConfigError, FormatError
-from divtim.graph import (derive_targets_indegree, derive_weights_interaction,
-                          derive_weights_uniform, load_graph, load_node_weights, save_graph,
+from divtim.graph import (derive_targets_indegree, load_graph, load_node_weights, save_graph,
                           select_targets, strong_components, synth_graph)
 
 from conftest import graph_on, make_graph, mixed_components_graph
@@ -63,10 +62,9 @@ def test_uniform_single_in_neighbor():
     assert g.b[0] == 1.0
 
 
-def test_derive_weights_uniform_four_in():
-    g = make_graph([(f"u{i}", "v", 0.9) for i in range(4)])
-    g2 = derive_weights_uniform(g)
-    assert np.allclose(g2.b, 0.25)
+def test_uniform_indegree_four_in():
+    g = load_graph(io.StringIO("".join(f"u{i} v\n" for i in range(4))), "uniform_indegree")
+    assert np.allclose(g.b, 0.25)
 
 
 def test_interaction_weights():
@@ -81,12 +79,6 @@ def test_interaction_single_source_and_triple():
     assert g.b[0] == pytest.approx(1.0)
     g3 = load_graph(io.StringIO("a v 1\nb v 1\nc v 2\n"), "interaction")
     assert sorted(g3.b) == pytest.approx([0.25, 0.25, 0.5])
-
-
-def test_derive_weights_interaction_missing_count():
-    g = make_graph([("a", "v", 0.5), ("b", "v", 0.5)])
-    with pytest.raises(FormatError, match="missing interaction count"):
-        derive_weights_interaction(g, {("a", "v"): 2.0})
 
 
 def test_interaction_sums_to_one_per_node():
@@ -205,8 +197,45 @@ def test_dangling_and_malformed_lines():
         load_graph(io.StringIO("a\n"), "uniform_indegree")
     with pytest.raises(FormatError):
         load_graph(io.StringIO("a b c d\n"), "explicit")
+    with pytest.raises(FormatError, match="line 2"):
+        load_graph(io.StringIO("a v 2\nb v\n"), "interaction")
     with pytest.raises(FormatError):
         load_graph(io.StringIO(""), "uniform_indegree")
+
+
+def _hub_graph():
+    """Node 0 heads 500 edges of uneven weight; the rest have one or two."""
+    rng = np.random.default_rng(17)
+    lines = [f"{u} 0 {rng.uniform(0.001, 0.002)!r}" for u in range(1, 501)]
+    lines += [f"{u} {u + 1} {rng.uniform(0.1, 0.5)!r}" for u in range(1, 500)]
+    lines += [f"{u} {u + 2} {rng.uniform(0.1, 0.5)!r}" for u in range(1, 499, 7)]
+    return load_graph(io.StringIO("\n".join(lines) + "\n"), "explicit")
+
+
+@pytest.mark.parametrize("case", ["synth", "hub", "sources"])
+def test_in_cum_is_each_nodes_cumsum_bit_for_bit(case):
+    g = {
+        "synth": lambda: synth_graph(300, 5, seed=23),
+        "hub": _hub_graph,
+        # nodes 0-3 have no in-edges; 4-9 have up to six each
+        "sources": lambda: make_graph([(u, v, 0.1 + 0.13 * u) for v in range(4, 10)
+                                       for u in range(v - 3)]),
+    }[case]()
+    deg = g.in_degrees()
+    assert deg.min() == 0 or case == "synth"
+    assert case != "hub" or deg.max() >= 100 * np.median(deg)
+    expect = np.concatenate([np.cumsum(g.in_probs[g.in_indptr[v]:g.in_indptr[v + 1]])
+                             for v in range(g.node_count)])
+    assert g.in_cum.dtype == expect.dtype
+    assert g.in_cum.tobytes() == expect.tobytes()
+
+
+def test_new_target_scores_share_the_topology():
+    g = synth_graph(50, 3, seed=2)
+    g2 = g.with_target_scores(np.full(g.node_count, 0.5))
+    assert np.all(g2.t == 0.5) and np.all(g.t != 0.5)
+    for name in ("src", "dst", "b", "out_indptr", "out_indices", "in_indptr", "in_cum"):
+        assert getattr(g2, name) is getattr(g, name)
 
 
 # ------------------------------------------------------------ live-edge search
