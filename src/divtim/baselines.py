@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from .diversity import NumericDiversity
+from .diversity import Coverage, NumericDiversity
 from .errors import ConfigError
 from .graph import DiffusionGraph
+from .selector import lazy_greedy
 
 G_MODES = ("unit", "degree")
 
@@ -27,32 +28,19 @@ def node_gain_vector(graph: DiffusionGraph, g_mode: str) -> np.ndarray:
 
 def deg_d_greedy(graph: DiffusionGraph, preferences: np.ndarray, g_mode: str,
                  gamma: float, k: int) -> list[int]:
-    """Pick k seeds greedily by degree/diversity trade-off; ties go to the
-    lowest node id."""
+    """Up to k seeds by the degree/diversity trade-off, out-degree being the
+    coverage of out-edges; ties go to the lowest node id, and the picks stop
+    once no node scores above 0."""
     if not (0.0 <= gamma <= 1.0):
         raise ConfigError("gamma must lie in [0, 1]")
     if preferences.shape[0] != graph.node_count:
         raise ConfigError("one preference vector per node required")
     if k < 1:
         raise ConfigError("budget k must be at least 1")
-    degrees = graph.out_degrees().astype(np.float64)
+    m = graph.edge_count
+    degree = Coverage(graph.out_indptr, np.arange(m), m, m)
     diversity = NumericDiversity(preferences, node_gain_vector(graph, g_mode))
-    seeds: list[int] = []
-    candidates = list(range(graph.node_count))
-    for _ in range(min(k, graph.node_count)):
-        best_v = -1
-        best_score = -np.inf
-        for v in candidates:
-            score = (1.0 - gamma) * degrees[v] + gamma * diversity.gain(v)
-            if score > best_score:
-                best_v, best_score = v, score
-        seeds.append(best_v)
-        candidates.remove(best_v)
-        diversity.commit(best_v)
-    return seeds
-
-
-def deg_d_greedy_alpha(graph: DiffusionGraph, preferences: np.ndarray, g_mode: str,
-                       alpha: float, k: int) -> list[int]:
-    """Same run parameterized by the selection trade-off (gamma = 1 - alpha)."""
-    return deg_d_greedy(graph, preferences, g_mode, 1.0 - alpha, k)
+    picks = lazy_greedy(k, [
+        (1.0 - gamma, degree, degree.gains()),
+        (gamma, diversity, [diversity.gain(v) for v in range(graph.node_count)])])
+    return [v for v, _, _ in picks]

@@ -40,11 +40,15 @@ class _Parser(argparse.ArgumentParser):
 
 def _read_config_file(source) -> dict[str, str]:
     out: dict[str, str] = {}
+    first: dict[str, int] = {}
     for lineno, line in data_lines(source):
         if "=" not in line:
             raise UsageError(f"config line {lineno}: expected key=value")
         key, _, value = line.partition("=")
-        out[key.strip()] = value.strip()
+        key = key.strip()
+        if first.setdefault(key, lineno) != lineno:
+            raise UsageError(f"config lines {first[key]} and {lineno}: key {key!r} given twice")
+        out[key] = value.strip()
     return out
 
 
@@ -319,10 +323,9 @@ def cmd_select(args) -> int:
             div.reset()
             res = selector.build_seed_set(corpus, k, alpha, div)
             res.timing_seconds = time.perf_counter() - start
-            extra = {
-                "kpt_star": repr(params[k].kpt_star), "kpt_plus": repr(params[k].kpt_plus),
-                "corpus_width": corpus.total_width,
-            }
+            extra = {} if params[k].kpt_star is None else {
+                "kpt_star": repr(params[k].kpt_star), "kpt_plus": repr(params[k].kpt_plus)}
+            extra["corpus_width"] = corpus.total_width
             if profile_set is not None and res.seeds:
                 extra["seed_entropy"] = repr(metrics.seed_entropy(res.seeds, profile_set))
             if args.normalize:

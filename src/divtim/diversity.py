@@ -1,6 +1,7 @@
-"""Monotone submodular diversity functions over categorical profiles.
+"""Monotone submodular diversity functions over categorical profiles, and
+the weighted ``Coverage`` that the capital and the hamming balls share.
 
-All functions share one stateful contract: ``value()`` is the diversity
+All functions share one stateful contract: ``value()`` is the value
 of the committed set, ``gain(v)`` is the marginal value of adding ``v``,
 and ``commit(v)`` applies the addition.  Gains are computed
 incrementally, never by re-evaluating the whole set, and are clipped at
@@ -70,6 +71,43 @@ class DiversityFunction:
 
     def _reset(self) -> None:
         raise NotImplementedError
+
+
+class Coverage(DiversityFunction):
+    """Node v covers ``elements[ptr[v]:ptr[v + 1]]`` of ``size`` elements, each
+    worth ``total / size``: the capital over an RR corpus, the hamming balls
+    and out-degree.  Gains are uncovered counts times that one unit."""
+
+    name = "coverage"
+
+    def __init__(self, ptr: np.ndarray, elements: np.ndarray, size: int, total: float):
+        super().__init__()
+        self.ptr, self.elements, self.size, self.total = ptr, elements, size, total
+        self.unit = total / size if size else 0.0
+        self._covered = np.zeros(size, dtype=bool)
+
+    def covers(self, v: int) -> np.ndarray:
+        return self.elements[self.ptr[v]:self.ptr[v + 1]]
+
+    def gains(self) -> np.ndarray:
+        """Every node's gain on the empty set."""
+        return self.unit * np.diff(self.ptr)
+
+    def value(self) -> float:
+        return self.total * int(np.count_nonzero(self._covered)) / self.size if self.size else 0.0
+
+    def max_value_for_budget(self, k: int) -> float:
+        return float(self.total)
+
+    def _gain(self, v: int) -> float:
+        # int(): a Python float times a numpy integer takes numpy's slow scalar path
+        return self.unit * int(np.count_nonzero(~self._covered[self.covers(v)]))
+
+    def _apply(self, v: int) -> None:
+        self._covered[self.covers(v)] = True
+
+    def _reset(self) -> None:
+        self._covered[:] = False
 
 
 def harmonic_power_sum(count: int, lam: float) -> float:
@@ -229,47 +267,25 @@ def hamming_balls(graph: DiffusionGraph, codes: np.ndarray, radius: int
     return ball_ptr, ball_nodes
 
 
-class HammingBallDiversity(DiversityFunction):
+class HammingBallDiversity(Coverage):
     """Coverage of profile-space balls around each selected node.
 
     A node's ball holds the nodes it can reach whose profiles differ in
     at most ``radius`` attributes (see ``hamming_balls``); diversity is
-    the size of the union of the selected nodes' balls.  Every ball is
-    built once, at construction, and the union is a boolean node mask.
+    the size of the union of the selected nodes' balls, each node worth 1.
+    Every ball is built once, at construction.
     """
 
     name = "hamming"
 
     def __init__(self, graph: DiffusionGraph, profiles: ProfileSet, radius: int):
-        super().__init__()
         if radius < 1:
             raise ConfigError("radius must be a positive integer")
         if profiles.node_count != graph.node_count:
             raise ConfigError("profiles and graph disagree on node count")
-        self.graph = graph
-        self.profiles = profiles
         self.radius = int(radius)
-        self.ball_ptr, self.ball_nodes = hamming_balls(graph, profiles.codes, self.radius)
-        self._covered = np.zeros(graph.node_count, dtype=bool)
-
-    def ball(self, v: int) -> np.ndarray:
-        """Node v's ball, ascending."""
-        return self.ball_nodes[self.ball_ptr[v]:self.ball_ptr[v + 1]]
-
-    def value(self) -> float:
-        return float(np.count_nonzero(self._covered))
-
-    def _gain(self, v: int) -> float:
-        return np.count_nonzero(~self._covered[self.ball(v)])
-
-    def _apply(self, v: int) -> None:
-        self._covered[self.ball(v)] = True
-
-    def _reset(self) -> None:
-        self._covered[:] = False
-
-    def max_value_for_budget(self, k: int) -> float:
-        return float(self.graph.node_count)
+        super().__init__(*hamming_balls(graph, profiles.codes, self.radius),
+                         graph.node_count, graph.node_count)
 
 
 class EntropyDiversity(DiversityFunction):

@@ -1,10 +1,9 @@
-"""Corpus sizing and expected-capital accounting.
+"""Corpus sizing.
 
 The number of reverse reachable sets needed for the approximation
 guarantee is derived in two stages: an iterative-doubling lower bound on
 the mean spread of a size-k seed set, then a greedy refinement of that
-bound on a fresh batch.  Both stages reuse the targeted root sampling, so
-the resulting corpus directly supports capital estimation.
+bound on a fresh batch.  Both stages reuse the targeted root sampling.
 """
 
 from __future__ import annotations
@@ -15,10 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diversity import Coverage
 from .errors import ConfigError
 from .graph import DiffusionGraph, TargetSet
 from .rng import phase_seed, stream
-from .sampler import batch_size, check_model, join_batches, rr_batch
+from .sampler import RRCorpus, batch_size, check_model, join_batches, rr_batch
+from .selector import lazy_greedy
 
 KPT_PHASE = 101
 REFINE_PHASE = 102
@@ -31,8 +32,8 @@ class EstimationParams:
     epsilon: float
     ell: float
     k: int
-    kpt_star: float
-    kpt_plus: float
+    kpt_star: float | None      # None when theta was given, not estimated
+    kpt_plus: float | None
     theta: int
 
 
@@ -62,7 +63,7 @@ def compute_theta(kpt: float, epsilon: float, ell: float, k: int, n: int,
 
 
 def kpt_estimation(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
-                   ell: float, master_seed: int) -> tuple[float, tuple | None]:
+                   ell: float, master_seed: int) -> tuple[float, RRCorpus | None]:
     """Iterative-doubling lower bound on the mean size-k spread.
 
     Round i draws c_i = ceil((6*ell*ln n + 6*ln log2 n) * 2^i) sets and
@@ -70,16 +71,15 @@ def kpt_estimation(graph: DiffusionGraph, targets: TargetSet, model: str, k: int
     of the set's members and W the total in-degree mass.  The first round
     whose mean kappa exceeds 2^-i returns mean * n / 2.  Rounds take
     consecutive sets of one stream of batches.  Also returns the last
-    round's sets, as ``(set_ptr, members)`` (None if no round ran), so
-    the refinement stage can reuse them.
+    round's sets as a corpus (None if no round ran), so the refinement
+    stage can reuse them.
     """
     check_model(graph, model)
     n = graph.node_count
     total_in = float(graph.edge_count)
     base = phase_seed(master_seed, KPT_PHASE)
     indeg = graph.in_degrees()
-    batches: list = []
-    kappas = np.empty(0)
+    kpt, kappas, batches = 1.0, np.empty(0), []
     start = c_i = 0
     if n >= 2 and total_in > 0:
         for i in range(1, int(math.floor(math.log2(n)))):
@@ -92,32 +92,24 @@ def kpt_estimation(graph: DiffusionGraph, targets: TargetSet, model: str, k: int
                 kappas = np.concatenate([kappas, 1.0 - (1.0 - width / total_in) ** k])
             kappa_sum = float(kappas[start:start + c_i].sum())
             if kappa_sum / c_i > 1.0 / (2 ** i):
-                return kappa_sum * n / (2.0 * c_i), join_batches(batches, start, start + c_i)[1:]
-    return 1.0, join_batches(batches, start, start + c_i)[1:] if batches else None
+                kpt = kappa_sum * n / (2.0 * c_i)
+                break
+    if not batches:
+        return kpt, None
+    return kpt, RRCorpus(*join_batches(batches, start, start + c_i), n, targets.total_score)
 
-
-def _greedy_cover(set_ptr: np.ndarray, members: np.ndarray, node_count: int,
-                  k: int) -> list[int]:
-    """Plain size-k maximum coverage over a small batch of sets."""
-    set_of = np.repeat(np.arange(len(set_ptr) - 1), np.diff(set_ptr))
-    alive = np.ones(len(set_ptr) - 1, dtype=bool)
-    chosen: list[int] = []
-    for _ in range(min(k, node_count)):
-        counts = np.bincount(members[alive[set_of]], minlength=node_count)
-        if not counts.any():
-            break
-        best = int(np.argmax(counts))       # most sets, then the smallest id
-        chosen.append(best)
-        alive[set_of[members == best]] = False
-    return chosen
+def greedy_cover(corpus: RRCorpus, k: int) -> list[int]:
+    """Up to k nodes covering the most sets, by the lazy greedy; ties go to the smallest id."""
+    sets = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.theta)
+    return [v for v, _, _ in lazy_greedy(k, [(1.0, sets, sets.gains())])]
 
 
 def refine_kpt(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
-               epsilon: float, ell: float, kpt_star: float, est_sets: tuple | None,
+               epsilon: float, ell: float, kpt_star: float, est_sets: RRCorpus | None,
                master_seed: int, theta_cap: int = DEFAULT_THETA_CAP) -> float:
     """Tighten the doubling-stage bound with a greedy cover re-estimate.
 
-    A size-k cover built on the estimation sets is re-scored on a fresh
+    A size-k greedy cover of the estimation sets is re-scored on a fresh
     batch of lambda' / kpt_star sets with eps' = 5 * cbrt(ell*eps^2/(k+ell));
     the refined bound is max(f * n / (1 + eps'), kpt_star).
     """
@@ -129,7 +121,7 @@ def refine_kpt(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
     lam_p = (2 + eps_p) * ell * n * math.log(n) / (eps_p ** 2)
     theta_p = max(1, min(math.ceil(lam_p / kpt_star), theta_cap))
     cover = np.zeros(n, dtype=bool)
-    cover[_greedy_cover(*est_sets, n, k)] = True
+    cover[greedy_cover(est_sets, k)] = True
     base = phase_seed(master_seed, REFINE_PHASE)
     size = batch_size(n)
     hit = 0
@@ -157,8 +149,8 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, k: in
     if theta_override is not None:
         if theta_override < 1:
             raise ConfigError("theta override must be positive")
-        return EstimationParams(epsilon=epsilon, ell=ell, k=k, kpt_star=1.0,
-                                kpt_plus=1.0, theta=theta_override)
+        return EstimationParams(epsilon=epsilon, ell=ell, k=k, kpt_star=None,
+                                kpt_plus=None, theta=theta_override)
     kpt_star, est_sets = kpt_estimation(graph, targets, model, k, ell, master_seed)
     kpt_plus = refine_kpt(graph, targets, model, k, epsilon, ell, kpt_star,
                           est_sets, master_seed, theta_cap)
@@ -166,13 +158,3 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, k: in
     return EstimationParams(epsilon=epsilon, ell=ell, k=k, kpt_star=kpt_star,
                             kpt_plus=kpt_plus, theta=theta)
 
-
-def expected_capital(covered: int, theta: int, target_total: float) -> float:
-    """Capital estimate: roots are drawn proportionally to target score, so
-    the covered fraction of the theta sets estimates the captured fraction
-    of the total target score (weighted RIS, as in KB-TIM)."""
-    if theta <= 0:
-        raise ConfigError("corpus holds no sets (theta = 0?)")
-    if covered < 0 or covered > theta:
-        raise ConfigError("covered count outside [0, theta]")
-    return target_total * covered / theta

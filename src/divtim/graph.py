@@ -202,6 +202,9 @@ def _parse_edge_lines(source, want_weight: bool):
             raise FormatError(f"line {lineno}: expected 'src dst' (no weight column in this mode)")
         if parts[0] == parts[1]:
             raise FormatError(f"line {lineno}: self-loop on node {parts[0]!r}")
+        if parts[1].startswith("#"):
+            raise FormatError(f"line {lineno}: node label {parts[1]!r} starts with '#', "
+                              "which marks a comment")
         u, v = intern(parts[0]), intern(parts[1])
         if (u, v) in seen:
             raise FormatError(f"line {lineno}: duplicate edge {parts[0]!r} -> {parts[1]!r}")

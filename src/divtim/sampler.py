@@ -181,16 +181,6 @@ class RRCorpus:
         return RRCorpus(self.roots[:m], self.set_ptr[:m + 1],
                         self.members[:self.set_ptr[m]], self.n_nodes, self.target_total)
 
-    def covered_mask(self, seed_set) -> np.ndarray:
-        mask = np.zeros(self.theta, dtype=bool)
-        for v in seed_set:
-            mask[self.sets_of(v)] = True
-        return mask
-
-    def coverage_fraction(self, seed_set) -> float:
-        """Plain fraction of sets intersected by the seed set."""
-        return float(self.covered_mask(seed_set).sum()) / self.theta
-
     def dump(self, sink: str | TextIO) -> None:
         """Debug dump, one line per set: ``id root member*`` (format unstable)."""
         ptr, members = self.set_ptr.tolist(), self.members.tolist()

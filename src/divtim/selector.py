@@ -1,14 +1,11 @@
-"""Lazy-greedy seed selection over a reverse reachable corpus.
+"""The lazy (CELF) greedy over a weighted sum of monotone submodular terms.
 
-Each candidate carries a combined score ``alpha * capital + (1 - alpha) *
-diversity gain`` and the seed-set size at which the score was computed.
-Because both summands are monotone submodular, a stale score is an upper
-bound, so a popped candidate whose tag matches the current seed count is
-provably the best choice and can be committed without re-evaluation.
-A node's capital gain is ``target_total / theta`` times the number of
-uncovered sets it lies in, the same unit as ``expected_capital``: it
-starts as the node's set count in the inverted index, and a stale one is
-recounted over the popped node's own sets.
+A candidate's score is the weighted sum of its gains in the terms, tagged
+with the seed count at which it was computed.  By submodularity a stale
+score is an upper bound, so a popped candidate whose tag is current is
+the best choice and is committed without re-evaluation.  Seed selection
+maximizes ``alpha * capital + (1 - alpha) * diversity``; the capital is a
+``Coverage`` of the corpus's sets, each worth ``target_total / theta``.
 """
 
 from __future__ import annotations
@@ -16,13 +13,45 @@ from __future__ import annotations
 import heapq
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .diversity import DiversityFunction
+from .diversity import Coverage, DiversityFunction
 from .errors import ConfigError
-from .estimator import expected_capital
 from .sampler import RRCorpus
+
+
+def lazy_greedy(k: int, terms: Sequence[tuple[float, DiversityFunction, Sequence[float]]]
+                ) -> list[tuple[int, list[float], float]]:
+    """Up to k picks for ``sum(weight * f(S))``; each term is (weight, f, every
+    node's first gain).  A pick is (node, its gain per term, combined gain).
+
+    Stops at the first combined gain that is not positive; among equal
+    scores the smallest node id wins.
+    """
+    weights, functions, firsts = zip(*terms)
+    # as lists, a refresh reads and writes Python floats, not numpy scalars
+    gains = [np.asarray(first, dtype=np.float64).tolist() for first in firsts]
+    neg_scores = -sum(w * np.array(g) for w, g in zip(weights, gains))
+    heap = list(zip(neg_scores.tolist(), range(neg_scores.size), [0] * neg_scores.size))
+    heapq.heapify(heap)
+    picks: list[tuple[int, list[float], float]] = []
+    while len(picks) < k and heap:
+        neg_score, v, tag = heapq.heappop(heap)
+        if -neg_score <= 0.0:
+            break
+        if tag == len(picks):
+            for f in functions:
+                f.commit(v)
+            picks.append((v, [g[v] for g in gains], -neg_score))
+        else:
+            score = 0.0
+            for w, f, g in zip(weights, functions, gains):
+                g[v] = f.gain(v)
+                score += w * g[v]
+            heapq.heappush(heap, (-score, v, len(picks)))
+    return picks
 
 
 @dataclass
@@ -55,7 +84,7 @@ class SeedResult:
 
 def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
                    diversity: DiversityFunction) -> SeedResult:
-    """Select up to k seeds with the lazy (CELF) greedy."""
+    """Select up to k seeds with the lazy greedy over capital and diversity."""
     if corpus.theta == 0:
         raise ConfigError("empty corpus")
     if not (0.0 <= alpha <= 1.0):
@@ -65,42 +94,19 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
     if diversity.committed:
         raise ConfigError("diversity state must be fresh")
 
-    n = corpus.n_nodes
-    unit = corpus.target_total / corpus.theta
-    covered = np.zeros(corpus.theta, dtype=bool)
-    seeds: list[int] = []
-    trace: list[IterationTrace] = []
-
-    push_c = unit * np.diff(corpus.node_ptr)
-    push_d = np.array([diversity.gain(v) for v in range(n)], dtype=np.float64)
-    neg_scores = -(alpha * push_c + (1 - alpha) * push_d)
-    heap = list(zip(neg_scores.tolist(), range(n), [0] * n))
-    heapq.heapify(heap)
-    while len(seeds) < k and heap:
-        neg_score, v, tag = heapq.heappop(heap)
-        if -neg_score <= 0.0:
-            break
-        if tag == len(seeds):
-            seeds.append(v)
-            covered[corpus.sets_of(v)] = True
-            diversity.commit(v)
-            trace.append(IterationTrace(node=v, capital_gain=float(push_c[v]),
-                                        diversity_gain=float(push_d[v]),
-                                        combined_gain=float(-neg_score)))
-        else:
-            push_c[v] = unit * np.count_nonzero(~covered[corpus.sets_of(v)])
-            push_d[v] = diversity.gain(v)
-            score = alpha * push_c[v] + (1 - alpha) * push_d[v]
-            heapq.heappush(heap, (-score, v, len(seeds)))
-
-    if len(seeds) < k:
-        warnings.warn(f"only {len(seeds)} of {k} seeds carry positive gain; stopping early")
+    capital = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.target_total)
+    picks = lazy_greedy(k, [
+        (alpha, capital, capital.gains()),
+        (1 - alpha, diversity, [diversity.gain(v) for v in range(corpus.n_nodes)])])
+    if len(picks) < k:
+        warnings.warn(f"only {len(picks)} of {k} seeds carry positive gain; stopping early")
 
     return SeedResult(
-        seeds=seeds, trace=trace, alpha=alpha, k=k, theta=corpus.theta,
-        target_total=corpus.target_total,
-        expected_capital=expected_capital(int(np.count_nonzero(covered)), corpus.theta,
-                                          corpus.target_total),
+        seeds=[v for v, _, _ in picks],
+        trace=[IterationTrace(node=v, capital_gain=c, diversity_gain=d, combined_gain=s)
+               for v, (c, d), s in picks],
+        alpha=alpha, k=k, theta=corpus.theta, target_total=corpus.target_total,
+        expected_capital=capital.value(),
         diversity_value=diversity.value(), diversity_name=diversity.name,
         diversity_max=diversity.max_value_for_budget(k),
     )

@@ -3,6 +3,7 @@ import io
 import numpy as np
 import pytest
 
+from divtim.diversity import Coverage
 from divtim.graph import DiffusionGraph, _assemble, load_graph
 from divtim.profiles import MISSING, ProfileSet, Schema
 from divtim.sampler import RRCorpus
@@ -54,6 +55,14 @@ def corpus_from_sets(sets, node_count, target_total) -> RRCorpus:
     set_ptr = np.cumsum([0] + [len(members) for _, members in sets])
     members = [int(v) for _, mem in sets for v in mem]
     return RRCorpus([root for root, _ in sets], set_ptr, members, node_count, target_total)
+
+
+def coverage_fraction(corpus, seeds) -> float:
+    """Fraction of the corpus's sets that the seeds cover."""
+    sets = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, 1.0)
+    for v in seeds:
+        sets.commit(v)
+    return sets.value()
 
 
 def make_profiles(rows, domain_sizes=None) -> ProfileSet:

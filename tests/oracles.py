@@ -5,7 +5,8 @@ no code with the package's incremental implementations.  It also holds
 the reference evaluators for unsuitable set scores, a one-set-at-a-time
 reverse reachable sampler that the batched kernel is checked against, a
 greedy that folds each node's capital gain in Python, which the
-vectorized selector is checked against bit for bit, and the exact
+vectorized selector is checked against bit for bit, the eager
+maximum cover and Deg-D loops the lazy greedy replaced, and the exact
 expected spread and capital of micro-graphs by enumerating every
 live-edge outcome.
 """
@@ -406,3 +407,41 @@ def reference_seed_set(corpus, k, alpha, diversity, lazy=True):
             diversity.commit(best_v)
             trace.append((float(best_c), float(best_d), float(best_score)))
     return seeds, trace
+
+
+# ---------------------------------------------------------------------------
+# Eager greedies that re-score every candidate each round.
+# ---------------------------------------------------------------------------
+
+def reference_greedy_cover(set_ptr, members, node_count, k) -> list[int]:
+    """Plain size-k maximum coverage: the most uncovered sets, then the
+    smallest id; stops once no node covers an uncovered set."""
+    set_of = np.repeat(np.arange(len(set_ptr) - 1), np.diff(set_ptr))
+    alive = np.ones(len(set_ptr) - 1, dtype=bool)
+    chosen = []
+    for _ in range(min(k, node_count)):
+        counts = np.bincount(members[alive[set_of]], minlength=node_count)
+        if not counts.any():
+            break
+        best = int(np.argmax(counts))
+        chosen.append(best)
+        alive[set_of[members == best]] = False
+    return chosen
+
+
+def reference_deg_d(graph, diversity, gamma, k) -> list[tuple[int, float]]:
+    """k picks of ``(1 - gamma) * out-degree + gamma * diversity gain``, ties
+    to the lowest id, zero scores included; returns (node, score) pairs."""
+    degrees = graph.out_degrees().astype(np.float64)
+    picks = []
+    candidates = list(range(graph.node_count))
+    for _ in range(min(k, graph.node_count)):
+        best_v, best_score = -1, -np.inf
+        for v in candidates:
+            score = (1.0 - gamma) * degrees[v] + gamma * diversity.gain(v)
+            if score > best_score:
+                best_v, best_score = v, score
+        picks.append((best_v, best_score))
+        candidates.remove(best_v)
+        diversity.commit(best_v)
+    return picks

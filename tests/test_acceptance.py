@@ -12,7 +12,7 @@ from fractions import Fraction as F
 
 import numpy as np
 
-from divtim.baselines import deg_d_greedy, deg_d_greedy_alpha
+from divtim.baselines import deg_d_greedy
 from divtim.cli import main as cli_main
 from divtim.cli import parse_result_doc
 from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, EntropyDiversity,
@@ -26,7 +26,7 @@ from divtim.selector import build_seed_set
 from divtim.simulator import simulate
 
 import oracles
-from conftest import corpus_from_sets, make_graph, make_profiles
+from conftest import corpus_from_sets, coverage_fraction, make_graph, make_profiles
 from oracles import (exhaustive_expectation, hamming_sum_halved, hamming_sum_pairnorm,
                      hamming_sum_score, jaccard_sum_score, mismatch_pair_score)
 
@@ -358,7 +358,7 @@ def test_c07_greedy_near_optimality_on_fixed_corpus():
 
         best = 0.0
         for combo in itertools.combinations(range(n), k):
-            cov = corpus.target_total * corpus.coverage_fraction(combo)
+            cov = corpus.target_total * coverage_fraction(corpus, combo)
             fresh = _fresh_like(div, ps, g)
             for v in combo:
                 fresh.commit(v)
@@ -389,7 +389,7 @@ def test_c08_sampler_unbiasedness():
         ts = select_targets(g, "threshold", tau=0.0)
         seeds = sorted({0, 1 % g.node_count})
         corpus = generate_corpus(g, ts, model, 100_000, master_seed=31 + trial)
-        frac = corpus.coverage_fraction(seeds)
+        frac = coverage_fraction(corpus, seeds)
         _, exact_capital = exhaustive_expectation(g, model, seeds, targets=ts)
         exact_prob = exact_capital / ts.total_score
         cases.append(abs(frac - exact_prob))
@@ -422,7 +422,7 @@ def test_c09_lazy_greedy_equivalence():
 
 # ------------------------------------------------------------- criterion 10
 
-def test_c10_baseline_sanity():
+def test_c10_baseline_sanity(tmp_path):
     g = synth_graph(40, 3, seed=5)
     rng = np.random.default_rng(10)
     prefs = rng.uniform(0, 1, size=(g.node_count, 3))
@@ -430,11 +430,19 @@ def test_c10_baseline_sanity():
     degrees = g.out_degrees()
     expect = sorted(range(g.node_count), key=lambda v: (-degrees[v], v))[:6]
     top_degree_ok = seeds == expect
+    edges, pref_csv = tmp_path / "edges.txt", tmp_path / "prefs.csv"
+    save_graph(g, str(edges))
+    np.savetxt(pref_csv, prefs, delimiter=",", header="p1,p2,p3", comments="")
+    base = ["baseline", "deg-d", "--graph", str(edges), "--weight-mode", "explicit",
+            "--preferences", str(pref_csv), "--g-mode", "degree", "--k", "6"]
     mapping_ok = True
     for alpha in (0.0, 0.25, 0.5, 0.75, 1.0):
-        a = deg_d_greedy(g, prefs, "degree", gamma=1.0 - alpha, k=6)
-        b = deg_d_greedy_alpha(g, prefs, "degree", alpha=alpha, k=6)
-        mapping_ok = mapping_ok and seed_overlap(a, b, 6) == 1.0
+        runs = []
+        for flag, value in (("--gamma", 1.0 - alpha), ("--alpha", alpha)):
+            out = tmp_path / f"seeds{flag}{value}.txt"
+            assert cli_main([*base, flag, repr(value), "--out", str(out)]) == 0
+            runs.append(out.read_text(encoding="utf-8").split())
+        mapping_ok = mapping_ok and seed_overlap(*runs, 6) == 1.0
     _verdict(10, top_degree_ok and mapping_ok,
              "gamma=0 returns the top out-degree nodes; gamma = 1 - alpha "
              "parameterizations overlap 1.0")

@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
 
-from divtim.baselines import deg_d_greedy, deg_d_greedy_alpha
+from divtim.baselines import deg_d_greedy, node_gain_vector
+from divtim.cli import main
+from divtim.diversity import NumericDiversity
 from divtim.errors import ConfigError
-from divtim.metrics import seed_overlap
+from divtim.graph import save_graph, synth_graph
 
-from conftest import make_graph
+from conftest import graph_on, make_graph
+from oracles import reference_deg_d
 
 
 def three_node_graph():
@@ -43,22 +46,54 @@ def test_hand_traced_mixed_choice():
     assert seeds == [0, 1]
 
 
-def test_alpha_parameterization_matches_gamma():
-    g = three_node_graph()
+def test_alpha_parameterization_matches_gamma(tmp_path, capsys):
+    # baseline deg-d --alpha a prints the seeds of --gamma 1-a
+    edges, prefs = tmp_path / "edges.txt", tmp_path / "prefs.csv"
+    save_graph(synth_graph(40, 3, seed=5), str(edges))
     rng = np.random.default_rng(4)
-    prefs = rng.uniform(0, 1, size=(g.node_count, 3))
+    prefs.write_text("p1,p2,p3\n" + "".join(
+        ",".join(f"{x:.4f}" for x in rng.uniform(0, 1, size=3)) + "\n" for _ in range(40)),
+        encoding="utf-8")
+    base = ["baseline", "deg-d", "--graph", str(edges), "--weight-mode", "explicit",
+            "--preferences", str(prefs), "--g-mode", "degree", "--k", "6"]
     for alpha in (0.0, 0.3, 0.7, 1.0):
-        via_gamma = deg_d_greedy(g, prefs, "degree", gamma=1.0 - alpha, k=3)
-        via_alpha = deg_d_greedy_alpha(g, prefs, "degree", alpha=alpha, k=3)
-        assert seed_overlap(via_gamma, via_alpha, 3) == 1.0
+        assert main([*base, "--alpha", repr(alpha)]) == 0
+        via_alpha = capsys.readouterr().out
+        assert main([*base, "--gamma", repr(1.0 - alpha)]) == 0
+        assert via_alpha == capsys.readouterr().out
+        assert len(via_alpha.split()) == 6
+
+
+def test_matches_eager_reference_cut_at_first_zero_score():
+    rng = np.random.default_rng(31)
+    for trial in range(400):
+        n = int(rng.integers(1, 12))
+        pairs = rng.integers(0, n, size=(int(rng.integers(0, 2 * n + 1)), 2))
+        g = graph_on(n, sorted({(int(u), int(v)) for u, v in pairs if u != v}))
+        # some nodes have no out-edges and some an all-zero preference row
+        prefs = rng.uniform(0, 1, size=(n, 3)) * (rng.random((n, 1)) < 0.7)
+        gamma = float(rng.choice([0.0, 1.0, rng.uniform()]))
+        g_mode = ("unit", "degree")[trial % 2]
+        k = int(rng.integers(1, n + 2))
+        seeds = deg_d_greedy(g, prefs, g_mode, gamma, k)
+        eager = reference_deg_d(g, NumericDiversity(prefs, node_gain_vector(g, g_mode)),
+                                gamma, k)
+        cut = next((i for i, (_, score) in enumerate(eager) if score <= 0), len(eager))
+        assert seeds == [v for v, _ in eager[:cut]], trial
+
+
+def test_edgeless_graph():
+    g = graph_on(4, [])
+    prefs = np.eye(4)[:, :2]          # nodes 2 and 3 have no preference
+    assert deg_d_greedy(g, prefs, "unit", gamma=0.0, k=3) == []
+    assert deg_d_greedy(g, prefs, "degree", gamma=1.0, k=3) == []
+    assert deg_d_greedy(g, prefs, "unit", gamma=0.5, k=3) == [0, 1]
 
 
 def test_greedy_gains_non_increasing():
     g = three_node_graph()
     rng = np.random.default_rng(6)
     prefs = rng.uniform(0, 1, size=(g.node_count, 2))
-    from divtim.diversity import NumericDiversity
-    from divtim.baselines import node_gain_vector
     div = NumericDiversity(prefs, node_gain_vector(g, "unit"))
     seeds = deg_d_greedy(g, prefs, "unit", gamma=1.0, k=4)
     gains = []

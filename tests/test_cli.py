@@ -205,6 +205,28 @@ def test_unknown_config_key_lists_it(tmp_path, capsys):
     assert "grpah" in capsys.readouterr().err
 
 
+def test_config_key_given_twice_is_usage_error(tmp_path, capsys):
+    conf = tmp_path / "twice.conf"
+    conf.write_text("k=2\nseed=1\nk = 5\n", encoding="utf-8")
+    assert main(["select", "--config", str(conf), "--out", str(tmp_path / "x")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "lines 1 and 3" in err and "'k'" in err
+
+
+@pytest.mark.parametrize("sizing, kpt_lines", [
+    (["--epsilon", "0.5"], ["kpt_star", "kpt_plus"]), (["--theta-override", "300"], [])],
+    ids=["estimated", "override"])
+def test_kpt_lines_only_when_estimated(tmp_path, small_dataset, sizing, kpt_lines):
+    out = tmp_path / "out"
+    assert main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), "--k", "2", *sizing,
+                 "--out", str(out)]) == 0
+    doc = (out / "seeds_k2_a0.5.txt").read_text(encoding="utf-8")
+    assert [line.split(":")[0] for line in doc.splitlines()
+            if line.startswith("kpt_")] == kpt_lines
+
+
 def test_missing_graph_is_data_error(tmp_path):
     assert main(["select", "--graph", str(tmp_path / "nope.txt"),
                  "--out", str(tmp_path / "o")]) == 2
@@ -217,7 +239,7 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("case", ["numeric-u", "numeric-profiles", "baseline", "class-reward",
                                   "wide-row", "non-utf8", "synth-negative",
-                                  "metrics-value", "metrics-max"])
+                                  "metrics-value", "metrics-max", "hash-label"])
 def test_bad_input_is_one_line_data_error(tmp_path, case):
     edges = tmp_path / "edges.txt"
     edges.write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
@@ -225,6 +247,8 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
     prefs.write_text("node,p1,p2\na,0.1,0.9\nb,0.7,0.3\n", encoding="utf-8")
     wide = tmp_path / "wide.csv"         # row 3 has one cell more than the header
     wide.write_text("p1,p2\n0.1,0.9\n0.7,0.3,0.5\n0.2,0.2\n", encoding="utf-8")
+    hashed = tmp_path / "hashed.txt"     # a label that reads as a comment elsewhere
+    hashed.write_text("a #b 0.5\n#b c 0.5\n", encoding="utf-8")
     binary = tmp_path / "binary.txt"
     binary.write_bytes(b"a b 0.5\n\xff\xfe\x00 c 0.5\n")
     classes = tmp_path / "classes.txt"
@@ -249,6 +273,8 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
         "synth-negative": ["synth", "--nodes", "-1", "--out", str(tmp_path / "p.csv")],
         "metrics-value": metrics,
         "metrics-max": metrics,
+        "hash-label": ["simulate", "--graph", str(hashed), "--weight-mode", "explicit",
+                       "--seeds", "a", "--runs", "10"],
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-m", "divtim.cli", *argv], env=env,

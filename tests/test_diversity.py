@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import divtim
-from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, EntropyDiversity,
-                              HammingBallDiversity, NumericDiversity, aw_theoretical_max,
-                              hamming_balls, load_class_map)
+from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, Coverage,
+                              EntropyDiversity, HammingBallDiversity, NumericDiversity,
+                              aw_theoretical_max, hamming_balls, load_class_map)
 from divtim.errors import ConfigError, UsageError
 from divtim.graph import strong_components
 from divtim.sampler import batch_size
@@ -103,7 +103,7 @@ def test_ball_of_sink_is_empty():
     g = make_graph([("0", "1", 0.5)])
     ps = make_profiles([(0,), (0,)])
     hb = HammingBallDiversity(g, ps, radius=1)
-    assert hb.ball(1).tolist() == []
+    assert hb.covers(1).tolist() == []
     assert hb.gain(1) == 0.0
 
 
@@ -111,7 +111,7 @@ def test_ball_contains_identical_reachable_profile():
     g = make_graph([("0", "1", 0.5)])
     ps = make_profiles([(0, 1), (0, 1)], domain_sizes=[2, 2])
     hb = HammingBallDiversity(g, ps, radius=1)
-    assert hb.ball(0).tolist() == [1]
+    assert hb.covers(0).tolist() == [1]
 
 
 def test_hamming_distance_counts_mismatches():
@@ -122,7 +122,7 @@ def test_hamming_distance_counts_mismatches():
                         (None, 0), (None, 0)],       # one missing column: distance 1
                        domain_sizes=[2, 2])
     hb = HammingBallDiversity(g, ps, radius=1)
-    assert [hb.ball(v).tolist() for v in (0, 2, 4, 6)] == [[1], [], [5], [7]]
+    assert [hb.covers(v).tolist() for v in (0, 2, 4, 6)] == [[1], [], [5], [7]]
 
 
 def test_hamming_gain_is_uncovered_ball():
@@ -177,7 +177,7 @@ def test_hamming_balls_match_oracle_across_centre_chunks():
     for xi in (1, 2, 3):
         hb = HammingBallDiversity(g, ps, radius=xi)
         for v in range(n):
-            assert hb.ball(v).tolist() == sorted(oracles.hamming_ball(g, ps, v, xi))
+            assert hb.covers(v).tolist() == sorted(oracles.hamming_ball(g, ps, v, xi))
 
 
 def test_building_balls_imports_no_scipy():
@@ -190,6 +190,30 @@ def test_building_balls_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------------------ coverage
+
+def test_coverage_gains_and_value():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n, size = int(rng.integers(1, 10)), int(rng.integers(1, 30))
+        lists = [np.unique(rng.integers(0, size, size=rng.integers(0, 6))) for _ in range(n)]
+        ptr = np.concatenate([[0], np.cumsum([len(x) for x in lists])])
+        total = float(rng.uniform(0.5, 10.0))
+        cover = Coverage(ptr, np.concatenate(lists), size, total)
+        assert cover.gains().tolist() == [cover.gain(v) for v in range(n)]
+        covered = set()
+        for v in rng.permutation(n)[:rng.integers(0, n + 1)].tolist():
+            cover.commit(v)
+            covered |= set(lists[v].tolist())
+            assert cover.value() == total * len(covered) / size
+
+
+def test_coverage_of_empty_ground_set():
+    cover = Coverage(np.zeros(4, dtype=np.int64), np.zeros(0, dtype=np.int64), 0, 0)
+    assert cover.gains().tolist() == [0.0] * 3
+    assert cover.gain(1) == 0.0 and cover.value() == 0.0
 
 
 # ------------------------------------------------------------------- entropy

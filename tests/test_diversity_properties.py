@@ -147,7 +147,7 @@ def test_hamming_balls_match_oracle(case):
     g = graph_on(n, edges)
     ps = random_profiles(np.random.default_rng(seed), n, m, 3, missing_prob=missing)
     hb = HammingBallDiversity(g, ps, radius=xi)
-    assert hb.ball_ptr.shape == (n + 1,)
-    assert hb.ball_nodes.dtype == np.int32
+    assert hb.ptr.shape == (n + 1,)
+    assert hb.elements.dtype == np.int32
     for v in range(n):
-        assert hb.ball(v).tolist() == sorted(oracles.hamming_ball(g, ps, v, xi))
+        assert hb.covers(v).tolist() == sorted(oracles.hamming_ball(g, ps, v, xi))

@@ -4,14 +4,15 @@ import math
 import numpy as np
 import pytest
 
+from divtim.diversity import Coverage
 from divtim.errors import ConfigError
-from divtim.estimator import (compute_theta, estimate_params, expected_capital,
-                              kpt_estimation, refine_kpt)
+from divtim.estimator import (compute_theta, estimate_params, greedy_cover, kpt_estimation,
+                              refine_kpt)
 from divtim.graph import load_graph, select_targets
 from divtim.sampler import generate_corpus
 
-from conftest import make_graph
-from oracles import exhaustive_expectation
+from conftest import corpus_from_sets, coverage_fraction, make_graph
+from oracles import exhaustive_expectation, reference_greedy_cover
 
 # regression constant: ceil(lambda / 50) for n=1000, k=10, eps=0.1, ell=1,
 # frozen from the first direct evaluation of the sizing formula
@@ -60,7 +61,8 @@ def test_kpt_complete_graph_exits_first_round():
     n = 8
     g = make_graph([(str(u), str(v), 1.0) for u in range(n) for v in range(n) if u != v])
     ts = select_targets(g, "threshold", tau=0.0)
-    kpt, (set_ptr, members) = kpt_estimation(g, ts, "ic", k=2, ell=1.0, master_seed=5)
+    kpt, last_round = kpt_estimation(g, ts, "ic", k=2, ell=1.0, master_seed=5)
+    set_ptr, members = last_round.set_ptr, last_round.members
     assert kpt == pytest.approx(n / 2)
     assert len(set_ptr) > 1 and len(members) > 0
 
@@ -81,6 +83,19 @@ def test_refine_never_lowers_kpt():
     assert refined >= kpt
 
 
+def test_greedy_cover_matches_eager_reference():
+    # few nodes and short sets, so equal counts (ties) are common
+    rng = np.random.default_rng(53)
+    for trial in range(400):
+        n = int(rng.integers(1, 9))
+        sets = [(0, list(np.unique(rng.integers(0, n, size=rng.integers(1, 4)))))
+                for _ in range(int(rng.integers(1, 25)))]
+        corpus = corpus_from_sets(sets, n, 1.0)
+        k = int(rng.integers(1, n + 2))
+        expect = reference_greedy_cover(corpus.set_ptr, corpus.members, n, k)
+        assert greedy_cover(corpus, k) == expect, trial
+
+
 def test_estimate_params_pipeline_and_override():
     g = make_graph([(str(u), str((u + 1) % 10), 0.6) for u in range(10)])
     ts = select_targets(g, "threshold", tau=0.0)
@@ -90,29 +105,24 @@ def test_estimate_params_pipeline_and_override():
     assert params.kpt_plus >= params.kpt_star / 2  # refinement contract, loose form
     override = estimate_params(g, ts, "ic", k=2, theta_override=123)
     assert override.theta == 123
-
-
-def test_expected_capital_boundaries():
-    assert expected_capital(10, 10, 7.5) == pytest.approx(7.5)
-    assert expected_capital(0, 10, 7.5) == 0.0
-    with pytest.raises(ConfigError):
-        expected_capital(1, 0, 5.0)
-    with pytest.raises(ConfigError):
-        expected_capital(11, 10, 5.0)
-    with pytest.raises(ConfigError):
-        expected_capital(-1, 10, 5.0)
+    assert override.kpt_star is None and override.kpt_plus is None
 
 
 def test_expected_capital_forced_chain():
     g = make_graph([("u", "v", 1.0)], t={"u": 0.1, "v": 1.0})
     ts = select_targets(g, "threshold", tau=0.5)
     corpus = generate_corpus(g, ts, "ic", 64, master_seed=3)
-    covered = int(corpus.covered_mask([g.label_ids["u"]]).sum())
-    assert expected_capital(covered, corpus.theta, ts.total_score) == pytest.approx(1.0)
+    estimate = ts.total_score * coverage_fraction(corpus, [g.label_ids["u"]])
+    assert estimate == pytest.approx(1.0)
 
 
 def test_expected_capital_monotone_in_coverage():
-    values = [expected_capital(c, 20, 5.0) for c in range(0, 21, 2)]
+    # 20 elements worth 5.0 in all; node v covers elements 2v and 2v + 1
+    sets = Coverage(np.arange(0, 21, 2), np.arange(20), 20, 5.0)
+    values = [sets.value()]
+    for v in range(10):
+        sets.commit(v)
+        values.append(sets.value())
     assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -130,8 +140,7 @@ def test_expected_capital_unbiased_with_spread_scores():
         ts = select_targets(g, "threshold", tau=0.0)
         seeds = [0, 1]
         corpus = generate_corpus(g, ts, model, 100_000, master_seed=41 + trial)
-        covered = int(corpus.covered_mask(seeds).sum())
-        estimate = expected_capital(covered, corpus.theta, ts.total_score)
+        estimate = ts.total_score * coverage_fraction(corpus, seeds)
         _, exact = exhaustive_expectation(g, model, seeds, targets=ts)
         p = exact / ts.total_score
         stderr = ts.total_score * math.sqrt(p * (1 - p) / corpus.theta)

@@ -34,6 +34,12 @@ def test_duplicate_edge_rejected():
         make_graph([("A", "B", 0.5), ("A", "B", 0.4)])
 
 
+def test_label_starting_with_hash_is_data_error():
+    # every file that named "#b" first would read that line as a comment
+    with pytest.raises(FormatError, match="line 1: node label '#b'"):
+        load_graph(io.StringIO("a #b 0.5\n#b c 0.5\n"), "explicit")
+
+
 def test_explicit_weight_out_of_range():
     with pytest.raises(FormatError):
         make_graph([("A", "B", 1.5)])

@@ -9,7 +9,7 @@ from divtim.rng import stream
 from divtim.sampler import batch_size, generate_corpus, load_corpus_dump, sample_roots
 
 import oracles
-from conftest import corpus_from_sets, make_graph
+from conftest import corpus_from_sets, coverage_fraction, make_graph
 
 # chi-square critical value, 3 degrees of freedom, p = 0.01
 CHI2_3_P01 = 11.345
@@ -187,7 +187,7 @@ def test_corpus_dump_rejects_bad_lines(text):
 
 def test_coverage_fraction_and_scores():
     corpus = corpus_from_sets([(0, [0, 1]), (2, [2]), (0, [0])], 3, target_total=1.75)
-    assert corpus.coverage_fraction([0]) == pytest.approx(2 / 3)
-    assert corpus.coverage_fraction([2]) == pytest.approx(1 / 3)
-    assert corpus.coverage_fraction([0, 2]) == 1.0
+    assert coverage_fraction(corpus, [0]) == pytest.approx(2 / 3)
+    assert coverage_fraction(corpus, [2]) == pytest.approx(1 / 3)
+    assert coverage_fraction(corpus, [0, 2]) == 1.0
     assert corpus.target_total == 1.75

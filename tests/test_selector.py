@@ -1,14 +1,19 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
-from divtim.diversity import AttributeWiseDiversity, ClassDiversity, EntropyDiversity
+import divtim
+from divtim.diversity import AttributeWiseDiversity, ClassDiversity, Coverage, EntropyDiversity
 from divtim.errors import ConfigError
 from divtim.graph import select_targets, synth_graph
 from divtim.profiles import synth_profiles
 from divtim.sampler import generate_corpus
-from divtim.selector import build_seed_set, objective_value
+from divtim.selector import build_seed_set, lazy_greedy, objective_value
 
-from conftest import corpus_from_sets, make_graph, make_profiles, random_profiles
+from conftest import (corpus_from_sets, coverage_fraction, make_graph, make_profiles,
+                      random_profiles)
 from oracles import reference_seed_set
 
 
@@ -149,7 +154,7 @@ def test_covered_ids_grow_and_match():
     corpus = manual_corpus([(0, [0, 1]), (1, [1]), (2, [2])], n=3)
     ps = flat_profiles(3)
     res = build_seed_set(corpus, 2, 1.0, AttributeWiseDiversity(ps))
-    assert res.expected_capital == corpus.target_total * corpus.coverage_fraction(res.seeds)
+    assert res.expected_capital == corpus.target_total * coverage_fraction(corpus, res.seeds)
 
 
 def test_objective_value_mixing():
@@ -218,3 +223,28 @@ def test_matches_reference_greedy_bitwise(name, lazy):
             assert res.seeds == seeds
             assert [(s.capital_gain, s.diversity_gain, s.combined_gain)
                     for s in res.trace] == trace
+
+
+def test_lazy_greedy_ties_stop_and_per_term_gains():
+    # node 0 covers {0}, nodes 1 and 3 cover {1, 2}, node 2 covers {0}
+    ptr, elements = np.array([0, 1, 3, 4, 6]), np.array([0, 1, 2, 0, 1, 2])
+    cover = Coverage(ptr, elements, 3, 3.0)
+    # 1 beats its tie 3; after 0 every gain is 0, so k = 4 stops at two picks
+    assert lazy_greedy(4, [(1.0, cover, cover.gains())]) == [(1, [2.0], 2.0), (0, [1.0], 1.0)]
+    assert cover.committed == (0, 1)
+
+    cover.reset()
+    classes = ClassDiversity([0, 0, 1, 1])
+    picks = lazy_greedy(2, [(0.25, cover, cover.gains()),
+                            (0.75, classes, [classes.gain(v) for v in range(4)])])
+    # 1 scores 0.25 * 2 + 0.75 * 1; then 2 (new element, new class) beats 3 and 0
+    assert picks == [(1, [2.0, 1.0], 1.25), (2, [1.0, 1.0], 1.0)]
+    assert cover.committed == classes.committed == (1, 2)
+
+
+def test_only_the_selector_imports_heapq():
+    # one greedy: every other module selects through selector.lazy_greedy
+    importers = sorted(path.name for path in Path(divtim.__file__).parent.glob("*.py")
+                       if re.search(r"^\s*(import|from)\s+heapq\b",
+                                    path.read_text(encoding="utf-8"), re.M))
+    assert importers == ["selector.py"]
