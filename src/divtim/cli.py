@@ -92,18 +92,6 @@ def _load_graph_from_args(args) -> DiffusionGraph:
     return g
 
 
-def _rows_by_node(path: str, graph) -> tuple[np.ndarray, list[str]]:
-    """Numeric CSV (matrix, column names), rows in graph node order if labeled."""
-    mat, names, labels = profiles.load_numeric_matrix(path)
-    if labels is None:
-        return mat, names
-    row_of = {lab: i for i, lab in enumerate(labels)}
-    missing = next((lab for lab in graph.labels if lab not in row_of), None)
-    if missing is not None:
-        raise FormatError(f"{path}: no row for graph node {missing!r}")
-    return mat[[row_of[lab] for lab in graph.labels]], names
-
-
 def _targets_from_args(graph, args):
     """The target set and the value that chose it (tau or percent)."""
     if args.target_mode == "threshold":
@@ -136,9 +124,7 @@ def _build_diversity(graph, profile_set, args):
     if kind in ("numeric-u", "numeric-w"):
         if not args.preferences:
             raise ConfigError("numeric diversity needs --preferences")
-        mat, _ = _rows_by_node(args.preferences, graph)
-        if mat.shape[0] != graph.node_count:
-            raise ConfigError("preference matrix must cover every node")
+        mat, _ = profiles.load_numeric_matrix(args.preferences, graph.labels)
         prefs = profiles.derive_numeric_preferences(np.nan_to_num(mat))
         g_mode = "unit" if kind == "numeric-u" else "degree"
         return diversity.NumericDiversity(prefs, baselines.node_gain_vector(graph, g_mode))
@@ -291,9 +277,7 @@ def cmd_select(args) -> int:
     if args.profiles:
         profile_set = profiles.load_profiles(args.profiles, node_labels=graph.labels)
     elif args.numeric_profiles:
-        mat, names = _rows_by_node(args.numeric_profiles, graph)
-        if mat.shape[0] != graph.node_count:
-            raise ConfigError("numeric profile matrix must cover every node")
+        mat, names = profiles.load_numeric_matrix(args.numeric_profiles, graph.labels)
         profile_set = profiles.quantile_discretize(mat, args.bins, names)
     # One diversity function serves the whole grid; reset() clears its
     # selection but keeps what it built (hamming balls).
@@ -413,7 +397,7 @@ def cmd_baseline(args) -> int:
     graph = _load_graph_from_args(args)
     if not args.preferences:
         raise UsageError("baseline needs --preferences")
-    mat, _ = _rows_by_node(args.preferences, graph)
+    mat, _ = profiles.load_numeric_matrix(args.preferences, graph.labels)
     prefs = profiles.derive_numeric_preferences(np.nan_to_num(mat))
     if args.gamma is not None and args.alpha is not None:
         raise UsageError("give either --gamma or --alpha, not both")

@@ -19,7 +19,7 @@ from .errors import ConfigError, FormatError, UsageError
 from .graph import DiffusionGraph, strong_components
 from .profiles import MISSING, ProfileSet
 from .sampler import _expand, batch_size, live_edge_search
-from .textio import data_lines, once
+from .textio import data_lines, node_rows
 
 
 def _h(mass: float) -> float:
@@ -468,22 +468,17 @@ def load_class_map(source: str | TextIO, node_labels: Sequence[str]
     classes = np.full(len(node_labels), -1, dtype=np.int64)
     rewards = np.ones(len(node_labels), dtype=np.float64)
     class_ids: dict[str, int] = {}
-    first: dict[str, int] = {}
-    for lineno, line in data_lines(source):
-        parts = line.split()
-        if len(parts) not in (2, 3):
+    lines = ((lineno, line.split()) for lineno, line in data_lines(source))
+    for lineno, v, rest in node_rows(lines, index, "class map line"):
+        if len(rest) not in (1, 2):
             raise FormatError(f"class map line {lineno}: expected 'node class [reward]'")
-        if parts[0] not in index:
-            raise FormatError(f"class map line {lineno}: unknown node {parts[0]!r}")
-        once(first, parts[0], lineno, "class map lines")
-        cid = class_ids.setdefault(parts[1], len(class_ids))
-        classes[index[parts[0]]] = cid
-        if len(parts) == 3:
+        classes[v] = class_ids.setdefault(rest[0], len(class_ids))
+        if len(rest) == 2:
             try:
-                r = float(parts[2])
+                r = float(rest[1])
             except ValueError as exc:
-                raise FormatError(f"class map line {lineno}: bad reward {parts[2]!r}") from exc
+                raise FormatError(f"class map line {lineno}: bad reward {rest[1]!r}") from exc
             if not math.isfinite(r) or r <= 0:
                 raise FormatError(f"class map line {lineno}: reward must be positive and finite")
-            rewards[index[parts[0]]] = r
+            rewards[v] = r
     return classes, rewards

@@ -16,7 +16,7 @@ from typing import TextIO
 import numpy as np
 
 from .errors import ConfigError, FormatError
-from .textio import data_lines, once
+from .textio import data_lines, node_rows
 
 WEIGHT_MODES = ("explicit", "uniform_indegree", "interaction")
 
@@ -254,21 +254,17 @@ def load_graph(source: str | TextIO, weight_mode: str = "uniform_indegree") -> D
 def load_node_weights(graph: DiffusionGraph, source: str | TextIO) -> DiffusionGraph:
     """Read ``node t`` lines and attach target scores; t must lie in (0, 1]."""
     t = graph.t.copy()
-    first: dict[str, int] = {}
-    for lineno, line in data_lines(source):
-        parts = line.split()
-        if len(parts) != 2:
+    lines = ((lineno, line.split()) for lineno, line in data_lines(source))
+    for lineno, v, rest in node_rows(lines, graph.label_ids, "node weight line"):
+        if len(rest) != 1:
             raise FormatError(f"node weight line {lineno}: expected 'node t'")
-        if parts[0] not in graph.label_ids:
-            raise FormatError(f"node weight line {lineno}: unknown node {parts[0]!r}")
-        once(first, parts[0], lineno, "node weight lines")
         try:
-            val = float(parts[1])
+            val = float(rest[0])
         except ValueError as exc:
-            raise FormatError(f"node weight line {lineno}: bad score {parts[1]!r}") from exc
+            raise FormatError(f"node weight line {lineno}: bad score {rest[0]!r}") from exc
         if not (0 < val <= 1):
             raise FormatError(f"node weight line {lineno}: score must lie in (0, 1]")
-        t[graph.label_ids[parts[0]]] = val
+        t[v] = val
     return graph.with_target_scores(t)
 
 

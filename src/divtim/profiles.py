@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import csv
 import io
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, FormatError
 from .rng import stream
-from .textio import once, open_text
+from .textio import node_rows, open_text
 
 MISSING = -1
 
@@ -93,78 +92,65 @@ class ProfileSet:
         return int(sum(c.sum() for c in self.value_counts))
 
 
-def _rows_from_csv(source) -> tuple[list[str], list[list[str]]]:
+def _node_cells(source, node_labels: list[str] | None
+                ) -> tuple[list[str], list[tuple[int, list[str]] | None]]:
+    """A CSV's attribute names and its rows in node order.
+
+    A leading ``node`` column keys rows by node label; otherwise rows map
+    to nodes by position, one row per node.  Without ``node_labels`` the
+    nodes are the rows, in file order.  Each node gets (row number, one
+    cell per attribute), or None when a keyed file has no row for it.
+    """
     with open_text(source, newline="") as fh:
         reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise FormatError("profile CSV is empty") from None
-        header, rows = [h.strip() for h in header], list(reader)
-    if header and header[0] == "node":
-        first: dict[str, int] = {}
-        for rowno, row in enumerate(rows, start=2):
-            if not row:
-                raise FormatError(f"row {rowno}: no node id")
-            once(first, row[0], rowno, "rows")
-    return header, rows
+        header = [h.strip() for h in next(reader, [])]
+        rows = list(enumerate(reader, start=2))
+    keyed = header[:1] == ["node"]
+    names = header[1:] if keyed else header
+    if not names:
+        raise FormatError("CSV declares no attributes")
+    for rowno, row in rows:
+        if len(row) != len(header):
+            raise FormatError(f"row {rowno}: {len(row)} cells for {len(header)} columns")
+    if not keyed:
+        if node_labels is not None and len(rows) != len(node_labels):
+            raise FormatError(f"positional CSV has {len(rows)} rows for {len(node_labels)} nodes")
+        return names, rows
+    if node_labels is None:
+        node_labels = [row[0] for _, row in rows]
+    index = {lab: i for i, lab in enumerate(node_labels)}
+    by_node: list[tuple[int, list[str]] | None] = [None] * len(node_labels)
+    for rowno, v, cells in node_rows(rows, index, "row"):
+        by_node[v] = (rowno, cells)
+    return names, by_node
 
 
 def load_profiles(source, schema: Schema | None = None,
                   node_labels: list[str] | None = None) -> ProfileSet:
     """Load a profile CSV (header row, empty cell = missing value).
 
-    A leading ``node`` column keys rows by external node id; otherwise
-    rows map positionally to dense ids.  Without an explicit schema the
-    domains are inferred from the observed values.
+    A leading ``node`` column keys rows by external node id, and a node
+    without a row has every value missing; otherwise rows map positionally
+    to dense ids.  Without an explicit schema the domains are inferred
+    from the observed values.
     """
-    header, rows = _rows_from_csv(source)
-    keyed = bool(header) and header[0] == "node"
-    attr_names = header[1:] if keyed else header
-    if not attr_names:
-        raise FormatError("profile CSV declares no attributes")
-
+    attr_names, by_node = _node_cells(source, node_labels)
     if schema is not None:
         if attr_names != schema.attributes:
             unknown = [a for a in attr_names if a not in schema.attributes]
             raise FormatError(f"unknown attribute columns: {unknown or attr_names}")
     else:
-        observed: list[dict[str, None]] = [dict() for _ in attr_names]
-        for row in rows:
-            cells = row[1:] if keyed else row
-            for j, cell in enumerate(cells):
-                if j < len(attr_names) and cell != "":
-                    observed[j].setdefault(cell)
+        rows = [cells for _, cells in filter(None, by_node)]
         schema = Schema(attributes=list(attr_names),
-                        domains=[sorted(o.keys()) for o in observed])
+                        domains=[sorted({row[j] for row in rows if row[j] != ""})
+                                 for j in range(len(attr_names))])
 
-    if keyed:
-        if node_labels is None:
-            node_labels = [row[0] for row in rows]
-        index = {lab: i for i, lab in enumerate(node_labels)}
-        n = len(node_labels)
-    else:
-        n = len(node_labels) if node_labels is not None else len(rows)
-        if node_labels is not None and len(rows) != n:
-            raise FormatError(
-                f"positional profile CSV has {len(rows)} rows for {n} nodes")
-        index = None
-
-    codes = np.full((n, schema.m), MISSING, dtype=np.int32)
-    for rowno, row in enumerate(rows):
-        if keyed:
-            if row[0] not in index:
-                raise FormatError(f"profile row {rowno + 2}: unknown node {row[0]!r}")
-            v = index[row[0]]
-            cells = row[1:]
-        else:
-            v = rowno
-            cells = row
-        if len(cells) != schema.m:
-            raise FormatError(f"profile row {rowno + 2}: expected {schema.m} cells")
-        for j, cell in enumerate(cells):
-            if cell != "":
-                codes[v, j] = schema.code(j, cell)
+    codes = np.full((len(by_node), schema.m), MISSING, dtype=np.int32)
+    for v, entry in enumerate(by_node):
+        if entry is not None:
+            for j, cell in enumerate(entry[1]):
+                if cell != "":
+                    codes[v, j] = schema.code(j, cell)
     return ProfileSet(schema=schema, codes=codes)
 
 
@@ -219,24 +205,25 @@ def synth_profiles(node_count: int, m: int = 10, domain_sizes: int | list[int] =
     return ProfileSet(schema=schema, codes=codes)
 
 
-def load_numeric_matrix(source) -> tuple[np.ndarray, list[str], list[str] | None]:
-    """Read a CSV of reals; returns (matrix, attribute names, node labels or None)."""
-    header, rows = _rows_from_csv(source)
-    keyed = bool(header) and header[0] == "node"
-    names = header[1:] if keyed else header
-    labels = [row[0] for row in rows] if keyed else None
-    mat = np.full((len(rows), len(names)), np.nan)
-    for i, row in enumerate(rows):
-        cells = row[1:] if keyed else row
-        if len(cells) > len(names):
-            raise FormatError(f"row {i + 2}: {len(cells)} cells for {len(names)} columns")
+def load_numeric_matrix(source, node_labels: list[str]) -> tuple[np.ndarray, list[str]]:
+    """Read a CSV of reals, keyed or positional like a profile CSV, into
+    (matrix with one row per node in node order, attribute names).
+
+    Every node needs a row; an empty cell is NaN.
+    """
+    names, by_node = _node_cells(source, node_labels)
+    mat = np.full((len(by_node), len(names)), np.nan)
+    for v, entry in enumerate(by_node):
+        if entry is None:
+            raise FormatError(f"no row for node {node_labels[v]!r}")
+        rowno, cells = entry
         for j, cell in enumerate(cells):
             if cell != "":
                 try:
-                    mat[i, j] = float(cell)
+                    mat[v, j] = float(cell)
                 except ValueError as exc:
-                    raise FormatError(f"row {i + 2}: bad number {cell!r}") from exc
-    return mat, names, labels
+                    raise FormatError(f"row {rowno}: bad number {cell!r}") from exc
+    return mat, names
 
 
 def quantile_discretize(matrix: np.ndarray, bins: int,
@@ -254,14 +241,11 @@ def quantile_discretize(matrix: np.ndarray, bins: int,
     codes = np.full((n, m), MISSING, dtype=np.int32)
     for j in range(m):
         col = matrix[:, j]
-        finite = col[np.isfinite(col)]
-        if len(finite) == 0:
+        finite = np.isfinite(col)
+        if not finite.any():
             raise FormatError(f"attribute {attr_names[j]!r} has no finite values")
-        bounds = np.quantile(finite, [i / bins for i in range(1, bins)])
-        for i in range(n):
-            x = col[i]
-            if math.isfinite(x):
-                codes[i, j] = int(np.searchsorted(bounds, x, side="left"))
+        bounds = np.quantile(col[finite], [i / bins for i in range(1, bins)])
+        codes[finite, j] = np.searchsorted(bounds, col[finite], side="left")
     schema = Schema(attributes=list(attr_names),
                     domains=[[str(i + 1) for i in range(bins)] for _ in range(m)])
     return ProfileSet(schema=schema, codes=codes)

@@ -238,8 +238,8 @@ def test_usage_error_exit_code():
 
 
 @pytest.mark.parametrize("case", ["numeric-u", "numeric-profiles", "baseline", "class-reward",
-                                  "wide-row", "non-utf8", "synth-negative",
-                                  "metrics-value", "metrics-max", "hash-label"])
+                                  "wide-row", "short-row", "no-attributes", "non-utf8",
+                                  "synth-negative", "metrics-value", "metrics-max", "hash-label"])
 def test_bad_input_is_one_line_data_error(tmp_path, case):
     edges = tmp_path / "edges.txt"
     edges.write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
@@ -247,6 +247,10 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
     prefs.write_text("node,p1,p2\na,0.1,0.9\nb,0.7,0.3\n", encoding="utf-8")
     wide = tmp_path / "wide.csv"         # row 3 has one cell more than the header
     wide.write_text("p1,p2\n0.1,0.9\n0.7,0.3,0.5\n0.2,0.2\n", encoding="utf-8")
+    short = tmp_path / "short.csv"       # row 3 has one cell fewer than the header
+    short.write_text("p1,p2\n0.1,0.9\n0.7\n0.2,0.2\n", encoding="utf-8")
+    bare = tmp_path / "bare.csv"         # keyed, but no attribute columns
+    bare.write_text("node\na\nb\nc\n", encoding="utf-8")
     hashed = tmp_path / "hashed.txt"     # a label that reads as a comment elsewhere
     hashed.write_text("a #b 0.5\n#b c 0.5\n", encoding="utf-8")
     binary = tmp_path / "binary.txt"
@@ -269,6 +273,8 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
         "baseline": ["baseline", "deg-d", *graph, "--preferences", str(prefs)],
         "class-reward": [*select, "--diversity", "class", "--class-map", str(classes)],
         "wide-row": [*select, "--numeric-profiles", str(wide)],
+        "short-row": [*select, "--numeric-profiles", str(short)],
+        "no-attributes": ["baseline", "deg-d", *graph, "--preferences", str(bare)],
         "non-utf8": [*select, "--graph", str(binary)],
         "synth-negative": ["synth", "--nodes", "-1", "--out", str(tmp_path / "p.csv")],
         "metrics-value": metrics,
@@ -284,32 +290,58 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
     assert len(proc.stderr.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("case, where", [
-    ("node-weights", "lines 1 and 3"), ("class-map", "lines 1 and 4"),
-    ("profiles", "rows 2 and 4"), ("numeric-profiles", "rows 3 and 5"),
-    ("preferences", "rows 3 and 5")])
-def test_node_listed_twice_is_one_line_data_error(tmp_path, capsys, case, where):
+def _run_node_keyed(tmp_path, case, text):
+    """Run select over the graph a -> b -> c with ``text`` as the node-keyed
+    input ``case``; ``baseline`` runs baseline deg-d with it as --preferences."""
     edges = tmp_path / "edges.txt"
     edges.write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
-    text = {"node-weights": "a 0.5\nb 1\na 0.25\n",
-            "class-map": "a red\nb blue\nc red\na blue\n",
-            "profiles": "node,x\na,1\nb,2\na,3\n",
-            "numeric-profiles": "node,p1,p2\na,0.1,0.9\nb,0.7,0.3\nc,0.5,0.5\nb,0.2,0.2\n"}
-    text["preferences"] = text["numeric-profiles"]
     listed, profiles = tmp_path / "listed.txt", tmp_path / "profiles.csv"
-    listed.write_text(text[case], encoding="utf-8")
+    listed.write_text(text, encoding="utf-8")
     profiles.write_text("node,x\na,1\nb,2\nc,1\n", encoding="utf-8")
+    graph = ["--graph", str(edges), "--weight-mode", "explicit"]
+    if case == "baseline":
+        return main(["baseline", "deg-d", *graph, "--preferences", str(listed), "--k", "1"])
     flags = {"node-weights": ["--node-weights", str(listed), "--profiles", str(profiles)],
              "class-map": ["--diversity", "class", "--class-map", str(listed)],
              "profiles": ["--profiles", str(listed)],
              "numeric-profiles": ["--numeric-profiles", str(listed), "--bins", "2"],
              "preferences": ["--diversity", "numeric-u", "--preferences", str(listed)]}[case]
-    code = main(["select", "--graph", str(edges), "--weight-mode", "explicit", "--k", "1",
-                 "--theta-override", "20", "--out", str(tmp_path / "out"), *flags])
+    return main(["select", *graph, "--k", "1", "--theta-override", "20",
+                 "--out", str(tmp_path / "out"), *flags])
+
+
+NUMERIC_ROWS = "node,p1,p2\na,0.1,0.9\nb,0.7,0.3\nc,0.5,0.5\n"
+
+
+@pytest.mark.parametrize("case, where", [
+    ("node-weights", "lines 1 and 3"), ("class-map", "lines 1 and 4"),
+    ("profiles", "rows 2 and 4"), ("numeric-profiles", "rows 3 and 5"),
+    ("preferences", "rows 3 and 5")])
+def test_node_listed_twice_is_one_line_data_error(tmp_path, capsys, case, where):
+    text = {"node-weights": "a 0.5\nb 1\na 0.25\n",
+            "class-map": "a red\nb blue\nc red\na blue\n",
+            "profiles": "node,x\na,1\nb,2\na,3\n",
+            "numeric-profiles": NUMERIC_ROWS + "b,0.2,0.2\n",
+            "preferences": NUMERIC_ROWS + "b,0.2,0.2\n"}[case]
+    code = _run_node_keyed(tmp_path, case, text)
     err = capsys.readouterr().err
     assert code == 2
     assert len(err.strip().splitlines()) == 1
     assert where in err and "listed twice" in err
+
+
+@pytest.mark.parametrize("case, where", [
+    ("node-weights", "line 2"), ("class-map", "line 4"), ("profiles", "row 3"),
+    ("numeric-profiles", "row 5"), ("preferences", "row 5"), ("baseline", "row 5")])
+def test_unknown_node_is_one_line_data_error(tmp_path, capsys, case, where):
+    text = {"node-weights": "a 0.5\nzzz 1\n",
+            "class-map": "a red\nb blue\nc red\nzzz blue\n",
+            "profiles": "node,x\na,1\nzzz,2\n"}.get(case, NUMERIC_ROWS + "zzz,0.2,0.2\n")
+    code = _run_node_keyed(tmp_path, case, text)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1
+    assert f"{where}: unknown node 'zzz'" in err
 
 
 def _docs_without_timing(out):

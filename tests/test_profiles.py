@@ -138,10 +138,9 @@ def test_numeric_preferences_reject_negative():
 
 
 def test_numeric_matrix_loader():
-    mat, names, labels = load_numeric_matrix(io.StringIO("node,x,y\nn1,1,2\nn2,3,4\n"))
+    mat, names = load_numeric_matrix(io.StringIO("node,x,y\nn2,3,4\nn1,1,2\n"), ["n1", "n2"])
     assert names == ["x", "y"]
-    assert labels == ["n1", "n2"]
-    assert np.allclose(mat, [[1, 2], [3, 4]])
+    assert np.allclose(mat, [[1, 2], [3, 4]])   # rows in node order, not file order
 
 
 def test_keyed_profile_rows(tmp_path):

@@ -1,12 +1,17 @@
 """The shared input rules: decorated input reads like plain input, everywhere."""
 
 import io
+import re
+from pathlib import Path
 
 import pytest
+
+import divtim
 
 from divtim.cli import _read_config_file, main
 from divtim.diversity import load_class_map
 from divtim.graph import load_graph, load_node_weights, save_graph, synth_graph
+from divtim.profiles import load_numeric_matrix, load_profiles
 from divtim.sampler import load_corpus_dump
 from divtim.textio import data_lines
 
@@ -33,13 +38,16 @@ LOADERS = {
 }
 
 
+BOM = "\ufeff"   # as Excel's "CSV UTF-8" writes it
+
+
 def decorate(text: str) -> str:
-    """The same data lines among comments and blank lines, with trailing
-    spaces and CRLF endings."""
+    """The same data lines after a byte-order mark, among comments and blank
+    lines, with trailing spaces and CRLF endings."""
     out = ["# a comment before the data", ""]
     for line in text.splitlines():
         out += [line + "  \t", "   # an indented comment", "", "\t"]
-    return "\r\n".join(out) + "\r\n"
+    return BOM + "\r\n".join(out) + "\r\n"
 
 
 def test_data_lines_numbers_every_line_and_skips_the_rest():
@@ -56,8 +64,8 @@ def test_decorated_input_reads_like_plain_input(tmp_path, name, given):
     expect = LOADERS[name](str(plain))
     if given == "path":
         assert LOADERS[name](str(decorated)) == expect
-    else:   # newline="" hands the loader the raw CRLF endings
-        with open(decorated, encoding="utf-8", newline="") as fh:
+    else:   # newline="" hands the loader the raw CRLF endings; the caller decodes the mark
+        with open(decorated, encoding="utf-8-sig", newline="") as fh:
             assert LOADERS[name](fh) == expect
             assert not fh.closed
 
@@ -86,3 +94,20 @@ def test_corpus_dump_writes_to_an_open_file_as_to_a_path(tmp_path):
     assert not buf.closed
     assert buf.getvalue() == path.read_text(encoding="utf-8") == PLAIN["corpus-dump"]
 
+
+@pytest.mark.parametrize("loader", ["profiles", "numeric"])
+def test_byte_order_mark_keeps_a_csv_keyed(tmp_path, loader):
+    text = "node,x\nb,1\na,2\nc,1\n"
+    plain, marked = tmp_path / "plain.csv", tmp_path / "marked.csv"
+    plain.write_text(text, encoding="utf-8")
+    marked.write_text(BOM + text, encoding="utf-8")
+    load = {"profiles": lambda src: load_profiles(src, node_labels=BASE.labels).codes.tolist(),
+            "numeric": lambda src: load_numeric_matrix(src, BASE.labels)[0].tolist()}[loader]
+    assert load(str(marked)) == load(str(plain))
+
+
+def test_only_textio_judges_node_keyed_rows():
+    # one rule: every node-keyed input maps its rows through textio.node_rows
+    holders = sorted(path.name for path in Path(divtim.__file__).parent.glob("*.py")
+                     if re.search("unknown node|listed twice", path.read_text(encoding="utf-8")))
+    assert holders == ["textio.py"]
