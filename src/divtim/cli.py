@@ -22,7 +22,7 @@ from . import baselines, diversity, estimator, metrics, profiles, sampler, selec
 from .errors import ConfigError, FormatError, UsageError
 from .graph import (WEIGHT_MODES, DiffusionGraph, derive_targets_indegree, load_graph,
                     load_node_weights, select_targets)
-from .textio import data_lines
+from .textio import data_lines, node_rows
 
 DIVERSITY_KINDS = ("aw", "hamming", "entropy", "class", "numeric-u", "numeric-w")
 
@@ -84,19 +84,20 @@ def _config_defaults(parser: _Parser, path: str) -> dict:
 def _load_graph_from_args(args) -> DiffusionGraph:
     if not args.graph:
         raise UsageError("a graph path is required")
-    g = load_graph(args.graph, args.weight_mode)
+    return load_graph(args.graph, args.weight_mode)
+
+
+def _targets_from_args(args):
+    """The graph with its target scores, the target set and the value that
+    chose it (tau or percent)."""
+    g = _load_graph_from_args(args)
     if args.node_weights:
         g = load_node_weights(g, args.node_weights)
     if args.derive_targets == "indegree":
         g = derive_targets_indegree(g)
-    return g
-
-
-def _targets_from_args(graph, args):
-    """The target set and the value that chose it (tau or percent)."""
     if args.target_mode == "threshold":
-        return select_targets(graph, "threshold", tau=args.tau), args.tau
-    return select_targets(graph, "top_percent", percent=args.percent), args.percent
+        return g, select_targets(g, "threshold", tau=args.tau), args.tau
+    return g, select_targets(g, "top_percent", percent=args.percent), args.percent
 
 
 def _build_diversity(graph, profile_set, args):
@@ -143,6 +144,17 @@ def _parse_list(text: str, cast) -> list:
     if not items:
         raise UsageError("empty value list")
     return [_cast(tok, cast) for tok in items]
+
+
+def _grid_list(flag: str, text: str, cast) -> tuple[list[str], list]:
+    """A grid flag's tokens and their values; a value given twice is a usage error."""
+    tokens = _parse_list(text, str)
+    values = [_cast(tok, cast) for tok in tokens]
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            raise UsageError(f"--{flag} value {value!r} given twice "
+                             f"({tokens[values.index(value)]!r} and {tokens[i]!r})")
+    return tokens, values
 
 
 def _result_doc(res: selector.SeedResult, labels, config_pairs, extra) -> str:
@@ -215,10 +227,15 @@ def _write_metrics(path: str, rows: list[dict[str, str]]) -> None:
 
 # ---------------------------------------------------------------------- select
 
-def _add_common_graph_flags(p: _Parser) -> None:
+def _add_graph_flags(p: _Parser) -> None:
     p.add_argument("--config", default="")
     p.add_argument("--graph")
     p.add_argument("--weight-mode", choices=WEIGHT_MODES, default="uniform_indegree")
+
+
+def _add_target_flags(p: _Parser) -> None:
+    """The graph flags plus target scores, target set and diffusion model."""
+    _add_graph_flags(p)
     p.add_argument("--node-weights", default="")
     p.add_argument("--derive-targets", choices=("none", "indegree"), default="none")
     p.add_argument("--target-mode", choices=("threshold", "top_percent"), default="top_percent")
@@ -229,7 +246,7 @@ def _add_common_graph_flags(p: _Parser) -> None:
 
 def _select_parser(sub) -> _Parser:
     p = sub.add_parser("select", help="run estimation, sampling, and seed selection")
-    _add_common_graph_flags(p)
+    _add_target_flags(p)
     p.add_argument("--profiles", default="")
     p.add_argument("--numeric-profiles", default="",
                    help="CSV of reals, quantile-binned into categorical profiles")
@@ -263,11 +280,9 @@ CONFIG_KEYS = ("graph", "weight_mode", "node_weights", "derive_targets", "target
 def cmd_select(args) -> int:
     if not args.out:
         raise UsageError("select needs --out DIR")
-    graph = _load_graph_from_args(args)
-    targets, target_param = _targets_from_args(graph, args)
-    ks = _parse_list(args.k, int)
-    alpha_tokens = _parse_list(args.alpha, str)
-    alphas = [_cast(tok, float) for tok in alpha_tokens]
+    graph, targets, target_param = _targets_from_args(args)
+    _, ks = _grid_list("k", args.k, int)
+    alpha_tokens, alphas = _grid_list("alpha", args.alpha, float)
     if not all(0.0 <= alpha <= 1.0 for alpha in alphas):
         raise ConfigError("alpha must lie in [0, 1]")
 
@@ -328,7 +343,7 @@ def cmd_select(args) -> int:
 
 def _simulate_parser(sub) -> _Parser:
     p = sub.add_parser("simulate", help="Monte Carlo forward diffusion for a seed set")
-    _add_common_graph_flags(p)
+    _add_target_flags(p)
     p.add_argument("--seeds", help="comma-separated node labels")
     p.add_argument("--seeds-file", help="file with one node label per line")
     p.add_argument("--from-result", help="read the seeds line of a result document")
@@ -339,21 +354,19 @@ def _simulate_parser(sub) -> _Parser:
 
 
 def cmd_simulate(args) -> int:
-    graph = _load_graph_from_args(args)
-    targets, target_param = _targets_from_args(graph, args)
+    graph, targets, target_param = _targets_from_args(args)
     if args.seeds:
-        labels = _parse_list(args.seeds, str)
+        listed, where = enumerate(_parse_list(args.seeds, str), start=1), "seed"
     elif args.seeds_file:
-        labels = [line for _, line in data_lines(args.seeds_file)]
+        listed, where = data_lines(args.seeds_file), "seeds file line"
     elif args.from_result:
-        doc = parse_result_doc(args.from_result)
-        labels = doc.get("seeds", "").split()
+        seeds = parse_result_doc(args.from_result).get("seeds", "").split()
+        listed, where = enumerate(seeds, start=1), "result seed"
     else:
         raise UsageError("provide --seeds, --seeds-file, or --from-result")
-    unknown = [lab for lab in labels if lab not in graph.label_ids]
-    if unknown:
-        raise FormatError(f"unknown seed nodes: {unknown}")
-    seed_ids = [graph.label_ids[lab] for lab in labels]
+    seed_ids = [v for _, v, _ in node_rows(((at, [label]) for at, label in listed),
+                                           graph.label_ids, where)]
+    labels = [graph.labels[v] for v in seed_ids]
     report = simulator.simulate(graph, args.model, seed_ids, args.runs, args.seed,
                                 targets=targets)
     if args.out:
@@ -382,7 +395,7 @@ def cmd_simulate(args) -> int:
 def _baseline_parser(sub) -> _Parser:
     p = sub.add_parser("baseline", help="degree/diversity greedy baseline")
     p.add_argument("kind", choices=("deg-d",))
-    _add_common_graph_flags(p)
+    _add_graph_flags(p)
     p.add_argument("--preferences", default="",
                    help="CSV of per-node numeric preference vectors")
     p.add_argument("--g-mode", choices=baselines.G_MODES, default="unit")

@@ -17,8 +17,7 @@ import numpy as np
 from .diversity import Coverage
 from .errors import ConfigError
 from .graph import DiffusionGraph, TargetSet
-from .rng import phase_seed, stream
-from .sampler import RRCorpus, batch_size, check_model, join_batches, rr_batch
+from .sampler import RRCorpus, RRStream
 from .selector import lazy_greedy
 
 KPT_PHASE = 101
@@ -29,9 +28,6 @@ DEFAULT_THETA_CAP = 2_000_000
 
 @dataclass
 class EstimationParams:
-    epsilon: float
-    ell: float
-    k: int
     kpt_star: float | None      # None when theta was given, not estimated
     kpt_plus: float | None
     theta: int
@@ -69,34 +65,28 @@ def kpt_estimation(graph: DiffusionGraph, targets: TargetSet, model: str, k: int
     Round i draws c_i = ceil((6*ell*ln n + 6*ln log2 n) * 2^i) sets and
     scores each by kappa = 1 - (1 - w/W)^k, where w is the in-degree mass
     of the set's members and W the total in-degree mass.  The first round
-    whose mean kappa exceeds 2^-i returns mean * n / 2.  Rounds take
-    consecutive sets of one stream of batches.  Also returns the last
+    whose mean kappa exceeds 2^-i returns mean * n / 2.  Round i reads
+    the next c_i sets of the phase's ``RRStream``.  Also returns the last
     round's sets as a corpus (None if no round ran), so the refinement
     stage can reuse them.
     """
-    check_model(graph, model)
     n = graph.node_count
     total_in = float(graph.edge_count)
-    base = phase_seed(master_seed, KPT_PHASE)
+    rr = RRStream(graph, targets, model, master_seed, KPT_PHASE)
     indeg = graph.in_degrees()
-    kpt, kappas, batches = 1.0, np.empty(0), []
-    start = c_i = 0
+    kpt, drawn, start, c_i = 1.0, None, 0, 0
     if n >= 2 and total_in > 0:
         for i in range(1, int(math.floor(math.log2(n)))):
             start += c_i
             c_i = math.ceil((6 * ell * math.log(n) + 6 * math.log(math.log2(n))) * 2 ** i)
-            while len(kappas) < start + c_i:
-                batches.append(rr_batch(graph, targets, model, stream(base, len(batches))))
-                _, ptr, members = batches[-1]
-                width = np.add.reduceat(indeg[members], ptr[:-1])
-                kappas = np.concatenate([kappas, 1.0 - (1.0 - width / total_in) ** k])
-            kappa_sum = float(kappas[start:start + c_i].sum())
+            _, ptr, members = drawn = rr.sets(start, start + c_i)
+            width = np.add.reduceat(indeg[members], ptr[:-1])
+            kappa_sum = float((1.0 - (1.0 - width / total_in) ** k).sum())
             if kappa_sum / c_i > 1.0 / (2 ** i):
                 kpt = kappa_sum * n / (2.0 * c_i)
                 break
-    if not batches:
-        return kpt, None
-    return kpt, RRCorpus(*join_batches(batches, start, start + c_i), n, targets.total_score)
+    return kpt, None if drawn is None else RRCorpus(*drawn, n, targets.total_score)
+
 
 def greedy_cover(corpus: RRCorpus, k: int) -> list[int]:
     """Up to k nodes covering the most sets, by the lazy greedy; ties go to the smallest id."""
@@ -113,7 +103,7 @@ def refine_kpt(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
     batch of lambda' / kpt_star sets with eps' = 5 * cbrt(ell*eps^2/(k+ell));
     the refined bound is max(f * n / (1 + eps'), kpt_star).
     """
-    check_model(graph, model)
+    rr = RRStream(graph, targets, model, master_seed, REFINE_PHASE)
     n = graph.node_count
     if est_sets is None or n < 2:
         return kpt_star
@@ -122,13 +112,8 @@ def refine_kpt(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
     theta_p = max(1, min(math.ceil(lam_p / kpt_star), theta_cap))
     cover = np.zeros(n, dtype=bool)
     cover[greedy_cover(est_sets, k)] = True
-    base = phase_seed(master_seed, REFINE_PHASE)
-    size = batch_size(n)
-    hit = 0
-    for b in range(-(-theta_p // size)):
-        _, ptr, members = rr_batch(graph, targets, model, stream(base, b))
-        hits = np.logical_or.reduceat(cover[members], ptr[:-1])
-        hit += int(np.count_nonzero(hits[:theta_p - b * size]))
+    _, ptr, members = rr.sets(0, theta_p)
+    hit = int(np.count_nonzero(np.logical_or.reduceat(cover[members], ptr[:-1])))
     kpt_refined = (hit / theta_p) * n / (1.0 + eps_p)
     return max(kpt_refined, kpt_star)
 
@@ -149,12 +134,10 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, k: in
     if theta_override is not None:
         if theta_override < 1:
             raise ConfigError("theta override must be positive")
-        return EstimationParams(epsilon=epsilon, ell=ell, k=k, kpt_star=None,
-                                kpt_plus=None, theta=theta_override)
+        return EstimationParams(kpt_star=None, kpt_plus=None, theta=theta_override)
     kpt_star, est_sets = kpt_estimation(graph, targets, model, k, ell, master_seed)
     kpt_plus = refine_kpt(graph, targets, model, k, epsilon, ell, kpt_star,
                           est_sets, master_seed, theta_cap)
     theta = compute_theta(kpt_plus, epsilon, ell, k, graph.node_count, theta_cap)
-    return EstimationParams(epsilon=epsilon, ell=ell, k=k, kpt_star=kpt_star,
-                            kpt_plus=kpt_plus, theta=theta)
+    return EstimationParams(kpt_star=kpt_star, kpt_plus=kpt_plus, theta=theta)
 

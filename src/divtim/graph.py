@@ -180,19 +180,9 @@ def _in_share(dst: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.
 
 
 def _parse_edge_lines(source, want_weight: bool):
-    labels: list[str] = []
-    label_ids: dict[str, int] = {}
+    label_ids: dict[str, int] = {}      # in order of first appearance
     src, dst, wts = [], [], []
     seen: set[tuple[int, int]] = set()
-
-    def intern(name: str) -> int:
-        i = label_ids.get(name)
-        if i is None:
-            i = len(labels)
-            label_ids[name] = i
-            labels.append(name)
-        return i
-
     for lineno, line in data_lines(source):
         parts = line.split()
         if want_weight:
@@ -205,7 +195,8 @@ def _parse_edge_lines(source, want_weight: bool):
         if parts[1].startswith("#"):
             raise FormatError(f"line {lineno}: node label {parts[1]!r} starts with '#', "
                               "which marks a comment")
-        u, v = intern(parts[0]), intern(parts[1])
+        u = label_ids.setdefault(parts[0], len(label_ids))
+        v = label_ids.setdefault(parts[1], len(label_ids))
         if (u, v) in seen:
             raise FormatError(f"line {lineno}: duplicate edge {parts[0]!r} -> {parts[1]!r}")
         seen.add((u, v))
@@ -219,7 +210,7 @@ def _parse_edge_lines(source, want_weight: bool):
             if not math.isfinite(w) or w <= 0:
                 raise FormatError(f"line {lineno}: weight must be positive and finite")
             wts.append(w)
-    return labels, label_ids, np.asarray(src, dtype=np.int64), \
+    return list(label_ids), label_ids, np.asarray(src, dtype=np.int64), \
         np.asarray(dst, dtype=np.int64), np.asarray(wts, dtype=np.float64)
 
 

@@ -8,11 +8,12 @@ available attribute values is penalized even when those few are balanced.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from typing import Sequence
 
 from .diversity import aw_theoretical_max
 from .errors import UsageError
-from .profiles import MISSING, ProfileSet
+from .profiles import ProfileSet
 
 
 def seed_entropy(seed_set: Sequence[int], profiles: ProfileSet) -> float:
@@ -25,13 +26,7 @@ def seed_entropy(seed_set: Sequence[int], profiles: ProfileSet) -> float:
     """
     if not seed_set:
         raise UsageError("seed set must be non-empty")
-    counts: dict[tuple[int, int], int] = {}
-    for v in seed_set:
-        row = profiles.codes[v]
-        for j in range(profiles.schema.m):
-            if row[j] != MISSING:
-                key = (j, int(row[j]))
-                counts[key] = counts.get(key, 0) + 1
+    counts = Counter(value for v in seed_set for value in profiles.values_of(v))
     if not counts:
         return 0.0
     total = sum(counts.values())

@@ -8,10 +8,11 @@ sets a seed set covers estimates its captured share of total target score.
 
 Sets are drawn in batches by one level-synchronous live-edge kernel,
 ``live_edge_search``, which also runs the forward Monte Carlo simulation.
-A batch always holds ``batch_size(n)`` sets and draws from one stream
-keyed by (master seed, phase, batch id); a request for fewer sets
-truncates the last batch, so the first m sets of a corpus equal the
-m-set corpus.
+Every reader (the corpus, the estimation rounds and their refinement)
+reads one phase's sets by index through ``RRStream``: a batch always
+holds ``batch_size(n)`` sets and draws from one stream keyed by (master
+seed, phase, batch id), so the first m sets of a corpus equal the m-set
+corpus.
 """
 
 from __future__ import annotations
@@ -119,29 +120,47 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
     return np.concatenate(found)
 
 
-def rr_batch(graph: DiffusionGraph, targets: TargetSet, model: str,
-             rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One full batch of reverse reachable sets as ``(roots, set_ptr, members)``.
+class RRStream:
+    """The reverse reachable sets of one phase, read by set index.
 
-    Set i's members, in ascending node order, are
-    ``members[set_ptr[i]:set_ptr[i + 1]]``; they include its root.
+    Batch b holds sets ``b * size`` to ``(b + 1) * size - 1``, with
+    ``size = batch_size(n)``, and draws only from the stream keyed by
+    (master seed, phase, b).  Batches are drawn whole, on demand, and
+    kept, so a set is the same whatever range, in whatever order, reads it.
     """
-    n, size = graph.node_count, batch_size(graph.node_count)
-    roots = sample_roots(targets, rng, size)
-    keys = np.sort(live_edge_search(graph, model, False, size,
-                                    np.arange(size) * n + roots, rng))
-    item, members = np.divmod(keys, n)
-    set_ptr = np.concatenate([[0], np.cumsum(np.bincount(item, minlength=size))])
-    return roots, set_ptr, members.astype(np.int32)
 
+    def __init__(self, graph: DiffusionGraph, targets: TargetSet, model: str,
+                 master_seed: int, phase: int):
+        check_model(graph, model)
+        self.graph, self.targets, self.model = graph, targets, model
+        self.base = phase_seed(master_seed, phase)
+        self.size = batch_size(graph.node_count)
+        self.batches: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-def join_batches(batches: list, start: int, stop: int
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Sets start..stop-1 of consecutive batches, as one ``(roots, set_ptr, members)``."""
-    set_ptr = np.concatenate([[0], np.cumsum(np.concatenate([np.diff(b[1]) for b in batches]))])
-    lo, hi = set_ptr[start], set_ptr[stop]
-    return (np.concatenate([b[0] for b in batches])[start:stop],
-            set_ptr[start:stop + 1] - lo, np.concatenate([b[2] for b in batches])[lo:hi])
+    def _batch(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        if b not in self.batches:
+            n, size, rng = self.graph.node_count, self.size, stream(self.base, b)
+            roots = sample_roots(self.targets, rng, size)
+            keys = np.sort(live_edge_search(self.graph, self.model, False, size,
+                                            np.arange(size) * n + roots, rng))
+            item, members = np.divmod(keys, n)
+            self.batches[b] = (roots, np.bincount(item, minlength=size),
+                               members.astype(np.int32))
+        return self.batches[b]
+
+    def sets(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Sets start..stop-1 as ``(roots, set_ptr, members)``.
+
+        The j-th set read has root ``roots[j]`` and members
+        ``members[set_ptr[j]:set_ptr[j + 1]]``, in ascending node order,
+        its root included.
+        """
+        first = start // self.size
+        drawn = [self._batch(b) for b in range(first, -(-stop // self.size))]
+        lo, hi = start - first * self.size, stop - first * self.size
+        set_ptr = np.concatenate([[0], np.cumsum(np.concatenate([w for _, w, _ in drawn]))])
+        return (np.concatenate([r for r, _, _ in drawn])[lo:hi], set_ptr[lo:hi + 1] - set_ptr[lo],
+                np.concatenate([m for _, _, m in drawn])[set_ptr[lo]:set_ptr[hi]])
 
 
 class RRCorpus:
@@ -206,17 +225,10 @@ def load_corpus_dump(source: str | TextIO, node_count: int, target_total: float)
 
 
 def generate_corpus(graph: DiffusionGraph, targets: TargetSet, model: str,
-                    theta: int, master_seed: int, phase: int = CORPUS_PHASE) -> RRCorpus:
-    """Generate theta reverse reachable sets, reproducibly.
-
-    Batch b draws only from the stream keyed by (master seed, phase, b),
-    and every batch is drawn in full, so the first m sets of a corpus
-    equal the corpus of size m.
-    """
+                    theta: int, master_seed: int) -> RRCorpus:
+    """The first theta reverse reachable sets of the corpus phase, so the
+    first m sets of a corpus equal the corpus of size m."""
     if theta < 1:
         raise ConfigError("theta must be at least 1")
-    check_model(graph, model)
-    base = phase_seed(master_seed, phase)
-    batches = [rr_batch(graph, targets, model, stream(base, b))
-               for b in range(-(-theta // batch_size(graph.node_count)))]
-    return RRCorpus(*join_batches(batches, 0, theta), graph.node_count, targets.total_score)
+    return RRCorpus(*RRStream(graph, targets, model, master_seed, CORPUS_PHASE).sets(0, theta),
+                    graph.node_count, targets.total_score)

@@ -151,6 +151,37 @@ def test_baseline_subcommand(tmp_path, small_dataset):
     assert seeds == expect
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("node-weights", "weights.txt"), ("derive-targets", "indegree"), ("target-mode", "threshold"),
+    ("tau", "0.5"), ("percent", "25"), ("model", "lt")])
+def test_baseline_takes_only_the_flags_it_reads(tmp_path, capsys, flag, value):
+    edges, prefs, conf = tmp_path / "edges.txt", tmp_path / "prefs.csv", tmp_path / "run.conf"
+    edges.write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
+    prefs.write_text(NUMERIC_ROWS, encoding="utf-8")
+    conf.write_text(f"{flag}={value}\n", encoding="utf-8")
+    base = ["baseline", "deg-d", "--graph", str(edges), "--weight-mode", "explicit",
+            "--preferences", str(prefs), "--k", "1"]
+    assert main(base) == 0
+    assert main([*base, f"--{flag}", value]) == 1
+    assert f"--{flag}" in capsys.readouterr().err
+    assert main([*base, "--config", str(conf)]) == 1
+    assert f"unknown config keys: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag, values, named", [
+    ("--k", "3,2,3", "value 3 given twice ('3' and '3')"),
+    ("--alpha", "0.5,1,.5", "value 0.5 given twice ('0.5' and '.5')")])
+def test_grid_value_given_twice_is_usage_error(tmp_path, small_dataset, capsys, flag, values,
+                                               named):
+    out = tmp_path / "twice"
+    code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), "--theta-override", "50",
+                 flag, values, "--out", str(out)])
+    assert code == 1
+    assert f"{flag} {named}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_and_overrides(tmp_path, small_dataset):
     conf = tmp_path / "run.conf"
     conf.write_text(
@@ -292,7 +323,8 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
 
 def _run_node_keyed(tmp_path, case, text):
     """Run select over the graph a -> b -> c with ``text`` as the node-keyed
-    input ``case``; ``baseline`` runs baseline deg-d with it as --preferences."""
+    input ``case``; ``baseline`` runs baseline deg-d with it as --preferences,
+    and the seed-list cases run simulate with it as their seeds."""
     edges = tmp_path / "edges.txt"
     edges.write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
     listed, profiles = tmp_path / "listed.txt", tmp_path / "profiles.csv"
@@ -301,6 +333,10 @@ def _run_node_keyed(tmp_path, case, text):
     graph = ["--graph", str(edges), "--weight-mode", "explicit"]
     if case == "baseline":
         return main(["baseline", "deg-d", *graph, "--preferences", str(listed), "--k", "1"])
+    seeds = {"seeds": ["--seeds", text], "seeds-file": ["--seeds-file", str(listed)],
+             "from-result": ["--from-result", str(listed)]}.get(case)
+    if seeds:
+        return main(["simulate", *graph, *seeds, "--runs", "10"])
     flags = {"node-weights": ["--node-weights", str(listed), "--profiles", str(profiles)],
              "class-map": ["--diversity", "class", "--class-map", str(listed)],
              "profiles": ["--profiles", str(listed)],
@@ -316,13 +352,15 @@ NUMERIC_ROWS = "node,p1,p2\na,0.1,0.9\nb,0.7,0.3\nc,0.5,0.5\n"
 @pytest.mark.parametrize("case, where", [
     ("node-weights", "lines 1 and 3"), ("class-map", "lines 1 and 4"),
     ("profiles", "rows 2 and 4"), ("numeric-profiles", "rows 3 and 5"),
-    ("preferences", "rows 3 and 5")])
+    ("preferences", "rows 3 and 5"), ("seeds", "seeds 1 and 3"),
+    ("seeds-file", "seeds file lines 1 and 3"), ("from-result", "result seeds 1 and 3")])
 def test_node_listed_twice_is_one_line_data_error(tmp_path, capsys, case, where):
     text = {"node-weights": "a 0.5\nb 1\na 0.25\n",
             "class-map": "a red\nb blue\nc red\na blue\n",
             "profiles": "node,x\na,1\nb,2\na,3\n",
             "numeric-profiles": NUMERIC_ROWS + "b,0.2,0.2\n",
-            "preferences": NUMERIC_ROWS + "b,0.2,0.2\n"}[case]
+            "preferences": NUMERIC_ROWS + "b,0.2,0.2\n",
+            "seeds": "a,b,a", "seeds-file": "a\nb\na\n", "from-result": "seeds: a b a\n"}[case]
     code = _run_node_keyed(tmp_path, case, text)
     err = capsys.readouterr().err
     assert code == 2
@@ -332,11 +370,13 @@ def test_node_listed_twice_is_one_line_data_error(tmp_path, capsys, case, where)
 
 @pytest.mark.parametrize("case, where", [
     ("node-weights", "line 2"), ("class-map", "line 4"), ("profiles", "row 3"),
-    ("numeric-profiles", "row 5"), ("preferences", "row 5"), ("baseline", "row 5")])
+    ("numeric-profiles", "row 5"), ("preferences", "row 5"), ("baseline", "row 5"),
+    ("seeds", "seed 2"), ("seeds-file", "seeds file line 2"), ("from-result", "result seed 2")])
 def test_unknown_node_is_one_line_data_error(tmp_path, capsys, case, where):
     text = {"node-weights": "a 0.5\nzzz 1\n",
             "class-map": "a red\nb blue\nc red\nzzz blue\n",
-            "profiles": "node,x\na,1\nzzz,2\n"}.get(case, NUMERIC_ROWS + "zzz,0.2,0.2\n")
+            "profiles": "node,x\na,1\nzzz,2\n", "seeds": "a,zzz", "seeds-file": "a\nzzz\n",
+            "from-result": "seeds: a zzz\n"}.get(case, NUMERIC_ROWS + "zzz,0.2,0.2\n")
     code = _run_node_keyed(tmp_path, case, text)
     err = capsys.readouterr().err
     assert code == 2

@@ -33,8 +33,8 @@ def _content(name):
 
 
 def _argv(command: str, diversity: str, nodes: int, d: Path) -> list[str]:
-    graph = ["--graph", str(d / "edges"), "--weight-mode", "explicit",
-             "--node-weights", str(d / "weights"), "--config", str(d / "config")]
+    edges = ["--graph", str(d / "edges"), "--weight-mode", "explicit"]
+    graph = [*edges, "--node-weights", str(d / "weights"), "--config", str(d / "config")]
     select = ["select", *graph, "--diversity", diversity, "--class-map", str(d / "classes"),
               "--preferences", str(d / "numeric"), "--k", "2", "--alpha", "0,0.5",
               "--theta-override", "30", "--dump-corpus", str(d / "corpus"),
@@ -42,7 +42,7 @@ def _argv(command: str, diversity: str, nodes: int, d: Path) -> list[str]:
     return {
         "select-profiles": [*select, "--profiles", str(d / "profiles")],
         "select-numeric": [*select, "--numeric-profiles", str(d / "numeric"), "--bins", "2"],
-        "baseline": ["baseline", "deg-d", *graph, "--preferences", str(d / "numeric"),
+        "baseline": ["baseline", "deg-d", *edges, "--preferences", str(d / "numeric"),
                      "--k", "2", "--out", str(d / "baseline")],
         "synth": ["synth", "--config", str(d / "config"), "--nodes", str(nodes), "--m", "2",
                   "--out", str(d / "synth")],

@@ -1,12 +1,16 @@
 import io
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import divtim
 from divtim.errors import ConfigError, FormatError
 from divtim.graph import select_targets
 from divtim.rng import stream
-from divtim.sampler import batch_size, generate_corpus, load_corpus_dump, sample_roots
+from divtim.sampler import (CORPUS_PHASE, RRStream, batch_size, generate_corpus,
+                            load_corpus_dump, sample_roots)
 
 import oracles
 from conftest import corpus_from_sets, coverage_fraction, make_graph
@@ -117,6 +121,31 @@ def test_corpus_prefix_equals_smaller_corpus():
             same = large.prefix(m)
             assert np.array_equal(same.node_ptr, small.node_ptr)
             assert np.array_equal(same.node_sets, small.node_sets)
+
+
+def test_rr_stream_reads_by_index():
+    # a set is the same whatever range reads it, in whatever order
+    g = ring_with_chords()
+    ts = targets_of(g)
+    b = batch_size(g.node_count)
+    for model in ("ic", "lt"):
+        corpus = generate_corpus(g, ts, model, 2 * b + 7, master_seed=9)
+        rr = RRStream(g, ts, model, 9, CORPUS_PHASE)
+        for start, stop in ((b + 3, 2 * b + 7), (0, 5), (b - 2, b + 2)):
+            roots, set_ptr, members = rr.sets(start, stop)
+            lo, hi = corpus.set_ptr[start], corpus.set_ptr[stop]
+            assert np.array_equal(roots, corpus.roots[start:stop])
+            assert np.array_equal(set_ptr, corpus.set_ptr[start:stop + 1] - lo)
+            assert np.array_equal(members, corpus.members[lo:hi])
+        assert sorted(rr.batches) == [0, 1, 2]     # each batch drawn once
+
+
+def test_only_the_sampler_draws_rr_sets():
+    # one stream rule: every RR-set reader goes through sampler.RRStream
+    callers = sorted(path.name for path in Path(divtim.__file__).parent.glob("*.py")
+                     if re.search(r"(?<!def )\b(sample_roots|phase_seed)\(",
+                                  path.read_text(encoding="utf-8")))
+    assert callers == ["sampler.py", "simulator.py"]
 
 
 def test_corpus_forced_membership():
