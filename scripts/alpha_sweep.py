@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from divtim.diversity import AttributeWiseDiversity
 from divtim.estimator import estimate_params
 from divtim.graph import select_targets, synth_graph
-from divtim.metrics import diversity_curve, seed_entropy, seed_overlap
+from divtim.metrics import seed_entropy, seed_overlap
 from divtim.profiles import synth_profiles
 from divtim.sampler import generate_corpus
 from divtim.selector import build_seed_set
@@ -66,8 +66,10 @@ def main() -> int:
                 row.append(f"{seed_overlap(results[a].seeds, results[b].seeds, args.k):.3f}")
             writer.writerow(row)
 
-    curve = diversity_curve(list(results.values()),
-                            profiles.schema.domain_sizes(), profiles.schema.weights)
+    curve = [{"k": res.k, "alpha": res.alpha, "diversity": res.diversity_value,
+              "diversity_max": res.diversity_max,
+              "ratio": res.diversity_value / res.diversity_max if res.diversity_max > 0 else 0.0}
+             for res in results.values()]
     with open(os.path.join(args.out, "curve.csv"), "w", encoding="utf-8",
               newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(curve[0]), lineterminator="\n")

@@ -13,7 +13,7 @@ from .errors import ConfigError, FormatError, UsageError
 from .estimator import EstimationParams, compute_theta, estimate_params
 from .graph import (DiffusionGraph, TargetSet, derive_targets_indegree, load_graph,
                     load_node_weights, save_graph, select_targets, synth_graph)
-from .metrics import diversity_curve, seed_entropy, seed_overlap
+from .metrics import seed_entropy, seed_overlap
 from .profiles import (ProfileSet, Schema, derive_numeric_preferences, load_profiles,
                        quantile_discretize, save_profiles, synth_profiles)
 from .sampler import RRCorpus, generate_corpus, sample_roots

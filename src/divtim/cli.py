@@ -56,13 +56,13 @@ _ON, _OFF = ("1", "true", "yes"), ("0", "false", "no")
 
 
 def _config_defaults(parser: _Parser, path: str) -> dict:
-    """The config file as parser defaults; keys are the long flag names.
+    """The config file as parser defaults; keys are the long flag names but ``config``.
 
     argparse converts a string default through the flag's type, so ``k=5``
     in a file behaves exactly like ``--k 5`` and an explicit flag still wins.
     """
     actions = {a.dest.replace("_", "-"): a for a in parser._actions
-               if a.option_strings and a.dest != "help"}
+               if a.option_strings and a.dest not in ("help", "config")}
     conf = _read_config_file(path)
     unknown = sorted(set(conf) - set(actions))
     if unknown:
@@ -140,9 +140,11 @@ def _cast(token: str, cast):
 
 
 def _parse_list(text: str, cast) -> list:
-    items = [tok.strip() for tok in str(text).split(",") if tok.strip()]
-    if not items:
+    items = [tok.strip() for tok in str(text).split(",")]
+    if not any(items):
         raise UsageError("empty value list")
+    if "" in items:
+        raise UsageError(f"empty item {items.index('') + 1} in value list {text!r}")
     return [_cast(tok, cast) for tok in items]
 
 

@@ -145,15 +145,12 @@ class AttributeWiseDiversity(DiversityFunction):
 
     name = "aw"
 
-    def __init__(self, profiles: ProfileSet, lam: float = 1.0,
-                 weights: Sequence[float] | None = None):
+    def __init__(self, profiles: ProfileSet, lam: float = 1.0):
         super().__init__()
         if not lam >= 1.0:
             raise ConfigError("lambda must be >= 1")
         self.profiles = profiles
         self.lam = float(lam)
-        self.weights = (np.asarray(weights, dtype=np.float64)
-                        if weights is not None else profiles.schema.weights)
         self._counts = [np.zeros(d, dtype=np.int64) for d in profiles.schema.domain_sizes()]
         self._value = 0.0
 
@@ -161,14 +158,15 @@ class AttributeWiseDiversity(DiversityFunction):
         return float(self._value)
 
     def _gain(self, v: int) -> float:
-        g = 0.0
+        g, w = 0.0, self.profiles.schema.weights
         for j, c in self.profiles.values_of(v):
-            g += self.weights[j] * (self._counts[j][c] + 1.0) ** -self.lam
+            g += w[j] * (self._counts[j][c] + 1.0) ** -self.lam
         return g
 
     def _apply(self, v: int) -> None:
+        w = self.profiles.schema.weights
         for j, c in self.profiles.values_of(v):
-            self._value += self.weights[j] * (self._counts[j][c] + 1.0) ** -self.lam
+            self._value += w[j] * (self._counts[j][c] + 1.0) ** -self.lam
             self._counts[j][c] += 1
 
     def _reset(self) -> None:
@@ -177,8 +175,8 @@ class AttributeWiseDiversity(DiversityFunction):
         self._value = 0.0
 
     def max_value_for_budget(self, k: int) -> float:
-        return aw_theoretical_max(k, self.profiles.schema.domain_sizes(),
-                                  self.weights, self.lam)
+        schema = self.profiles.schema
+        return aw_theoretical_max(k, schema.domain_sizes(), schema.weights, self.lam)
 
 
 def _ball_chunk(centre: np.ndarray, lo: np.ndarray, hi: np.ndarray, reach: np.ndarray,

@@ -60,12 +60,6 @@ class DiffusionGraph:
     def out_degrees(self) -> np.ndarray:
         return np.diff(self.out_indptr)
 
-    def out_neighbors(self, v: int) -> np.ndarray:
-        return self.out_indices[self.out_indptr[v]:self.out_indptr[v + 1]]
-
-    def in_neighbors(self, v: int) -> np.ndarray:
-        return self.in_indices[self.in_indptr[v]:self.in_indptr[v + 1]]
-
     def max_in_prob_sum(self) -> float:
         """Largest sum of incoming b over all nodes (LT feasibility check)."""
         if self.edge_count == 0:

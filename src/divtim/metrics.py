@@ -11,7 +11,6 @@ import math
 from collections import Counter
 from typing import Sequence
 
-from .diversity import aw_theoretical_max
 from .errors import UsageError
 from .profiles import ProfileSet
 
@@ -42,25 +41,3 @@ def seed_overlap(s1: Sequence[int], s2: Sequence[int], k: int) -> float:
         raise UsageError(f"both seed sets must have size {k}")
     return len(set(s1) & set(s2)) / k
 
-
-def diversity_curve(results, domain_sizes: Sequence[int],
-                    weights: Sequence[float] | None = None,
-                    lam: float = 1.0) -> list[dict]:
-    """Achieved-versus-maximum diversity rows for attribute-wise runs.
-
-    One row per (k, alpha) result: the achieved value, the balanced-
-    assignment maximum for that budget, and their ratio.
-    """
-    rows = []
-    for res in results:
-        if res.diversity_name != "aw":
-            raise UsageError("diversity curves are defined for attribute-wise runs")
-        peak = aw_theoretical_max(res.k, domain_sizes, weights, lam)
-        rows.append({
-            "k": res.k,
-            "alpha": res.alpha,
-            "diversity": res.diversity_value,
-            "diversity_max": peak,
-            "ratio": res.diversity_value / peak if peak > 0 else 0.0,
-        })
-    return rows

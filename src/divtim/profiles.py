@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,9 +80,6 @@ class ProfileSet:
     @property
     def node_count(self) -> int:
         return self.codes.shape[0]
-
-    def profile_length(self, v: int) -> int:
-        return int(np.sum(self.codes[v] != MISSING))
 
     def values_of(self, v: int) -> list[tuple[int, int]]:
         """Qualified (attribute index, value code) pairs present on v."""
@@ -209,7 +207,7 @@ def load_numeric_matrix(source, node_labels: list[str]) -> tuple[np.ndarray, lis
     """Read a CSV of reals, keyed or positional like a profile CSV, into
     (matrix with one row per node in node order, attribute names).
 
-    Every node needs a row; an empty cell is NaN.
+    Every node needs a row; an empty cell is NaN, any other a finite number.
     """
     names, by_node = _node_cells(source, node_labels)
     mat = np.full((len(by_node), len(names)), np.nan)
@@ -220,9 +218,12 @@ def load_numeric_matrix(source, node_labels: list[str]) -> tuple[np.ndarray, lis
         for j, cell in enumerate(cells):
             if cell != "":
                 try:
-                    mat[v, j] = float(cell)
+                    x = float(cell)
                 except ValueError as exc:
                     raise FormatError(f"row {rowno}: bad number {cell!r}") from exc
+                if not math.isfinite(x):
+                    raise FormatError(f"row {rowno}: non-finite number {cell!r}")
+                mat[v, j] = x
     return mat, names
 
 

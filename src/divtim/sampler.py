@@ -21,10 +21,10 @@ from typing import TextIO
 
 import numpy as np
 
-from .errors import ConfigError, FormatError
+from .errors import ConfigError
 from .graph import DiffusionGraph, TargetSet
 from .rng import phase_seed, stream
-from .textio import data_lines, open_text
+from .textio import open_text
 
 MODELS = ("ic", "lt")
 
@@ -189,10 +189,6 @@ class RRCorpus:
     def theta(self) -> int:
         return len(self.roots)
 
-    def sets_of(self, v: int) -> np.ndarray:
-        """Ids of the sets containing v, ascending."""
-        return self.node_sets[self.node_ptr[v]:self.node_ptr[v + 1]]
-
     def prefix(self, m: int) -> "RRCorpus":
         """The corpus of the first m sets."""
         if m == self.theta:
@@ -206,22 +202,6 @@ class RRCorpus:
         with open_text(sink, "w") as fh:
             for i, root in enumerate(self.roots.tolist()):
                 fh.write(f"{i} {root} " + " ".join(map(str, members[ptr[i]:ptr[i + 1]])) + "\n")
-
-
-def load_corpus_dump(source: str | TextIO, node_count: int, target_total: float) -> RRCorpus:
-    roots, set_ptr, members = [], [0], []
-    for lineno, line in data_lines(source):
-        try:
-            ids = [int(p) for p in line.split()]
-        except ValueError:
-            ids = []
-        if len(ids) < 3 or ids[0] != len(roots) or not all(0 <= v < node_count for v in ids[1:]):
-            raise FormatError(f"corpus dump line {lineno} needs 'id root member*', with "
-                              f"id {len(roots)} and nodes below {node_count}: {line!r}")
-        roots.append(ids[1])
-        members.extend(ids[2:])
-        set_ptr.append(len(members))
-    return RRCorpus(roots, set_ptr, members, node_count, target_total)
 
 
 def generate_corpus(graph: DiffusionGraph, targets: TargetSet, model: str,

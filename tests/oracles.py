@@ -47,7 +47,7 @@ def reachable_from(graph, v) -> set:
     queue = deque([v])
     while queue:
         x = queue.popleft()
-        for u in graph.out_neighbors(x):
+        for u in graph.out_indices[graph.out_indptr[x]:graph.out_indptr[x + 1]]:
             u = int(u)
             if u not in seen:
                 seen.add(u)
@@ -403,7 +403,7 @@ def reference_seed_set(corpus, k, alpha, diversity, lazy=True):
                 break
             seeds.append(best_v)
             candidates.discard(best_v)
-            covered[corpus.sets_of(best_v)] = True
+            covered[corpus.node_sets[corpus.node_ptr[best_v]:corpus.node_ptr[best_v + 1]]] = True
             diversity.commit(best_v)
             trace.append((float(best_c), float(best_d), float(best_score)))
     return seeds, trace

@@ -115,7 +115,7 @@ def _random_diversity(rng, n, ps, g):
 
 def _fresh_like(div, ps, g):
     if isinstance(div, AttributeWiseDiversity):
-        return AttributeWiseDiversity(ps, lam=div.lam, weights=div.weights)
+        return AttributeWiseDiversity(ps, lam=div.lam)
     if isinstance(div, EntropyDiversity):
         return EntropyDiversity(ps)
     if isinstance(div, ClassDiversity):

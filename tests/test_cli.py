@@ -182,6 +182,23 @@ def test_grid_value_given_twice_is_usage_error(tmp_path, small_dataset, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, flag, values", [
+    ("select", "--k", "3,,5"), ("select", "--alpha", "0.5,"),
+    ("synth", "--domain-sizes", "3,,4"), ("simulate", "--seeds", "0,,zzz")])
+def test_empty_list_item_is_usage_error(tmp_path, small_dataset, capsys, command, flag,
+                                        values):
+    graph = ["--graph", str(small_dataset["edges"]), "--weight-mode", "explicit"]
+    argv = {"select": [*graph, "--profiles", str(small_dataset["profiles"]),
+                       "--theta-override", "50", "--out", str(tmp_path / "out")],
+            "synth": ["--nodes", "5", "--m", "2", "--out", str(tmp_path / "p.csv")],
+            "simulate": [*graph, "--runs", "10"]}[command]
+    assert main([command, *argv, flag, values]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"empty item 2 in value list {values!r}" in err
+    assert not (tmp_path / "out").exists() and not (tmp_path / "p.csv").exists()
+
+
 def test_config_file_and_overrides(tmp_path, small_dataset):
     conf = tmp_path / "run.conf"
     conf.write_text(
@@ -231,9 +248,11 @@ def test_class_value_stays_within_its_maximum(tmp_path, small_dataset):
 
 def test_unknown_config_key_lists_it(tmp_path, capsys):
     conf = tmp_path / "bad.conf"
-    conf.write_text("grpah=typo.txt\n", encoding="utf-8")
-    assert main(["select", "--config", str(conf), "--out", str(tmp_path / "x")]) == 1
-    assert "grpah" in capsys.readouterr().err
+    # a config file may not name another config file
+    for line, key in [("grpah=typo.txt", "grpah"), ("config=/nonexistent.cfg", "config")]:
+        conf.write_text(line + "\n", encoding="utf-8")
+        assert main(["select", "--config", str(conf), "--out", str(tmp_path / "x")]) == 1
+        assert f"unknown config keys: {key}" in capsys.readouterr().err
 
 
 def test_config_key_given_twice_is_usage_error(tmp_path, capsys):
@@ -270,12 +289,15 @@ def test_usage_error_exit_code():
 
 @pytest.mark.parametrize("case", ["numeric-u", "numeric-profiles", "baseline", "class-reward",
                                   "wide-row", "short-row", "no-attributes", "non-utf8",
-                                  "synth-negative", "metrics-value", "metrics-max", "hash-label"])
+                                  "synth-negative", "metrics-value", "metrics-max", "hash-label",
+                                  "non-finite"])
 def test_bad_input_is_one_line_data_error(tmp_path, case):
     edges = tmp_path / "edges.txt"
     edges.write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
     prefs = tmp_path / "prefs.csv"       # keyed by node, but lacks graph node c
     prefs.write_text("node,p1,p2\na,0.1,0.9\nb,0.7,0.3\n", encoding="utf-8")
+    infinite = tmp_path / "inf.csv"      # every node has a row, but one cell is inf
+    infinite.write_text("node,p1,p2\na,0.1,inf\nb,0.7,0.3\nc,0.2,0.2\n", encoding="utf-8")
     wide = tmp_path / "wide.csv"         # row 3 has one cell more than the header
     wide.write_text("p1,p2\n0.1,0.9\n0.7,0.3,0.5\n0.2,0.2\n", encoding="utf-8")
     short = tmp_path / "short.csv"       # row 3 has one cell fewer than the header
@@ -312,6 +334,7 @@ def test_bad_input_is_one_line_data_error(tmp_path, case):
         "metrics-max": metrics,
         "hash-label": ["simulate", "--graph", str(hashed), "--weight-mode", "explicit",
                        "--seeds", "a", "--runs", "10"],
+        "non-finite": [*select, "--diversity", "numeric-u", "--preferences", str(infinite)],
     }[case]
     env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-m", "divtim.cli", *argv], env=env,

@@ -33,7 +33,7 @@ def test_aw_first_full_profile_gains_one():
 
 def test_aw_value_and_repeat_gain():
     ps = make_profiles([(0,), (0,), (1,), (0,)], domain_sizes=[2])
-    aw = AttributeWiseDiversity(ps, weights=[1.0])
+    aw = AttributeWiseDiversity(ps)
     for v in (0, 1, 2):
         aw.commit(v)
     assert aw.value() == pytest.approx(2.5)

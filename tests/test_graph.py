@@ -154,8 +154,10 @@ def test_uniform_indegree_rows_sum_to_one():
 def test_adjacency_views_consistent():
     g = synth_graph(40, 3, seed=5)
     fwd = {(int(g.src[i]), int(g.dst[i])) for i in range(g.edge_count)}
-    via_out = {(u, int(v)) for u in range(g.node_count) for v in g.out_neighbors(u)}
-    via_in = {(int(u), v) for v in range(g.node_count) for u in g.in_neighbors(v)}
+    via_out = {(u, int(v)) for u in range(g.node_count)
+               for v in g.out_indices[g.out_indptr[u]:g.out_indptr[u + 1]]}
+    via_in = {(int(u), v) for v in range(g.node_count)
+              for u in g.in_indices[g.in_indptr[v]:g.in_indptr[v + 1]]}
     assert fwd == via_out == via_in
 
 

@@ -5,16 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divtim.errors import UsageError
-from divtim.metrics import diversity_curve, seed_entropy, seed_overlap
-from divtim.selector import SeedResult
+from divtim.metrics import seed_entropy, seed_overlap
 
 from conftest import make_profiles
-
-
-def result_stub(k, alpha, diversity_value, name="aw"):
-    return SeedResult(seeds=list(range(k)), trace=[], alpha=alpha, k=k, theta=10,
-                      target_total=1.0, expected_capital=0.0,
-                      diversity_value=diversity_value, diversity_name=name)
 
 
 def test_entropy_single_shared_value_is_zero():
@@ -72,16 +65,3 @@ def test_overlap_symmetry(a, b):
     a, b = sorted(a), sorted(b)
     assert seed_overlap(a, b, 3) == seed_overlap(b, a, 3)
 
-
-def test_diversity_curve_rows():
-    results = [result_stub(1, 0.0, 1.0), result_stub(4, 0.5, 3.0)]
-    rows = diversity_curve(results, domain_sizes=[4], weights=[1.0])
-    assert rows[0]["ratio"] == pytest.approx(1.0)      # k=1 peak is 1.0
-    assert rows[1]["diversity_max"] == pytest.approx(4.0)
-    assert rows[1]["ratio"] == pytest.approx(0.75)
-
-
-def test_diversity_curve_empty_and_wrong_function():
-    assert diversity_curve([], [4]) == []
-    with pytest.raises(UsageError):
-        diversity_curve([result_stub(2, 0.5, 1.0, name="class")], [4])

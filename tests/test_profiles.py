@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divtim.errors import ConfigError, FormatError
-from divtim.profiles import (Schema, derive_numeric_preferences,
+from divtim.profiles import (MISSING, Schema, derive_numeric_preferences,
                              load_numeric_matrix, load_profiles, quantile_discretize,
                              save_profiles, synth_profiles)
 
@@ -16,13 +16,13 @@ CHI2_9_P01 = 21.666
 
 def test_load_sparse_row():
     ps = load_profiles(io.StringIO("A1,A2,A3\na1,,c2\n"))
-    assert ps.profile_length(0) == 2
+    assert np.count_nonzero(ps.codes[0] != MISSING) == 2
     assert ps.values_of(0) == [(0, 0), (2, 0)]
 
 
 def test_load_all_empty_row():
     ps = load_profiles(io.StringIO("A1,A2\n,\n"))
-    assert ps.profile_length(0) == 0
+    assert np.count_nonzero(ps.codes[0] != MISSING) == 0
 
 
 def test_global_value_counts():

@@ -1,4 +1,3 @@
-import io
 import re
 from pathlib import Path
 
@@ -6,11 +5,10 @@ import numpy as np
 import pytest
 
 import divtim
-from divtim.errors import ConfigError, FormatError
+from divtim.errors import ConfigError
 from divtim.graph import select_targets
 from divtim.rng import stream
-from divtim.sampler import (CORPUS_PHASE, RRStream, batch_size, generate_corpus,
-                            load_corpus_dump, sample_roots)
+from divtim.sampler import CORPUS_PHASE, RRStream, batch_size, generate_corpus, sample_roots
 
 import oracles
 from conftest import corpus_from_sets, coverage_fraction, make_graph
@@ -21,6 +19,10 @@ CHI2_3_P01 = 11.345
 
 def set_members(corpus, i):
     return corpus.members[corpus.set_ptr[i]:corpus.set_ptr[i + 1]]
+
+
+def sets_containing(corpus, v):
+    return corpus.node_sets[corpus.node_ptr[v]:corpus.node_ptr[v + 1]]
 
 
 def targets_of(g, tau=0.0):
@@ -80,7 +82,7 @@ def test_rr_half_edge_inclusion_rate():
     ts = select_targets(g, "threshold", tau=0.5)
     trials = 100_000
     corpus = generate_corpus(g, ts, "ic", trials, master_seed=5)
-    hits = len(corpus.sets_of(g.label_ids["u"]))
+    hits = len(sets_containing(corpus, g.label_ids["u"]))
     sigma = (0.25 / trials) ** 0.5
     assert abs(hits / trials - 0.5) < 3 * sigma
 
@@ -91,7 +93,7 @@ def test_kernel_matches_reference_sampler(model):
     ts = targets_of(g)
     draws = 20_000
     corpus = generate_corpus(g, ts, model, draws, master_seed=12)
-    kernel = np.array([len(corpus.sets_of(v)) for v in range(g.node_count)]) / draws
+    kernel = np.array([len(sets_containing(corpus, v)) for v in range(g.node_count)]) / draws
     rng = np.random.default_rng(12)
     counts = np.zeros(g.node_count)
     for _ in range(draws):
@@ -162,9 +164,9 @@ def test_corpus_index_inverts_membership():
     corpus = generate_corpus(g, ts, "ic", 150, master_seed=4)
     for i in range(corpus.theta):
         for v in set_members(corpus, i):
-            assert i in corpus.sets_of(v)
+            assert i in sets_containing(corpus, v)
     for v in range(g.node_count):
-        ids = corpus.sets_of(v)
+        ids = sets_containing(corpus, v)
         assert np.all(np.diff(ids) > 0)
         for i in ids:
             assert v in set_members(corpus, i)
@@ -192,26 +194,6 @@ def test_lt_chain_follows_single_pick():
     corpus = generate_corpus(g, ts, "lt", 50, master_seed=3)
     for i in range(corpus.theta):
         assert set(set_members(corpus, i)) == {g.label_ids["u"], g.label_ids["v"]}
-
-
-def test_corpus_dump_roundtrip(tmp_path):
-    g = make_graph([("0", "1", 0.7), ("1", "2", 0.7)])
-    ts = targets_of(g)
-    corpus = generate_corpus(g, ts, "ic", 25, master_seed=8)
-    path = tmp_path / "corpus.txt"
-    corpus.dump(str(path))
-    back = load_corpus_dump(str(path), g.node_count, ts.total_score)
-    assert back.theta == corpus.theta
-    assert np.array_equal(back.roots, corpus.roots)
-    assert np.array_equal(back.set_ptr, corpus.set_ptr)
-    assert np.array_equal(back.members, corpus.members)
-
-
-@pytest.mark.parametrize("text", ["0 1\n", "0 1 x\n", "1 0 0\n", "0 0 3\n"],
-                         ids=["no-member", "non-integer", "wrong-id", "unknown-node"])
-def test_corpus_dump_rejects_bad_lines(text):
-    with pytest.raises(FormatError):
-        load_corpus_dump(io.StringIO(text), 3, 3.0)
 
 
 def test_coverage_fraction_and_scores():

@@ -1,7 +1,9 @@
 """The shared input rules: decorated input reads like plain input, everywhere."""
 
+import ast
 import io
 import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,7 +14,6 @@ from divtim.cli import _read_config_file, main
 from divtim.diversity import load_class_map
 from divtim.graph import load_graph, load_node_weights, save_graph, synth_graph
 from divtim.profiles import load_numeric_matrix, load_profiles
-from divtim.sampler import load_corpus_dump
 from divtim.textio import data_lines
 
 from conftest import corpus_from_sets, make_graph
@@ -33,8 +34,6 @@ LOADERS = {
     "node-weights": lambda src: load_node_weights(BASE, src).t.tolist(),
     "class-map": lambda src: [a.tolist() for a in load_class_map(src, BASE.labels)],
     "config": _read_config_file,
-    "corpus-dump": lambda src: [(c.roots.tolist(), c.set_ptr.tolist(), c.members.tolist())
-                                for c in [load_corpus_dump(src, 3, 3.0)]],
 }
 
 
@@ -111,3 +110,20 @@ def test_only_textio_judges_node_keyed_rows():
     holders = sorted(path.name for path in Path(divtim.__file__).parent.glob("*.py")
                      if re.search("unknown node|listed twice", path.read_text(encoding="utf-8")))
     assert holders == ["textio.py"]
+
+
+def test_nothing_in_src_is_called_only_by_tests():
+    # reference code that only tests call lives in tests/oracles.py
+    src = Path(divtim.__file__).parent
+    root = src.parent.parent
+    defined = Counter(node.name for path in src.glob("*.py")
+                      for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                      if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                      and not node.name.startswith("_"))
+    callers = [path for path in (*src.glob("*.py"), *root.glob("scripts/*.py"),
+                                 *root.glob("perfbench/*.py"), root / "pyproject.toml")
+               if path.name != "__init__.py"]
+    text = "\n".join(path.read_text(encoding="utf-8") for path in callers)
+    unused = sorted(name for name, count in defined.items()
+                    if len(re.findall(rf"\b{name}\b", text)) <= count)
+    assert unused == []
