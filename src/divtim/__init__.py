@@ -17,7 +17,7 @@ from .metrics import seed_entropy, seed_overlap
 from .profiles import (ProfileSet, Schema, derive_numeric_preferences, load_profiles,
                        quantile_discretize, save_profiles, synth_profiles)
 from .sampler import RRCorpus, generate_corpus, sample_roots
-from .selector import SeedResult, build_seed_set, objective_value
+from .selector import SeedResult, build_seed_set
 from .simulator import SimulationReport, simulate
 
 __version__ = "0.1.0"

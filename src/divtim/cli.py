@@ -14,7 +14,6 @@ import argparse
 import csv
 import os
 import sys
-import time
 
 import numpy as np
 
@@ -90,6 +89,8 @@ def _load_graph_from_args(args) -> DiffusionGraph:
 def _targets_from_args(args):
     """The graph with its target scores, the target set and the value that
     chose it (tau or percent)."""
+    if args.node_weights and args.derive_targets == "indegree":
+        raise UsageError("give either --node-weights or --derive-targets indegree, not both")
     g = _load_graph_from_args(args)
     if args.node_weights:
         g = load_node_weights(g, args.node_weights)
@@ -178,8 +179,7 @@ def _result_doc(res: selector.SeedResult, labels, config_pairs, extra) -> str:
     for i, step in enumerate(res.trace, start=1):
         lines.append(f"  {i} {labels[step.node]} {step.capital_gain!r} "
                      f"{step.diversity_gain!r} {step.combined_gain!r}")
-    if res.timing_seconds is not None:
-        lines.append(f"timing_seconds: {res.timing_seconds:.3f}")
+    lines.append(f"timing_seconds: {res.timing_seconds:.3f}")
     return "\n".join(lines) + "\n"
 
 
@@ -320,18 +320,15 @@ def cmd_select(args) -> int:
             corpus.dump(args.dump_corpus)
 
         for alpha_token, alpha in zip(alpha_tokens, alphas):
-            start = time.perf_counter()
             div.reset()
             res = selector.build_seed_set(corpus, k, alpha, div)
-            res.timing_seconds = time.perf_counter() - start
             extra = {} if params[k].kpt_star is None else {
                 "kpt_star": repr(params[k].kpt_star), "kpt_plus": repr(params[k].kpt_plus)}
             extra["corpus_width"] = corpus.total_width
             if profile_set is not None and res.seeds:
                 extra["seed_entropy"] = repr(metrics.seed_entropy(res.seeds, profile_set))
             if args.normalize:
-                extra["objective_normalized"] = repr(
-                    selector.objective_value(res, alpha, normalize=True))
+                extra["objective_normalized"] = repr(res.objective(normalize=True))
             pairs = dict(config_pairs, k=k, alpha=alpha_token)
             path = os.path.join(args.out, f"seeds_k{k}_a{alpha_token}.txt")
             with open(path, "w", encoding="utf-8") as fh:
@@ -356,6 +353,11 @@ def _simulate_parser(sub) -> _Parser:
 
 
 def cmd_simulate(args) -> int:
+    given = [flag for flag, value in (("--seeds", args.seeds), ("--seeds-file", args.seeds_file),
+                                      ("--from-result", args.from_result)) if value]
+    if len(given) > 1:
+        raise UsageError(f"give one of --seeds, --seeds-file or --from-result, "
+                         f"not {' and '.join(given)}")
     graph, targets, target_param = _targets_from_args(args)
     if args.seeds:
         listed, where = enumerate(_parse_list(args.seeds, str), start=1), "seed"
@@ -466,7 +468,7 @@ def cmd_synth(args) -> int:
     sizes = _parse_list(args.domain_sizes, int)
     pset = profiles.synth_profiles(args.nodes, args.m,
                                    sizes * args.m if len(sizes) == 1 else sizes,
-                                   args.distribution, args.seed)
+                                   args.distribution, seed=args.seed)
     profiles.save_profiles(pset, args.out)
     return 0
 
@@ -488,7 +490,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, {name: add(sub) for name, (add, _) in _COMMANDS.items()}
 
 
-def run(argv: list[str] | None = None) -> int:
+def run(argv: list[str] | None) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", ""):

@@ -115,9 +115,7 @@ def harmonic_power_sum(count: int, lam: float) -> float:
     return sum(i ** -lam for i in range(1, count + 1))
 
 
-def aw_theoretical_max(k: int, domain_sizes: Sequence[int],
-                       weights: Sequence[float] | None = None,
-                       lam: float = 1.0) -> float:
+def aw_theoretical_max(k: int, domain_sizes: Sequence[int], lam: float) -> float:
     """Maximum attribute-wise diversity achievable with budget k.
 
     Attained by spreading the k picks as evenly as possible over each
@@ -126,21 +124,20 @@ def aw_theoretical_max(k: int, domain_sizes: Sequence[int],
     """
     if k < 1:
         raise ConfigError("budget must be at least 1")
-    m = len(domain_sizes)
-    w = np.full(m, 1.0 / m) if weights is None else np.asarray(weights, dtype=np.float64)
+    w = 1.0 / len(domain_sizes)
     total = 0.0
-    for j, d in enumerate(domain_sizes):
+    for d in domain_sizes:
         if d == 0:
             continue  # an attribute no node has a value for adds nothing
         q, r = divmod(k, d)
-        total += w[j] * (d * harmonic_power_sum(q, lam) + r * (1.0 + q) ** -lam)
+        total += w * (d * harmonic_power_sum(q, lam) + r * (1.0 + q) ** -lam)
     return float(total)
 
 
 class AttributeWiseDiversity(DiversityFunction):
     """Per-value diminishing returns: the i-th repeat of a value adds i^-lam.
 
-    Attribute contributions are mixed by the schema weights.
+    Each of the m attributes weighs 1/m.
     """
 
     name = "aw"
@@ -151,6 +148,7 @@ class AttributeWiseDiversity(DiversityFunction):
             raise ConfigError("lambda must be >= 1")
         self.profiles = profiles
         self.lam = float(lam)
+        self._weight = 1.0 / profiles.schema.m
         self._counts = [np.zeros(d, dtype=np.int64) for d in profiles.schema.domain_sizes()]
         self._value = 0.0
 
@@ -158,15 +156,14 @@ class AttributeWiseDiversity(DiversityFunction):
         return float(self._value)
 
     def _gain(self, v: int) -> float:
-        g, w = 0.0, self.profiles.schema.weights
+        g = 0.0
         for j, c in self.profiles.values_of(v):
-            g += w[j] * (self._counts[j][c] + 1.0) ** -self.lam
+            g += self._weight * (self._counts[j][c] + 1.0) ** -self.lam
         return g
 
     def _apply(self, v: int) -> None:
-        w = self.profiles.schema.weights
         for j, c in self.profiles.values_of(v):
-            self._value += w[j] * (self._counts[j][c] + 1.0) ** -self.lam
+            self._value += self._weight * (self._counts[j][c] + 1.0) ** -self.lam
             self._counts[j][c] += 1
 
     def _reset(self) -> None:
@@ -175,8 +172,7 @@ class AttributeWiseDiversity(DiversityFunction):
         self._value = 0.0
 
     def max_value_for_budget(self, k: int) -> float:
-        schema = self.profiles.schema
-        return aw_theoretical_max(k, schema.domain_sizes(), schema.weights, self.lam)
+        return aw_theoretical_max(k, self.profiles.schema.domain_sizes(), self.lam)
 
 
 def _ball_chunk(centre: np.ndarray, lo: np.ndarray, hi: np.ndarray, reach: np.ndarray,
@@ -375,16 +371,13 @@ class ClassDiversity(DiversityFunction):
 
     name = "class"
 
-    def __init__(self, classes: Sequence[int], rewards: Sequence[float] | None = None):
+    def __init__(self, classes: Sequence[int], rewards: Sequence[float]):
         super().__init__()
         self.classes = np.asarray(classes, dtype=np.int64)
         n = len(self.classes)
-        if rewards is None:
-            self.rewards = np.ones(n, dtype=np.float64)
-        else:
-            self.rewards = np.asarray(rewards, dtype=np.float64)
-            if np.any(self.rewards <= 0):
-                raise ConfigError("selection rewards must be positive")
+        self.rewards = np.asarray(rewards, dtype=np.float64)
+        if np.any(self.rewards <= 0):
+            raise ConfigError("selection rewards must be positive")
         n_classes = int(self.classes.max()) + 1 if n and self.classes.max() >= 0 else 0
         self._acc = np.zeros(n_classes, dtype=np.float64)
 
@@ -426,14 +419,12 @@ class NumericDiversity(DiversityFunction):
 
     name = "numeric"
 
-    def __init__(self, preferences: np.ndarray, node_gains: np.ndarray | None = None):
+    def __init__(self, preferences: np.ndarray, node_gains: np.ndarray):
         super().__init__()
         self.preferences = np.asarray(preferences, dtype=np.float64)
         if self.preferences.ndim != 2:
             raise ConfigError("preference matrix must be node x type")
-        n = self.preferences.shape[0]
-        self.node_gains = (np.ones(n, dtype=np.float64) if node_gains is None
-                           else np.asarray(node_gains, dtype=np.float64))
+        self.node_gains = np.asarray(node_gains, dtype=np.float64)
         self._acc = np.zeros(self.preferences.shape[1], dtype=np.float64)
 
     def _row(self, v: int) -> np.ndarray:

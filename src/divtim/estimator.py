@@ -39,7 +39,7 @@ def _log_binom(n: int, k: int) -> float:
 
 
 def compute_theta(kpt: float, epsilon: float, ell: float, k: int, n: int,
-                  theta_cap: int = DEFAULT_THETA_CAP) -> int:
+                  theta_cap: int) -> int:
     """Corpus size ceil(lambda / kpt) for the (1 - 1/e - eps) guarantee.
 
     lambda = (8 + 2*eps) * n * (ell*ln n + ln C(n,k) + ln 2) / eps^2; the
@@ -96,7 +96,7 @@ def greedy_cover(corpus: RRCorpus, k: int) -> list[int]:
 
 def refine_kpt(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
                epsilon: float, ell: float, kpt_star: float, est_sets: RRCorpus | None,
-               master_seed: int, theta_cap: int = DEFAULT_THETA_CAP) -> float:
+               master_seed: int, theta_cap: int) -> float:
     """Tighten the doubling-stage bound with a greedy cover re-estimate.
 
     A size-k greedy cover of the estimation sets is re-scored on a fresh
@@ -119,7 +119,7 @@ def refine_kpt(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
 
 
 def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
-                    epsilon: float = 0.1, ell: float = 1.0, master_seed: int = 0,
+                    epsilon: float, master_seed: int, ell: float = 1.0,
                     theta_override: int | None = None,
                     theta_cap: int = DEFAULT_THETA_CAP) -> EstimationParams:
     """Run both estimation stages and size the main corpus."""

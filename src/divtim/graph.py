@@ -208,7 +208,7 @@ def _parse_edge_lines(source, want_weight: bool):
         np.asarray(dst, dtype=np.int64), np.asarray(wts, dtype=np.float64)
 
 
-def load_graph(source: str | TextIO, weight_mode: str = "uniform_indegree") -> DiffusionGraph:
+def load_graph(source: str | TextIO, weight_mode: str) -> DiffusionGraph:
     """Load an edge list and derive edge probabilities per the chosen mode.
 
     Lines are whitespace-separated ``src dst [weight]``; ``#`` starts a
@@ -265,7 +265,7 @@ def derive_targets_indegree(graph: DiffusionGraph) -> DiffusionGraph:
     return graph.with_target_scores(t)
 
 
-def select_targets(graph: DiffusionGraph, mode: str = "threshold",
+def select_targets(graph: DiffusionGraph, mode: str,
                    tau: float | None = None, percent: float | None = None) -> TargetSet:
     """Build the target set by score threshold or by top-percent rank.
 
@@ -293,20 +293,19 @@ def select_targets(graph: DiffusionGraph, mode: str = "threshold",
     return TargetSet(members=members, total_score=float(cum[-1]), cum_scores=cum)
 
 
-def save_graph(graph: DiffusionGraph, edge_path: str, node_weight_path: str | None = None) -> None:
+def save_graph(graph: DiffusionGraph, edge_path: str, node_weight_path: str) -> None:
     """Write the graph back out as explicit-weight edge and node files."""
     with open(edge_path, "w", encoding="utf-8") as fh:
         for i in range(graph.edge_count):
             fh.write(f"{graph.labels[graph.src[i]]} {graph.labels[graph.dst[i]]} "
                      f"{float(graph.b[i])!r}\n")
-    if node_weight_path is not None:
-        with open(node_weight_path, "w", encoding="utf-8") as fh:
-            for v, label in enumerate(graph.labels):
-                fh.write(f"{label} {float(graph.t[v])!r}\n")
+    with open(node_weight_path, "w", encoding="utf-8") as fh:
+        for v, label in enumerate(graph.labels):
+            fh.write(f"{label} {float(graph.t[v])!r}\n")
 
 
 def synth_graph(node_count: int, arcs_per_node: int, seed: int,
-                score_mode: str = "uniform") -> DiffusionGraph:
+                score_mode: str) -> DiffusionGraph:
     """Random digraph for experiments: each node draws distinct in-neighbors.
 
     Edge probabilities are uniform-indegree (1 / in-degree); target

@@ -23,25 +23,10 @@ MISSING = -1
 
 @dataclass
 class Schema:
-    """Ordered attributes with per-attribute value domains and weights."""
+    """Ordered attributes, each with its domain of values."""
 
     attributes: list[str]
     domains: list[list[str]]
-    weights: np.ndarray | None = None
-
-    def __post_init__(self):
-        if len(self.attributes) != len(self.domains):
-            raise FormatError("schema: one domain per attribute required")
-        if self.weights is None:
-            m = len(self.attributes)
-            self.weights = np.full(m, 1.0 / m)
-        else:
-            self.weights = np.asarray(self.weights, dtype=np.float64)
-            if abs(float(self.weights.sum()) - 1.0) > 1e-9:
-                raise FormatError("schema: attribute weights must sum to 1")
-        self._codes = [
-            {val: c for c, val in enumerate(dom)} for dom in self.domains
-        ]
 
     @property
     def m(self) -> int:
@@ -53,13 +38,6 @@ class Schema:
     def total_domain_size(self) -> int:
         return sum(len(d) for d in self.domains)
 
-    def code(self, attr: int, value: str) -> int:
-        c = self._codes[attr].get(value)
-        if c is None:
-            raise FormatError(
-                f"value {value!r} outside domain of attribute {self.attributes[attr]!r}")
-        return c
-
 
 @dataclass
 class ProfileSet:
@@ -67,15 +45,11 @@ class ProfileSet:
 
     schema: Schema
     codes: np.ndarray            # (n, m) int32, MISSING where absent
-    value_counts: list[np.ndarray] = field(default=None)  # per attribute, len dom
+    value_counts: list[np.ndarray] = field(init=False)  # per attribute, len dom
 
     def __post_init__(self):
-        if self.value_counts is None:
-            self.value_counts = []
-            for j, dom in enumerate(self.schema.domains):
-                col = self.codes[:, j]
-                present = col[col != MISSING]
-                self.value_counts.append(np.bincount(present, minlength=len(dom)))
+        self.value_counts = [np.bincount(col[col != MISSING], minlength=len(dom))
+                             for col, dom in zip(self.codes.T, self.schema.domains)]
 
     @property
     def node_count(self) -> int:
@@ -90,14 +64,13 @@ class ProfileSet:
         return int(sum(c.sum() for c in self.value_counts))
 
 
-def _node_cells(source, node_labels: list[str] | None
+def _node_cells(source, node_labels: list[str]
                 ) -> tuple[list[str], list[tuple[int, list[str]] | None]]:
     """A CSV's attribute names and its rows in node order.
 
     A leading ``node`` column keys rows by node label; otherwise rows map
-    to nodes by position, one row per node.  Without ``node_labels`` the
-    nodes are the rows, in file order.  Each node gets (row number, one
-    cell per attribute), or None when a keyed file has no row for it.
+    to nodes by position, one row per node.  Each node gets (row number,
+    one cell per attribute), or None when a keyed file has no row for it.
     """
     with open_text(source, newline="") as fh:
         reader = csv.reader(fh)
@@ -111,11 +84,9 @@ def _node_cells(source, node_labels: list[str] | None
         if len(row) != len(header):
             raise FormatError(f"row {rowno}: {len(row)} cells for {len(header)} columns")
     if not keyed:
-        if node_labels is not None and len(rows) != len(node_labels):
+        if len(rows) != len(node_labels):
             raise FormatError(f"positional CSV has {len(rows)} rows for {len(node_labels)} nodes")
         return names, rows
-    if node_labels is None:
-        node_labels = [row[0] for _, row in rows]
     index = {lab: i for i, lab in enumerate(node_labels)}
     by_node: list[tuple[int, list[str]] | None] = [None] * len(node_labels)
     for rowno, v, cells in node_rows(rows, index, "row"):
@@ -123,33 +94,24 @@ def _node_cells(source, node_labels: list[str] | None
     return names, by_node
 
 
-def load_profiles(source, schema: Schema | None = None,
-                  node_labels: list[str] | None = None) -> ProfileSet:
+def load_profiles(source, node_labels: list[str]) -> ProfileSet:
     """Load a profile CSV (header row, empty cell = missing value).
 
     A leading ``node`` column keys rows by external node id, and a node
     without a row has every value missing; otherwise rows map positionally
-    to dense ids.  Without an explicit schema the domains are inferred
-    from the observed values.
+    to dense ids.  Each attribute's domain is its observed values, sorted.
     """
     attr_names, by_node = _node_cells(source, node_labels)
-    if schema is not None:
-        if attr_names != schema.attributes:
-            unknown = [a for a in attr_names if a not in schema.attributes]
-            raise FormatError(f"unknown attribute columns: {unknown or attr_names}")
-    else:
-        rows = [cells for _, cells in filter(None, by_node)]
-        schema = Schema(attributes=list(attr_names),
-                        domains=[sorted({row[j] for row in rows if row[j] != ""})
-                                 for j in range(len(attr_names))])
-
-    codes = np.full((len(by_node), schema.m), MISSING, dtype=np.int32)
+    rows = [cells for _, cells in filter(None, by_node)]
+    domains = [sorted({row[j] for row in rows if row[j] != ""}) for j in range(len(attr_names))]
+    lookup = [{val: c for c, val in enumerate(dom)} for dom in domains]
+    codes = np.full((len(by_node), len(attr_names)), MISSING, dtype=np.int32)
     for v, entry in enumerate(by_node):
         if entry is not None:
             for j, cell in enumerate(entry[1]):
                 if cell != "":
-                    codes[v, j] = schema.code(j, cell)
-    return ProfileSet(schema=schema, codes=codes)
+                    codes[v, j] = lookup[j][cell]
+    return ProfileSet(schema=Schema(attributes=list(attr_names), domains=domains), codes=codes)
 
 
 def save_profiles(profiles: ProfileSet, path: str, node_labels: list[str] | None = None) -> None:
@@ -167,8 +129,8 @@ def save_profiles(profiles: ProfileSet, path: str, node_labels: list[str] | None
         fh.write(buf.getvalue())
 
 
-def synth_profiles(node_count: int, m: int = 10, domain_sizes: int | list[int] = 10,
-                   distribution: str = "uniform", seed: int = 0) -> ProfileSet:
+def synth_profiles(node_count: int, m: int, domain_sizes: int | list[int],
+                   distribution: str = "uniform", *, seed: int) -> ProfileSet:
     """Synthesize one value per attribute per node.
 
     ``uniform`` draws value indices uniformly from 1..n_i.  ``exponential``
@@ -227,8 +189,7 @@ def load_numeric_matrix(source, node_labels: list[str]) -> tuple[np.ndarray, lis
     return mat, names
 
 
-def quantile_discretize(matrix: np.ndarray, bins: int,
-                        attr_names: list[str] | None = None) -> ProfileSet:
+def quantile_discretize(matrix: np.ndarray, bins: int, attr_names: list[str]) -> ProfileSet:
     """Map each column of reals to bin labels 1..bins by empirical quantiles.
 
     Boundary ties go to the lower bin; NaN entries become missing values.
@@ -237,8 +198,6 @@ def quantile_discretize(matrix: np.ndarray, bins: int,
         raise ConfigError("need at least two bins")
     matrix = np.asarray(matrix, dtype=np.float64)
     n, m = matrix.shape
-    if attr_names is None:
-        attr_names = [f"A{j + 1}" for j in range(m)]
     codes = np.full((n, m), MISSING, dtype=np.int32)
     for j in range(m):
         col = matrix[:, j]

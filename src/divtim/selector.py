@@ -11,6 +11,7 @@ maximizes ``alpha * capital + (1 - alpha) * diversity``; the capital is a
 from __future__ import annotations
 
 import heapq
+import time
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -75,16 +76,33 @@ class SeedResult:
     expected_capital: float
     diversity_value: float
     diversity_name: str
-    diversity_max: float | None = None
-    timing_seconds: float | None = None
+    diversity_max: float | None
+    timing_seconds: float
 
-    def objective(self) -> float:
-        return objective_value(self, self.alpha)
+    def objective(self, normalize: bool = False) -> float:
+        """alpha-weighted combination of expected capital and diversity.
+
+        The normalized variant rescales capital by the total target score and
+        diversity by its function-specific maximum for budget k, making runs
+        with different alpha comparable on one axis.
+        """
+        cap = self.expected_capital
+        div = self.diversity_value
+        if normalize:
+            if self.target_total <= 0:
+                raise ConfigError("cannot normalize without a target score total")
+            if self.diversity_max is None:
+                raise ConfigError(
+                    f"diversity function {self.diversity_name!r} has no known maximum")
+            cap = cap / self.target_total
+            div = div / self.diversity_max if self.diversity_max > 0 else 0.0
+        return self.alpha * cap + (1 - self.alpha) * div
 
 
 def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
                    diversity: DiversityFunction) -> SeedResult:
     """Select up to k seeds with the lazy greedy over capital and diversity."""
+    start = time.perf_counter()
     if corpus.theta == 0:
         raise ConfigError("empty corpus")
     if not (0.0 <= alpha <= 1.0):
@@ -109,24 +127,6 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
         expected_capital=capital.value(),
         diversity_value=diversity.value(), diversity_name=diversity.name,
         diversity_max=diversity.max_value_for_budget(k),
+        timing_seconds=time.perf_counter() - start,
     )
 
-
-def objective_value(result: SeedResult, alpha: float, normalize: bool = False) -> float:
-    """alpha-weighted combination of expected capital and diversity.
-
-    The normalized variant rescales capital by the total target score and
-    diversity by its function-specific maximum for budget k, making runs
-    with different alpha comparable on one axis.
-    """
-    cap = result.expected_capital
-    div = result.diversity_value
-    if normalize:
-        if result.target_total <= 0:
-            raise ConfigError("cannot normalize without a target score total")
-        if result.diversity_max is None:
-            raise ConfigError(
-                f"diversity function {result.diversity_name!r} has no known maximum")
-        cap = cap / result.target_total
-        div = div / result.diversity_max if result.diversity_max > 0 else 0.0
-    return alpha * cap + (1 - alpha) * div

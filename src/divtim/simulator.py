@@ -31,7 +31,7 @@ class SimulationReport:
 
 
 def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
-             master_seed: int, targets: TargetSet | None = None) -> SimulationReport:
+             master_seed: int, targets: TargetSet) -> SimulationReport:
     """Estimate expected spread and capital over independent runs.
 
     Runs are drawn in full batches of ``batch_size(n)`` by the live-edge
@@ -47,8 +47,7 @@ def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
     check_model(graph, model)
 
     target_score = np.zeros(graph.node_count, dtype=np.float64)
-    if targets is not None:
-        target_score[targets.members] = graph.t[targets.members]
+    target_score[targets.members] = graph.t[targets.members]
 
     n, size = graph.node_count, batch_size(graph.node_count)
     base = phase_seed(master_seed, SIM_PHASE)

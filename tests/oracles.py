@@ -29,16 +29,15 @@ MAX_EXHAUSTIVE_EDGES = 20
 MAX_EXHAUSTIVE_OUTCOMES = 2_000_000
 
 
-def aw_value(profiles, seed_set, weights=None, lam=1.0) -> float:
+def aw_value(profiles, seed_set, lam=1.0) -> float:
     schema = profiles.schema
-    w = schema.weights if weights is None else np.asarray(weights, dtype=float)
     total = 0.0
     for j in range(schema.m):
         vals = [int(profiles.codes[v, j]) for v in seed_set
                 if profiles.codes[v, j] != MISSING]
         for a in set(vals):
             n_a = vals.count(a)
-            total += w[j] * sum(i ** -lam for i in range(1, n_a + 1))
+            total += sum(i ** -lam for i in range(1, n_a + 1)) / schema.m
     return total
 
 

@@ -107,7 +107,7 @@ def _random_diversity(rng, n, ps, g):
     if kind == "class":
         return ClassDiversity(rng.integers(0, 3, size=n), rng.uniform(0.5, 2.0, size=n))
     if kind == "numeric":
-        return NumericDiversity(rng.uniform(0, 1, size=(n, 2)))
+        return NumericDiversity(rng.uniform(0, 1, size=(n, 2)), np.ones(n))
     if g is not None:
         return HammingBallDiversity(g, ps, radius=int(rng.choice([1, 2])))
     return AttributeWiseDiversity(ps)
@@ -142,7 +142,7 @@ def test_c01_monotone_submodular_exhaustive():
             "entropy": EntropyDiversity(ps),
             "class": ClassDiversity(rng.integers(0, 3, size=n),
                                     rng.uniform(0.5, 2.0, size=n)),
-            "numeric": NumericDiversity(rng.uniform(0, 1, size=(n, 2))),
+            "numeric": NumericDiversity(rng.uniform(0, 1, size=(n, 2)), np.ones(n)),
         }
         for xi in (1, 3, 5):
             fns[f"hamming_xi{xi}"] = HammingBallDiversity(g, ps, radius=xi)
@@ -266,7 +266,7 @@ def test_c04_balanced_maximum_vs_brute_force():
                         best_assignments = [counts]
                     elif abs(value - best) <= 1e-12:
                         best_assignments.append(counts)
-                formula = aw_theoretical_max(k, [d], [1.0], lam)
+                formula = aw_theoretical_max(k, [d], lam)
                 assert abs(formula - best) <= 1e-12, (d, k, lam, formula, best)
                 for counts in best_assignments:
                     present = [c for c in counts if c > 0]
@@ -280,7 +280,7 @@ def test_c04_balanced_maximum_vs_brute_force():
         rows = [all_profiles[i] for i in combo]
         ps = make_profiles(list(rows), domain_sizes=[d1, d2])
         best = max(best, oracles.aw_value(ps, list(range(k))))
-    formula = aw_theoretical_max(k, [d1, d2])
+    formula = aw_theoretical_max(k, [d1, d2], 1.0)
     ok = abs(formula - best) <= 1e-12
     _verdict(4, ok, f"balanced-assignment formula exact on {checked} (d,k,lambda) "
                     f"grids, maximizer spread always within one, plus one "
@@ -296,7 +296,7 @@ def test_c05_class_diversity_bounds():
         k = int(rng.integers(1, 13))
         h = int(rng.integers(1, k + 1))
         classes = [int(rng.integers(0, h)) for _ in range(k)]
-        fn = ClassDiversity(classes)
+        fn = ClassDiversity(classes, np.ones(k))
         for v in range(k):
             fn.commit(v)
         value = fn.value()
@@ -304,8 +304,8 @@ def test_c05_class_diversity_bounds():
         worst_high = max(worst_high, value - k)
     # equalities at the extremes
     k = 9
-    one_class = ClassDiversity([0] * k)
-    distinct = ClassDiversity(list(range(k)))
+    one_class = ClassDiversity([0] * k, np.ones(k))
+    distinct = ClassDiversity(list(range(k)), np.ones(k))
     for v in range(k):
         one_class.commit(v)
         distinct.commit(v)
@@ -423,7 +423,7 @@ def test_c09_lazy_greedy_equivalence():
 # ------------------------------------------------------------- criterion 10
 
 def test_c10_baseline_sanity(tmp_path):
-    g = synth_graph(40, 3, seed=5)
+    g = synth_graph(40, 3, seed=5, score_mode="uniform")
     rng = np.random.default_rng(10)
     prefs = rng.uniform(0, 1, size=(g.node_count, 3))
     seeds = deg_d_greedy(g, prefs, "unit", gamma=0.0, k=6)
@@ -431,7 +431,7 @@ def test_c10_baseline_sanity(tmp_path):
     expect = sorted(range(g.node_count), key=lambda v: (-degrees[v], v))[:6]
     top_degree_ok = seeds == expect
     edges, pref_csv = tmp_path / "edges.txt", tmp_path / "prefs.csv"
-    save_graph(g, str(edges))
+    save_graph(g, str(edges), str(tmp_path / "node_weights.txt"))
     np.savetxt(pref_csv, prefs, delimiter=",", header="p1,p2,p3", comments="")
     base = ["baseline", "deg-d", "--graph", str(edges), "--weight-mode", "explicit",
             "--preferences", str(pref_csv), "--g-mode", "degree", "--k", "6"]
@@ -451,7 +451,7 @@ def test_c10_baseline_sanity(tmp_path):
 # ------------------------------------------------------------- criterion 11
 
 def test_c11_end_to_end_determinism(tmp_path):
-    g = synth_graph(40, 3, seed=13)
+    g = synth_graph(40, 3, seed=13, score_mode="uniform")
     edges = tmp_path / "edges.txt"
     nodes = tmp_path / "nodes.txt"
     save_graph(g, str(edges), str(nodes))
@@ -501,7 +501,7 @@ def test_trend_seed_entropy_ordering():
         corpus = generate_corpus(g, ts, "ic", 300, master_seed=seed)
         for name, div in (("aw", AttributeWiseDiversity(ps)),
                           ("entropy", EntropyDiversity(ps)),
-                          ("class", ClassDiversity(classes))):
+                          ("class", ClassDiversity(classes, np.ones(60)))):
             with warnings.catch_warnings():
                 warnings.simplefilter("ignore")
                 res = build_seed_set(corpus, 8, 0.0, div)

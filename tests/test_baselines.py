@@ -49,7 +49,8 @@ def test_hand_traced_mixed_choice():
 def test_alpha_parameterization_matches_gamma(tmp_path, capsys):
     # baseline deg-d --alpha a prints the seeds of --gamma 1-a
     edges, prefs = tmp_path / "edges.txt", tmp_path / "prefs.csv"
-    save_graph(synth_graph(40, 3, seed=5), str(edges))
+    save_graph(synth_graph(40, 3, seed=5, score_mode="uniform"), str(edges),
+               str(tmp_path / "node_weights.txt"))
     rng = np.random.default_rng(4)
     prefs.write_text("p1,p2,p3\n" + "".join(
         ",".join(f"{x:.4f}" for x in rng.uniform(0, 1, size=3)) + "\n" for _ in range(40)),

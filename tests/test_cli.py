@@ -15,7 +15,7 @@ from divtim.graph import save_graph, synth_graph
 
 @pytest.fixture
 def small_dataset(tmp_path):
-    g = synth_graph(40, 3, seed=13)
+    g = synth_graph(40, 3, seed=13, score_mode="uniform")
     edges = tmp_path / "edges.txt"
     nodes = tmp_path / "nodes.txt"
     save_graph(g, str(edges), str(nodes))
@@ -166,6 +166,48 @@ def test_baseline_takes_only_the_flags_it_reads(tmp_path, capsys, flag, value):
     assert f"--{flag}" in capsys.readouterr().err
     assert main([*base, "--config", str(conf)]) == 1
     assert f"unknown config keys: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["select", "simulate"])
+@pytest.mark.parametrize("given", ["flags", "config"])
+def test_node_weights_with_derived_targets_is_usage_error(tmp_path, small_dataset, capsys,
+                                                          command, given):
+    # the derived in-degree scores would replace every score the weights file gives
+    conf = tmp_path / "run.conf"
+    conf.write_text(f"node-weights={small_dataset['nodes']}\nderive-targets=indegree\n",
+                    encoding="utf-8")
+    both = {"flags": ["--node-weights", str(small_dataset["nodes"]),
+                      "--derive-targets", "indegree"],
+            "config": ["--config", str(conf)]}[given]
+    rest = {"select": ["--profiles", str(small_dataset["profiles"]), "--theta-override", "50",
+                       "--out", str(tmp_path / "out")],
+            "simulate": ["--seeds", "0", "--runs", "10"]}[command]
+    assert main([command, "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 *both, *rest]) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "--node-weights" in err and "--derive-targets indegree" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("sources", [("seeds", "seeds-file"), ("seeds", "from-result"),
+                                     ("seeds-file", "from-result")])
+@pytest.mark.parametrize("given", ["flags", "config"])
+def test_simulate_takes_one_seed_source(tmp_path, small_dataset, capsys, sources, given):
+    # each file names an unknown node, which is a data error only if it is read
+    seeds_file, result, conf = tmp_path / "s.txt", tmp_path / "result.txt", tmp_path / "run.conf"
+    seeds_file.write_text("zzz\n", encoding="utf-8")
+    result.write_text("seeds: zzz\n", encoding="utf-8")
+    value = {"seeds": "0", "seeds-file": str(seeds_file), "from-result": str(result)}
+    first, second = sources
+    conf.write_text(f"{second}={value[second]}\n", encoding="utf-8")
+    argv = ["simulate", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+            "--runs", "10", f"--{first}", value[first],
+            *{"flags": [f"--{second}", value[second]], "config": ["--config", str(conf)]}[given]]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert f"not --{first} and --{second}" in err
 
 
 @pytest.mark.parametrize("flag, values, named", [

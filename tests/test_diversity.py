@@ -71,20 +71,20 @@ def test_aw_matches_oracle_on_random_commits():
 
 
 def test_aw_theoretical_max_values():
-    assert aw_theoretical_max(10, [10]) == pytest.approx(10.0)
-    assert aw_theoretical_max(15, [10]) == pytest.approx(12.5)
-    assert aw_theoretical_max(1, [3, 9], [0.4, 0.6], 2.0) == pytest.approx(1.0)
+    assert aw_theoretical_max(10, [10], 1.0) == pytest.approx(10.0)
+    assert aw_theoretical_max(15, [10], 1.0) == pytest.approx(12.5)
+    assert aw_theoretical_max(1, [3, 9], 2.0) == pytest.approx(1.0)
 
 
 def test_aw_theoretical_max_rejects_bad_budget():
     with pytest.raises(ConfigError):
-        aw_theoretical_max(0, [3])
+        aw_theoretical_max(0, [3], 1.0)
 
 
 def test_attribute_without_values_adds_nothing_to_maxima():
     ps = make_profiles([(None, 0), (None, 1)], domain_sizes=[0, 2])
     assert AttributeWiseDiversity(ps).max_value_for_budget(2) == pytest.approx(1.0)
-    assert aw_theoretical_max(3, [0, 0]) == 0.0
+    assert aw_theoretical_max(3, [0, 0], 1.0) == 0.0
     no_values = make_profiles([(None,), (None,)], domain_sizes=[0])
     assert EntropyDiversity(no_values).max_value_for_budget(2) == 0.0
 
@@ -184,7 +184,8 @@ def test_building_balls_imports_no_scipy():
     # importing scipy would add about 0.45 s to the start of every command
     code = ("import sys\n"
             "from divtim import HammingBallDiversity, synth_graph, synth_profiles\n"
-            "HammingBallDiversity(synth_graph(50, 3, seed=1), synth_profiles(50, m=3, seed=2), 2)\n"
+            "HammingBallDiversity(synth_graph(50, 3, seed=1, score_mode='uniform'),\n"
+            "                     synth_profiles(50, m=3, domain_sizes=10, seed=2), 2)\n"
             "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
@@ -277,18 +278,18 @@ def test_entropy_gain_equals_value_delta():
 # --------------------------------------------------------------------- class
 
 def test_class_bounds_examples():
-    same = ClassDiversity([0, 0, 0])
+    same = ClassDiversity([0, 0, 0], np.ones(3))
     for v in range(3):
         same.commit(v)
     assert same.value() == pytest.approx(math.log2(4))
-    distinct = ClassDiversity([0, 1, 2])
+    distinct = ClassDiversity([0, 1, 2], np.ones(3))
     for v in range(3):
         distinct.commit(v)
     assert distinct.value() == pytest.approx(3.0)
 
 
 def test_class_first_pick_gain_one():
-    cd = ClassDiversity([0, 1])
+    cd = ClassDiversity([0, 1], np.ones(2))
     assert cd.gain(0) == pytest.approx(1.0)
 
 
@@ -300,7 +301,7 @@ def test_class_gain_uses_accumulated_rewards():
 
 
 def test_class_unassigned_node_is_config_error():
-    cd = ClassDiversity([-1, 0])
+    cd = ClassDiversity([-1, 0], np.ones(2))
     with pytest.raises(ConfigError):
         cd.gain(0)
 
@@ -331,14 +332,14 @@ def test_load_class_map(tmp_path):
 
 def test_numeric_unit_two_nodes():
     prefs = np.array([[1.0], [1.0]])
-    nd = NumericDiversity(prefs)
+    nd = NumericDiversity(prefs, np.ones(2))
     nd.commit(0)
     nd.commit(1)
     assert nd.value() == pytest.approx(math.log2(3.0))
 
 
 def test_numeric_zero_preferences():
-    nd = NumericDiversity(np.zeros((3, 2)))
+    nd = NumericDiversity(np.zeros((3, 2)), np.ones(3))
     for v in range(3):
         nd.commit(v)
     assert nd.value() == 0.0
@@ -352,7 +353,7 @@ def test_numeric_degree_weighted():
 
 
 def test_numeric_missing_vector_is_config_error():
-    nd = NumericDiversity(np.ones((2, 1)))
+    nd = NumericDiversity(np.ones((2, 1)), np.ones(2))
     with pytest.raises(ConfigError):
         nd.gain(5)
 

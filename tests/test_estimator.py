@@ -6,8 +6,8 @@ import pytest
 
 from divtim.diversity import Coverage
 from divtim.errors import ConfigError
-from divtim.estimator import (compute_theta, estimate_params, greedy_cover, kpt_estimation,
-                              refine_kpt)
+from divtim.estimator import (DEFAULT_THETA_CAP, compute_theta, estimate_params, greedy_cover,
+                              kpt_estimation, refine_kpt)
 from divtim.graph import load_graph, select_targets
 from divtim.sampler import generate_corpus
 
@@ -42,9 +42,9 @@ def test_theta_cap_warns_and_clamps():
 
 def test_theta_rejects_bad_inputs():
     with pytest.raises(ConfigError):
-        compute_theta(0.5, 0.1, 1.0, 5, 100)
+        compute_theta(0.5, 0.1, 1.0, 5, 100, theta_cap=10**9)
     with pytest.raises(ConfigError):
-        compute_theta(10, 1.5, 1.0, 5, 100)
+        compute_theta(10, 1.5, 1.0, 5, 100, theta_cap=10**9)
 
 
 def test_kpt_single_node_fallback():
@@ -79,7 +79,8 @@ def test_refine_never_lowers_kpt():
     g = make_graph([(str(u), str((u + 1) % 12), 0.5) for u in range(12)])
     ts = select_targets(g, "threshold", tau=0.0)
     kpt, sets = kpt_estimation(g, ts, "ic", k=3, ell=1.0, master_seed=2)
-    refined = refine_kpt(g, ts, "ic", 3, 0.3, 1.0, kpt, sets, master_seed=2)
+    refined = refine_kpt(g, ts, "ic", 3, 0.3, 1.0, kpt, sets, master_seed=2,
+                         theta_cap=DEFAULT_THETA_CAP)
     assert refined >= kpt
 
 
@@ -103,7 +104,7 @@ def test_estimate_params_pipeline_and_override():
                              theta_cap=50_000)
     assert params.theta >= 1
     assert params.kpt_plus >= params.kpt_star / 2  # refinement contract, loose form
-    override = estimate_params(g, ts, "ic", k=2, theta_override=123)
+    override = estimate_params(g, ts, "ic", k=2, epsilon=0.1, master_seed=0, theta_override=123)
     assert override.theta == 123
     assert override.kpt_star is None and override.kpt_plus is None
 

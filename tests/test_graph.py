@@ -145,14 +145,14 @@ def test_target_monotonicity_in_tau(tau1, tau2):
 
 
 def test_uniform_indegree_rows_sum_to_one():
-    g = synth_graph(60, 4, seed=11)
+    g = synth_graph(60, 4, seed=11, score_mode="uniform")
     sums = np.bincount(g.dst, weights=g.b, minlength=g.node_count)
     indeg = g.in_degrees()
     assert np.all(np.abs(sums[indeg > 0] - 1.0) < 1e-12)
 
 
 def test_adjacency_views_consistent():
-    g = synth_graph(40, 3, seed=5)
+    g = synth_graph(40, 3, seed=5, score_mode="uniform")
     fwd = {(int(g.src[i]), int(g.dst[i])) for i in range(g.edge_count)}
     via_out = {(u, int(v)) for u in range(g.node_count)
                for v in g.out_indices[g.out_indptr[u]:g.out_indptr[u + 1]]}
@@ -186,7 +186,7 @@ def test_derive_targets_indegree_minmax():
 
 
 def test_roundtrip_preserves_semantics(tmp_path):
-    g = synth_graph(30, 3, seed=9)
+    g = synth_graph(30, 3, seed=9, score_mode="uniform")
     edge_path = tmp_path / "edges.txt"
     node_path = tmp_path / "nodes.txt"
     save_graph(g, str(edge_path), str(node_path))
@@ -223,7 +223,7 @@ def _hub_graph():
 @pytest.mark.parametrize("case", ["synth", "hub", "sources"])
 def test_in_cum_is_each_nodes_cumsum_bit_for_bit(case):
     g = {
-        "synth": lambda: synth_graph(300, 5, seed=23),
+        "synth": lambda: synth_graph(300, 5, seed=23, score_mode="uniform"),
         "hub": _hub_graph,
         # nodes 0-3 have no in-edges; 4-9 have up to six each
         "sources": lambda: make_graph([(u, v, 0.1 + 0.13 * u) for v in range(4, 10)
@@ -239,7 +239,7 @@ def test_in_cum_is_each_nodes_cumsum_bit_for_bit(case):
 
 
 def test_new_target_scores_share_the_topology():
-    g = synth_graph(50, 3, seed=2)
+    g = synth_graph(50, 3, seed=2, score_mode="uniform")
     g2 = g.with_target_scores(np.full(g.node_count, 0.5))
     assert np.all(g2.t == 0.5) and np.all(g.t != 0.5)
     for name in ("src", "dst", "b", "out_indptr", "out_indices", "in_indptr", "in_cum"):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divtim.errors import ConfigError, FormatError
-from divtim.profiles import (MISSING, Schema, derive_numeric_preferences,
+from divtim.profiles import (MISSING, derive_numeric_preferences,
                              load_numeric_matrix, load_profiles, quantile_discretize,
                              save_profiles, synth_profiles)
 
@@ -15,45 +15,28 @@ CHI2_9_P01 = 21.666
 
 
 def test_load_sparse_row():
-    ps = load_profiles(io.StringIO("A1,A2,A3\na1,,c2\n"))
+    ps = load_profiles(io.StringIO("A1,A2,A3\na1,,c2\n"), node_labels=["0"])
     assert np.count_nonzero(ps.codes[0] != MISSING) == 2
     assert ps.values_of(0) == [(0, 0), (2, 0)]
 
 
 def test_load_all_empty_row():
-    ps = load_profiles(io.StringIO("A1,A2\n,\n"))
+    ps = load_profiles(io.StringIO("A1,A2\n,\n"), node_labels=["0"])
     assert np.count_nonzero(ps.codes[0] != MISSING) == 0
 
 
 def test_global_value_counts():
-    ps = load_profiles(io.StringIO("A1\na1\na1\nb\n"))
-    code_a1 = ps.schema.code(0, "a1")
+    ps = load_profiles(io.StringIO("A1\na1\na1\nb\n"), node_labels=["0", "1", "2"])
+    code_a1 = ps.schema.domains[0].index("a1")
     assert ps.value_counts[0][code_a1] == 2
     assert ps.total_value_occurrences() == 3
-
-
-def test_value_outside_declared_domain():
-    schema = Schema(attributes=["A1"], domains=[["x", "y"]])
-    with pytest.raises(FormatError, match="outside domain"):
-        load_profiles(io.StringIO("A1\nz\n"), schema=schema)
-
-
-def test_unknown_attribute_column():
-    schema = Schema(attributes=["A1"], domains=[["x"]])
-    with pytest.raises(FormatError):
-        load_profiles(io.StringIO("A1,WAT\nx,1\n"), schema=schema)
-
-
-def test_schema_weights_must_sum_to_one():
-    with pytest.raises(FormatError):
-        Schema(attributes=["A", "B"], domains=[["x"], ["y"]], weights=[0.9, 0.3])
 
 
 def test_reload_idempotence(tmp_path):
     ps = synth_profiles(40, m=4, domain_sizes=5, seed=3)
     path = tmp_path / "profiles.csv"
     save_profiles(ps, str(path))
-    back = load_profiles(str(path), schema=ps.schema)
+    back = load_profiles(str(path), node_labels=[str(v) for v in range(40)])
     assert np.array_equal(ps.codes, back.codes)
 
 
@@ -92,26 +75,26 @@ def test_synth_exponential_chi_square():
 
 
 def test_quantile_median_split():
-    ps = quantile_discretize(np.array([[1.0], [2.0], [3.0], [4.0]]), bins=2)
+    ps = quantile_discretize(np.array([[1.0], [2.0], [3.0], [4.0]]), bins=2, attr_names=["A1"])
     assert [ps.schema.domains[0][c] for c in ps.codes[:, 0]] == ["1", "1", "2", "2"]
 
 
 def test_quantile_constant_column():
-    ps = quantile_discretize(np.full((5, 1), 3.3), bins=4)
+    ps = quantile_discretize(np.full((5, 1), 3.3), bins=4, attr_names=["A1"])
     assert np.all(ps.codes[:, 0] == 0)
 
 
 def test_quantile_identity_bins():
     vals = np.arange(1.0, 11.0).reshape(-1, 1)
-    ps = quantile_discretize(vals, bins=10)
+    ps = quantile_discretize(vals, bins=10, attr_names=["A1"])
     assert list(ps.codes[:, 0]) == list(range(10))
 
 
 def test_quantile_rejects_empty_column():
     with pytest.raises(FormatError):
-        quantile_discretize(np.full((3, 1), np.nan), bins=2)
+        quantile_discretize(np.full((3, 1), np.nan), bins=2, attr_names=["A1"])
     with pytest.raises(ConfigError):
-        quantile_discretize(np.ones((3, 1)), bins=1)
+        quantile_discretize(np.ones((3, 1)), bins=1, attr_names=["A1"])
 
 
 @given(st.lists(st.floats(-100, 100), min_size=4, max_size=30),
@@ -119,7 +102,7 @@ def test_quantile_rejects_empty_column():
 @settings(max_examples=60, deadline=None)
 def test_quantile_monotone(values, bins):
     mat = np.asarray(values).reshape(-1, 1)
-    ps = quantile_discretize(mat, bins=bins)
+    ps = quantile_discretize(mat, bins=bins, attr_names=["A1"])
     order = np.argsort(values, kind="stable")
     labels = ps.codes[order, 0]
     assert np.all(np.diff(labels) >= 0)

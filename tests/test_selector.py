@@ -1,4 +1,5 @@
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +11,7 @@ from divtim.errors import ConfigError
 from divtim.graph import select_targets, synth_graph
 from divtim.profiles import synth_profiles
 from divtim.sampler import generate_corpus
-from divtim.selector import build_seed_set, lazy_greedy, objective_value
+from divtim.selector import build_seed_set, lazy_greedy
 
 from conftest import (corpus_from_sets, coverage_fraction, make_graph, make_profiles,
                       random_profiles)
@@ -162,9 +163,9 @@ def test_objective_value_mixing():
     ps = make_profiles([(0,), (1,)], domain_sizes=[2])
     res = build_seed_set(corpus, 1, 1.0, AttributeWiseDiversity(ps))
     res.expected_capital, res.diversity_value = 4.0, 2.0
-    assert objective_value(res, 1.0) == 4.0
-    assert objective_value(res, 0.0) == 2.0
-    assert objective_value(res, 0.5) == 3.0
+    assert replace(res, alpha=1.0).objective() == 4.0
+    assert replace(res, alpha=0.0).objective() == 2.0
+    assert replace(res, alpha=0.5).objective() == 3.0
 
 
 def test_objective_normalized():
@@ -172,7 +173,7 @@ def test_objective_normalized():
     ps = make_profiles([(0,), (1,)], domain_sizes=[2])
     res = build_seed_set(corpus, 2, 0.5, AttributeWiseDiversity(ps))
     # full coverage and maximal diversity: both terms normalize to 1
-    assert objective_value(res, 0.5, normalize=True) == pytest.approx(1.0)
+    assert res.objective(normalize=True) == pytest.approx(1.0)
 
 
 def test_bad_arguments():
@@ -197,7 +198,7 @@ def _oracle_corpora():
                  list(np.unique(rng.integers(0, n, size=rng.integers(1, 6)))))
                 for _ in range(int(rng.integers(20, 120)))]
         corpora.append(manual_corpus(sets, n, target_total=float(rng.uniform(0.1, 1.0) * n)))
-    g = synth_graph(60, 3, seed=5)
+    g = synth_graph(60, 3, seed=5, score_mode="uniform")
     targets = select_targets(g, "top_percent", percent=30)
     for model in ("ic", "lt"):
         corpora.append(generate_corpus(g, targets, model, 3000, master_seed=17))
@@ -234,7 +235,7 @@ def test_lazy_greedy_ties_stop_and_per_term_gains():
     assert cover.committed == (0, 1)
 
     cover.reset()
-    classes = ClassDiversity([0, 0, 1, 1])
+    classes = ClassDiversity([0, 0, 1, 1], np.ones(4))
     picks = lazy_greedy(2, [(0.25, cover, cover.gains()),
                             (0.75, classes, [classes.gain(v) for v in range(4)])])
     # 1 scores 0.25 * 2 + 0.75 * 1; then 2 (new element, new class) beats 3 and 0

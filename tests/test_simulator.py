@@ -10,7 +10,8 @@ from oracles import exhaustive_expectation
 
 
 def test_certain_edges_full_spread(chain3):
-    report = simulate(chain3, "ic", [chain3.label_ids["a"]], runs=50, master_seed=1)
+    report = simulate(chain3, "ic", [chain3.label_ids["a"]], runs=50, master_seed=1,
+                      targets=select_targets(chain3, "threshold", tau=0.0))
     assert report.mean_spread == 3.0
     assert report.stderr_spread == 0.0
 
@@ -35,21 +36,24 @@ def test_two_node_bernoulli_band(two_node_half):
 
 def test_simulate_deterministic(two_node_half):
     g = two_node_half
-    a = simulate(g, "ic", [0], runs=500, master_seed=9)
-    b = simulate(g, "ic", [0], runs=500, master_seed=9)
+    ts = select_targets(g, "threshold", tau=0.5)
+    a = simulate(g, "ic", [0], runs=500, master_seed=9, targets=ts)
+    b = simulate(g, "ic", [0], runs=500, master_seed=9, targets=ts)
     assert a == b
 
 
 def test_repeated_seed_counts_once(two_node_half):
     g = two_node_half
     u = g.label_ids["u"]
-    assert simulate(g, "ic", [u, u], runs=2000, master_seed=4) == \
-        simulate(g, "ic", [u], runs=2000, master_seed=4)
+    ts = select_targets(g, "threshold", tau=0.5)
+    assert simulate(g, "ic", [u, u], runs=2000, master_seed=4, targets=ts) == \
+        simulate(g, "ic", [u], runs=2000, master_seed=4, targets=ts)
 
 
 def test_simulate_rejects_empty_seed_set(chain3):
     with pytest.raises(ConfigError):
-        simulate(chain3, "ic", [], runs=10, master_seed=0)
+        simulate(chain3, "ic", [], runs=10, master_seed=0,
+                 targets=select_targets(chain3, "threshold", tau=0.0))
 
 
 def test_exhaustive_two_node_half(two_node_half):
@@ -119,4 +123,5 @@ def test_lt_simulation_and_exhaustive_agree():
 def test_lt_rejects_overweight_node():
     g = make_graph([("a", "c", 0.9), ("b", "c", 0.9)])
     with pytest.raises(ConfigError):
-        simulate(g, "lt", [0], runs=5, master_seed=0)
+        simulate(g, "lt", [0], runs=5, master_seed=0,
+                 targets=select_targets(g, "threshold", tau=0.0))

@@ -70,9 +70,9 @@ def test_decorated_input_reads_like_plain_input(tmp_path, name, given):
 
 
 def test_decorated_seeds_file_reads_like_plain(tmp_path, capsys):
-    g = synth_graph(30, 3, seed=6)
+    g = synth_graph(30, 3, seed=6, score_mode="uniform")
     edges = tmp_path / "edges.txt"
-    save_graph(g, str(edges))
+    save_graph(g, str(edges), str(tmp_path / "node_weights.txt"))
     plain, decorated = tmp_path / "plain.txt", tmp_path / "decorated.txt"
     plain.write_text("3\n17\n", encoding="utf-8")
     decorated.write_bytes(decorate("3\n17\n").encode("utf-8"))
@@ -127,3 +127,104 @@ def test_nothing_in_src_is_called_only_by_tests():
     unused = sorted(name for name, count in defined.items()
                     if len(re.findall(rf"\b{name}\b", text)) <= count)
     assert unused == []
+
+
+def _signatures(path: Path, local: set[str]) -> dict[str, list]:
+    """Every function, method and dataclass defined in path, by the name a
+    call uses: [(label, [(parameter, has default, keyword only)]), ...].
+
+    The methods of a class that extends a class not in ``local`` are left
+    out: the library that defines the base calls them."""
+    out: dict[str, list] = {}
+
+    def add(key, label, params):
+        if params:
+            out.setdefault(key, []).append((label, params))
+
+    def function(node, in_class):
+        a = node.args
+        positional = a.posonlyargs + a.args
+        if in_class and not any(isinstance(d, ast.Name) and d.id == "staticmethod"
+                                for d in node.decorator_list):
+            positional = positional[1:]
+        defaults = [False] * (len(positional) - len(a.defaults)) + [True] * len(a.defaults)
+        return ([(p.arg, d, False) for p, d in zip(positional, defaults)]
+                + [(p.arg, d is not None, True) for p, d in zip(a.kwonlyargs, a.kw_defaults)])
+
+    def field_default(value):
+        if value is None:
+            return False
+        if isinstance(value, ast.Call) and getattr(value.func, "id", "") == "field":
+            return any(kw.arg in ("default", "default_factory") for kw in value.keywords)
+        return True
+
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if isinstance(node, ast.FunctionDef):
+            add(node.name, node.name, function(node, False))
+        elif isinstance(node, ast.ClassDef):
+            if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
+                add(node.name, node.name, [
+                    (item.target.id, field_default(item.value), False) for item in node.body
+                    if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+                    and "init=False" not in ast.unparse(item.value or ast.Constant(0))])
+            if any(ast.unparse(base) not in local for base in node.bases):
+                continue
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and (
+                        item.name == "__init__" or not item.name.startswith("__")):
+                    key = node.name if item.name == "__init__" else item.name
+                    add(key, f"{node.name}.{item.name}", function(item, True))
+    return out
+
+
+def test_every_parameter_is_set_by_a_program():
+    # a parameter exists only if a program call passes it, and a default only
+    # if a program call leaves it out; calls resolve by the called name
+    src = Path(divtim.__file__).parent
+    root = src.parent.parent
+    local = {node.name for path in src.glob("*.py")
+             for node in ast.parse(path.read_text(encoding="utf-8")).body
+             if isinstance(node, ast.ClassDef)}
+    defined: dict[str, list] = {}
+    for path in src.glob("*.py"):
+        for key, entries in _signatures(path, local).items():
+            defined.setdefault(key, []).extend(entries)
+    calls: dict[str, list] = {}     # name -> [(positional count, None if starred; keywords)]
+    escaped: set[str] = set()       # functions passed around as values: callers unseen
+    for path in (*src.glob("*.py"), *root.glob("scripts/*.py"), *root.glob("perfbench/*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        own = {alias.asname or alias.name for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) for alias in node.names}
+        own.update(node.name for node in tree.body
+                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        called = {id(node) for holder in ast.walk(tree)      # a type annotation calls nothing
+                  for note in (getattr(holder, "annotation", None), getattr(holder, "returns", None))
+                  if note is not None for node in ast.walk(note)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call):
+                called.add(id(node.func))
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                starred = any(isinstance(arg, ast.Starred) for arg in node.args)
+                keywords = {kw.arg for kw in node.keywords}   # None stands for **kwargs
+                calls.setdefault(name, []).append((None if starred else len(node.args),
+                                                   keywords))
+        escaped.update(node.id for node in ast.walk(tree)
+                       if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                       and node.id in own and id(node) not in called)
+    for entry in re.findall(r'= "[\w.]+:(\w+)"', (root / "pyproject.toml").read_text(encoding="utf-8")):
+        calls.setdefault(entry, []).append((0, set()))
+    unset, overridden = [], []
+    for key, entries in defined.items():
+        if key in escaped:
+            continue
+        for label, params in entries:
+            for at, (param, has_default, kw_only) in enumerate(params):
+                passes = [param in keywords or None in keywords or not kw_only and (
+                              positional is None or positional > at)
+                          for positional, keywords in calls.get(key, [])]
+                if not any(passes):
+                    unset.append(f"{label}.{param}")
+                elif has_default and all(passes):
+                    overridden.append(f"{label}.{param}")
+    assert {"never passed": sorted(unset), "never left out": sorted(overridden)} == \
+        {"never passed": [], "never left out": []}
