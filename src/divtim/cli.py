@@ -51,9 +51,6 @@ def _read_config_file(source) -> dict[str, str]:
     return out
 
 
-_ON, _OFF = ("1", "true", "yes"), ("0", "false", "no")
-
-
 def _config_defaults(parser: _Parser, path: str) -> dict:
     """The config file as parser defaults; keys are the long flag names but ``config``.
 
@@ -69,12 +66,7 @@ def _config_defaults(parser: _Parser, path: str) -> dict:
     defaults = {}
     for key, value in conf.items():
         action = actions[key]
-        if isinstance(action.default, bool):
-            if value.lower() not in _ON + _OFF:
-                raise UsageError(f"config key {key}: {value!r} is not one of "
-                                 f"{'/'.join(_ON + _OFF)}")
-            value = value.lower() in _ON
-        elif action.choices and value not in action.choices:
+        if action.choices and value not in action.choices:
             raise UsageError(f"config key {key}: {value!r} not in {sorted(action.choices)}")
         defaults[action.dest] = value
     return defaults
@@ -101,19 +93,21 @@ def _targets_from_args(args):
     return g, select_targets(g, "top_percent", percent=args.percent), args.percent
 
 
+def _load_preferences(path: str, graph: DiffusionGraph) -> np.ndarray:
+    """The numeric CSV at path as per-node preference rows; an empty cell reads 0."""
+    mat, _ = profiles.load_numeric_matrix(path, graph.labels)
+    return profiles.derive_numeric_preferences(np.nan_to_num(mat))
+
+
 def _build_diversity(graph, profile_set, args):
     kind = args.diversity
+    if kind in ("aw", "hamming", "entropy") and profile_set is None:
+        raise ConfigError(f"{kind} diversity needs --profiles")
     if kind == "aw":
-        if profile_set is None:
-            raise ConfigError("attribute-wise diversity needs --profiles")
         return diversity.AttributeWiseDiversity(profile_set, lam=args.lam)
     if kind == "hamming":
-        if profile_set is None:
-            raise ConfigError("hamming diversity needs --profiles")
         return diversity.HammingBallDiversity(graph, profile_set, radius=args.xi)
     if kind == "entropy":
-        if profile_set is None:
-            raise ConfigError("entropy diversity needs --profiles")
         return diversity.EntropyDiversity(profile_set)
     if kind == "class":
         if not args.class_map:
@@ -123,14 +117,11 @@ def _build_diversity(graph, profile_set, args):
             unlisted = graph.labels[int(np.argmax(classes < 0))]
             raise ConfigError(f"class map assigns no class to node {unlisted!r}")
         return diversity.ClassDiversity(classes, rewards)
-    if kind in ("numeric-u", "numeric-w"):
-        if not args.preferences:
-            raise ConfigError("numeric diversity needs --preferences")
-        mat, _ = profiles.load_numeric_matrix(args.preferences, graph.labels)
-        prefs = profiles.derive_numeric_preferences(np.nan_to_num(mat))
-        g_mode = "unit" if kind == "numeric-u" else "degree"
-        return diversity.NumericDiversity(prefs, baselines.node_gain_vector(graph, g_mode))
-    raise ConfigError(f"unknown diversity kind {kind!r}")
+    if not args.preferences:
+        raise ConfigError("numeric diversity needs --preferences")
+    g_mode = {"numeric-u": "unit", "numeric-w": "degree"}[kind]
+    return diversity.NumericDiversity(_load_preferences(args.preferences, graph),
+                                      baselines.node_gain_vector(graph, g_mode))
 
 
 def _cast(token: str, cast):
@@ -267,7 +258,6 @@ def _select_parser(sub) -> _Parser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, help="accepted for compatibility; no effect")
     p.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
-    p.add_argument("--normalize", action="store_true")
     p.add_argument("--dump-corpus", default="")
     p.add_argument("--out")
     return p
@@ -276,7 +266,8 @@ def _select_parser(sub) -> _Parser:
 # Settings echoed as config.* lines in every result document.
 CONFIG_KEYS = ("graph", "weight_mode", "node_weights", "derive_targets", "target_mode",
                "profiles", "numeric_profiles", "bins", "class_map", "preferences",
-               "diversity", "xi", "lam", "model", "epsilon", "ell", "seed", "normalize")
+               "diversity", "xi", "lam", "model", "epsilon", "ell", "theta_override",
+               "theta_cap", "seed")
 
 
 def cmd_select(args) -> int:
@@ -299,8 +290,6 @@ def cmd_select(args) -> int:
     # One diversity function serves the whole grid; reset() clears its
     # selection but keeps what it built (hamming balls).
     div = _build_diversity(graph, profile_set, args)
-    if args.normalize and div.max_value_for_budget(max(ks)) is None:
-        raise ConfigError(f"diversity function {div.name!r} has no known maximum")
 
     os.makedirs(args.out, exist_ok=True)
     config_pairs = {key: getattr(args, key) for key in CONFIG_KEYS}
@@ -327,7 +316,7 @@ def cmd_select(args) -> int:
             extra["corpus_width"] = corpus.total_width
             if profile_set is not None and res.seeds:
                 extra["seed_entropy"] = repr(metrics.seed_entropy(res.seeds, profile_set))
-            if args.normalize:
+            if res.diversity_max is not None:
                 extra["objective_normalized"] = repr(res.objective(normalize=True))
             pairs = dict(config_pairs, k=k, alpha=alpha_token)
             path = os.path.join(args.out, f"seeds_k{k}_a{alpha_token}.txt")
@@ -411,13 +400,12 @@ def _baseline_parser(sub) -> _Parser:
 
 
 def cmd_baseline(args) -> int:
+    if args.gamma is not None and args.alpha is not None:
+        raise UsageError("give either --gamma or --alpha, not both")
     graph = _load_graph_from_args(args)
     if not args.preferences:
         raise UsageError("baseline needs --preferences")
-    mat, _ = profiles.load_numeric_matrix(args.preferences, graph.labels)
-    prefs = profiles.derive_numeric_preferences(np.nan_to_num(mat))
-    if args.gamma is not None and args.alpha is not None:
-        raise UsageError("give either --gamma or --alpha, not both")
+    prefs = _load_preferences(args.preferences, graph)
     gamma = args.gamma if args.gamma is not None else \
         1.0 - args.alpha if args.alpha is not None else 0.5
     seeds = baselines.deg_d_greedy(graph, prefs, args.g_mode, gamma, args.k)
@@ -458,13 +446,15 @@ def _synth_parser(sub) -> _Parser:
     p.add_argument("--domain-sizes", default="10")
     p.add_argument("--distribution", choices=("uniform", "exponential"), default="uniform")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
+    p.add_argument("--out")
     return p
 
 
 def cmd_synth(args) -> int:
-    if args.nodes is None:
-        raise UsageError("synth needs --nodes")
+    # checked here, not by argparse, so a config file can give them
+    for flag in ("nodes", "out"):
+        if getattr(args, flag) is None:
+            raise UsageError(f"synth needs --{flag}")
     sizes = _parse_list(args.domain_sizes, int)
     pset = profiles.synth_profiles(args.nodes, args.m,
                                    sizes * args.m if len(sizes) == 1 else sizes,

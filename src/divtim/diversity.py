@@ -48,9 +48,7 @@ class DiversityFunction:
         return max(0.0, float(self._gain(v)))
 
     def commit(self, v: int) -> float:
-        if v in self._committed:
-            raise UsageError(f"node {v} already committed")
-        g = max(0.0, float(self._gain(v)))
+        g = self.gain(v)
         self._apply(v)
         self._committed.add(v)
         return g
@@ -306,14 +304,10 @@ class EntropyDiversity(DiversityFunction):
         self._reset()
 
     def _reset(self) -> None:
-        if self._prior:
-            self._group_of = {val: 0 for val in self._prior}
-            self._mass = {0: 1.0}
-            self._size = {0: len(self._prior)}
-            self._next_gid = 1
-        else:
-            self._group_of, self._mass, self._size = {}, {}, {}
-            self._next_gid = 0
+        self._group_of = {val: 0 for val in self._prior}
+        self._mass = {0: 1.0}
+        self._size = {0: len(self._prior)}
+        self._next_gid = 1
 
     def value(self) -> float:
         return float(sum(_h(m) for m in self._mass.values()))
@@ -321,13 +315,11 @@ class EntropyDiversity(DiversityFunction):
     def _split_masses(self, v: int) -> dict[int, tuple[float, int]]:
         """Per affected group: (mass moving to v's side, values moving)."""
         hit: dict[int, tuple[float, int]] = {}
+        # a value present on a node has a positive count, so it has a prior
         for val in self.profiles.values_of(v):
-            p = self._prior.get(val)
-            if p is None:
-                continue
             gid = self._group_of[val]
             mass, cnt = hit.get(gid, (0.0, 0))
-            hit[gid] = (mass + p, cnt + 1)
+            hit[gid] = (mass + self._prior[val], cnt + 1)
         return hit
 
     def _gain(self, v: int) -> float:
@@ -344,8 +336,7 @@ class EntropyDiversity(DiversityFunction):
         moved_gids: dict[int, int] = {}
         for gid, (m_in, cnt) in hit.items():
             if cnt == self._size[gid]:
-                moved_gids[gid] = gid  # group lies entirely inside v's profile
-                continue
+                continue  # the group lies entirely inside v's profile and keeps its id
             new_gid = self._next_gid
             self._next_gid += 1
             self._mass[new_gid] = m_in
@@ -354,9 +345,8 @@ class EntropyDiversity(DiversityFunction):
             self._size[gid] -= cnt
             moved_gids[gid] = new_gid
         for val in self.profiles.values_of(v):
-            if val in self._prior:
-                old = self._group_of[val]
-                self._group_of[val] = moved_gids.get(old, old)
+            old = self._group_of[val]
+            self._group_of[val] = moved_gids.get(old, old)
 
     def max_value_for_budget(self, k: int) -> float:
         return math.log2(max(1, self.profiles.schema.total_domain_size()))

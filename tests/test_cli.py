@@ -10,7 +10,8 @@ import pytest
 
 import divtim
 from divtim.cli import main, parse_result_doc
-from divtim.graph import save_graph, synth_graph
+from divtim.graph import (derive_targets_indegree, load_graph, load_node_weights, save_graph,
+                          select_targets, synth_graph)
 
 
 @pytest.fixture
@@ -281,11 +282,24 @@ def test_class_value_stays_within_its_maximum(tmp_path, small_dataset):
     classes = tmp_path / "classes.txt"
     classes.write_text("".join(f"{v} c{v % 2} 4\n" for v in range(40)), encoding="utf-8")
     out = run_select(tmp_path, small_dataset, "class", "--diversity", "class",
-                     "--class-map", str(classes), "--k", "3", "--alpha", "0", "--normalize")
+                     "--class-map", str(classes), "--k", "3", "--alpha", "0")
     doc = parse_result_doc(str(out / "seeds_k3_a0.txt"))
     # every reward is 4, so the bound is 3 * log2(1 + 4), not k
     assert float(doc["diversity_max"]) == pytest.approx(3 * math.log2(5))
     assert float(doc["diversity_value"]) <= float(doc["diversity_max"])
+    # at alpha 0 the normalized objective is the diversity over its maximum
+    assert float(doc["objective_normalized"]) == pytest.approx(
+        float(doc["diversity_value"]) / float(doc["diversity_max"]))
+
+
+def test_no_normalized_objective_without_a_maximum(tmp_path, small_dataset):
+    prefs = tmp_path / "prefs.csv"
+    prefs.write_text("p1,p2\n" + "0.5,0.25\n" * 40, encoding="utf-8")
+    out = run_select(tmp_path, small_dataset, "numeric", "--diversity", "numeric-w",
+                     "--preferences", str(prefs), "--k", "3", "--alpha", "0.5")
+    doc = parse_result_doc(str(out / "seeds_k3_a0.5.txt"))
+    assert "diversity_max" not in doc and "objective_normalized" not in doc
+    assert float(doc["objective"]) > 0
 
 
 def test_unknown_config_key_lists_it(tmp_path, capsys):
@@ -525,10 +539,8 @@ def test_theta_cap_below_one_is_data_error(tmp_path, small_dataset, capsys):
 @pytest.mark.parametrize("extra,message", [
     (["--lam", "nan"], "lambda"), (["--alpha", "2"], "alpha"), (["--alpha", "nan"], "alpha"),
     (["--diversity", "class"], "class-map"),
-    (["--diversity", "numeric-u", "--normalize"], "maximum"),
     (["--diversity", "class", "--class-map", "partial-classes.txt"], "'17'"),
-], ids=["lam-nan", "alpha-2", "alpha-nan", "class-without-map", "numeric-u-normalize",
-        "class-map-partial"])
+], ids=["lam-nan", "alpha-2", "alpha-nan", "class-without-map", "class-map-partial"])
 def test_select_config_error_precedes_estimation(tmp_path, small_dataset, monkeypatch, capsys,
                                                  extra, message):
     def estimate_params(*args, **kwargs):
@@ -548,29 +560,21 @@ def test_select_config_error_precedes_estimation(tmp_path, small_dataset, monkey
     assert message in capsys.readouterr().err
 
 
-def test_config_on_off_value_is_checked(tmp_path, small_dataset, capsys):
-    conf = tmp_path / "run.conf"
-    conf.write_text("normalize=maybe\n", encoding="utf-8")
-    code = main(["select", "--config", str(conf), "--graph", str(small_dataset["edges"]),
-                 "--weight-mode", "explicit", "--profiles", str(small_dataset["profiles"]),
-                 "--k", "2", "--theta-override", "50", "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert "normalize" in capsys.readouterr().err
-
-
 def test_config_file_matches_flags(tmp_path, small_dataset):
     conf = tmp_path / "run.conf"
-    conf.write_text("seed=5\ntheta-override=250\nlam=2\ndiversity=entropy\nnormalize=yes\n",
+    conf.write_text("seed=5\ntheta-override=250\ntheta-cap=900\nlam=2\ndiversity=entropy\n",
                     encoding="utf-8")
     base = ["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
             "--profiles", str(small_dataset["profiles"]), "--k", "2,3", "--alpha", "0,0.5"]
     by_file, by_flags = tmp_path / "by_file", tmp_path / "by_flags"
     assert main([*base, "--config", str(conf), "--out", str(by_file)]) == 0
-    assert main([*base, "--seed", "5", "--theta-override", "250", "--lam", "2",
-                 "--diversity", "entropy", "--normalize", "--out", str(by_flags)]) == 0
+    assert main([*base, "--seed", "5", "--theta-override", "250", "--theta-cap", "900",
+                 "--lam", "2", "--diversity", "entropy", "--out", str(by_flags)]) == 0
     docs = _docs_without_timing(by_file)
     assert len(docs) == 4 and docs == _docs_without_timing(by_flags)
-    assert "config.normalize: True" in docs["seeds_k2_a0.txt"]
+    doc = parse_result_doc(str(by_file / "seeds_k2_a0.txt"))
+    assert doc["config.theta_override"] == "250" and doc["config.theta_cap"] == "900"
+    assert "objective_normalized" in doc
     assert (by_file / "metrics.csv").read_text() == (by_flags / "metrics.csv").read_text()
 
 
@@ -586,3 +590,115 @@ def test_metrics_command_matches_select_csv(tmp_path, small_dataset):
     header, rows = sorted_lines(out / "metrics.csv")
     assert len(rows) == 6
     assert (header, rows) == sorted_lines(again)
+
+
+def test_synth_takes_out_from_its_config(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "c.cfg").write_text("nodes=5\nout=p.csv\n", encoding="utf-8")
+    assert main(["synth", "--config", "c.cfg"]) == 0
+    assert (tmp_path / "p.csv").read_text(encoding="utf-8").count("\n") == 6
+
+
+SELECT_3 = ["select", "--graph", "e.txt", "--weight-mode", "explicit", "--profiles", "p.csv",
+            "--k", "1", "--theta-override", "20", "--out", "out"]
+GRAPH_3 = ["--graph", "e.txt", "--weight-mode", "explicit"]
+
+
+@pytest.mark.parametrize("argv, code, message", [
+    ([*SELECT_3, "--k", "0"], 2, "budget k must be at least 1"),
+    ([*SELECT_3, "--theta-override", "0"], 2, "theta override must be positive"),
+    ([*SELECT_3, "--k", ","], 1, "empty value list"),
+    ([*SELECT_3, "--target-mode", "threshold", "--tau", "2"], 2, "tau in [0, 1]"),
+    ([*SELECT_3, "--percent", "0"], 2, "percent in (0, 100]"),
+    ([*SELECT_3, "--diversity", "hamming", "--xi", "0"], 2, "radius"),
+    (["select", *GRAPH_3, "--diversity", "aw", "--out", "out"], 2,
+     "aw diversity needs --profiles"),
+    (["select", *GRAPH_3, "--diversity", "hamming", "--out", "out"], 2,
+     "hamming diversity needs --profiles"),
+    (["select", *GRAPH_3, "--diversity", "entropy", "--out", "out"], 2,
+     "entropy diversity needs --profiles"),
+    ([*SELECT_3, "--diversity", "numeric-w"], 2, "needs --preferences"),
+    ([*SELECT_3, "--numeric-profiles", "n.csv"], 1, "--profiles or --numeric-profiles"),
+    (["select", "--profiles", "p.csv", "--out", "out"], 1, "a graph path is required"),
+    ([*SELECT_3, "--config", "model.cfg"], 1, "config key model: 'xx'"),
+    ([*SELECT_3, "--node-weights", "one-field.txt"], 2, "node weight line 1: expected"),
+    ([*SELECT_3, "--node-weights", "bad-score.txt"], 2, "line 1: bad score 'x'"),
+    ([*SELECT_3, "--diversity", "class", "--class-map", "one-field.txt"], 2,
+     "class map line 1: expected"),
+    ([*SELECT_3, "--diversity", "class", "--class-map", "zero-reward.txt"], 2,
+     "class map line 1: reward must be positive"),
+    ([*SELECT_3, "--diversity", "numeric-u", "--preferences", "bad.csv"], 2,
+     "row 2: bad number 'abc'"),
+    ([*SELECT_3, "--graph", "bad-weight.txt"], 2, "line 1: bad weight 'x'"),
+    (["simulate", *GRAPH_3, "--seeds", "a", "--runs", "0"], 2, "at least one run"),
+    (["simulate", *GRAPH_3], 1, "provide --seeds"),
+    (["baseline", "deg-d", *GRAPH_3], 1, "baseline needs --preferences"),
+    (["baseline", "deg-d", *GRAPH_3, "--preferences", "n.csv", "--gamma", "0.5", "--alpha", "0.5"],
+     1, "--gamma or --alpha"),
+    # the usage error precedes reading the preferences, which are bad here
+    (["baseline", "deg-d", *GRAPH_3, "--preferences", "bad.csv", "--gamma", "0.5",
+      "--alpha", "0.5"], 1, "--gamma or --alpha"),
+    (["baseline", "deg-d", *GRAPH_3, "--preferences", "n.csv", "--k", "0"], 2,
+     "budget k must be at least 1"),
+    (["synth", "--out", "s.csv"], 1, "synth needs --nodes"),
+    (["synth", "--nodes", "5"], 1, "synth needs --out"),
+    (["synth", "--nodes", "5", "--m", "0", "--out", "s.csv"], 2, "at least one attribute"),
+    (["synth", "--nodes", "5", "--m", "2", "--domain-sizes", "3,4,5", "--out", "s.csv"], 2,
+     "one positive domain size per attribute"),
+], ids=["k-0", "theta-override-0", "k-comma", "tau-2", "percent-0", "xi-0", "aw-no-profiles",
+        "hamming-no-profiles", "entropy-no-profiles", "numeric-no-preferences",
+        "both-profiles", "no-graph", "config-model", "weights-one-field", "weights-bad-score",
+        "class-one-field", "class-zero-reward", "numeric-cell", "edge-bad-weight",
+        "simulate-runs-0", "simulate-no-seeds", "baseline-no-preferences", "baseline-gamma-alpha",
+        "baseline-gamma-alpha-bad-file", "baseline-k-0", "synth-no-nodes", "synth-no-out",
+        "synth-m-0", "synth-sizes"])
+def test_bad_input_names_its_fault_on_one_line(tmp_path, monkeypatch, capsys, argv, code,
+                                               message):
+    monkeypatch.chdir(tmp_path)
+    for name, text in {"e.txt": "a b 0.5\nb c 0.5\n", "p.csv": "node,x\na,1\nb,2\nc,1\n",
+                       "n.csv": NUMERIC_ROWS, "bad.csv": "node,p1\na,abc\nb,0.2\nc,0.3\n",
+                       "one-field.txt": "a\n", "bad-score.txt": "a x\n",
+                       "zero-reward.txt": "a red 0\n", "bad-weight.txt": "a b x\n",
+                       "model.cfg": "model=xx\n"}.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1
+    assert "Traceback" not in err and message in err
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("targets", [["--target-mode", "threshold", "--tau", "0.5"],
+                                     ["--derive-targets", "indegree"]],
+                         ids=["threshold", "indegree"])
+def test_select_and_simulate_on_other_target_sets(tmp_path, small_dataset, capsys, targets):
+    graph = ["--graph", str(small_dataset["edges"]), "--weight-mode", "explicit"]
+    weights = [] if "indegree" in targets else ["--node-weights", str(small_dataset["nodes"])]
+    g = load_graph(str(small_dataset["edges"]), "explicit")
+    if weights:
+        g = load_node_weights(g, str(small_dataset["nodes"]))
+        total = select_targets(g, "threshold", tau=0.5).total_score
+    else:
+        total = select_targets(derive_targets_indegree(g), "top_percent", percent=25).total_score
+    out = tmp_path / "out"
+    assert main(["select", *graph, *weights, *targets, "--k", "3", "--theta-override", "400",
+                 "--profiles", str(small_dataset["profiles"]), "--out", str(out)]) == 0
+    doc = parse_result_doc(str(out / "seeds_k3_a0.5.txt"))
+    assert float(doc["target_total"]) == pytest.approx(total)
+    assert 0 < float(doc["expected_capital"]) <= total
+    assert main(["simulate", *graph, *weights, *targets, "--from-result",
+                 str(out / "seeds_k3_a0.5.txt"), "--runs", "200", "--seed", "2"]) == 0
+    report = dict(line.split(": ") for line in capsys.readouterr().out.splitlines())
+    assert float(report["mean_spread"]) >= 3
+    assert 0 < float(report["mean_capital"]) <= total
+
+
+def test_estimation_without_kpt_rounds_keeps_bound_one(tmp_path, monkeypatch):
+    # on a 3-node graph no KPT round runs and refinement has no sets to cover
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.txt").write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
+    (tmp_path / "p.csv").write_text("node,x\na,1\nb,2\nc,1\n", encoding="utf-8")
+    assert main(["select", *GRAPH_3, "--profiles", "p.csv", "--k", "1", "--out", "out"]) == 0
+    doc = parse_result_doc("out/seeds_k1_a0.5.txt")
+    assert doc["kpt_star"] == "1.0" and doc["kpt_plus"] == "1.0"
+    assert doc["config.theta_override"] == "None"
