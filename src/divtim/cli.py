@@ -291,7 +291,6 @@ def cmd_select(args) -> int:
     # selection but keeps what it built (hamming balls).
     div = _build_diversity(graph, profile_set, args)
 
-    os.makedirs(args.out, exist_ok=True)
     config_pairs = {key: getattr(args, key) for key in CONFIG_KEYS}
     config_pairs["target_param"] = target_param
 
@@ -299,6 +298,7 @@ def cmd_select(args) -> int:
         graph, targets, args.model, k, epsilon=args.epsilon, ell=args.ell,
         master_seed=args.seed, theta_override=args.theta_override, theta_cap=args.theta_cap)
         for k in ks}
+    os.makedirs(args.out, exist_ok=True)
     # One corpus serves every k: the first theta_k sets are the theta_k-set corpus.
     full = sampler.generate_corpus(graph, targets, args.model,
                                    max(p.theta for p in params.values()), args.seed)

@@ -29,7 +29,8 @@ def seed_entropy(seed_set: Sequence[int], profiles: ProfileSet) -> float:
     if not counts:
         return 0.0
     total = sum(counts.values())
-    entropy = -sum((c / total) * math.log2(c / total) for c in counts.values())
+    # summing negated terms keeps a one-value entropy at 0.0, not -0.0
+    entropy = sum(-(c / total) * math.log2(c / total) for c in counts.values())
     dom_total = profiles.schema.total_domain_size()
     zeta = 1.0 / (1.0 + math.log2(dom_total / len(counts)))
     return entropy * zeta

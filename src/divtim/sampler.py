@@ -79,6 +79,15 @@ def _lt_pick(graph: DiffusionGraph, v: np.ndarray, rng: np.random.Generator) -> 
     return np.where(lo < end, graph.in_indices[np.minimum(lo, cum.size - 1)], -1)
 
 
+def _distinct(keys: np.ndarray) -> np.ndarray:
+    """The sorted distinct values of keys (what numpy's unique returns), by sort and mask."""
+    keys = np.sort(keys)
+    keep = np.empty(keys.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
 def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: int,
                      start: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Everything reached over live edges in ``items`` independent draws at once.
@@ -88,7 +97,10 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
     IC draws one coin per expanded edge, reverse LT one trigger per
     expanded node, and forward LT draws a node's trigger the first time
     an active in-neighbour asks for it (so at most once per item, and
-    never for a start node).  Returns every reached key, start included.
+    never for a start node).  Each level's new keys are deduplicated by
+    ``_distinct`` (sort, then keep each key that differs from the one
+    before), so they are expanded in ascending order.  Returns every
+    reached key, start included.
     """
     n = graph.node_count
     ptr, heads, probs = ((graph.out_indptr, graph.out_indices, graph.out_probs) if forward
@@ -111,10 +123,10 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
                 edge, owner = edge[live], owner[live]
             keys = item[owner] * n + heads[edge]
             if model == "lt":
-                fresh = np.unique(keys[trigger[keys] == -2])
+                fresh = _distinct(keys[trigger[keys] == -2])
                 trigger[fresh] = _lt_pick(graph, fresh % n, rng)
                 keys = keys[trigger[keys] == x[owner]]
-        frontier = np.unique(keys[~seen[keys]])
+        frontier = _distinct(keys[~seen[keys]])
         seen[frontier] = True
         found.append(frontier)
     return np.concatenate(found)

@@ -665,7 +665,7 @@ def test_bad_input_names_its_fault_on_one_line(tmp_path, monkeypatch, capsys, ar
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1
     assert "Traceback" not in err and message in err
-    assert not (tmp_path / "s.csv").exists()
+    assert not (tmp_path / "s.csv").exists() and not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("targets", [["--target-mode", "threshold", "--tau", "0.5"],

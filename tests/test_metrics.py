@@ -12,7 +12,9 @@ from conftest import make_profiles
 
 def test_entropy_single_shared_value_is_zero():
     ps = make_profiles([(0,), (0,), (0,)], domain_sizes=[1])
-    assert seed_entropy([0, 1, 2], ps) == 0.0
+    value = seed_entropy([0, 1, 2], ps)
+    # 0.0, not -0.0, which a result document would print as such
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_entropy_balanced_full_coverage():

@@ -1,3 +1,4 @@
+import hashlib
 import re
 from pathlib import Path
 
@@ -6,9 +7,11 @@ import pytest
 
 import divtim
 from divtim.errors import ConfigError
-from divtim.graph import select_targets
+from divtim.graph import select_targets, synth_graph
 from divtim.rng import stream
-from divtim.sampler import CORPUS_PHASE, RRStream, batch_size, generate_corpus, sample_roots
+from divtim.sampler import (CORPUS_PHASE, RRStream, _distinct, batch_size, generate_corpus,
+                            sample_roots)
+from divtim.simulator import simulate
 
 import oracles
 from conftest import corpus_from_sets, coverage_fraction, make_graph
@@ -150,6 +153,23 @@ def test_only_the_sampler_draws_rr_sets():
     assert callers == ["sampler.py", "simulator.py"]
 
 
+def test_distinct_equals_np_unique():
+    rng = np.random.default_rng(4)
+    top = 2048 * 500                      # items * n of a full batch on 500 nodes
+    cases = [np.array([], dtype=np.int64), np.array([7], dtype=np.int64),
+             np.full(9, 3, dtype=np.int64), rng.integers(0, 50, 1000),
+             rng.integers(top - 40, top, 300), rng.integers(0, top, 20_000)]
+    for keys in cases:
+        got = _distinct(keys)
+        assert got.dtype == np.int64 and np.array_equal(got, np.unique(keys))
+
+
+def test_sampler_dedupes_without_np_unique():
+    # the kernel's dedupe is _distinct's sort and mask, not numpy's hash-based unique
+    source = (Path(divtim.__file__).parent / "sampler.py").read_text(encoding="utf-8")
+    assert not re.search(r"\bnp\.unique\b", source)
+
+
 def test_corpus_forced_membership():
     g = make_graph([("u", "v", 1.0)], t={"u": 0.1, "v": 1.0})
     ts = select_targets(g, "threshold", tau=0.5)
@@ -202,3 +222,27 @@ def test_coverage_fraction_and_scores():
     assert coverage_fraction(corpus, [2]) == pytest.approx(1 / 3)
     assert coverage_fraction(corpus, [0, 2]) == 1.0
     assert corpus.target_total == 1.75
+
+
+# sha256 of (roots, set_ptr, members) as little-endian int64, and of the
+# simulate report's repr, on synth_graph(300, 4, seed=21): a change here
+# is a change of the draws, and must be named as one
+GOLDEN_DRAWS = {
+    "ic": ("2157837b0656e4014b28bd0660fd685dfa6c1223001e5e378b7628a0fa8bf95f",
+           "428f99058e8d37404fb476dded3f76940b80111a695d15f200b5b1c6d2c6b1a5"),
+    "lt": ("59c7698fa16db396dd398115debd3c4cfd3c5da389ab4ce5d0887f2fe6220134",
+           "574f8046e921d7fff89c443c327032cc241d601eed697d521fe1c6a652968ada"),
+}
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_draws_match_golden_digests(model):
+    g = synth_graph(300, 4, seed=21, score_mode="uniform")
+    ts = select_targets(g, "threshold", tau=0.5)
+    corpus = generate_corpus(g, ts, model, 2000, master_seed=5)     # two batches
+    digest = hashlib.sha256()
+    for a in (corpus.roots, corpus.set_ptr, corpus.members):
+        digest.update(a.astype("<i8").tobytes())
+    report = simulate(g, model, [0, 7, 42, 99, 250], 2000, 5, ts)
+    assert (digest.hexdigest(), hashlib.sha256(repr(report).encode()).hexdigest()) \
+        == GOLDEN_DRAWS[model]
