@@ -294,10 +294,15 @@ def cmd_select(args) -> int:
     config_pairs = {key: getattr(args, key) for key in CONFIG_KEYS}
     config_pairs["target_param"] = target_param
 
+    # Every k reads one KPT and one refinement stream, so no batch is drawn twice.
+    streams = [sampler.RRStream(graph, targets, args.model, args.seed, phase)
+               for phase in (estimator.KPT_PHASE, estimator.REFINE_PHASE)]
     params = {k: estimator.estimate_params(
         graph, targets, args.model, k, epsilon=args.epsilon, ell=args.ell,
-        master_seed=args.seed, theta_override=args.theta_override, theta_cap=args.theta_cap)
+        master_seed=args.seed, theta_override=args.theta_override, theta_cap=args.theta_cap,
+        streams=streams)
         for k in ks}
+    del streams     # the estimation sets are not read past here
     os.makedirs(args.out, exist_ok=True)
     # One corpus serves every k: the first theta_k sets are the theta_k-set corpus.
     full = sampler.generate_corpus(graph, targets, args.model,

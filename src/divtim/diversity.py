@@ -98,8 +98,10 @@ class Coverage(DiversityFunction):
         return float(self.total)
 
     def _gain(self, v: int) -> float:
-        # int(): a Python float times a numpy integer takes numpy's slow scalar path
-        return self.unit * int(np.count_nonzero(~self._covered[self.covers(v)]))
+        # int(): a Python float times a numpy integer takes numpy's slow scalar
+        # path; take() gathers without fancy indexing's cast of the int32 ids
+        covers = self.covers(v)
+        return self.unit * (covers.size - int(np.count_nonzero(self._covered.take(covers))))
 
     def _apply(self, v: int) -> None:
         self._covered[self.covers(v)] = True
@@ -147,11 +149,10 @@ class AttributeWiseDiversity(DiversityFunction):
         self.profiles = profiles
         self.lam = float(lam)
         self._weight = 1.0 / profiles.schema.m
-        self._counts = [np.zeros(d, dtype=np.int64) for d in profiles.schema.domain_sizes()]
-        self._value = 0.0
+        self._reset()
 
     def value(self) -> float:
-        return float(self._value)
+        return self._value
 
     def _gain(self, v: int) -> float:
         g = 0.0
@@ -165,8 +166,8 @@ class AttributeWiseDiversity(DiversityFunction):
             self._counts[j][c] += 1
 
     def _reset(self) -> None:
-        for c in self._counts:
-            c[:] = 0
+        # Python ints: numpy scalar reads would cost more than the arithmetic
+        self._counts = [[0] * d for d in self.profiles.schema.domain_sizes()]
         self._value = 0.0
 
     def max_value_for_budget(self, k: int) -> float:
@@ -349,7 +350,14 @@ class EntropyDiversity(DiversityFunction):
             self._group_of[val] = moved_gids.get(old, old)
 
     def max_value_for_budget(self, k: int) -> float:
-        return math.log2(max(1, self.profiles.schema.total_domain_size()))
+        """min(k, H(prior)), at most log2 D over the D values of the domains.
+
+        The value is the entropy of the partition that k binary indicators
+        cut the values into.  It has at most 2^k blocks, so at most k bits,
+        and it coarsens the partition into single values, whose entropy is
+        H(prior); no distribution over D values has more than log2 D bits.
+        """
+        return min(float(k), sum(_h(p) for p in self._prior.values()))
 
 
 class ClassDiversity(DiversityFunction):
@@ -363,22 +371,21 @@ class ClassDiversity(DiversityFunction):
 
     def __init__(self, classes: Sequence[int], rewards: Sequence[float]):
         super().__init__()
-        self.classes = np.asarray(classes, dtype=np.int64)
-        n = len(self.classes)
-        self.rewards = np.asarray(rewards, dtype=np.float64)
-        if np.any(self.rewards <= 0):
+        # Python lists: the greedy reads one entry at a time
+        self.classes = np.asarray(classes, dtype=np.int64).tolist()
+        self.rewards = np.asarray(rewards, dtype=np.float64).tolist()
+        if any(r <= 0 for r in self.rewards):
             raise ConfigError("selection rewards must be positive")
-        n_classes = int(self.classes.max()) + 1 if n and self.classes.max() >= 0 else 0
-        self._acc = np.zeros(n_classes, dtype=np.float64)
+        self._acc = [0.0] * (max(self.classes, default=-1) + 1)
 
     def _class_of(self, v: int) -> int:
-        c = int(self.classes[v])
+        c = self.classes[v]
         if c < 0:
             raise ConfigError(f"node {v} has no class assignment")
         return c
 
     def value(self) -> float:
-        return float(np.sum(np.log2(1.0 + self._acc[self._acc > 0])))
+        return float(np.sum(np.log2(1.0 + np.array([a for a in self._acc if a > 0]))))
 
     def _gain(self, v: int) -> float:
         c = self._class_of(v)
@@ -389,7 +396,7 @@ class ClassDiversity(DiversityFunction):
         self._acc[self._class_of(v)] += self.rewards[v]
 
     def _reset(self) -> None:
-        self._acc[:] = 0.0
+        self._acc = [0.0] * len(self._acc)
 
     def max_value_for_budget(self, k: int) -> float:
         """Sum of the k largest log2(1 + r_v).

@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -58,22 +59,18 @@ def compute_theta(kpt: float, epsilon: float, ell: float, k: int, n: int,
     return theta
 
 
-def kpt_estimation(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
-                   ell: float, master_seed: int) -> tuple[float, RRCorpus | None]:
+def kpt_estimation(rr: RRStream, k: int, ell: float) -> tuple[float, RRCorpus | None]:
     """Iterative-doubling lower bound on the mean size-k spread.
 
     Round i draws c_i = ceil((6*ell*ln n + 6*ln log2 n) * 2^i) sets and
     scores each by kappa = 1 - (1 - w/W)^k, where w is the in-degree mass
     of the set's members and W the total in-degree mass.  The first round
     whose mean kappa exceeds 2^-i returns mean * n / 2.  Round i reads
-    the next c_i sets of the phase's ``RRStream``.  Also returns the last
+    the next c_i sets of the KPT phase's stream ``rr``.  Also returns the last
     round's sets as a corpus (None if no round ran), so the refinement
     stage can reuse them.
     """
-    n = graph.node_count
-    total_in = float(graph.edge_count)
-    rr = RRStream(graph, targets, model, master_seed, KPT_PHASE)
-    indeg = graph.in_degrees()
+    n, total_in, indeg = rr.graph.node_count, float(rr.graph.edge_count), rr.graph.in_degrees()
     kpt, drawn, start, c_i = 1.0, None, 0, 0
     if n >= 2 and total_in > 0:
         for i in range(1, int(math.floor(math.log2(n)))):
@@ -85,26 +82,25 @@ def kpt_estimation(graph: DiffusionGraph, targets: TargetSet, model: str, k: int
             if kappa_sum / c_i > 1.0 / (2 ** i):
                 kpt = kappa_sum * n / (2.0 * c_i)
                 break
-    return kpt, None if drawn is None else RRCorpus(*drawn, n, targets.total_score)
+    return kpt, None if drawn is None else RRCorpus(*drawn, n, rr.targets.total_score)
 
 
 def greedy_cover(corpus: RRCorpus, k: int) -> list[int]:
     """Up to k nodes covering the most sets, by the lazy greedy; ties go to the smallest id."""
     sets = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.theta)
-    return [v for v, _, _ in lazy_greedy(k, [(1.0, sets, sets.gains())])]
+    return [v for v, _, _ in lazy_greedy(k, [(1.0, sets, sets.gains)])]
 
 
-def refine_kpt(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
-               epsilon: float, ell: float, kpt_star: float, est_sets: RRCorpus | None,
-               master_seed: int, theta_cap: int) -> float:
+def refine_kpt(rr: RRStream, k: int, epsilon: float, ell: float, kpt_star: float,
+               est_sets: RRCorpus | None, theta_cap: int) -> float:
     """Tighten the doubling-stage bound with a greedy cover re-estimate.
 
     A size-k greedy cover of the estimation sets is re-scored on a fresh
-    batch of lambda' / kpt_star sets with eps' = 5 * cbrt(ell*eps^2/(k+ell));
-    the refined bound is max(f * n / (1 + eps'), kpt_star).
+    batch of lambda' / kpt_star sets, the first ones of the refinement
+    phase's stream ``rr``, with eps' = 5 * cbrt(ell*eps^2/(k+ell)); the
+    refined bound is max(f * n / (1 + eps'), kpt_star).
     """
-    rr = RRStream(graph, targets, model, master_seed, REFINE_PHASE)
-    n = graph.node_count
+    n = rr.graph.node_count
     if est_sets is None or n < 2:
         return kpt_star
     eps_p = 5.0 * (ell * epsilon ** 2 / (k + ell)) ** (1.0 / 3.0)
@@ -121,8 +117,11 @@ def refine_kpt(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
 def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
                     epsilon: float, master_seed: int, ell: float = 1.0,
                     theta_override: int | None = None,
-                    theta_cap: int = DEFAULT_THETA_CAP) -> EstimationParams:
-    """Run both estimation stages and size the main corpus."""
+                    theta_cap: int = DEFAULT_THETA_CAP,
+                    streams: Sequence[RRStream] | None = None) -> EstimationParams:
+    """Run both estimation stages and size the main corpus.  ``streams``, the
+    KPT and refinement ``RRStream``s of these arguments, hold no k, so every k
+    of a grid may read one pair; by default they are opened here."""
     if not 0 < epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
     if not 0 < ell < math.inf:
@@ -135,9 +134,10 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, k: in
         if theta_override < 1:
             raise ConfigError("theta override must be positive")
         return EstimationParams(kpt_star=None, kpt_plus=None, theta=theta_override)
-    kpt_star, est_sets = kpt_estimation(graph, targets, model, k, ell, master_seed)
-    kpt_plus = refine_kpt(graph, targets, model, k, epsilon, ell, kpt_star,
-                          est_sets, master_seed, theta_cap)
+    kpt_rr, refine_rr = streams or [RRStream(graph, targets, model, master_seed, phase)
+                                    for phase in (KPT_PHASE, REFINE_PHASE)]
+    kpt_star, est_sets = kpt_estimation(kpt_rr, k, ell)
+    kpt_plus = refine_kpt(refine_rr, k, epsilon, ell, kpt_star, est_sets, theta_cap)
     theta = compute_theta(kpt_plus, epsilon, ell, k, graph.node_count, theta_cap)
     return EstimationParams(kpt_star=kpt_star, kpt_plus=kpt_plus, theta=theta)
 

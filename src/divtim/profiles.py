@@ -57,8 +57,7 @@ class ProfileSet:
 
     def values_of(self, v: int) -> list[tuple[int, int]]:
         """Qualified (attribute index, value code) pairs present on v."""
-        row = self.codes[v]
-        return [(j, int(row[j])) for j in range(self.schema.m) if row[j] != MISSING]
+        return [(j, c) for j, c in enumerate(self.codes[v].tolist()) if c != MISSING]
 
     def total_value_occurrences(self) -> int:
         return int(sum(c.sum() for c in self.value_counts))

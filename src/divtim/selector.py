@@ -14,7 +14,7 @@ import heapq
 import time
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -23,18 +23,23 @@ from .errors import ConfigError
 from .sampler import RRCorpus
 
 
-def lazy_greedy(k: int, terms: Sequence[tuple[float, DiversityFunction, Sequence[float]]]
+def lazy_greedy(k: int, terms: Sequence[tuple[float, DiversityFunction,
+                                              Callable[[], Sequence[float]]]]
                 ) -> list[tuple[int, list[float], float]]:
-    """Up to k picks for ``sum(weight * f(S))``; each term is (weight, f, every
-    node's first gain).  A pick is (node, its gain per term, combined gain).
+    """Up to k picks for ``sum(weight * f(S))``; each term is (weight, f, a
+    function returning every node's first gain).  A pick is (node, its gain
+    per term, combined gain).
 
-    Stops at the first combined gain that is not positive; among equal
-    scores the smallest node id wins.
+    A term of weight 0.0 adds exactly 0.0 to every score, so it is
+    committed with each pick but never scored: its first gains are never
+    computed and it is never refreshed.  A pick's gains are the ones its
+    commits return, which equal the ones it was scored by, since nothing
+    was committed in between.  Stops at the first combined gain that is
+    not positive; among equal scores the smallest node id wins.
     """
-    weights, functions, firsts = zip(*terms)
-    # as lists, a refresh reads and writes Python floats, not numpy scalars
-    gains = [np.asarray(first, dtype=np.float64).tolist() for first in firsts]
-    neg_scores = -sum(w * np.array(g) for w, g in zip(weights, gains))
+    functions = [f for _, f, _ in terms]
+    scored = [term for term in terms if term[0] != 0.0]
+    neg_scores = -sum(w * np.asarray(first(), dtype=np.float64) for w, _, first in scored)
     heap = list(zip(neg_scores.tolist(), range(neg_scores.size), [0] * neg_scores.size))
     heapq.heapify(heap)
     picks: list[tuple[int, list[float], float]] = []
@@ -43,14 +48,11 @@ def lazy_greedy(k: int, terms: Sequence[tuple[float, DiversityFunction, Sequence
         if -neg_score <= 0.0:
             break
         if tag == len(picks):
-            for f in functions:
-                f.commit(v)
-            picks.append((v, [g[v] for g in gains], -neg_score))
+            picks.append((v, [f.commit(v) for f in functions], -neg_score))
         else:
             score = 0.0
-            for w, f, g in zip(weights, functions, gains):
-                g[v] = f.gain(v)
-                score += w * g[v]
+            for w, f, _ in scored:
+                score += w * f.gain(v)
             heapq.heappush(heap, (-score, v, len(picks)))
     return picks
 
@@ -114,8 +116,8 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
 
     capital = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.target_total)
     picks = lazy_greedy(k, [
-        (alpha, capital, capital.gains()),
-        (1 - alpha, diversity, [diversity.gain(v) for v in range(corpus.n_nodes)])])
+        (alpha, capital, capital.gains),
+        (1 - alpha, diversity, lambda: [diversity.gain(v) for v in range(corpus.n_nodes)])])
     if len(picks) < k:
         warnings.warn(f"only {len(picks)} of {k} seeds carry positive gain; stopping early")
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import divtim
+from divtim import estimator, rng
 from divtim.cli import main, parse_result_doc
 from divtim.graph import (derive_targets_indegree, load_graph, load_node_weights, save_graph,
                           select_targets, synth_graph)
@@ -534,6 +535,25 @@ def test_theta_cap_below_one_is_data_error(tmp_path, small_dataset, capsys):
                  "--theta-cap", "0", "--out", str(tmp_path / "out")])
     assert code == 2
     assert "theta cap" in capsys.readouterr().err
+
+
+@pytest.mark.filterwarnings("ignore:only .* carry positive gain")
+def test_two_k_estimation_draws_each_batch_once(tmp_path, small_dataset, monkeypatch):
+    # the k's estimations read one KPT and one refinement stream
+    drawn = []
+
+    def stream(base, batch):
+        drawn.append((base, batch))
+        return rng.stream(base, batch)
+
+    monkeypatch.setattr("divtim.sampler.stream", stream)
+    code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), "--k", "2,3",
+                 "--epsilon", "0.3", "--seed", "7", "--out", str(tmp_path / "out")])
+    assert code == 0
+    phases = {rng.phase_seed(7, phase) for phase in (estimator.KPT_PHASE, estimator.REFINE_PHASE)}
+    assert phases <= {base for base, _ in drawn}
+    assert sorted(drawn) == sorted(set(drawn))
 
 
 @pytest.mark.parametrize("extra,message", [

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -87,6 +88,31 @@ def test_attribute_without_values_adds_nothing_to_maxima():
     assert aw_theoretical_max(3, [0, 0], 1.0) == 0.0
     no_values = make_profiles([(None,), (None,)], domain_sizes=[0])
     assert EntropyDiversity(no_values).max_value_for_budget(2) == 0.0
+
+
+def test_entropy_maximum_bounds_brute_force():
+    # min(k, H(prior)) bounds every size-k value, is at most log2 D, is
+    # attained by some instance at each k, and is tighter than log2 D
+    rng = np.random.default_rng(61)
+    attained, tighter = set(), 0
+    for trial in range(120):
+        n, m, d = int(rng.integers(2, 7)), int(rng.integers(1, 3)), int(rng.integers(2, 5))
+        ps = random_profiles(rng, n, m, d, missing_prob=0.2 if trial % 3 == 0 else 0.0)
+        ent = EntropyDiversity(ps)
+        for k in range(1, n + 1):
+            best = max(oracles.entropy_value(ps, set(combo))
+                       for combo in itertools.combinations(range(n), k))
+            bound = ent.max_value_for_budget(k)
+            assert best <= bound + 1e-12, (trial, k, best, bound)
+            assert bound <= math.log2(m * d) + 1e-12
+            tighter += bound < math.log2(m * d) - 1e-9
+            if abs(best - bound) <= 1e-12:
+                attained.add(k)
+    assert attained >= {1, 2, 3} and tighter > 0
+    # one value per node, all distinct: k = D - 1 picks split every value
+    ps = make_profiles([(0,), (1,), (2,), (3,)], domain_sizes=[4])
+    assert EntropyDiversity(ps).max_value_for_budget(3) == pytest.approx(2.0)
+    assert EntropyDiversity(ps).max_value_for_budget(1) == 1.0
 
 
 # ------------------------------------------------------------------- hamming

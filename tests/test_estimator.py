@@ -6,10 +6,10 @@ import pytest
 
 from divtim.diversity import Coverage
 from divtim.errors import ConfigError
-from divtim.estimator import (DEFAULT_THETA_CAP, compute_theta, estimate_params, greedy_cover,
-                              kpt_estimation, refine_kpt)
+from divtim.estimator import (DEFAULT_THETA_CAP, KPT_PHASE, REFINE_PHASE, compute_theta,
+                              estimate_params, greedy_cover, kpt_estimation, refine_kpt)
 from divtim.graph import load_graph, select_targets
-from divtim.sampler import generate_corpus
+from divtim.sampler import RRStream, generate_corpus
 
 from conftest import corpus_from_sets, coverage_fraction, make_graph
 from oracles import exhaustive_expectation, reference_greedy_cover
@@ -53,7 +53,7 @@ def test_kpt_single_node_fallback():
     solo = load_graph(io.StringIO("x y 1.0\n"), "explicit")
     ts = select_targets(solo, "threshold", tau=0.0)
     # n=2 -> doubling loop is empty -> fallback
-    kpt, _ = kpt_estimation(solo, ts, "ic", k=1, ell=1.0, master_seed=0)
+    kpt, _ = kpt_estimation(RRStream(solo, ts, "ic", 0, KPT_PHASE), k=1, ell=1.0)
     assert kpt == 1.0
 
 
@@ -61,7 +61,7 @@ def test_kpt_complete_graph_exits_first_round():
     n = 8
     g = make_graph([(str(u), str(v), 1.0) for u in range(n) for v in range(n) if u != v])
     ts = select_targets(g, "threshold", tau=0.0)
-    kpt, last_round = kpt_estimation(g, ts, "ic", k=2, ell=1.0, master_seed=5)
+    kpt, last_round = kpt_estimation(RRStream(g, ts, "ic", 5, KPT_PHASE), k=2, ell=1.0)
     set_ptr, members = last_round.set_ptr, last_round.members
     assert kpt == pytest.approx(n / 2)
     assert len(set_ptr) > 1 and len(members) > 0
@@ -70,16 +70,16 @@ def test_kpt_complete_graph_exits_first_round():
 def test_kpt_deterministic():
     g = make_graph([(str(u), str((u + 1) % 10), 0.7) for u in range(10)])
     ts = select_targets(g, "threshold", tau=0.0)
-    a, _ = kpt_estimation(g, ts, "ic", k=3, ell=1.0, master_seed=17)
-    b, _ = kpt_estimation(g, ts, "ic", k=3, ell=1.0, master_seed=17)
+    a, _ = kpt_estimation(RRStream(g, ts, "ic", 17, KPT_PHASE), k=3, ell=1.0)
+    b, _ = kpt_estimation(RRStream(g, ts, "ic", 17, KPT_PHASE), k=3, ell=1.0)
     assert a == b
 
 
 def test_refine_never_lowers_kpt():
     g = make_graph([(str(u), str((u + 1) % 12), 0.5) for u in range(12)])
     ts = select_targets(g, "threshold", tau=0.0)
-    kpt, sets = kpt_estimation(g, ts, "ic", k=3, ell=1.0, master_seed=2)
-    refined = refine_kpt(g, ts, "ic", 3, 0.3, 1.0, kpt, sets, master_seed=2,
+    kpt, sets = kpt_estimation(RRStream(g, ts, "ic", 2, KPT_PHASE), k=3, ell=1.0)
+    refined = refine_kpt(RRStream(g, ts, "ic", 2, REFINE_PHASE), 3, 0.3, 1.0, kpt, sets,
                          theta_cap=DEFAULT_THETA_CAP)
     assert refined >= kpt
 

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import divtim
-from divtim.diversity import AttributeWiseDiversity, ClassDiversity, Coverage, EntropyDiversity
+from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, Coverage, EntropyDiversity,
+                              HammingBallDiversity, NumericDiversity)
 from divtim.errors import ConfigError
 from divtim.graph import select_targets, synth_graph
 from divtim.profiles import synth_profiles
@@ -207,13 +208,18 @@ def _oracle_corpora():
 
 @pytest.mark.filterwarnings("ignore:only .* carry positive gain")
 @pytest.mark.parametrize("lazy", [True, False], ids=["lazy", "eager"])
-@pytest.mark.parametrize("name", ["aw", "entropy", "class"])
+@pytest.mark.parametrize("name", ["aw", "entropy", "class", "hamming", "numeric"])
 def test_matches_reference_greedy_bitwise(name, lazy):
     def make_div(n, seed):
         rng = np.random.default_rng(seed)
         if name == "class":
             return ClassDiversity(rng.integers(0, 3, size=n), rng.uniform(0.5, 2.0, size=n))
+        if name == "numeric":
+            return NumericDiversity(rng.uniform(0.0, 1.0, size=(n, 3)), rng.uniform(0.5, 2.0, n))
         ps = random_profiles(rng, n, 3, 3)
+        if name == "hamming":
+            return HammingBallDiversity(synth_graph(n, 3, seed=seed, score_mode="uniform"), ps,
+                                        radius=2)
         return AttributeWiseDiversity(ps) if name == "aw" else EntropyDiversity(ps)
 
     for i, corpus in enumerate(_oracle_corpora()):
@@ -226,18 +232,54 @@ def test_matches_reference_greedy_bitwise(name, lazy):
                     for s in res.trace] == trace
 
 
+def counting_gains(cls):
+    """cls, counting its gain calls."""
+    class Counted(cls):
+        calls = 0
+
+        def gain(self, v):
+            self.calls += 1
+            return super().gain(v)
+    return Counted
+
+
+@pytest.mark.filterwarnings("ignore:only .* carry positive gain")
+def test_zero_weight_term_is_never_scored():
+    corpus = _oracle_corpora()[-1]
+    profiles = flat_profiles(corpus.n_nodes, seed=3)
+    for alpha in (0.0, 1.0):
+        div = counting_gains(AttributeWiseDiversity)(profiles)
+        res = build_seed_set(corpus, 6, alpha, div)
+        # diversity weighs 1 - alpha: scored at alpha 0, and at alpha 1 the
+        # commits' own gain calls are its only ones
+        assert (div.calls == len(res.seeds)) == (alpha == 1.0)
+        seeds, trace = reference_seed_set(corpus, 6, alpha, AttributeWiseDiversity(profiles))
+        assert res.seeds == seeds
+        assert [(s.capital_gain, s.diversity_gain, s.combined_gain)
+                for s in res.trace] == trace
+
+    # a coverage term of weight 0 likewise: only the two commits call its gain
+    cover = counting_gains(Coverage)(corpus.node_ptr, corpus.node_sets, corpus.theta,
+                                     float(corpus.theta))
+    div = AttributeWiseDiversity(profiles)
+    picks = lazy_greedy(2, [(0.0, cover, cover.gains),
+                            (1.0, div, lambda: [div.gain(v) for v in range(corpus.n_nodes)])])
+    assert cover.calls == len(picks) == 2
+    assert cover.value() == sum(c for _, (c, _), _ in picks)
+
+
 def test_lazy_greedy_ties_stop_and_per_term_gains():
     # node 0 covers {0}, nodes 1 and 3 cover {1, 2}, node 2 covers {0}
     ptr, elements = np.array([0, 1, 3, 4, 6]), np.array([0, 1, 2, 0, 1, 2])
     cover = Coverage(ptr, elements, 3, 3.0)
     # 1 beats its tie 3; after 0 every gain is 0, so k = 4 stops at two picks
-    assert lazy_greedy(4, [(1.0, cover, cover.gains())]) == [(1, [2.0], 2.0), (0, [1.0], 1.0)]
+    assert lazy_greedy(4, [(1.0, cover, cover.gains)]) == [(1, [2.0], 2.0), (0, [1.0], 1.0)]
     assert cover.committed == (0, 1)
 
     cover.reset()
     classes = ClassDiversity([0, 0, 1, 1], np.ones(4))
-    picks = lazy_greedy(2, [(0.25, cover, cover.gains()),
-                            (0.75, classes, [classes.gain(v) for v in range(4)])])
+    picks = lazy_greedy(2, [(0.25, cover, cover.gains),
+                            (0.75, classes, lambda: [classes.gain(v) for v in range(4)])])
     # 1 scores 0.25 * 2 + 0.75 * 1; then 2 (new element, new class) beats 3 and 0
     assert picks == [(1, [2.0, 1.0], 1.25), (2, [1.0, 1.0], 1.0)]
     assert cover.committed == classes.committed == (1, 2)

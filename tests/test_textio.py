@@ -129,13 +129,15 @@ def test_nothing_in_src_is_called_only_by_tests():
     assert unused == []
 
 
-def _signatures(path: Path, local: set[str]) -> dict[str, list]:
-    """Every function, method and dataclass defined in path, by the name a
-    call uses: [(label, [(parameter, has default, keyword only)]), ...].
+def _signatures(path: Path, local: dict[str, str]) -> dict[tuple[str, str], list]:
+    """Every function, method and dataclass defined in path, by the key its
+    calls resolve to: (module, name) for a function or a class's constructor,
+    (class, name) for a method.  Values are [(label, [(parameter, has
+    default, keyword only)]), ...].
 
     The methods of a class that extends a class not in ``local`` are left
     out: the library that defines the base calls them."""
-    out: dict[str, list] = {}
+    out: dict[tuple[str, str], list] = {}
 
     def add(key, label, params):
         if params:
@@ -160,10 +162,10 @@ def _signatures(path: Path, local: set[str]) -> dict[str, list]:
 
     for node in ast.parse(path.read_text(encoding="utf-8")).body:
         if isinstance(node, ast.FunctionDef):
-            add(node.name, node.name, function(node, False))
+            add((path.stem, node.name), node.name, function(node, False))
         elif isinstance(node, ast.ClassDef):
             if any("dataclass" in ast.unparse(d) for d in node.decorator_list):
-                add(node.name, node.name, [
+                add((path.stem, node.name), node.name, [
                     (item.target.id, field_default(item.value), False) for item in node.body
                     if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
                     and "init=False" not in ast.unparse(item.value or ast.Constant(0))])
@@ -172,47 +174,148 @@ def _signatures(path: Path, local: set[str]) -> dict[str, list]:
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and (
                         item.name == "__init__" or not item.name.startswith("__")):
-                    key = node.name if item.name == "__init__" else item.name
+                    key = (path.stem, node.name) if item.name == "__init__" else (node.name,
+                                                                                  item.name)
                     add(key, f"{node.name}.{item.name}", function(item, True))
     return out
 
 
+class _CallResolver:
+    """The definitions a call in one program file may reach, as far as ast can tell.
+
+    A bare name resolves through the file's own definitions and imports, a
+    module-qualified call to that module's function, ``self.f()`` to f in
+    the class's hierarchy and ``super().f()`` to f in its ancestors.  A
+    method call on any other receiver may reach a method of that name in
+    any class, but never a module function, and a call through a module
+    outside the package reaches nothing."""
+
+    def __init__(self, src: Path, local: dict[str, str], bases: dict[str, list[str]]):
+        self.local, self.bases = local, bases
+        self.modules = {path.stem for path in src.glob("*.py")}
+        package = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
+        self.exported = {alias.asname or alias.name: node.module for node in package.body
+                         if isinstance(node, ast.ImportFrom) for alias in node.names}
+
+    def bind(self, path: Path, tree: ast.Module) -> None:
+        """Bind the names path imports or defines at top level to ("module",
+        stem), ("package", None), ("name", key) or ("outside", None)."""
+        in_src = path.stem in self.modules and path.parent.name == "divtim"
+        self.binding: dict[str, tuple] = {}
+        self.owner: dict[int, str] = {}      # node id -> enclosing class, for self calls
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                for alias in node.names:
+                    top = alias.name.split(".")[0]
+                    self.binding[alias.asname or top] = (
+                        ("module", alias.name.split(".")[1]) if alias.asname
+                        and alias.name.startswith("divtim.") else
+                        ("package", None) if top == "divtim" else ("outside", None))
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                ours = node.level > 0 or module.split(".")[0] == "divtim"
+                stem = module.split(".")[-1] if module not in ("", "divtim") else None
+                for alias in node.names:
+                    name = alias.asname or alias.name
+                    if not ours:
+                        self.binding[name] = ("outside", None)
+                    elif stem is None and alias.name in self.modules:
+                        self.binding[name] = ("module", alias.name)
+                    else:
+                        self.binding[name] = ("name", (stem or self.exported.get(alias.name),
+                                                       alias.name))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                self.binding[node.name] = ("name", (path.stem, node.name)) if in_src else (
+                    "outside", None)
+            if in_src and isinstance(node, ast.ClassDef):
+                self.owner.update((id(sub), node.name) for sub in ast.walk(node))
+
+    def _ancestors(self, cls: str) -> list[str]:
+        up = [b for b in self.bases.get(cls, []) if b in self.local]
+        return up + [a for b in up for a in self._ancestors(b)]
+
+    def _family(self, cls: str) -> set[str]:
+        return {cls, *self._ancestors(cls), *(c for c in self.local if cls in self._ancestors(c))}
+
+    def _module(self, node) -> str | None:
+        if isinstance(node, ast.Name):
+            kind, value = self.binding.get(node.id, (None, None))
+            return value if kind == "module" else "divtim" if kind == "package" else None
+        if (isinstance(node, ast.Attribute) and self._module(node.value) == "divtim"
+                and node.attr in self.modules):
+            return node.attr
+        return None
+
+    def resolve(self, call: ast.Call, every: set) -> set:
+        func = call.func
+        if isinstance(func, ast.Name):
+            kind, value = self.binding.get(func.id, (None, None))
+            if kind == "name":
+                return {value}
+            return set() if kind else {key for key in every if key[1] == func.id
+                                       and key[0] in self.modules}
+        if not isinstance(func, ast.Attribute):
+            return set()
+        receiver, name = func.value, func.attr
+        module = self._module(receiver)
+        if module == "divtim":
+            return {(self.exported.get(name), name)}
+        if module is not None:
+            return {(module, name)}
+        kind, value = self.binding.get(getattr(receiver, "id", ""), (None, None))
+        if kind == "name" and value[1] in self.local:
+            return {(c, name) for c in [value[1], *self._ancestors(value[1])]}
+        if kind:
+            return set()                      # a class or module from outside the package
+        cls = self.owner.get(id(call))
+        if cls and isinstance(receiver, ast.Name) and receiver.id == "self":
+            return {(c, name) for c in self._family(cls)}
+        if cls and isinstance(receiver, ast.Call) and getattr(receiver.func, "id", "") == "super":
+            return {(self.local[c], c) if name == "__init__" else (c, name)
+                    for c in self._ancestors(cls)}
+        return {key for key in every if key[1] == name and key[0] in self.local}
+
+
 def test_every_parameter_is_set_by_a_program():
     # a parameter exists only if a program call passes it, and a default only
-    # if a program call leaves it out; calls resolve by the called name
+    # if a program call leaves it out; calls resolve as _CallResolver says
     src = Path(divtim.__file__).parent
     root = src.parent.parent
-    local = {node.name for path in src.glob("*.py")
-             for node in ast.parse(path.read_text(encoding="utf-8")).body
-             if isinstance(node, ast.ClassDef)}
-    defined: dict[str, list] = {}
+    local, bases = {}, {}      # class -> its module; class -> its base names
+    for path in src.glob("*.py"):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.ClassDef):
+                local[node.name] = path.stem
+                bases[node.name] = [ast.unparse(base) for base in node.bases]
+    defined: dict[tuple[str, str], list] = {}
     for path in src.glob("*.py"):
         for key, entries in _signatures(path, local).items():
             defined.setdefault(key, []).extend(entries)
-    calls: dict[str, list] = {}     # name -> [(positional count, None if starred; keywords)]
-    escaped: set[str] = set()       # functions passed around as values: callers unseen
+    resolver, keys = _CallResolver(src, local, bases), set(defined)
+    calls: dict[tuple, list] = {}   # key -> [(positional count, None if starred; keywords)]
+    escaped: set[tuple] = set()     # functions passed around as values: callers unseen
     for path in (*src.glob("*.py"), *root.glob("scripts/*.py"), *root.glob("perfbench/*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        own = {alias.asname or alias.name for node in ast.walk(tree)
-               if isinstance(node, ast.ImportFrom) for alias in node.names}
-        own.update(node.name for node in tree.body
-                   if isinstance(node, (ast.FunctionDef, ast.ClassDef)))
+        resolver.bind(path, tree)
         called = {id(node) for holder in ast.walk(tree)      # a type annotation calls nothing
                   for note in (getattr(holder, "annotation", None), getattr(holder, "returns", None))
                   if note is not None for node in ast.walk(note)}
         for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 called.add(id(node.func))
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
                 starred = any(isinstance(arg, ast.Starred) for arg in node.args)
                 keywords = {kw.arg for kw in node.keywords}   # None stands for **kwargs
-                calls.setdefault(name, []).append((None if starred else len(node.args),
-                                                   keywords))
-        escaped.update(node.id for node in ast.walk(tree)
+                for key in resolver.resolve(node, keys):
+                    calls.setdefault(key, []).append((None if starred else len(node.args),
+                                                      keywords))
+        escaped.update(resolver.binding[node.id][1] for node in ast.walk(tree)
                        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
-                       and node.id in own and id(node) not in called)
-    for entry in re.findall(r'= "[\w.]+:(\w+)"', (root / "pyproject.toml").read_text(encoding="utf-8")):
-        calls.setdefault(entry, []).append((0, set()))
+                       and resolver.binding.get(node.id, ("",))[0] == "name"
+                       and id(node) not in called)
+    for module, entry in re.findall(r'= "divtim\.(\w+):(\w+)"',
+                                    (root / "pyproject.toml").read_text(encoding="utf-8")):
+        calls.setdefault((module, entry), []).append((0, set()))
     unset, overridden = [], []
     for key, entries in defined.items():
         if key in escaped:
