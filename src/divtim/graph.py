@@ -28,8 +28,9 @@ class DiffusionGraph:
     Edges are stored once in file order (``src``, ``dst``, ``b``) and as
     CSR-style adjacency in both directions.  ``in_probs``/``out_probs``
     are aligned with the corresponding index arrays; ``in_cum`` holds the
-    within-node cumulative sum of incoming probabilities used by the
-    one-pick-per-node (LT-style) sampler.
+    within-node cumulative sum of incoming probabilities, which the LT pick
+    searches in ``lift_steps``: powers of two, largest first, summing to at
+    least the largest in-degree.
     """
 
     labels: list[str]
@@ -44,6 +45,7 @@ class DiffusionGraph:
     in_indices: np.ndarray
     in_probs: np.ndarray
     in_cum: np.ndarray
+    lift_steps: list[int]
     label_ids: dict[str, int] = field(repr=False)
 
     @property
@@ -157,7 +159,8 @@ def _assemble(labels, label_ids, src, dst, b, t) -> DiffusionGraph:
     in_deg = np.diff(in_indptr)
     by_deg = np.argsort(-in_deg, kind="stable")
     heads = in_indptr[by_deg]
-    longer = np.searchsorted(-in_deg[by_deg], -np.arange(1, in_deg.max(initial=0)))
+    top = int(in_deg.max(initial=0))
+    longer = np.searchsorted(-in_deg[by_deg], -np.arange(1, top))
     in_cum = in_probs.copy()
     for j, count in enumerate(longer.tolist(), start=1):
         at = heads[:count] + j
@@ -165,7 +168,8 @@ def _assemble(labels, label_ids, src, dst, b, t) -> DiffusionGraph:
     return DiffusionGraph(labels=labels, label_ids=label_ids, src=src, dst=dst,
                           b=b, t=t, out_indptr=out_indptr, out_indices=out_indices,
                           out_probs=out_probs, in_indptr=in_indptr,
-                          in_indices=in_indices, in_probs=in_probs, in_cum=in_cum)
+                          in_indices=in_indices, in_probs=in_probs, in_cum=in_cum,
+                          lift_steps=[1 << j for j in reversed(range(top.bit_length()))])
 
 
 def _in_share(dst: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.ndarray:

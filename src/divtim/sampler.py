@@ -68,15 +68,14 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _lt_pick(graph: DiffusionGraph, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One LT trigger per node in v (u w.p. b(u, v), else -1), by a vectorised bisect_right."""
-    lo, hi = graph.in_indptr[v], graph.in_indptr[v + 1]
-    end, r, cum = hi.copy(), rng.random(v.size), graph.in_cum
-    while (active := lo < hi).any():
-        mid = (lo + hi) // 2
-        right = active & (cum[np.minimum(mid, cum.size - 1)] <= r)
-        lo = np.where(right, mid + 1, lo)
-        hi = np.where(active & ~right, mid, hi)
-    return np.where(lo < end, graph.in_indices[np.minimum(lo, cum.size - 1)], -1)
+    """One LT trigger per node in v (u w.p. b(u, v), else -1): bisect_right into in_cum by
+    binary lifting, ``last`` climbing by ``graph.lift_steps`` to the node's last entry <= r."""
+    last, r, cum = graph.in_indptr[v] - 1, rng.random(v.size), graph.in_cum
+    end = graph.in_indptr[v + 1] - 1
+    for step in graph.lift_steps:
+        at = np.minimum(last + step, end)
+        np.copyto(last, at, where=cum[at] <= r)
+    return np.where(last < end, graph.in_indices.take(last + 1, mode="clip"), -1)
 
 
 def _distinct(keys: np.ndarray) -> np.ndarray:
@@ -99,8 +98,10 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
     an active in-neighbour asks for it (so at most once per item, and
     never for a start node).  Each level's new keys are deduplicated by
     ``_distinct`` (sort, then keep each key that differs from the one
-    before), so they are expanded in ascending order.  Returns every
-    reached key, start included.
+    before), so they are expanded in ascending order.  Reverse LT needs no
+    dedupe: its one caller, ``RRStream._batch``, starts each item from one
+    root in key order, so a level's keys (at most one per item) are already
+    distinct and ascending.  Returns every reached key, start included.
     """
     n = graph.node_count
     ptr, heads, probs = ((graph.out_indptr, graph.out_indices, graph.out_probs) if forward
@@ -116,6 +117,7 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
         if model == "lt" and not forward:
             u = _lt_pick(graph, x, rng)
             keys = (item * n + u)[u >= 0]
+            frontier = keys[~seen[keys]]
         else:
             edge, owner = _expand(ptr[x], ptr[x + 1])
             if model == "ic":
@@ -126,7 +128,7 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
                 fresh = _distinct(keys[trigger[keys] == -2])
                 trigger[fresh] = _lt_pick(graph, fresh % n, rng)
                 keys = keys[trigger[keys] == x[owner]]
-        frontier = _distinct(keys[~seen[keys]])
+            frontier = _distinct(keys[~seen[keys]])
         seen[frontier] = True
         found.append(frontier)
     return np.concatenate(found)
@@ -192,10 +194,14 @@ class RRCorpus:
         self.n_nodes = node_count
         self.target_total = float(target_total)
         self.total_width = int(self.members.size)
-        set_of = np.repeat(np.arange(self.theta, dtype=np.int32), np.diff(self.set_ptr))
-        self.node_sets = set_of[np.argsort(self.members, kind="stable")]
         self.node_ptr = np.concatenate([[0], np.cumsum(np.bincount(self.members,
                                                                    minlength=node_count))])
+        # one sort of the distinct keys member * theta + set lists each node's sets in order
+        keys = np.multiply(self.members, self.theta, dtype=np.int64)
+        keys += np.repeat(np.arange(self.theta, dtype=np.int32), np.diff(self.set_ptr))
+        keys.sort()
+        keys %= self.theta
+        self.node_sets = keys.astype(np.int32)
 
     @property
     def theta(self) -> int:

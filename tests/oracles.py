@@ -6,9 +6,10 @@ the reference evaluators for unsuitable set scores, a one-set-at-a-time
 reverse reachable sampler that the batched kernel is checked against, a
 greedy that folds each node's capital gain in Python, which the
 vectorized selector is checked against bit for bit, the eager
-maximum cover and Deg-D loops the lazy greedy replaced, and the exact
+maximum cover and Deg-D loops the lazy greedy replaced, the exact
 expected spread and capital of micro-graphs by enumerating every
-live-edge outcome.
+live-edge outcome, a reverse LT search that deduplicates every level,
+and the inverted index by a stable argsort.
 """
 
 import heapq
@@ -235,8 +236,8 @@ def jaccard_set_score(profiles: Sequence[Profile]) -> Fraction:
 
 
 # ---------------------------------------------------------------------------
-# One search loop in Python ints, the reference sampler built on it, and the
-# exact oracle that enumerates every live-edge outcome.
+# One search loop in Python ints, the reference samplers, the stable-argsort
+# index, and the exact oracle that enumerates every live-edge outcome.
 # ---------------------------------------------------------------------------
 
 def reach(node_count: int, start: Iterable[int],
@@ -281,6 +282,36 @@ def reference_rr_set(graph, targets, model, rng) -> tuple[int, list[int]]:
         return [heads[j]] if j < ptr[x + 1] else []
 
     return root, reach(graph.node_count, [root], ic if model == "ic" else lt)
+
+
+def levelwise_reverse_lt(graph, start, rng) -> np.ndarray:
+    """Every key ``item * n + node`` a batched reverse LT search reaches from
+    ``start``, level by level: each level draws one number per key, in key
+    order, each key picks its trigger by bisect_right, and the new keys are
+    sorted and deduplicated before they are expanded."""
+    n = graph.node_count
+    ptr, heads, cum = graph.in_indptr.tolist(), graph.in_indices.tolist(), graph.in_cum.tolist()
+    frontier = start.tolist()
+    found, seen = list(frontier), set(frontier)
+    while frontier:
+        picks = set()
+        for key, r in zip(frontier, rng.random(len(frontier)).tolist()):
+            item, x = divmod(key, n)
+            j = bisect_right(cum, r, ptr[x], ptr[x + 1])
+            if j < ptr[x + 1]:
+                picks.add(item * n + heads[j])
+        frontier = sorted(picks - seen)
+        seen.update(frontier)
+        found.extend(frontier)
+    return np.array(found, dtype=np.int64)
+
+
+def stable_argsort_index(set_ptr, members, node_count) -> tuple[np.ndarray, np.ndarray]:
+    """The inverted index ``(node_ptr, node_sets)`` of a CSR corpus: each
+    member's set id, ordered by a stable argsort of the members."""
+    set_of = np.repeat(np.arange(len(set_ptr) - 1, dtype=np.int32), np.diff(set_ptr))
+    node_ptr = np.concatenate([[0], np.cumsum(np.bincount(members, minlength=node_count))])
+    return node_ptr, set_of[np.argsort(members, kind="stable")]
 
 
 def exhaustive_expectation(graph, model, seeds, targets=None) -> tuple[float, float]:

@@ -1,3 +1,4 @@
+import bisect
 import hashlib
 import re
 from pathlib import Path
@@ -7,10 +8,10 @@ import pytest
 
 import divtim
 from divtim.errors import ConfigError
-from divtim.graph import select_targets, synth_graph
+from divtim.graph import _assemble, select_targets, synth_graph
 from divtim.rng import stream
-from divtim.sampler import (CORPUS_PHASE, RRStream, _distinct, batch_size, generate_corpus,
-                            sample_roots)
+from divtim.sampler import (CORPUS_PHASE, RRStream, _distinct, _lt_pick, batch_size,
+                            generate_corpus, live_edge_search, sample_roots)
 from divtim.simulator import simulate
 
 import oracles
@@ -37,6 +38,24 @@ def ring_with_chords():
     return make_graph([(str(u), str((u + 1) % 9), 0.6) for u in range(9)]
                       + [(str(u), str((u + 4) % 9), 0.3) for u in range(9)],
                       t={str(u): 0.1 + 0.1 * u for u in range(9)})
+
+
+def lt_graph_with_hub(seed, n=300, hub_degree=150):
+    """A random graph valid under LT: node 0 has hub_degree in-edges, every
+    tenth node (5, 15, ...) has none, the others 1-6, and each node's
+    in-mass is drawn from [0.3, 1)."""
+    rng = np.random.default_rng(seed)
+    src, dst, b = [], [], []
+    for v in range(n):
+        degree = hub_degree if v == 0 else 0 if v % 10 == 5 else int(rng.integers(1, 7))
+        src += rng.choice(np.delete(np.arange(n), v), size=degree, replace=False).tolist()
+        dst += [v] * degree
+        w = rng.random(degree) + 0.05
+        b += (w * rng.uniform(0.3, 1.0) / w.sum()).tolist()
+    labels = [str(v) for v in range(n)]
+    return _assemble(labels, {label: v for v, label in enumerate(labels)},
+                     np.array(src, dtype=np.int64), np.array(dst, dtype=np.int64),
+                     np.array(b), np.ones(n))
 
 
 def test_sample_root_singleton():
@@ -106,6 +125,59 @@ def test_kernel_matches_reference_sampler(model):
     assert np.all(np.abs(kernel - reference) <= 4 * se), (kernel, reference)
 
 
+class FixedDraws:
+    """Stands in for a generator whose next ``random`` call returns r."""
+
+    def __init__(self, r):
+        self.r = np.asarray(r, dtype=np.float64)
+
+    def random(self, size):
+        assert size == self.r.size
+        return self.r
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_lt_pick_is_bisect_right_over_in_cum(seed):
+    g = lt_graph_with_hub(seed)
+    assert g.lift_steps == [128, 64, 32, 16, 8, 4, 2, 1]
+    ptr, cum, heads = g.in_indptr.tolist(), g.in_cum.tolist(), g.in_indices.tolist()
+
+    def bisect_picks(v, r):
+        picks = []
+        for x, q in zip(v.tolist(), r.tolist()):
+            j = bisect.bisect_right(cum, q, ptr[x], ptr[x + 1])
+            picks.append(heads[j] if j < ptr[x + 1] else -1)
+        return picks
+
+    rng = np.random.default_rng(seed)
+    unsorted = np.concatenate([rng.integers(0, g.node_count, 3000), np.zeros(200, np.int64)])
+    rng.shuffle(unsorted)
+    # r on every in_cum entry (bisect_right goes past an equal entry), and r
+    # just above each node's in-mass, where no in-neighbour is picked
+    ties = (np.repeat(np.arange(g.node_count), np.diff(g.in_indptr)), g.in_cum)
+    has = np.flatnonzero(np.diff(g.in_indptr))
+    beyond = (has, np.nextafter(g.in_cum[g.in_indptr[has + 1] - 1], 2.0))
+    for v, r in ((unsorted, None), (np.sort(unsorted), None), ties, beyond):
+        r = rng.random(v.size) if r is None else r
+        assert _lt_pick(g, v, FixedDraws(r)).tolist() == bisect_picks(v, r)
+    picks = _lt_pick(g, unsorted, np.random.default_rng(seed))
+    assert (picks == -1).any() and (picks[unsorted == 0] >= 0).any()
+    assert (picks[unsorted % 10 == 5] == -1).all()
+
+
+def test_reverse_lt_levels_are_distinct_without_a_dedupe():
+    # one root per item: the kernel's reverse LT, which skips _distinct,
+    # reaches the keys a search deduplicating every level reaches, in order
+    plain = synth_graph(300, 4, seed=21, score_mode="uniform")
+    for g in (ring_with_chords(), lt_graph_with_hub(1), plain.with_probs(plain.b * 0.9)):
+        ts, n, size = targets_of(g), g.node_count, batch_size(g.node_count)
+        for b in range(2):
+            start = np.arange(size) * n + sample_roots(ts, stream(7, b), size)
+            got = live_edge_search(g, "lt", False, size, start, np.random.default_rng(b))
+            want = oracles.levelwise_reverse_lt(g, start, np.random.default_rng(b))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_corpus_rejects_nonpositive_theta():
     g = make_graph([("a", "b", 1.0)])
     with pytest.raises(ConfigError):
@@ -168,6 +240,25 @@ def test_sampler_dedupes_without_np_unique():
     # the kernel's dedupe is _distinct's sort and mask, not numpy's hash-based unique
     source = (Path(divtim.__file__).parent / "sampler.py").read_text(encoding="utf-8")
     assert not re.search(r"\bnp\.unique\b", source)
+
+
+def test_index_equals_stable_argsort_construction():
+    rng = np.random.default_rng(8)
+    g = ring_with_chords()
+    corpora = [generate_corpus(g, targets_of(g), model, 700, master_seed=3)
+               for model in ("ic", "lt")]
+    for n in (1, 40, 3000):
+        sets = [(0, rng.choice(n, size=int(rng.integers(0, min(n, 9) + 1)), replace=False))
+                for _ in range(int(rng.integers(1, 400)))]
+        corpora.append(corpus_from_sets(sets, n, target_total=1.0))
+    for corpus in corpora:
+        for m in (0, 1, corpus.theta // 3, corpus.theta):
+            part = corpus.prefix(m)
+            node_ptr, node_sets = oracles.stable_argsort_index(part.set_ptr, part.members,
+                                                               part.n_nodes)
+            assert np.array_equal(part.node_ptr, node_ptr)
+            assert part.node_sets.dtype == node_sets.dtype == np.int32
+            assert np.array_equal(part.node_sets, node_sets)
 
 
 def test_corpus_forced_membership():
@@ -246,3 +337,22 @@ def test_draws_match_golden_digests(model):
     report = simulate(g, model, [0, 7, 42, 99, 250], 2000, 5, ts)
     assert (digest.hexdigest(), hashlib.sha256(repr(report).encode()).hexdigest()) \
         == GOLDEN_DRAWS[model]
+
+
+# sha256 of the inverted index (node_ptr, node_sets) as little-endian int64
+# on the GOLDEN_DRAWS corpus, as the stable argsort of the members built it
+GOLDEN_INDEX = {
+    "ic": "e3ab246bb4e7635e4359e88e86193c27c43c6dd2f8b4fdc54a2ab0e8a25e5c31",
+    "lt": "6e9383dde45e68a94dde163d23dcc86014c2094184692112b1b2ee61ed2443a9",
+}
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_index_matches_golden_digest(model):
+    g = synth_graph(300, 4, seed=21, score_mode="uniform")
+    ts = select_targets(g, "threshold", tau=0.5)
+    corpus = generate_corpus(g, ts, model, 2000, master_seed=5)
+    digest = hashlib.sha256()
+    for a in (corpus.node_ptr, corpus.node_sets):
+        digest.update(a.astype("<i8").tobytes())
+    assert digest.hexdigest() == GOLDEN_INDEX[model]

@@ -186,9 +186,13 @@ class _CallResolver:
     A bare name resolves through the file's own definitions and imports, a
     module-qualified call to that module's function, ``self.f()`` to f in
     the class's hierarchy and ``super().f()`` to f in its ancestors.  A
-    method call on any other receiver may reach a method of that name in
-    any class, but never a module function, and a call through a module
-    outside the package reaches nothing."""
+    method call on a package class's constructor call, or on a name whose
+    every binding in its scope is a parameter annotated with that class or
+    an assignment from its constructor (``rr = RRStream(...)``), reaches
+    that method in the class's hierarchy.  A method call on any other
+    receiver may reach a method of that name in any class, but never a
+    module function, and a call through a module outside the package
+    reaches nothing."""
 
     def __init__(self, src: Path, local: dict[str, str], bases: dict[str, list[str]]):
         self.local, self.bases = local, bases
@@ -230,6 +234,54 @@ class _CallResolver:
                     "outside", None)
             if in_src and isinstance(node, ast.ClassDef):
                 self.owner.update((id(sub), node.name) for sub in ast.walk(node))
+        self._type_names(tree)
+
+    def _type_names(self, tree: ast.Module) -> None:
+        """Map every node to its innermost scope (module, function or lambda)
+        and give each name a scope binds the package class of all its bindings."""
+        self.scope: dict[int, int] = {}
+        self.parent: dict[int, int | None] = {}
+        for holder in ast.walk(tree):
+            if isinstance(holder, (ast.Module, ast.FunctionDef, ast.Lambda)):
+                self.parent[id(holder)] = self.scope.get(id(holder))
+                self.scope.update((id(sub), id(holder)) for sub in ast.walk(holder)
+                                  if sub is not holder)
+        assigned = {id(node.targets[0]): self._constructed(node.value) for node in ast.walk(tree)
+                    if isinstance(node, ast.Assign) and len(node.targets) == 1}
+        assigned.update((id(node.target), self._annotated(node.annotation))
+                        for node in ast.walk(tree) if isinstance(node, ast.AnnAssign))
+        self.kinds: dict[tuple[int, str], set] = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+                bound = node.id, assigned.get(id(node))
+            elif isinstance(node, ast.arg):
+                bound = node.arg, self._annotated(node.annotation)
+            else:
+                continue
+            self.kinds.setdefault((self.scope[id(node)], bound[0]), set()).add(bound[1])
+
+    def _annotated(self, note) -> str | None:
+        name = ast.unparse(note).strip("'\"").rpartition(".")[2] if note is not None else ""
+        return name if name in self.local else None
+
+    def _constructed(self, value) -> str | None:
+        func = getattr(value, "func", None)
+        if isinstance(func, ast.Name) or (isinstance(func, ast.Attribute)
+                                          and self._module(func.value)):
+            for module, name in self.resolve(value, set()):
+                if self.local.get(name) == module:
+                    return name
+        return None
+
+    def _type_of(self, receiver) -> str | None:
+        """The package class of a name receiver, if its scope binds it to one."""
+        if not isinstance(receiver, ast.Name):
+            return None
+        scope = self.scope.get(id(receiver))
+        while scope is not None and (scope, receiver.id) not in self.kinds:
+            scope = self.parent[scope]
+        classes = self.kinds.get((scope, receiver.id), {None})
+        return next(iter(classes)) if len(classes) == 1 else None
 
     def _ancestors(self, cls: str) -> list[str]:
         up = [b for b in self.bases.get(cls, []) if b in self.local]
@@ -263,6 +315,9 @@ class _CallResolver:
             return {(self.exported.get(name), name)}
         if module is not None:
             return {(module, name)}
+        typed = self._type_of(receiver) or self._constructed(receiver)
+        if typed:
+            return {(c, name) for c in self._family(typed)}
         kind, value = self.binding.get(getattr(receiver, "id", ""), (None, None))
         if kind == "name" and value[1] in self.local:
             return {(c, name) for c in [value[1], *self._ancestors(value[1])]}
@@ -277,17 +332,45 @@ class _CallResolver:
         return {key for key in every if key[1] == name and key[0] in self.local}
 
 
-def test_every_parameter_is_set_by_a_program():
-    # a parameter exists only if a program call passes it, and a default only
-    # if a program call leaves it out; calls resolve as _CallResolver says
-    src = Path(divtim.__file__).parent
-    root = src.parent.parent
-    local, bases = {}, {}      # class -> its module; class -> its base names
+def _package_classes(src: Path) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """class -> its module, and class -> its base names, over the package."""
+    local, bases = {}, {}
     for path in src.glob("*.py"):
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             if isinstance(node, ast.ClassDef):
                 local[node.name] = path.stem
                 bases[node.name] = [ast.unparse(base) for base in node.bases]
+    return local, bases
+
+
+def test_call_resolver_types_receivers():
+    src = Path(divtim.__file__).parent
+    resolver = _CallResolver(src, *_package_classes(src))
+    tree = ast.parse("from divtim.sampler import RRStream\n"
+                     "from divtim import diversity\n"
+                     "def f(g, d: diversity.DiversityFunction):\n"
+                     "    rr = RRStream(g)\n"
+                     "    x = rr if g else d\n"
+                     "    rr.value(); d.value(); RRStream(g).value(); x.value()\n")
+    resolver.bind(Path("probe.py"), tree)
+    every = {("RRStream", "sets"), ("Coverage", "value"), ("DiversityFunction", "value"),
+             ("RRCorpus", "value"), ("diversity", "value")}
+    reached = {ast.unparse(node.func.value): resolver.resolve(node, every) & every
+               for node in ast.walk(tree) if isinstance(node, ast.Call)
+               and getattr(node.func, "attr", "") == "value"}
+    # typed by assignment, by annotation and by construction; x falls back to the name
+    assert reached == {"rr": set(), "RRStream(g)": set(),
+                       "d": {("Coverage", "value"), ("DiversityFunction", "value")},
+                       "x": {("Coverage", "value"), ("DiversityFunction", "value"),
+                             ("RRCorpus", "value")}}
+
+
+def test_every_parameter_is_set_by_a_program():
+    # a parameter exists only if a program call passes it, and a default only
+    # if a program call leaves it out; calls resolve as _CallResolver says
+    src = Path(divtim.__file__).parent
+    root = src.parent.parent
+    local, bases = _package_classes(src)
     defined: dict[tuple[str, str], list] = {}
     for path in src.glob("*.py"):
         for key, entries in _signatures(path, local).items():
