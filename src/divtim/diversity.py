@@ -225,7 +225,7 @@ def hamming_balls(graph: DiffusionGraph, codes: np.ndarray, radius: int
     # With every edge certain each coin lands live, so the forward search
     # is topological and its result does not depend on the stream.
     certain = graph.with_probs(np.ones(graph.edge_count))
-    rng = np.random.default_rng(0)
+    rngs = [np.random.default_rng(0)]
     theirs = np.ascontiguousarray(codes.T)
     # a centre's missing value becomes a code that matches nothing
     ours = np.where(theirs == MISSING, MISSING - 1, theirs)
@@ -234,7 +234,7 @@ def hamming_balls(graph: DiffusionGraph, codes: np.ndarray, radius: int
     for lo in range(0, starts.size, per_call):
         hi = min(lo + per_call, starts.size)
         keys = np.sort(live_edge_search(certain, "ic", True, hi - lo,
-                                        np.arange(hi - lo) * n + starts[lo:hi], rng))
+                                        np.arange(hi - lo) * n + starts[lo:hi], rngs))
         item, u = np.divmod(keys, n)
         sizes.append(np.bincount(item, minlength=hi - lo))
         reached.append(u)

@@ -30,7 +30,8 @@ class DiffusionGraph:
     are aligned with the corresponding index arrays; ``in_cum`` holds the
     within-node cumulative sum of incoming probabilities, which the LT pick
     searches in ``lift_steps``: powers of two, largest first, summing to at
-    least the largest in-degree.
+    least the largest in-degree.  Out-edge u -> v holds ``[out_cum_lo, out_cum_hi)``, v's
+    ``in_cum`` entries before u (0.0 at v's first) and at u: a draw r in it picks u (bisect_right).
     """
 
     labels: list[str]
@@ -45,6 +46,8 @@ class DiffusionGraph:
     in_indices: np.ndarray
     in_probs: np.ndarray
     in_cum: np.ndarray
+    out_cum_lo: np.ndarray
+    out_cum_hi: np.ndarray
     lift_steps: list[int]
     label_ids: dict[str, int] = field(repr=False)
 
@@ -165,10 +168,14 @@ def _assemble(labels, label_ids, src, dst, b, t) -> DiffusionGraph:
     for j, count in enumerate(longer.tolist(), start=1):
         at = heads[:count] + j
         in_cum[at] += in_cum[at - 1]
+    pos = np.argsort(in_order)[out_order]          # each out-edge's in-position
     return DiffusionGraph(labels=labels, label_ids=label_ids, src=src, dst=dst,
                           b=b, t=t, out_indptr=out_indptr, out_indices=out_indices,
                           out_probs=out_probs, in_indptr=in_indptr,
                           in_indices=in_indices, in_probs=in_probs, in_cum=in_cum,
+                          out_cum_lo=np.where(pos > in_indptr[out_indices],
+                                              in_cum.take(pos - 1, mode="wrap"), 0.0),
+                          out_cum_hi=in_cum[pos],
                           lift_steps=[1 << j for j in reversed(range(top.bit_length()))])
 
 

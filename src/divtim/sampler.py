@@ -10,9 +10,9 @@ Sets are drawn in batches by one level-synchronous live-edge kernel,
 ``live_edge_search``, which also runs the forward Monte Carlo simulation.
 Every reader (the corpus, the estimation rounds and their refinement)
 reads one phase's sets by index through ``RRStream``: a batch always
-holds ``batch_size(n)`` sets and draws from one stream keyed by (master
-seed, phase, batch id), so the first m sets of a corpus equal the m-set
-corpus.
+holds ``batch_size(n)`` sets and draws from its own stream keyed by
+(master seed, phase, batch id), however many batches one kernel call
+expands, so the first m sets of a corpus equal the m-set corpus.
 """
 
 from __future__ import annotations
@@ -33,8 +33,10 @@ CORPUS_PHASE = 0
 
 #: most items (sets or runs) one batch expands at once
 MAX_BATCH = 2048
-#: a batch's visited mask (one byte per item and node) stays below this
+#: a batch's visited mask (one byte per item and node) stays below this; it fixes the draws
 MASK_BYTES = 1 << 19
+#: RRStream's kernel calls each expand as many whole batches as keep their mask below this
+CALL_MASK_BYTES = 4 * MASK_BYTES
 
 
 def check_model(graph: DiffusionGraph, model: str) -> None:
@@ -67,10 +69,10 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edge, owner
 
 
-def _lt_pick(graph: DiffusionGraph, v: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """One LT trigger per node in v (u w.p. b(u, v), else -1): bisect_right into in_cum by
-    binary lifting, ``last`` climbing by ``graph.lift_steps`` to the node's last entry <= r."""
-    last, r, cum = graph.in_indptr[v] - 1, rng.random(v.size), graph.in_cum
+def _lt_pick(graph: DiffusionGraph, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """One LT trigger per node in v for its draw r (u w.p. b(u, v), else -1): bisect_right into
+    in_cum by binary lifting, ``last`` climbing by ``graph.lift_steps`` to the last entry <= r."""
+    last, cum = graph.in_indptr[v] - 1, graph.in_cum
     end = graph.in_indptr[v + 1] - 1
     for step in graph.lift_steps:
         at = np.minimum(last + step, end)
@@ -84,52 +86,62 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
     keep = np.empty(keys.size, dtype=bool)
     keep[:1] = True
     np.not_equal(keys[1:], keys[:-1], out=keep[1:])
-    return keys[keep]
+    return keys.compress(keep)
+
+
+def _random(rngs: list[np.random.Generator], cut: np.ndarray) -> np.ndarray:
+    """``cut[j + 1] - cut[j]`` uniform draws from each ``rngs[j]``, in turn."""
+    return np.concatenate([rng.random(k) for rng, k in zip(rngs, np.diff(cut).tolist())])
 
 
 def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: int,
-                     start: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Everything reached over live edges in ``items`` independent draws at once.
+                     start: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+    """Everything reached over live edges in ``items`` independent draws per generator.
 
     A reached node is named by the key ``item * n + node``; ``start`` holds
-    distinct keys.  The search expands one level of every item per step:
-    IC draws one coin per expanded edge, reverse LT one trigger per
-    expanded node, and forward LT draws a node's trigger the first time
-    an active in-neighbour asks for it (so at most once per item, and
-    never for a start node).  Each level's new keys are deduplicated by
-    ``_distinct`` (sort, then keep each key that differs from the one
-    before), so they are expanded in ascending order.  Reverse LT needs no
-    dedupe: its one caller, ``RRStream._batch``, starts each item from one
-    root in key order, so a level's keys (at most one per item) are already
-    distinct and ascending.  Returns every reached key, start included.
+    distinct keys in ascending order, and items ``j * items`` to ``(j + 1) *
+    items - 1`` draw from ``rngs[j]`` alone, in key order.  Per level, IC draws
+    one coin per expanded edge, reverse LT one trigger per expanded node, and
+    forward LT a node's trigger when an active in-neighbour first asks (never
+    for a start node): the asking edge activates it iff the draw lies in its
+    ``[out_cum_lo, out_cum_hi)``, so a match is new, as the one trigger asks
+    once.  IC deduplicates each level by ``_distinct``; reverse LT's levels are
+    distinct and ascending, as its one caller, ``RRStream``, starts each item
+    from one root in key order.  Returns every reached key, each level sorted.
     """
     n = graph.node_count
     ptr, heads, probs = ((graph.out_indptr, graph.out_indices, graph.out_probs) if forward
                          else (graph.in_indptr, graph.in_indices, graph.in_probs))
-    seen = np.zeros(items * n, dtype=bool)
-    seen[start] = True
+    bounds = np.arange(len(rngs) + 1) * (items * n)
     if model == "lt" and forward:
-        trigger = np.full(items * n, -2, dtype=np.int32)     # -2: not drawn yet
-        trigger[start] = -1
+        draw = np.full(bounds[-1], np.nan)      # NaN: not drawn yet; inf: a start node
+        draw[start] = np.inf
+    else:
+        seen = np.zeros(bounds[-1], dtype=bool)
+        seen[start] = True
     found, frontier = [start], start
     while frontier.size:
         item, x = np.divmod(frontier, n)
         if model == "lt" and not forward:
-            u = _lt_pick(graph, x, rng)
-            keys = (item * n + u)[u >= 0]
-            frontier = keys[~seen[keys]]
+            u = _lt_pick(graph, x, _random(rngs, np.searchsorted(frontier, bounds)))
+            keys = (item * n + u).compress(u >= 0)
         else:
             edge, owner = _expand(ptr[x], ptr[x + 1])
             if model == "ic":
-                live = rng.random(edge.size) < probs[edge]
-                edge, owner = edge[live], owner[live]
-            keys = item[owner] * n + heads[edge]
-            if model == "lt":
-                fresh = _distinct(keys[trigger[keys] == -2])
-                trigger[fresh] = _lt_pick(graph, fresh % n, rng)
-                keys = keys[trigger[keys] == x[owner]]
-            frontier = _distinct(keys[~seen[keys]])
-        seen[frontier] = True
+                cut = owner.searchsorted(np.searchsorted(frontier, bounds))    # edges per block
+                live = np.flatnonzero(_random(rngs, cut) < probs.take(edge))
+                edge, owner = edge.take(live), owner.take(live)
+            keys = item.take(owner) * n + heads.take(edge)
+        if model == "lt" and forward:
+            fresh = _distinct(keys.compress(np.isnan(draw.take(keys))))
+            draw[fresh] = _random(rngs, np.searchsorted(fresh, bounds))
+            r = draw.take(keys)
+            frontier = np.sort(keys.compress((graph.out_cum_lo.take(edge) <= r)
+                                             & (r < graph.out_cum_hi.take(edge))))
+        else:
+            frontier = keys.compress(~seen.take(keys))
+            frontier = frontier if model == "lt" else _distinct(frontier)
+            seen[frontier] = True
         found.append(frontier)
     return np.concatenate(found)
 
@@ -137,10 +149,10 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
 class RRStream:
     """The reverse reachable sets of one phase, read by set index.
 
-    Batch b holds sets ``b * size`` to ``(b + 1) * size - 1``, with
-    ``size = batch_size(n)``, and draws only from the stream keyed by
-    (master seed, phase, b).  Batches are drawn whole, on demand, and
-    kept, so a set is the same whatever range, in whatever order, reads it.
+    Batch b holds sets ``b * size`` to ``(b + 1) * size - 1``, with ``size = batch_size(n)``,
+    and draws only from the stream keyed by (master seed, phase, b).  Batches are drawn whole,
+    on demand, and kept, so a set is the same whatever range, in whatever order, reads it; a
+    read expands the batches it lacks together, up to ``CALL_MASK_BYTES`` of mask per call.
     """
 
     def __init__(self, graph: DiffusionGraph, targets: TargetSet, model: str,
@@ -151,16 +163,15 @@ class RRStream:
         self.size = batch_size(graph.node_count)
         self.batches: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
 
-    def _batch(self, b: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        if b not in self.batches:
-            n, size, rng = self.graph.node_count, self.size, stream(self.base, b)
-            roots = sample_roots(self.targets, rng, size)
-            keys = np.sort(live_edge_search(self.graph, self.model, False, size,
-                                            np.arange(size) * n + roots, rng))
-            item, members = np.divmod(keys, n)
-            self.batches[b] = (roots, np.bincount(item, minlength=size),
-                               members.astype(np.int32))
-        return self.batches[b]
+    def _draw(self, ids: list[int]) -> None:
+        n, size, rngs = self.graph.node_count, self.size, [stream(self.base, b) for b in ids]
+        roots = [sample_roots(self.targets, rng, size) for rng in rngs]
+        keys = live_edge_search(self.graph, self.model, False, size,
+                                np.arange(len(ids) * size) * n + np.concatenate(roots), rngs)
+        item, members = np.divmod(np.sort(keys), n)
+        widths = np.bincount(item, minlength=len(ids) * size).reshape(len(ids), size)
+        members = np.split(members.astype(np.int32), np.cumsum(widths.sum(axis=1))[:-1])
+        self.batches.update(zip(ids, zip(roots, widths, members)))
 
     def sets(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Sets start..stop-1 as ``(roots, set_ptr, members)``.
@@ -170,7 +181,12 @@ class RRStream:
         its root included.
         """
         first = start // self.size
-        drawn = [self._batch(b) for b in range(first, -(-stop // self.size))]
+        wanted = range(first, -(-stop // self.size))
+        missing = [b for b in wanted if b not in self.batches]
+        per_call = max(1, CALL_MASK_BYTES // (self.size * self.graph.node_count))
+        for at in range(0, len(missing), per_call):
+            self._draw(missing[at:at + per_call])
+        drawn = [self.batches[b] for b in wanted]
         lo, hi = start - first * self.size, stop - first * self.size
         set_ptr = np.concatenate([[0], np.cumsum(np.concatenate([w for _, w, _ in drawn]))])
         return (np.concatenate([r for r, _, _ in drawn])[lo:hi], set_ptr[lo:hi + 1] - set_ptr[lo],
@@ -194,12 +210,11 @@ class RRCorpus:
         self.n_nodes = node_count
         self.target_total = float(target_total)
         self.total_width = int(self.members.size)
-        self.node_ptr = np.concatenate([[0], np.cumsum(np.bincount(self.members,
-                                                                   minlength=node_count))])
         # one sort of the distinct keys member * theta + set lists each node's sets in order
         keys = np.multiply(self.members, self.theta, dtype=np.int64)
         keys += np.repeat(np.arange(self.theta, dtype=np.int32), np.diff(self.set_ptr))
         keys.sort()
+        self.node_ptr = np.searchsorted(keys, np.arange(node_count + 1) * self.theta)
         keys %= self.theta
         self.node_sets = keys.astype(np.int32)
 

@@ -55,7 +55,7 @@ def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
     spreads, capitals = [], []
     for b in range(-(-runs // size)):
         run, node = np.divmod(live_edge_search(graph, model, True, size, start,
-                                               stream(base, b)), n)
+                                               [stream(base, b)]), n)
         spreads.append(np.bincount(run, minlength=size))
         capitals.append(np.bincount(run, weights=target_score[node], minlength=size))
     spreads = np.concatenate(spreads)[:runs]

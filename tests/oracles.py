@@ -306,6 +306,31 @@ def levelwise_reverse_lt(graph, start, rng) -> np.ndarray:
     return np.array(found, dtype=np.int64)
 
 
+def levelwise_forward_lt(graph, start, rng) -> np.ndarray:
+    """Every key ``item * n + node`` a batched forward LT search reaches from
+    ``start``, level by level: each level's active keys ask their out-neighbours,
+    a key asked for the first time draws one number, in key order, and picks
+    its trigger by bisect_right, and an asked key activates when its trigger is
+    the node asking; the new keys are sorted and deduplicated."""
+    n = graph.node_count
+    out_ptr, out_heads = graph.out_indptr.tolist(), graph.out_indices.tolist()
+    ptr, heads, cum = graph.in_indptr.tolist(), graph.in_indices.tolist(), graph.in_cum.tolist()
+    frontier = start.tolist()
+    found, seen, trigger = list(frontier), set(frontier), dict.fromkeys(frontier, -1)
+    while frontier:
+        asks = [(key % n, key - key % n + v) for key in frontier
+                for v in out_heads[out_ptr[key % n]:out_ptr[key % n + 1]]]
+        fresh = sorted({asked for _, asked in asks} - trigger.keys())
+        for key, r in zip(fresh, rng.random(len(fresh)).tolist()):
+            v = key % n
+            j = bisect_right(cum, r, ptr[v], ptr[v + 1])
+            trigger[key] = heads[j] if j < ptr[v + 1] else -1
+        frontier = sorted({asked for u, asked in asks if trigger[asked] == u} - seen)
+        seen.update(frontier)
+        found.extend(frontier)
+    return np.array(found, dtype=np.int64)
+
+
 def stable_argsort_index(set_ptr, members, node_count) -> tuple[np.ndarray, np.ndarray]:
     """The inverted index ``(node_ptr, node_sets)`` of a CSR corpus: each
     member's set id, ordered by a stable argsort of the members."""

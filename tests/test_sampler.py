@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import divtim
+from divtim import sampler
 from divtim.errors import ConfigError
 from divtim.graph import _assemble, select_targets, synth_graph
 from divtim.rng import stream
@@ -125,17 +126,6 @@ def test_kernel_matches_reference_sampler(model):
     assert np.all(np.abs(kernel - reference) <= 4 * se), (kernel, reference)
 
 
-class FixedDraws:
-    """Stands in for a generator whose next ``random`` call returns r."""
-
-    def __init__(self, r):
-        self.r = np.asarray(r, dtype=np.float64)
-
-    def random(self, size):
-        assert size == self.r.size
-        return self.r
-
-
 @pytest.mark.parametrize("seed", range(4))
 def test_lt_pick_is_bisect_right_over_in_cum(seed):
     g = lt_graph_with_hub(seed)
@@ -159,8 +149,8 @@ def test_lt_pick_is_bisect_right_over_in_cum(seed):
     beyond = (has, np.nextafter(g.in_cum[g.in_indptr[has + 1] - 1], 2.0))
     for v, r in ((unsorted, None), (np.sort(unsorted), None), ties, beyond):
         r = rng.random(v.size) if r is None else r
-        assert _lt_pick(g, v, FixedDraws(r)).tolist() == bisect_picks(v, r)
-    picks = _lt_pick(g, unsorted, np.random.default_rng(seed))
+        assert _lt_pick(g, v, r).tolist() == bisect_picks(v, r)
+    picks = _lt_pick(g, unsorted, np.random.default_rng(seed).random(unsorted.size))
     assert (picks == -1).any() and (picks[unsorted == 0] >= 0).any()
     assert (picks[unsorted % 10 == 5] == -1).all()
 
@@ -173,9 +163,88 @@ def test_reverse_lt_levels_are_distinct_without_a_dedupe():
         ts, n, size = targets_of(g), g.node_count, batch_size(g.node_count)
         for b in range(2):
             start = np.arange(size) * n + sample_roots(ts, stream(7, b), size)
-            got = live_edge_search(g, "lt", False, size, start, np.random.default_rng(b))
+            got = live_edge_search(g, "lt", False, size, start, [np.random.default_rng(b)])
             want = oracles.levelwise_reverse_lt(g, start, np.random.default_rng(b))
             assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+class CycledDraws:
+    """Stands in for a generator: its draws cycle through ``values``."""
+
+    def __init__(self, values):
+        self.values, self.drawn = np.asarray(values, dtype=np.float64), 0
+
+    def random(self, size):
+        at = (self.drawn + np.arange(size)) % self.values.size
+        self.drawn += int(size)
+        return self.values[at]
+
+
+def test_forward_lt_matches_levelwise_oracle():
+    # the kernel tests the asking edge's in_cum interval; the oracle draws a
+    # trigger per fresh key by bisect_right and compares it with the asker
+    plain = synth_graph(300, 4, seed=21, score_mode="uniform")
+    scaled = plain.with_probs(plain.b * 0.9)
+    items = 40
+
+    def starts(g, seed):
+        rng = np.random.default_rng(seed)
+        return np.concatenate([i * g.node_count + np.sort(rng.choice(g.node_count, 3, False))
+                               for i in range(items)])
+
+    for g in (ring_with_chords(), lt_graph_with_hub(1), scaled):
+        for b in range(2):
+            start = starts(g, b)
+            got = live_edge_search(g, "lt", True, items, start, [np.random.default_rng(b)])
+            want = oracles.levelwise_forward_lt(g, start, np.random.default_rng(b))
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        # two blocks in one call draw as two calls do
+        both = live_edge_search(g, "lt", True, items, np.concatenate(
+            [starts(g, 0), starts(g, 1) + items * g.node_count]),
+            [np.random.default_rng(0), np.random.default_rng(1)])
+        apart = [live_edge_search(g, "lt", True, items, starts(g, b), [np.random.default_rng(b)])
+                 for b in range(2)]
+        apart[1] += items * g.node_count
+        assert np.array_equal(np.sort(both), np.sort(np.concatenate(apart)))
+    # Every node of the scaled graph has the in_cum entries 0.225, 0.45,
+    # 0.675, 0.9: each draw lands on one of them (bisect_right goes past an
+    # equal entry), on 0.0 or just above the in-mass, where no trigger is picked.
+    assert np.array_equal(np.unique(scaled.in_cum), scaled.in_cum[:4])
+    ties = np.concatenate([[0.0], scaled.in_cum[:4], [np.nextafter(scaled.in_cum[3], 2.0)]])
+    for g, values in ((scaled, ties), (ring_with_chords(), np.unique(ring_with_chords().in_cum))):
+        start = starts(g, 2)
+        got = live_edge_search(g, "lt", True, items, start, [CycledDraws(values[::-1])])
+        want = oracles.levelwise_forward_lt(g, start, CycledDraws(values[::-1]))
+        assert np.array_equal(got, want) and got.size > start.size
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_rr_stream_groups_batches_within_the_call_budget(model, monkeypatch):
+    # a read expands its missing batches together, several per kernel call,
+    # and each batch is the one it is when read alone
+    plain = synth_graph(300, 4, seed=21, score_mode="uniform")
+    g = plain if model == "ic" else plain.with_probs(plain.b * 0.9)
+    ts, size = targets_of(g), batch_size(g.node_count)
+    per_call = sampler.CALL_MASK_BYTES // (size * g.node_count)
+    count = per_call + 2
+    kernel, calls = sampler.live_edge_search, []
+
+    def counted(graph, model, forward, items, start, rngs):
+        calls.append((len(rngs), items * len(rngs) * graph.node_count))
+        return kernel(graph, model, forward, items, start, rngs)
+
+    monkeypatch.setattr(sampler, "live_edge_search", counted)
+    alone = RRStream(g, ts, model, 9, CORPUS_PHASE)
+    parts = [alone.sets(b * size, (b + 1) * size) for b in reversed(range(count))][::-1]
+    assert [k for k, _ in calls] == [1] * count
+    grouped = RRStream(g, ts, model, 9, CORPUS_PHASE)
+    grouped.sets(2 * size, 3 * size)
+    roots, set_ptr, members = grouped.sets(0, count * size)
+    assert [k for k, _ in calls[count:]] == [1, per_call, 1] and per_call > 1
+    assert max(mask for _, mask in calls) <= sampler.CALL_MASK_BYTES
+    assert np.array_equal(roots, np.concatenate([p[0] for p in parts]))
+    assert np.array_equal(np.diff(set_ptr), np.concatenate([np.diff(p[1]) for p in parts]))
+    assert np.array_equal(members, np.concatenate([p[2] for p in parts]))
 
 
 def test_corpus_rejects_nonpositive_theta():
