@@ -2,7 +2,8 @@
 """Sweep the capital/diversity trade-off and report seed-set drift.
 
 Runs selection over an alpha grid on one synthetic dataset, then emits:
-  * overlap.csv  - pairwise seed overlap (normalized by k) across alphas
+  * overlap.csv  - pairwise seed overlap (normalized by k) across alphas,
+                   empty where a greedy stopped before k seeds
   * curve.csv    - achieved diversity vs. its budget-k maximum per alpha
 
 Example:
@@ -63,7 +64,10 @@ def main() -> int:
         for a in alphas:
             row = [str(a)]
             for b in alphas:
-                row.append(f"{seed_overlap(results[a].seeds, results[b].seeds, args.k):.3f}")
+                s1, s2 = results[a].seeds, results[b].seeds
+                # a greedy that stopped early has fewer than k seeds: no overlap
+                row.append(f"{seed_overlap(s1, s2, args.k):.3f}"
+                           if len(s1) == len(s2) == args.k else "")
             writer.writerow(row)
 
     curve = [{"k": res.k, "alpha": res.alpha, "diversity": res.diversity_value,

@@ -307,12 +307,11 @@ def cmd_select(args) -> int:
     # One corpus serves every k: the first theta_k sets are the theta_k-set corpus.
     full = sampler.generate_corpus(graph, targets, args.model,
                                    max(p.theta for p in params.values()), args.seed)
+    if args.dump_corpus:        # before any document, so a dump that fails leaves none
+        full.prefix(params[ks[-1]].theta).dump(args.dump_corpus)
     rows = []
     for k in ks:
         corpus = full.prefix(params[k].theta)
-        if args.dump_corpus and k == ks[-1]:
-            corpus.dump(args.dump_corpus)
-
         for alpha_token, alpha in zip(alpha_tokens, alphas):
             div.reset()
             res = selector.build_seed_set(corpus, k, alpha, div)

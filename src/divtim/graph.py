@@ -28,10 +28,10 @@ class DiffusionGraph:
     Edges are stored once in file order (``src``, ``dst``, ``b``) and as
     CSR-style adjacency in both directions.  ``in_probs``/``out_probs``
     are aligned with the corresponding index arrays; ``in_cum`` holds the
-    within-node cumulative sum of incoming probabilities, which the LT pick
-    searches in ``lift_steps``: powers of two, largest first, summing to at
-    least the largest in-degree.  Out-edge u -> v holds ``[out_cum_lo, out_cum_hi)``, v's
-    ``in_cum`` entries before u (0.0 at v's first) and at u: a draw r in it picks u (bisect_right).
+    within-node cumulative sum of incoming probabilities, and in-edge u -> v
+    holds ``[in_cum_lo, in_cum)``, v's entry before u's (0.0 at v's first) and
+    u's: an LT draw r of v in it picks u as v's trigger (bisect_right).  Out-edge
+    u -> v holds the same interval as ``[out_cum_lo, out_cum_hi)``.
     """
 
     labels: list[str]
@@ -46,9 +46,9 @@ class DiffusionGraph:
     in_indices: np.ndarray
     in_probs: np.ndarray
     in_cum: np.ndarray
+    in_cum_lo: np.ndarray
     out_cum_lo: np.ndarray
     out_cum_hi: np.ndarray
-    lift_steps: list[int]
     label_ids: dict[str, int] = field(repr=False)
 
     @property
@@ -162,21 +162,19 @@ def _assemble(labels, label_ids, src, dst, b, t) -> DiffusionGraph:
     in_deg = np.diff(in_indptr)
     by_deg = np.argsort(-in_deg, kind="stable")
     heads = in_indptr[by_deg]
-    top = int(in_deg.max(initial=0))
-    longer = np.searchsorted(-in_deg[by_deg], -np.arange(1, top))
+    longer = np.searchsorted(-in_deg[by_deg], -np.arange(1, in_deg.max(initial=0)))
     in_cum = in_probs.copy()
     for j, count in enumerate(longer.tolist(), start=1):
         at = heads[:count] + j
         in_cum[at] += in_cum[at - 1]
+    in_cum_lo = np.roll(in_cum, 1)
+    in_cum_lo[in_indptr[:-1].compress(in_deg > 0)] = 0.0
     pos = np.argsort(in_order)[out_order]          # each out-edge's in-position
     return DiffusionGraph(labels=labels, label_ids=label_ids, src=src, dst=dst,
                           b=b, t=t, out_indptr=out_indptr, out_indices=out_indices,
                           out_probs=out_probs, in_indptr=in_indptr,
                           in_indices=in_indices, in_probs=in_probs, in_cum=in_cum,
-                          out_cum_lo=np.where(pos > in_indptr[out_indices],
-                                              in_cum.take(pos - 1, mode="wrap"), 0.0),
-                          out_cum_hi=in_cum[pos],
-                          lift_steps=[1 << j for j in reversed(range(top.bit_length()))])
+                          in_cum_lo=in_cum_lo, out_cum_lo=in_cum_lo[pos], out_cum_hi=in_cum[pos])
 
 
 def _in_share(dst: np.ndarray, n: int, weights: np.ndarray | None = None) -> np.ndarray:

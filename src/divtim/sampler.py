@@ -69,17 +69,6 @@ def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return edge, owner
 
 
-def _lt_pick(graph: DiffusionGraph, v: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """One LT trigger per node in v for its draw r (u w.p. b(u, v), else -1): bisect_right into
-    in_cum by binary lifting, ``last`` climbing by ``graph.lift_steps`` to the last entry <= r."""
-    last, cum = graph.in_indptr[v] - 1, graph.in_cum
-    end = graph.in_indptr[v + 1] - 1
-    for step in graph.lift_steps:
-        at = np.minimum(last + step, end)
-        np.copyto(last, at, where=cum[at] <= r)
-    return np.where(last < end, graph.in_indices.take(last + 1, mode="clip"), -1)
-
-
 def _distinct(keys: np.ndarray) -> np.ndarray:
     """The sorted distinct values of keys (what numpy's unique returns), by sort and mask."""
     keys = np.sort(keys)
@@ -101,17 +90,20 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
     A reached node is named by the key ``item * n + node``; ``start`` holds
     distinct keys in ascending order, and items ``j * items`` to ``(j + 1) *
     items - 1`` draw from ``rngs[j]`` alone, in key order.  Per level, IC draws
-    one coin per expanded edge, reverse LT one trigger per expanded node, and
-    forward LT a node's trigger when an active in-neighbour first asks (never
-    for a start node): the asking edge activates it iff the draw lies in its
-    ``[out_cum_lo, out_cum_hi)``, so a match is new, as the one trigger asks
-    once.  IC deduplicates each level by ``_distinct``; reverse LT's levels are
-    distinct and ascending, as its one caller, ``RRStream``, starts each item
-    from one root in key order.  Returns every reached key, each level sorted.
+    one coin per expanded edge.  LT draws one number per node, in reverse when
+    the node is expanded, forward when an active in-neighbour first asks (never
+    for a start node), and an edge into the node is live iff the number lies in
+    the edge's ``[in_cum_lo, in_cum)`` (forward ``[out_cum_lo, out_cum_hi)``): at
+    most one is, so a forward match is new.  IC deduplicates each level by
+    ``_distinct``; reverse LT's levels are distinct and ascending, as its one
+    caller, ``RRStream``, starts each item from one root in key order.  Returns
+    every reached key, each level sorted.
     """
     n = graph.node_count
-    ptr, heads, probs = ((graph.out_indptr, graph.out_indices, graph.out_probs) if forward
-                         else (graph.in_indptr, graph.in_indices, graph.in_probs))
+    ptr, heads, probs, lo, hi = (
+        (graph.out_indptr, graph.out_indices, graph.out_probs, graph.out_cum_lo, graph.out_cum_hi)
+        if forward else
+        (graph.in_indptr, graph.in_indices, graph.in_probs, graph.in_cum_lo, graph.in_cum))
     bounds = np.arange(len(rngs) + 1) * (items * n)
     if model == "lt" and forward:
         draw = np.full(bounds[-1], np.nan)      # NaN: not drawn yet; inf: a start node
@@ -122,22 +114,24 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
     found, frontier = [start], start
     while frontier.size:
         item, x = np.divmod(frontier, n)
-        if model == "lt" and not forward:
-            u = _lt_pick(graph, x, _random(rngs, np.searchsorted(frontier, bounds)))
-            keys = (item * n + u).compress(u >= 0)
-        else:
-            edge, owner = _expand(ptr[x], ptr[x + 1])
-            if model == "ic":
-                cut = owner.searchsorted(np.searchsorted(frontier, bounds))    # edges per block
-                live = np.flatnonzero(_random(rngs, cut) < probs.take(edge))
-                edge, owner = edge.take(live), owner.take(live)
-            keys = item.take(owner) * n + heads.take(edge)
+        edge, owner = _expand(ptr[x], ptr[x + 1])
+        if model == "ic":
+            cut = owner.searchsorted(np.searchsorted(frontier, bounds))    # edges per block
+            live = _random(rngs, cut) < probs.take(edge)
+        else:       # the edge whose interval holds its node's draw is the trigger's
+            if forward:
+                keys = item.take(owner) * n + heads.take(edge)
+                fresh = _distinct(keys.compress(np.isnan(draw.take(keys))))
+                draw[fresh] = _random(rngs, np.searchsorted(fresh, bounds))
+                r = draw.take(keys)
+            else:
+                r = _random(rngs, np.searchsorted(frontier, bounds)).take(owner)
+            live = (lo.take(edge) <= r) & (r < hi.take(edge))
+        live = np.flatnonzero(live)
+        edge, owner = edge.take(live), owner.take(live)
+        keys = item.take(owner) * n + heads.take(edge)
         if model == "lt" and forward:
-            fresh = _distinct(keys.compress(np.isnan(draw.take(keys))))
-            draw[fresh] = _random(rngs, np.searchsorted(fresh, bounds))
-            r = draw.take(keys)
-            frontier = np.sort(keys.compress((graph.out_cum_lo.take(edge) <= r)
-                                             & (r < graph.out_cum_hi.take(edge))))
+            frontier = np.sort(keys)
         else:
             frontier = keys.compress(~seen.take(keys))
             frontier = frontier if model == "lt" else _distinct(frontier)

@@ -494,6 +494,18 @@ def test_one_corpus_serves_every_k(tmp_path, small_dataset, sizing):
         assert len(thetas) == 2
 
 
+def test_unwritable_dump_leaves_no_documents(tmp_path, small_dataset, capsys):
+    out = tmp_path / "out"
+    code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), "--theta-override", "100",
+                 "--k", "1,2", "--out", str(out),
+                 "--dump-corpus", str(tmp_path / "missing" / "corpus.dump")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and err.startswith("data error:")
+    assert not list(out.glob("seeds_*.txt")) and not (out / "metrics.csv").exists()
+
+
 @pytest.mark.parametrize("case", ["alpha", "k", "config-k"])
 def test_non_numeric_token_is_one_line_usage_error(tmp_path, small_dataset, case):
     conf = tmp_path / "run.conf"

@@ -220,7 +220,12 @@ def _hub_graph():
     return load_graph(io.StringIO("\n".join(lines) + "\n"), "explicit")
 
 
-@pytest.mark.parametrize("case", ["synth", "hub", "sources"])
+def _scaled_synth():
+    g = synth_graph(200, 4, seed=29, score_mode="uniform")
+    return g.with_probs(g.b * 0.9)
+
+
+@pytest.mark.parametrize("case", ["synth", "hub", "sources", "with_probs", "last_source"])
 def test_in_cum_is_each_nodes_cumsum_bit_for_bit(case):
     g = {
         "synth": lambda: synth_graph(300, 5, seed=23, score_mode="uniform"),
@@ -228,14 +233,32 @@ def test_in_cum_is_each_nodes_cumsum_bit_for_bit(case):
         # nodes 0-3 have no in-edges; 4-9 have up to six each
         "sources": lambda: make_graph([(u, v, 0.1 + 0.13 * u) for v in range(4, 10)
                                        for u in range(v - 3)]),
+        "with_probs": _scaled_synth,
+        # the first and the last dense ids have no in-edges
+        "last_source": lambda: make_graph([("a", "b", 0.4), ("b", "c", 0.3), ("a", "c", 0.2),
+                                           ("d", "b", 0.5), ("e", "c", 0.1)]),
     }[case]()
     deg = g.in_degrees()
-    assert deg.min() == 0 or case == "synth"
+    assert deg.min() == 0 or case in ("synth", "with_probs")
     assert case != "hub" or deg.max() >= 100 * np.median(deg)
     expect = np.concatenate([np.cumsum(g.in_probs[g.in_indptr[v]:g.in_indptr[v + 1]])
                              for v in range(g.node_count)])
     assert g.in_cum.dtype == expect.dtype
     assert g.in_cum.tobytes() == expect.tobytes()
+    # each edge's LT trigger interval: [in_cum_lo, in_cum) in-CSR, the same at
+    # each out-edge's in-position as [out_cum_lo, out_cum_hi)
+    first = np.zeros(g.edge_count, dtype=bool)
+    first[g.in_indptr[:-1][deg > 0]] = True
+    inner = np.flatnonzero(~first)
+    assert g.in_cum_lo.dtype == np.float64 and first.sum() == np.count_nonzero(deg)
+    assert g.in_cum_lo[first].tobytes() == np.zeros(first.sum()).tobytes()
+    assert g.in_cum_lo[inner].tobytes() == g.in_cum[inner - 1].tobytes()
+    at = {(int(g.in_indices[e]), v): e for v in range(g.node_count)
+          for e in range(g.in_indptr[v], g.in_indptr[v + 1])}
+    pos = [at[u, int(g.out_indices[e])] for u in range(g.node_count)
+           for e in range(g.out_indptr[u], g.out_indptr[u + 1])]
+    assert g.out_cum_lo.tobytes() == g.in_cum_lo[pos].tobytes()
+    assert g.out_cum_hi.tobytes() == g.in_cum[pos].tobytes()
 
 
 def test_new_target_scores_share_the_topology():

@@ -1,4 +1,3 @@
-import bisect
 import hashlib
 import re
 from pathlib import Path
@@ -11,8 +10,8 @@ from divtim import sampler
 from divtim.errors import ConfigError
 from divtim.graph import _assemble, select_targets, synth_graph
 from divtim.rng import stream
-from divtim.sampler import (CORPUS_PHASE, RRStream, _distinct, _lt_pick, batch_size,
-                            generate_corpus, live_edge_search, sample_roots)
+from divtim.sampler import (CORPUS_PHASE, RRStream, _distinct, batch_size, generate_corpus,
+                            live_edge_search, sample_roots)
 from divtim.simulator import simulate
 
 import oracles
@@ -126,35 +125,6 @@ def test_kernel_matches_reference_sampler(model):
     assert np.all(np.abs(kernel - reference) <= 4 * se), (kernel, reference)
 
 
-@pytest.mark.parametrize("seed", range(4))
-def test_lt_pick_is_bisect_right_over_in_cum(seed):
-    g = lt_graph_with_hub(seed)
-    assert g.lift_steps == [128, 64, 32, 16, 8, 4, 2, 1]
-    ptr, cum, heads = g.in_indptr.tolist(), g.in_cum.tolist(), g.in_indices.tolist()
-
-    def bisect_picks(v, r):
-        picks = []
-        for x, q in zip(v.tolist(), r.tolist()):
-            j = bisect.bisect_right(cum, q, ptr[x], ptr[x + 1])
-            picks.append(heads[j] if j < ptr[x + 1] else -1)
-        return picks
-
-    rng = np.random.default_rng(seed)
-    unsorted = np.concatenate([rng.integers(0, g.node_count, 3000), np.zeros(200, np.int64)])
-    rng.shuffle(unsorted)
-    # r on every in_cum entry (bisect_right goes past an equal entry), and r
-    # just above each node's in-mass, where no in-neighbour is picked
-    ties = (np.repeat(np.arange(g.node_count), np.diff(g.in_indptr)), g.in_cum)
-    has = np.flatnonzero(np.diff(g.in_indptr))
-    beyond = (has, np.nextafter(g.in_cum[g.in_indptr[has + 1] - 1], 2.0))
-    for v, r in ((unsorted, None), (np.sort(unsorted), None), ties, beyond):
-        r = rng.random(v.size) if r is None else r
-        assert _lt_pick(g, v, r).tolist() == bisect_picks(v, r)
-    picks = _lt_pick(g, unsorted, np.random.default_rng(seed).random(unsorted.size))
-    assert (picks == -1).any() and (picks[unsorted == 0] >= 0).any()
-    assert (picks[unsorted % 10 == 5] == -1).all()
-
-
 def test_reverse_lt_levels_are_distinct_without_a_dedupe():
     # one root per item: the kernel's reverse LT, which skips _distinct,
     # reaches the keys a search deduplicating every level reaches, in order
@@ -178,6 +148,27 @@ class CycledDraws:
         at = (self.drawn + np.arange(size)) % self.values.size
         self.drawn += int(size)
         return self.values[at]
+
+
+def test_reverse_lt_matches_levelwise_oracle_on_interval_bounds():
+    # One item per (node, draw) pair, rooted at the node, so the first level
+    # draws these values in key order: 0.0, every in_cum entry (bisect_right
+    # goes past an equal entry) and just above each node's in-mass, where no
+    # in-neighbour is the trigger; later levels cycle through them again.
+    for g in (lt_graph_with_hub(0), lt_graph_with_hub(3), ring_with_chords()):
+        n, deg = g.node_count, np.diff(g.in_indptr)
+        has = np.flatnonzero(deg)
+        roots = np.concatenate([np.arange(n), np.repeat(np.arange(n), deg), has])
+        values = np.concatenate([np.zeros(n), g.in_cum,
+                                 np.nextafter(g.in_cum[g.in_indptr[has + 1] - 1], 2.0)])
+        start = np.arange(roots.size) * n + roots
+        got = live_edge_search(g, "lt", False, roots.size, start, [CycledDraws(values)])
+        want = oracles.levelwise_reverse_lt(g, start, CycledDraws(values))
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        reached = np.bincount(got // n, minlength=roots.size) > 1
+        assert reached[:n].tolist() == (deg > 0).tolist()       # 0.0 picks the first in-edge
+        assert not reached[-has.size:].any()
+        assert reached[n:-has.size].any() and not reached[n:-has.size].all()
 
 
 def test_forward_lt_matches_levelwise_oracle():

@@ -15,9 +15,13 @@ SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
      "node_weights.txt"),
     ("alpha_sweep.py", ["--nodes", "120", "--k", "3", "--epsilon", "0.5", "--out", "{tmp}"],
      "curve.csv"),
+    # the alpha-1 greedy stops early, at 3 of 10 seeds
+    ("alpha_sweep.py", ["--nodes", "12", "--k", "10", "--epsilon", "0.5", "--out", "{tmp}"],
+     "curve.csv"),
     ("capital_fidelity.py", ["--nodes", "120", "--ks", "3", "--epsilon", "0.5", "--runs", "200",
                              "--out", "{tmp}/fidelity.csv"], "fidelity.csv"),
-], ids=["make_dataset", "make_dataset_ones", "alpha_sweep", "capital_fidelity"])
+], ids=["make_dataset", "make_dataset_ones", "alpha_sweep", "alpha_sweep_early_stop",
+       "capital_fidelity"])
 def test_script_runs(tmp_path, script, args, output):
     argv = [a.replace("{tmp}", str(tmp_path)) for a in args]
     proc = subprocess.run([sys.executable, str(SCRIPTS / script), *argv],
