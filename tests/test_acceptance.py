@@ -484,6 +484,82 @@ def test_c11_end_to_end_determinism(tmp_path):
                             "seed lists and metric rows (timing lines excluded)")
 
 
+# ------------------------------------------- end-to-end guarantee (micro)
+
+GUARANTEE_EPSILON = 0.3
+
+
+def _guarantee_select(g, ts, model, k, alpha, div, seed):
+    """Seeds and their in-sample capital through the public sizing, corpus
+    and greedy path."""
+    params = estimate_params(g, ts, model, k, epsilon=GUARANTEE_EPSILON, master_seed=seed)
+    corpus = generate_corpus(g, ts, model, params.theta, seed)
+    res = build_seed_set(corpus, k, alpha, div)
+    return res.seeds, res.expected_capital
+
+
+def _guarantee_graph(rng, model, n=6):
+    """A chain plus a few random edges; LT in-probabilities sum to at most 0.9."""
+    edges = sorted({(u, u + 1) for u in range(n - 1)}
+                   | {(u, v) for u in range(n) for v in range(n)
+                      if u != v and rng.random() < 0.12})
+    indeg = np.bincount([v for _, v in edges], minlength=n)
+    g = make_graph([(u, v, float(rng.uniform(0.2, 0.5)) if model == "ic" else 0.9 / indeg[v])
+                    for u, v in edges])
+    return g.with_target_scores(rng.uniform(0.1, 1.0, size=g.node_count))
+
+
+def test_end_to_end_guarantee_on_micro_graphs():
+    rng = np.random.default_rng(1212)
+    bound = 1.0 - 1.0 / math.e - GUARANTEE_EPSILON
+    worst, gap, runs = math.inf, 0.0, 0
+    for model, k in itertools.product(("ic", "lt"), (2, 3)):
+        g = _guarantee_graph(rng, model)
+        n = g.node_count
+        ts = select_targets(g, "threshold", tau=0.0)
+        rows = [tuple(int(rng.integers(0, 3)) for _ in range(3)) for _ in range(n)]
+        ps = make_profiles(rows, domain_sizes=[3] * 3)
+        subsets = list(itertools.combinations(range(n), k))
+        capital = {S: exhaustive_expectation(g, model, S, targets=ts)[1] for S in subsets}
+        kinds = {"aw": lambda: AttributeWiseDiversity(ps),
+                 "hamming": lambda: HammingBallDiversity(g, ps, radius=1),
+                 "entropy": lambda: EntropyDiversity(ps),
+                 "class": lambda: ClassDiversity(rng.integers(0, 3, size=n),
+                                                 rng.uniform(0.5, 2.0, size=n)),
+                 "numeric-u": lambda: NumericDiversity(rng.uniform(0, 1, size=(n, 2)),
+                                                       np.ones(n)),
+                 "numeric-w": lambda: NumericDiversity(rng.uniform(0, 1, size=(n, 2)),
+                                                       g.out_degrees().astype(np.float64))}
+        for kind, make in kinds.items():
+            div = make()
+            diversity = {}
+            for S in subsets:
+                div.reset()
+                for v in S:
+                    div.commit(v)
+                diversity[S] = div.value()
+            for alpha in (0.0, 0.5, 1.0):
+                div.reset()
+                seeds, in_sample = _guarantee_select(g, ts, model, k, alpha, div,
+                                                     seed=int(rng.integers(2 ** 31)))
+                div.reset()
+                for v in seeds:
+                    div.commit(v)
+                exact = exhaustive_expectation(g, model, seeds, targets=ts)[1] if seeds else 0.0
+                achieved = alpha * exact + (1 - alpha) * div.value()
+                best = max(alpha * capital[S] + (1 - alpha) * diversity[S] for S in subsets)
+                ratio = achieved / best if best > 0 else 1.0
+                assert ratio >= bound, (model, k, kind, alpha, seeds, ratio)
+                worst = min(worst, ratio)
+                if exact > 0:
+                    gap = max(gap, abs(in_sample - exact) / exact)
+                runs += 1
+    _verdict(12, worst >= bound,
+             f"true objective >= (1 - 1/e - {GUARANTEE_EPSILON}) x exhaustive optimum on "
+             f"{runs} micro-graph runs: worst ratio {worst:.3f} (bound {bound:.3f}), "
+             f"largest in-sample capital gap {gap:.2%}")
+
+
 # ------------------------------------------------- qualitative trend check
 
 def test_trend_seed_entropy_ordering():
