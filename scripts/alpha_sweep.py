@@ -22,8 +22,6 @@ from divtim.estimator import estimate_params
 from divtim.graph import select_targets, synth_graph
 from divtim.metrics import seed_entropy, seed_overlap
 from divtim.profiles import synth_profiles
-from divtim.sampler import generate_corpus
-from divtim.selector import build_seed_set
 
 
 def main() -> int:
@@ -44,15 +42,14 @@ def main() -> int:
     targets = select_targets(g, "top_percent", percent=args.percent)
     profiles = synth_profiles(args.nodes, m=10, domain_sizes=10,
                               distribution=args.distribution, seed=args.seed)
-    params = estimate_params(g, targets, "ic", args.k, epsilon=args.epsilon,
-                             master_seed=args.seed)
-    corpus = generate_corpus(g, targets, "ic", params.theta, args.seed)
-
     alphas = [round(i / 10, 1) for i in range(11)]
+    # one sizing for the whole grid: every alpha is checked against OPIM-C's ratio
+    params = estimate_params(g, targets, "ic", [args.k], alphas,
+                             AttributeWiseDiversity(profiles), epsilon=args.epsilon,
+                             master_seed=args.seed)
     results = {}
     for alpha in alphas:
-        res = build_seed_set(corpus, args.k, alpha, AttributeWiseDiversity(profiles))
-        results[alpha] = res
+        res = results[alpha] = params.points[args.k, alpha][0]
         print(f"alpha={alpha}: capital={res.expected_capital:.2f} "
               f"diversity={res.diversity_value:.2f} "
               f"entropy={seed_entropy(res.seeds, profiles):.3f}")

@@ -3,7 +3,9 @@
 
 For each budget k the full pipeline runs with capital weight only
 (alpha = 1), then the selected seeds are re-scored by forward simulation.
-Emits one CSV row per k with both estimates and the relative error.
+Emits one CSV row per k with the held-out estimate (the check corpus R2,
+unbiased for the chosen seeds), the in-sample one (the corpus R1 that
+chose them) and the relative error of each.
 
 Example:
     python scripts/capital_fidelity.py --nodes 1000 --ks 5,10,25,50 \
@@ -22,8 +24,6 @@ from divtim.diversity import AttributeWiseDiversity
 from divtim.estimator import estimate_params
 from divtim.graph import select_targets, synth_graph
 from divtim.profiles import synth_profiles
-from divtim.sampler import generate_corpus
-from divtim.selector import build_seed_set
 from divtim.simulator import simulate
 
 
@@ -46,24 +46,27 @@ def main() -> int:
     rows = []
     for k in (int(tok) for tok in args.ks.split(",")):
         t0 = time.perf_counter()
-        params = estimate_params(g, targets, "ic", k, epsilon=args.epsilon,
-                                 master_seed=args.seed)
-        corpus = generate_corpus(g, targets, "ic", params.theta, args.seed)
-        result = build_seed_set(corpus, k, 1.0, AttributeWiseDiversity(profiles))
+        res, stats = estimate_params(g, targets, "ic", [k], [1.0],
+                                     AttributeWiseDiversity(profiles), epsilon=args.epsilon,
+                                     master_seed=args.seed).points[k, 1.0]
         sampling_s = time.perf_counter() - t0
-        report = simulate(g, "ic", result.seeds, runs=args.runs,
+        report = simulate(g, "ic", res.seeds, runs=args.runs,
                           master_seed=args.seed + 1, targets=targets)
-        err = abs(result.expected_capital - report.mean_capital) / report.mean_capital
+        held_out, in_sample = res.expected_capital, stats["capital_in_sample"]
+        err = abs(held_out - report.mean_capital) / report.mean_capital
+        err_in = abs(in_sample - report.mean_capital) / report.mean_capital
         rows.append({
-            "k": k, "theta": params.theta,
-            "estimated_capital": f"{result.expected_capital:.4f}",
+            "k": k, "theta": stats["theta"], "check_theta": stats["check_theta"],
+            "estimated_capital": f"{held_out:.4f}",
+            "in_sample_capital": f"{in_sample:.4f}",
             "mc_capital": f"{report.mean_capital:.4f}",
             "mc_stderr": f"{report.stderr_capital:.4f}",
             "relative_error": f"{err:.5f}",
+            "in_sample_relative_error": f"{err_in:.5f}",
             "pipeline_seconds": f"{sampling_s:.2f}",
         })
-        print(f"k={k}: est={result.expected_capital:.2f} "
-              f"mc={report.mean_capital:.2f} rel_err={err:.3%}")
+        print(f"k={k}: held-out={held_out:.2f} in-sample={in_sample:.2f} "
+              f"mc={report.mean_capital:.2f} rel_err={err:.3%} in-sample rel_err={err_in:.3%}")
 
     with open(args.out, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=list(rows[0]), lineterminator="\n")

@@ -10,7 +10,7 @@ from .diversity import (AttributeWiseDiversity, ClassDiversity, DiversityFunctio
                         EntropyDiversity, HammingBallDiversity, NumericDiversity,
                         aw_theoretical_max)
 from .errors import ConfigError, FormatError, UsageError
-from .estimator import EstimationParams, compute_theta, estimate_params
+from .estimator import EstimationParams, estimate_params
 from .graph import (DiffusionGraph, TargetSet, derive_targets_indegree, load_graph,
                     load_node_weights, save_graph, select_targets, synth_graph)
 from .metrics import seed_entropy, seed_overlap

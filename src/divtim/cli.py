@@ -294,30 +294,21 @@ def cmd_select(args) -> int:
     config_pairs = {key: getattr(args, key) for key in CONFIG_KEYS}
     config_pairs["target_param"] = target_param
 
-    # Every k reads one KPT and one refinement stream, so no batch is drawn twice.
-    streams = [sampler.RRStream(graph, targets, args.model, args.seed, phase)
-               for phase in (estimator.KPT_PHASE, estimator.REFINE_PHASE)]
-    params = {k: estimator.estimate_params(
-        graph, targets, args.model, k, epsilon=args.epsilon, ell=args.ell,
-        master_seed=args.seed, theta_override=args.theta_override, theta_cap=args.theta_cap,
-        streams=streams)
-        for k in ks}
-    del streams     # the estimation sets are not read past here
-    os.makedirs(args.out, exist_ok=True)
-    # One corpus serves every k: the first theta_k sets are the theta_k-set corpus.
-    full = sampler.generate_corpus(graph, targets, args.model,
-                                   max(p.theta for p in params.values()), args.seed)
+    sized = estimator.estimate_params(
+        graph, targets, args.model, ks, alphas, div, epsilon=args.epsilon,
+        master_seed=args.seed, ell=args.ell, theta_override=args.theta_override,
+        theta_cap=args.theta_cap)
+    os.makedirs(args.out, exist_ok=True)    # after the draw, so a failed one leaves no directory
     if args.dump_corpus:        # before any document, so a dump that fails leaves none
-        full.prefix(params[ks[-1]].theta).dump(args.dump_corpus)
+        sized.corpora[ks[-1]].dump(args.dump_corpus)
     rows = []
     for k in ks:
-        corpus = full.prefix(params[k].theta)
         for alpha_token, alpha in zip(alpha_tokens, alphas):
-            div.reset()
-            res = selector.build_seed_set(corpus, k, alpha, div)
-            extra = {} if params[k].kpt_star is None else {
-                "kpt_star": repr(params[k].kpt_star), "kpt_plus": repr(params[k].kpt_plus)}
-            extra["corpus_width"] = corpus.total_width
+            res, stats = sized.points[k, alpha]
+            extra = {f"stats.{key}": repr(value) for key, value in stats.items()}
+            if len(res.seeds) < k:
+                extra["stats.early_stop"] = len(res.seeds)
+            extra["corpus_width"] = sized.corpora[k].total_width
             if profile_set is not None and res.seeds:
                 extra["seed_entropy"] = repr(metrics.seed_entropy(res.seeds, profile_set))
             if res.diversity_max is not None:
@@ -502,6 +493,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except (FormatError, ConfigError, OSError, UnicodeDecodeError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:    # numpy's allocation failures are MemoryErrors too
+        print(f"out of memory: {exc}", file=sys.stderr)
         return 2
 
 

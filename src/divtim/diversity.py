@@ -88,8 +88,9 @@ class Coverage(DiversityFunction):
         return self.elements[self.ptr[v]:self.ptr[v + 1]]
 
     def gains(self) -> np.ndarray:
-        """Every node's gain on the empty set."""
-        return self.unit * np.diff(self.ptr)
+        """Every node's gain on the committed set: its uncovered elements times the unit."""
+        uncovered = np.concatenate([[0], np.cumsum(~self._covered[self.elements])])
+        return self.unit * np.diff(uncovered[self.ptr])
 
     def value(self) -> float:
         return self.total * int(np.count_nonzero(self._covered)) / self.size if self.size else 0.0

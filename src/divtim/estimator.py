@@ -1,143 +1,141 @@
-"""Corpus sizing.
+"""Corpus sizing by OPIM-C's stopping rule (Tang, Tang, Xiao, Yuan, SIGMOD 2018).
 
-The number of reverse reachable sets needed for the approximation
-guarantee is derived in two stages: an iterative-doubling lower bound on
-the mean spread of a size-k seed set, then a greedy refinement of that
-bound on a fresh batch.  Both stages reuse the targeted root sampling.
+A grid point (k, alpha) maximizes F = alpha * C + (1 - alpha) * D: C the
+expected capital, D the exact diversity.  The greedy picks S on R1 (the
+corpus phase) by F1 = alpha * u * L1 + (1 - alpha) * D, u = T / theta with T
+the total target score and L1(S) the R1 sets S covers; L2(S) counts R2's
+(the check phase).  Let a = ln(2 * rounds / delta), delta = n^-ell, rounds
+the theta values the doubling can reach: each bound below fails with
+probability at most delta / (2 * rounds).  S is fixed before R2 is drawn, so
+C(S) >= u * ((sqrt(L2 + 2a/9) - sqrt(a/2))^2 - a/18), which bounds F(S).  F1
+is monotone submodular, so no size-k set beats U1 = min(F1(S) / (1 - 1/e),
+F1(S) + the k largest gains F1(v | S)).  The optimum O is fixed before R1 is
+drawn, so C(O) - u * x <= u * (a + sqrt(2a * (x + a/2))) at x = L1(O), which
+grows with x, and alpha * u * x <= F1(O) <= U1 gives x <= x_max = min(theta,
+U1 / (alpha * u)).  So F(O) <= U1 + alpha * u * (a + sqrt(2a * (x_max +
+a/2))), OPIM-C's own bound at alpha = 1.
+
+Each k doubles R1 and R2 from one batch until the lower bound reaches
+(1 - 1/e - epsilon) times the upper at every alpha (alpha = 1 first, the
+rest once those pass) or theta reaches the cap; R2 then doubles alone
+until each alpha > 0 capital has relative standard error <= CAPITAL_RSE.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 
-from .diversity import Coverage
+from . import sampler, selector
+from .diversity import Coverage, DiversityFunction
 from .errors import ConfigError
 from .graph import DiffusionGraph, TargetSet
-from .sampler import RRCorpus, RRStream
-from .selector import lazy_greedy
-
-KPT_PHASE = 101
-REFINE_PHASE = 102
 
 DEFAULT_THETA_CAP = 2_000_000
+#: delta = n^-ell is at most 2^-1000 here; past it only overflow is left
+MAX_ELL = 1000.0
+#: so a 5% capital deviation is three standard errors
+CAPITAL_RSE = 1 / 60
 
 
 @dataclass
 class EstimationParams:
-    kpt_star: float | None      # None when theta was given, not estimated
-    kpt_plus: float | None
+    """Per k its R1 corpus, their largest theta, per (k, alpha) its result and ``stats``."""
+
+    corpora: dict[int, sampler.RRCorpus]
     theta: int
+    points: dict[tuple[int, float], tuple[selector.SeedResult, dict[str, float]]]
 
 
-def _log_binom(n: int, k: int) -> float:
-    k = min(k, n)
-    return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+def _select(corpus: sampler.RRCorpus, k: int, alpha: float,
+            diversity: DiversityFunction) -> selector.SeedResult:
+    diversity.reset()
+    return selector.build_seed_set(corpus, k, alpha, diversity)
 
 
-def compute_theta(kpt: float, epsilon: float, ell: float, k: int, n: int,
-                  theta_cap: int) -> int:
-    """Corpus size ceil(lambda / kpt) for the (1 - 1/e - eps) guarantee.
-
-    lambda = (8 + 2*eps) * n * (ell*ln n + ln C(n,k) + ln 2) / eps^2; the
-    binomial term is evaluated through log-gamma so it never overflows.
-    """
-    if kpt < 1:
-        raise ConfigError("kpt estimate must be at least 1")
-    if not (0 < epsilon < 1):
-        raise ConfigError("epsilon must lie in (0, 1)")
-    lam = (8 + 2 * epsilon) * n * (ell * math.log(n) + _log_binom(n, k) + math.log(2)) \
-        / (epsilon ** 2)
-    theta = max(1, math.ceil(lam / kpt))
-    if theta > theta_cap:
-        warnings.warn(f"theta {theta} exceeds cap {theta_cap}; clamping")
-        theta = theta_cap
-    return theta
+def _hits(held_out: tuple[np.ndarray, np.ndarray, np.ndarray], seeds: list[int]) -> int:
+    _, ptr, members = held_out
+    return int(np.count_nonzero(np.logical_or.reduceat(np.isin(members, seeds), ptr[:-1])))
 
 
-def kpt_estimation(rr: RRStream, k: int, ell: float) -> tuple[float, RRCorpus | None]:
-    """Iterative-doubling lower bound on the mean size-k spread.
-
-    Round i draws c_i = ceil((6*ell*ln n + 6*ln log2 n) * 2^i) sets and
-    scores each by kappa = 1 - (1 - w/W)^k, where w is the in-degree mass
-    of the set's members and W the total in-degree mass.  The first round
-    whose mean kappa exceeds 2^-i returns mean * n / 2.  Round i reads
-    the next c_i sets of the KPT phase's stream ``rr``.  Also returns the last
-    round's sets as a corpus (None if no round ran), so the refinement
-    stage can reuse them.
-    """
-    n, total_in, indeg = rr.graph.node_count, float(rr.graph.edge_count), rr.graph.in_degrees()
-    kpt, drawn, start, c_i = 1.0, None, 0, 0
-    if n >= 2 and total_in > 0:
-        for i in range(1, int(math.floor(math.log2(n)))):
-            start += c_i
-            c_i = math.ceil((6 * ell * math.log(n) + 6 * math.log(math.log2(n))) * 2 ** i)
-            _, ptr, members = drawn = rr.sets(start, start + c_i)
-            width = np.add.reduceat(indeg[members], ptr[:-1])
-            kappa_sum = float((1.0 - (1.0 - width / total_in) ** k).sum())
-            if kappa_sum / c_i > 1.0 / (2 ** i):
-                kpt = kappa_sum * n / (2.0 * c_i)
-                break
-    return kpt, None if drawn is None else RRCorpus(*drawn, n, rr.targets.total_score)
+def _ratio(corpus: sampler.RRCorpus, held_out: tuple[np.ndarray, np.ndarray, np.ndarray],
+           res: selector.SeedResult, diversity: DiversityFunction, a: float) -> float:
+    """R2's lower bound on F(S) over R1's upper one on F(O); ``diversity`` holds S."""
+    n, alpha, u = corpus.n_nodes, res.alpha, corpus.target_total / corpus.theta
+    capital = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.target_total)
+    for v in res.seeds:
+        capital.commit(v)
+    gains = alpha * capital.gains()
+    if alpha < 1.0:
+        picked = set(res.seeds)
+        gains += (1 - alpha) * np.array([0.0 if v in picked else diversity.gain(v)
+                                         for v in range(n)])
+    upper = min(res.objective() / (1 - 1 / math.e),
+                res.objective() + float(np.sort(gains)[-res.k:].sum()))
+    if alpha > 0.0:
+        x_max = min(corpus.theta, upper / (alpha * u))
+        upper += alpha * u * (a + math.sqrt(2 * a * (x_max + a / 2)))
+    low = (math.sqrt(_hits(held_out, res.seeds) + 2 * a / 9) - math.sqrt(a / 2)) ** 2 - a / 18
+    lower = alpha * u * max(0.0, low) + (1 - alpha) * res.diversity_value
+    return lower / upper if upper > 0 else 1.0
 
 
-def greedy_cover(corpus: RRCorpus, k: int) -> list[int]:
-    """Up to k nodes covering the most sets, by the lazy greedy; ties go to the smallest id."""
-    sets = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.theta)
-    return [v for v, _, _ in lazy_greedy(k, [(1.0, sets, sets.gains)])]
-
-
-def refine_kpt(rr: RRStream, k: int, epsilon: float, ell: float, kpt_star: float,
-               est_sets: RRCorpus | None, theta_cap: int) -> float:
-    """Tighten the doubling-stage bound with a greedy cover re-estimate.
-
-    A size-k greedy cover of the estimation sets is re-scored on a fresh
-    batch of lambda' / kpt_star sets, the first ones of the refinement
-    phase's stream ``rr``, with eps' = 5 * cbrt(ell*eps^2/(k+ell)); the
-    refined bound is max(f * n / (1 + eps'), kpt_star).
-    """
-    n = rr.graph.node_count
-    if est_sets is None or n < 2:
-        return kpt_star
-    eps_p = 5.0 * (ell * epsilon ** 2 / (k + ell)) ** (1.0 / 3.0)
-    lam_p = (2 + eps_p) * ell * n * math.log(n) / (eps_p ** 2)
-    theta_p = max(1, min(math.ceil(lam_p / kpt_star), theta_cap))
-    cover = np.zeros(n, dtype=bool)
-    cover[greedy_cover(est_sets, k)] = True
-    _, ptr, members = rr.sets(0, theta_p)
-    hit = int(np.count_nonzero(np.logical_or.reduceat(cover[members], ptr[:-1])))
-    kpt_refined = (hit / theta_p) * n / (1.0 + eps_p)
-    return max(kpt_refined, kpt_star)
-
-
-def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, k: int,
-                    epsilon: float, master_seed: int, ell: float = 1.0,
-                    theta_override: int | None = None,
-                    theta_cap: int = DEFAULT_THETA_CAP,
-                    streams: Sequence[RRStream] | None = None) -> EstimationParams:
-    """Run both estimation stages and size the main corpus.  ``streams``, the
-    KPT and refinement ``RRStream``s of these arguments, hold no k, so every k
-    of a grid may read one pair; by default they are opened here."""
+def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, ks: Sequence[int],
+                    alphas: Sequence[float], diversity: DiversityFunction, epsilon: float,
+                    master_seed: int, ell: float = 1.0, theta_override: int | None = None,
+                    theta_cap: int = DEFAULT_THETA_CAP) -> EstimationParams:
+    """Size the corpora and select every grid point's seeds; ``theta_override`` sizes
+    nothing, and its corpus selects every point and scores its capital in sample."""
     if not 0 < epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
-    if not 0 < ell < math.inf:
-        raise ConfigError("ell must be positive and finite")
-    if k < 1:
-        raise ConfigError("budget k must be at least 1")
+    if not 0 < ell <= MAX_ELL:
+        raise ConfigError(f"ell must lie in (0, {MAX_ELL:g}]; delta = n^-ell is already "
+                          f"at most 2^-{MAX_ELL:g} there")
     if theta_cap < 1:
         raise ConfigError("theta cap must be at least 1")
     if theta_override is not None:
         if theta_override < 1:
             raise ConfigError("theta override must be positive")
-        return EstimationParams(kpt_star=None, kpt_plus=None, theta=theta_override)
-    kpt_rr, refine_rr = streams or [RRStream(graph, targets, model, master_seed, phase)
-                                    for phase in (KPT_PHASE, REFINE_PHASE)]
-    kpt_star, est_sets = kpt_estimation(kpt_rr, k, ell)
-    kpt_plus = refine_kpt(refine_rr, k, epsilon, ell, kpt_star, est_sets, theta_cap)
-    theta = compute_theta(kpt_plus, epsilon, ell, k, graph.node_count, theta_cap)
-    return EstimationParams(kpt_star=kpt_star, kpt_plus=kpt_plus, theta=theta)
+        corpus = sampler.generate_corpus(graph, targets, model, theta_override, master_seed)
+        return EstimationParams({k: corpus for k in ks}, theta_override, {
+            (k, alpha): (_select(corpus, k, alpha, diversity), {})
+            for k in ks for alpha in alphas})
 
+    n, total = graph.node_count, targets.total_score
+    r1, r2 = (sampler.RRStream(graph, targets, model, master_seed, phase)
+              for phase in (sampler.CORPUS_PHASE, sampler.CHECK_PHASE))
+    first = min(theta_cap, r1.size)
+    sizes = [min(first << i, theta_cap) for i in range(1 + math.ceil(math.log2(theta_cap / first)))]
+    a = ell * math.log(n) + math.log(2 * len(sizes))
+    target = 1 - 1 / math.e - epsilon
+    corpora, points = {}, {}
+    for k in ks:
+        for theta in sizes:
+            corpus = sampler.RRCorpus(*r1.sets(0, theta), n, total)
+            held_out, picks = r2.sets(0, theta), {}
+            for alpha in sorted(alphas, key=lambda x: x != 1.0):
+                if alpha != 1.0 and theta < theta_cap and any(
+                        ratio < target for _, ratio in picks.values()):
+                    break
+                res = _select(corpus, k, alpha, diversity)
+                picks[alpha] = res, _ratio(corpus, held_out, res, diversity, a)
+            passed = len(picks) == len(alphas) and all(r >= target for _, r in picks.values())
+            if passed:
+                break
+        for check in sizes[sizes.index(theta):]:
+            held_out = r2.sets(0, check)
+            hits = {alpha: _hits(held_out, res.seeds) for alpha, (res, _) in picks.items()}
+            if all(alpha == 0.0 or check - h <= CAPITAL_RSE ** 2 * h * check
+                   for alpha, h in hits.items()):
+                break
+        corpora[k] = corpus
+        for alpha, (res, ratio) in picks.items():
+            p = hits[alpha] / check
+            points[k, alpha] = replace(res, expected_capital=total * p), {
+                "theta": theta, "check_theta": check, "theta_capped": int(not passed),
+                "approx_ratio": ratio, "capital_in_sample": res.expected_capital,
+                "capital_stderr": total * math.sqrt(p * (1 - p) / check)}
+    return EstimationParams(corpora, max(c.theta for c in corpora.values()), points)

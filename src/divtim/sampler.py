@@ -8,9 +8,9 @@ sets a seed set covers estimates its captured share of total target score.
 
 Sets are drawn in batches by one level-synchronous live-edge kernel,
 ``live_edge_search``, which also runs the forward Monte Carlo simulation.
-Every reader (the corpus, the estimation rounds and their refinement)
-reads one phase's sets by index through ``RRStream``: a batch always
-holds ``batch_size(n)`` sets and draws from its own stream keyed by
+Both readers, the corpus that selects seeds and the held-out corpus that
+checks them, read one phase's sets by index through ``RRStream``: a batch
+always holds ``batch_size(n)`` sets and draws from its own stream keyed by
 (master seed, phase, batch id), however many batches one kernel call
 expands, so the first m sets of a corpus equal the m-set corpus.
 """
@@ -28,8 +28,9 @@ from .textio import open_text
 
 MODELS = ("ic", "lt")
 
-#: phase tag for corpus streams (estimation phases use their own tags)
-CORPUS_PHASE = 0
+#: phase tags of the corpus that selects seeds and of the held-out corpus that checks them
+CORPUS_PHASE, CHECK_PHASE = 0, 1
+PHASES = {CORPUS_PHASE: "corpus", CHECK_PHASE: "check corpus"}
 
 #: most items (sets or runs) one batch expands at once
 MAX_BATCH = 2048
@@ -152,7 +153,7 @@ class RRStream:
     def __init__(self, graph: DiffusionGraph, targets: TargetSet, model: str,
                  master_seed: int, phase: int):
         check_model(graph, model)
-        self.graph, self.targets, self.model = graph, targets, model
+        self.graph, self.targets, self.model, self.name = graph, targets, model, PHASES[phase]
         self.base = phase_seed(master_seed, phase)
         self.size = batch_size(graph.node_count)
         self.batches: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
@@ -176,15 +177,18 @@ class RRStream:
         """
         first = start // self.size
         wanted = range(first, -(-stop // self.size))
-        missing = [b for b in wanted if b not in self.batches]
         per_call = max(1, CALL_MASK_BYTES // (self.size * self.graph.node_count))
-        for at in range(0, len(missing), per_call):
-            self._draw(missing[at:at + per_call])
-        drawn = [self.batches[b] for b in wanted]
-        lo, hi = start - first * self.size, stop - first * self.size
-        set_ptr = np.concatenate([[0], np.cumsum(np.concatenate([w for _, w, _ in drawn]))])
-        return (np.concatenate([r for r, _, _ in drawn])[lo:hi], set_ptr[lo:hi + 1] - set_ptr[lo],
-                np.concatenate([m for _, _, m in drawn])[set_ptr[lo]:set_ptr[hi]])
+        try:
+            missing = [b for b in wanted if b not in self.batches]
+            for at in range(0, len(missing), per_call):
+                self._draw(missing[at:at + per_call])
+            drawn = [self.batches[b] for b in wanted]
+            lo, hi = start - first * self.size, stop - first * self.size
+            roots, widths, members = (np.concatenate(part) for part in zip(*drawn))
+            set_ptr = np.concatenate([[0], np.cumsum(widths)])
+            return roots[lo:hi], set_ptr[lo:hi + 1] - set_ptr[lo], members[set_ptr[lo]:set_ptr[hi]]
+        except MemoryError:
+            raise MemoryError(f"drawing {stop - start} RR sets of the {self.name}") from None
 
 
 class RRCorpus:
@@ -215,13 +219,6 @@ class RRCorpus:
     @property
     def theta(self) -> int:
         return len(self.roots)
-
-    def prefix(self, m: int) -> "RRCorpus":
-        """The corpus of the first m sets."""
-        if m == self.theta:
-            return self
-        return RRCorpus(self.roots[:m], self.set_ptr[:m + 1],
-                        self.members[:self.set_ptr[m]], self.n_nodes, self.target_total)
 
     def dump(self, sink: str | TextIO) -> None:
         """Debug dump, one line per set: ``id root member*`` (format unstable)."""

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import heapq
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
@@ -103,7 +102,9 @@ class SeedResult:
 
 def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
                    diversity: DiversityFunction) -> SeedResult:
-    """Select up to k seeds with the lazy greedy over capital and diversity."""
+    """Select up to k seeds with the lazy greedy over capital and diversity;
+    fewer once no node's combined gain is positive (``select`` writes that
+    count as ``stats.early_stop``)."""
     start = time.perf_counter()
     if corpus.theta == 0:
         raise ConfigError("empty corpus")
@@ -118,8 +119,6 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
     picks = lazy_greedy(k, [
         (alpha, capital, capital.gains),
         (1 - alpha, diversity, lambda: [diversity.gain(v) for v in range(corpus.n_nodes)])])
-    if len(picks) < k:
-        warnings.warn(f"only {len(picks)} of {k} seeds carry positive gain; stopping early")
 
     return SeedResult(
         seeds=[v for v, _, _ in picks],

@@ -53,13 +53,16 @@ def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
     base = phase_seed(master_seed, SIM_PHASE)
     start = (np.arange(size)[:, None] * n + seeds).ravel()
     spreads, capitals = [], []
-    for b in range(-(-runs // size)):
-        run, node = np.divmod(live_edge_search(graph, model, True, size, start,
-                                               [stream(base, b)]), n)
-        spreads.append(np.bincount(run, minlength=size))
-        capitals.append(np.bincount(run, weights=target_score[node], minlength=size))
-    spreads = np.concatenate(spreads)[:runs]
-    capitals = np.concatenate(capitals)[:runs]
+    try:
+        for b in range(-(-runs // size)):
+            run, node = np.divmod(live_edge_search(graph, model, True, size, start,
+                                                   [stream(base, b)]), n)
+            spreads.append(np.bincount(run, minlength=size))
+            capitals.append(np.bincount(run, weights=target_score[node], minlength=size))
+        spreads = np.concatenate(spreads)[:runs]
+        capitals = np.concatenate(capitals)[:runs]
+    except MemoryError:
+        raise MemoryError(f"simulating {runs} runs") from None
     return SimulationReport(
         runs=runs,
         mean_spread=float(spreads.mean()),

@@ -7,7 +7,6 @@ import itertools
 import math
 import os
 import time
-import warnings
 from fractions import Fraction as F
 
 import numpy as np
@@ -325,9 +324,8 @@ def test_c06_capital_estimation_fidelity():
     ps = synth_profiles(1000, m=5, domain_sizes=8, seed=1)
     errors = {}
     for k in (5, 10, 25, 50):
-        params = estimate_params(g, ts, "ic", k, epsilon=0.3, ell=1.0, master_seed=42)
-        corpus = generate_corpus(g, ts, "ic", params.theta, master_seed=42)
-        res = build_seed_set(corpus, k, 1.0, AttributeWiseDiversity(ps))
+        res, _ = estimate_params(g, ts, "ic", [k], [1.0], AttributeWiseDiversity(ps),
+                                 epsilon=0.3, ell=1.0, master_seed=42).points[k, 1.0]
         report = simulate(g, "ic", res.seeds, runs=10_000, master_seed=7, targets=ts)
         errors[k] = abs(res.expected_capital - report.mean_capital) / report.mean_capital
     elapsed = time.time() - start
@@ -351,9 +349,7 @@ def test_c07_greedy_near_optimality_on_fixed_corpus():
         k = int(rng.integers(1, 4))
         alpha = float(rng.uniform(0, 1))
         div = _random_diversity(rng, n, ps, g)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            res = build_seed_set(corpus, k, alpha, div)
+        res = build_seed_set(corpus, k, alpha, div)
         achieved = res.objective()
 
         best = 0.0
@@ -410,9 +406,7 @@ def test_c09_lazy_greedy_equivalence():
         alpha = float(rng.uniform(0, 1))
         k = int(rng.integers(1, 5))
         div = _random_diversity(rng, n, ps, g)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            lazy = build_seed_set(corpus, k, alpha, _fresh_like(div, ps, g))
+        lazy = build_seed_set(corpus, k, alpha, _fresh_like(div, ps, g))
         eager, _ = oracles.reference_seed_set(corpus, k, alpha, _fresh_like(div, ps, g),
                                               lazy=False)
         assert lazy.seeds == eager, (trial, lazy.seeds, eager)
@@ -492,10 +486,9 @@ GUARANTEE_EPSILON = 0.3
 def _guarantee_select(g, ts, model, k, alpha, div, seed):
     """Seeds and their in-sample capital through the public sizing, corpus
     and greedy path."""
-    params = estimate_params(g, ts, model, k, epsilon=GUARANTEE_EPSILON, master_seed=seed)
-    corpus = generate_corpus(g, ts, model, params.theta, seed)
-    res = build_seed_set(corpus, k, alpha, div)
-    return res.seeds, res.expected_capital
+    res, stats = estimate_params(g, ts, model, [k], [alpha], div, epsilon=GUARANTEE_EPSILON,
+                                 master_seed=seed).points[k, alpha]
+    return res.seeds, stats["capital_in_sample"]
 
 
 def _guarantee_graph(rng, model, n=6):
@@ -578,9 +571,7 @@ def test_trend_seed_entropy_ordering():
         for name, div in (("aw", AttributeWiseDiversity(ps)),
                           ("entropy", EntropyDiversity(ps)),
                           ("class", ClassDiversity(classes, np.ones(60)))):
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                res = build_seed_set(corpus, 8, 0.0, div)
+            res = build_seed_set(corpus, 8, 0.0, div)
             sums[name] += seed_entropy(res.seeds, ps)
     assert sums["aw"] >= sums["entropy"] >= sums["class"]
     print(f"TREND: PASS - mean seed entropy ordering aw >= entropy >= class "

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import divtim
-from divtim import estimator, rng
+from divtim import rng, sampler
 from divtim.cli import main, parse_result_doc
 from divtim.graph import (derive_targets_indegree, load_graph, load_node_weights, save_graph,
                           select_targets, synth_graph)
@@ -321,17 +321,43 @@ def test_config_key_given_twice_is_usage_error(tmp_path, capsys):
     assert "lines 1 and 3" in err and "'k'" in err
 
 
-@pytest.mark.parametrize("sizing, kpt_lines", [
-    (["--epsilon", "0.5"], ["kpt_star", "kpt_plus"]), (["--theta-override", "300"], [])],
+SIZING_LINES = ["stats.theta", "stats.check_theta", "stats.theta_capped", "stats.approx_ratio",
+                "stats.capital_in_sample", "stats.capital_stderr"]
+
+
+@pytest.mark.parametrize("sizing, stats_lines", [
+    (["--epsilon", "0.5"], SIZING_LINES), (["--theta-override", "300"], [])],
     ids=["estimated", "override"])
-def test_kpt_lines_only_when_estimated(tmp_path, small_dataset, sizing, kpt_lines):
+def test_stats_lines_only_when_estimated(tmp_path, small_dataset, sizing, stats_lines):
     out = tmp_path / "out"
     assert main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
                  "--profiles", str(small_dataset["profiles"]), "--k", "2", *sizing,
                  "--out", str(out)]) == 0
     doc = (out / "seeds_k2_a0.5.txt").read_text(encoding="utf-8")
     assert [line.split(":")[0] for line in doc.splitlines()
-            if line.startswith("kpt_")] == kpt_lines
+            if line.startswith("stats.")] == stats_lines
+    if stats_lines:     # R1 selects: theta is its size, and the lines are the ones it read
+        parsed = parse_result_doc(str(out / "seeds_k2_a0.5.txt"))
+        assert parsed["stats.theta"] == parsed["theta"]
+        assert float(parsed["stats.capital_in_sample"]) != float(parsed["expected_capital"])
+
+
+def test_approx_ratio_reaches_target_at_every_grid_point(tmp_path, small_dataset):
+    for epsilon, cap in (("0.1", "2000000"), ("0.02", "2500")):
+        out = tmp_path / f"out{epsilon}"
+        assert main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode",
+                     "explicit", "--profiles", str(small_dataset["profiles"]),
+                     "--k", "1,3,5", "--alpha", "0,0.3,1", "--epsilon", epsilon,
+                     "--theta-cap", cap, "--out", str(out)]) == 0
+        docs = [parse_result_doc(str(path)) for path in sorted(out.glob("seeds_*.txt"))]
+        assert len(docs) == 9
+        for doc in docs:
+            if doc["stats.theta_capped"] == "0":
+                assert float(doc["stats.approx_ratio"]) >= 1 - 1 / math.e - float(epsilon)
+            else:
+                assert doc["stats.theta"] == cap
+        # the cap binds below what epsilon 0.02 needs, and the document says so
+        assert any(doc["stats.theta_capped"] == "1" for doc in docs) == (cap == "2500")
 
 
 def test_missing_graph_is_data_error(tmp_path):
@@ -488,10 +514,12 @@ def test_one_corpus_serves_every_k(tmp_path, small_dataset, sizing):
     both = _docs_without_timing(runs["2,4"])
     assert both == {**_docs_without_timing(runs["2"]), **_docs_without_timing(runs["4"])}
     assert (runs["2,4"] / "corpus.dump").read_text() == (runs["4"] / "corpus.dump").read_text()
-    if sizing[0] == "--epsilon":   # estimated thetas differ, so k=2 selects on a prefix
-        thetas = {parse_result_doc(str(runs["2,4"] / f"seeds_k{k}_a1.txt"))["theta"]
-                  for k in (2, 4)}
-        assert len(thetas) == 2
+    if sizing[0] == "--epsilon":   # sized corpora differ, so one k reads a prefix of a stream
+        sizes = set()
+        for k in (2, 4):
+            doc = parse_result_doc(str(runs["2,4"] / f"seeds_k{k}_a1.txt"))
+            sizes.add((doc["stats.theta"], doc["stats.check_theta"]))
+        assert len(sizes) == 2
 
 
 def test_unwritable_dump_leaves_no_documents(tmp_path, small_dataset, capsys):
@@ -549,9 +577,58 @@ def test_theta_cap_below_one_is_data_error(tmp_path, small_dataset, capsys):
     assert "theta cap" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore:only .* carry positive gain")
+def test_ell_past_its_bound_is_one_line_data_error(tmp_path, small_dataset, capsys):
+    code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), "--k", "2", "--ell", "1e308",
+                 "--out", str(tmp_path / "out")])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "ell" in err and "1000" in err
+    assert not (tmp_path / "out").exists()
+
+
+def _out_of_memory(*args):
+    raise MemoryError
+
+
+@pytest.mark.parametrize("sizing, count", [(["--theta-override", "300"], 300),
+                                           (["--epsilon", "0.5"], 2048)],
+                         ids=["override", "estimated"])
+def test_select_out_of_memory_is_one_line_and_leaves_no_out(tmp_path, small_dataset, monkeypatch,
+                                                            capsys, sizing, count):
+    monkeypatch.setattr("divtim.sampler.live_edge_search", _out_of_memory)
+    out = tmp_path / "out"
+    code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), "--k", "2", *sizing,
+                 "--out", str(out), "--dump-corpus", str(out / "corpus.dump")])
+    assert code == 2
+    assert capsys.readouterr().err == f"out of memory: drawing {count} RR sets of the corpus\n"
+    assert not out.exists()
+
+
+def test_simulate_out_of_memory_is_one_line(small_dataset, monkeypatch, capsys):
+    monkeypatch.setattr("divtim.simulator.live_edge_search", _out_of_memory)
+    code = main(["simulate", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--seeds", small_dataset["graph"].labels[0], "--runs", "10000000000"])
+    assert code == 2
+    assert capsys.readouterr().err == "out of memory: simulating 10000000000 runs\n"
+
+
+def test_early_stop_is_a_stats_line(tmp_path, monkeypatch):
+    # three nodes cannot fill five seeds; one node fills one
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e.txt").write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
+    (tmp_path / "p.csv").write_text("node,x\na,1\nb,2\nc,1\n", encoding="utf-8")
+    assert main(["select", *GRAPH_3, "--profiles", "p.csv", "--k", "1,5", "--alpha", "0,1",
+                 "--theta-override", "50", "--out", "out"]) == 0
+    for alpha in ("0", "1"):
+        short = parse_result_doc(f"out/seeds_k5_a{alpha}.txt")
+        assert 0 < int(short["stats.early_stop"]) == len(short["seeds"].split()) < 5
+        assert "stats.early_stop" not in parse_result_doc(f"out/seeds_k1_a{alpha}.txt")
+
+
 def test_two_k_estimation_draws_each_batch_once(tmp_path, small_dataset, monkeypatch):
-    # the k's estimations read one KPT and one refinement stream
+    # the k's estimations read one corpus and one check stream
     drawn = []
 
     def stream(base, batch):
@@ -563,8 +640,8 @@ def test_two_k_estimation_draws_each_batch_once(tmp_path, small_dataset, monkeyp
                  "--profiles", str(small_dataset["profiles"]), "--k", "2,3",
                  "--epsilon", "0.3", "--seed", "7", "--out", str(tmp_path / "out")])
     assert code == 0
-    phases = {rng.phase_seed(7, phase) for phase in (estimator.KPT_PHASE, estimator.REFINE_PHASE)}
-    assert phases <= {base for base, _ in drawn}
+    phases = {rng.phase_seed(7, phase) for phase in (sampler.CORPUS_PHASE, sampler.CHECK_PHASE)}
+    assert phases == {base for base, _ in drawn}
     assert sorted(drawn) == sorted(set(drawn))
 
 
@@ -725,12 +802,12 @@ def test_select_and_simulate_on_other_target_sets(tmp_path, small_dataset, capsy
     assert 0 < float(report["mean_capital"]) <= total
 
 
-def test_estimation_without_kpt_rounds_keeps_bound_one(tmp_path, monkeypatch):
-    # on a 3-node graph no KPT round runs and refinement has no sets to cover
+def test_estimation_on_three_nodes(tmp_path, monkeypatch):
+    # a batch holds far more sets than three nodes need, so the first round passes
     monkeypatch.chdir(tmp_path)
     (tmp_path / "e.txt").write_text("a b 0.5\nb c 0.5\n", encoding="utf-8")
     (tmp_path / "p.csv").write_text("node,x\na,1\nb,2\nc,1\n", encoding="utf-8")
     assert main(["select", *GRAPH_3, "--profiles", "p.csv", "--k", "1", "--out", "out"]) == 0
     doc = parse_result_doc("out/seeds_k1_a0.5.txt")
-    assert doc["kpt_star"] == "1.0" and doc["kpt_plus"] == "1.0"
+    assert doc["stats.theta"] == "2048" and doc["stats.theta_capped"] == "0"
     assert doc["config.theta_override"] == "None"

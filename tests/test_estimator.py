@@ -1,91 +1,138 @@
-import io
 import math
 
 import numpy as np
 import pytest
 
-from divtim.diversity import Coverage
+from divtim.diversity import AttributeWiseDiversity, Coverage
 from divtim.errors import ConfigError
-from divtim.estimator import (DEFAULT_THETA_CAP, KPT_PHASE, REFINE_PHASE, compute_theta,
-                              estimate_params, greedy_cover, kpt_estimation, refine_kpt)
-from divtim.graph import load_graph, select_targets
-from divtim.sampler import RRStream, generate_corpus
+from divtim.estimator import CAPITAL_RSE, DEFAULT_THETA_CAP, MAX_ELL, estimate_params
+from divtim.graph import select_targets, synth_graph
+from divtim.profiles import synth_profiles
+from divtim.sampler import batch_size, generate_corpus
+from divtim.selector import build_seed_set
 
 from conftest import corpus_from_sets, coverage_fraction, make_graph
 from oracles import exhaustive_expectation, reference_greedy_cover
 
-# regression constant: ceil(lambda / 50) for n=1000, k=10, eps=0.1, ell=1,
-# frozen from the first direct evaluation of the sizing formula
-THETA_N1000_K10 = 1_009_074
+TARGET = 1 - 1 / math.e
+
+
+def _instance(n=250, seed=3):
+    g = synth_graph(n, 4, seed=seed, score_mode="uniform")
+    return g, select_targets(g, "top_percent", percent=25), synth_profiles(n, m=5, domain_sizes=8,
+                                                                          seed=seed)
+
+
+def _sized(g, ts, ps, ks=(10,), alphas=(0.0, 0.5, 1.0), epsilon=0.2, seed=7, **kwargs):
+    return estimate_params(g, ts, "ic", list(ks), list(alphas), AttributeWiseDiversity(ps),
+                           epsilon=epsilon, master_seed=seed, **kwargs)
+
+
+# regression constants: the sized corpora of _instance() at k = 10, 20 and
+# epsilon 0.2, frozen from the first run of the OPIM-C rule
+THETA_N250 = {10: (2048, 8192), 20: (2048, 4096)}
 
 
 def test_theta_regression_constant():
-    assert compute_theta(50, 0.1, 1.0, 10, 1000, theta_cap=10**9) == THETA_N1000_K10
-
-
-def test_theta_halves_when_kpt_doubles():
-    a = compute_theta(50, 0.2, 1.0, 5, 500, theta_cap=10**9)
-    b = compute_theta(100, 0.2, 1.0, 5, 500, theta_cap=10**9)
-    assert abs(a - 2 * b) <= 2
-
-
-def test_theta_quadruples_when_epsilon_halves():
-    a = compute_theta(50, 0.2, 1.0, 5, 500, theta_cap=10**9)
-    b = compute_theta(50, 0.1, 1.0, 5, 500, theta_cap=10**9)
-    assert abs(b / a - 4.0) < 0.4  # (8 + 2 eps) factor shifts the ratio slightly
-
-
-def test_theta_cap_warns_and_clamps():
-    with pytest.warns(UserWarning, match="cap"):
-        assert compute_theta(1, 0.05, 1.0, 10, 5000, theta_cap=1000) == 1000
+    params = _sized(*_instance(), ks=(10, 20))
+    assert {k: (stats["theta"], stats["check_theta"])
+            for (k, alpha), (_, stats) in params.points.items() if alpha == 1.0} == THETA_N250
 
 
 def test_theta_rejects_bad_inputs():
-    with pytest.raises(ConfigError):
-        compute_theta(0.5, 0.1, 1.0, 5, 100, theta_cap=10**9)
-    with pytest.raises(ConfigError):
-        compute_theta(10, 1.5, 1.0, 5, 100, theta_cap=10**9)
+    g, ts, ps = _instance(n=30)
+    for kwargs in ({"epsilon": 0.0}, {"epsilon": 1.5}, {"ell": 0.0}, {"ell": MAX_ELL * 2},
+                   {"ell": math.inf}, {"ks": (0,)}, {"theta_cap": 0}, {"theta_override": 0}):
+        with pytest.raises(ConfigError):
+            _sized(g, ts, ps, **kwargs)
 
 
-def test_kpt_single_node_fallback():
-    g = make_graph([("a", "b", 1.0)])
-    # strip to a single node by thresholding out nothing; use a 1-node view instead
-    solo = load_graph(io.StringIO("x y 1.0\n"), "explicit")
-    ts = select_targets(solo, "threshold", tau=0.0)
-    # n=2 -> doubling loop is empty -> fallback
-    kpt, _ = kpt_estimation(RRStream(solo, ts, "ic", 0, KPT_PHASE), k=1, ell=1.0)
-    assert kpt == 1.0
+def test_approx_ratio_reaches_target_unless_capped():
+    for seed, epsilon, cap in ((3, 0.2, DEFAULT_THETA_CAP), (4, 0.1, DEFAULT_THETA_CAP),
+                               (5, 0.05, DEFAULT_THETA_CAP), (5, 0.05, 3000)):
+        g, ts, ps = _instance(seed=seed)
+        params = _sized(g, ts, ps, ks=(5, 15), epsilon=epsilon, seed=seed, theta_cap=cap)
+        capped = set()
+        for (k, alpha), (_, stats) in params.points.items():
+            assert stats["theta"] <= cap and stats["check_theta"] <= cap
+            if stats["theta_capped"]:
+                capped.add(k)
+                assert stats["theta"] == cap
+            else:
+                assert stats["approx_ratio"] >= TARGET - epsilon, (seed, k, alpha, stats)
+        # a cap below what the rule needs binds, and a ratio then shows it
+        assert capped == ({5, 15} if cap == 3000 else set())
+        if capped:
+            assert min(stats["approx_ratio"] for _, stats in params.points.values()) \
+                < TARGET - epsilon
 
 
-def test_kpt_complete_graph_exits_first_round():
+def test_theta_cap_clamps_and_is_reported():
+    g, ts, ps = _instance()
+    stats = _sized(g, ts, ps, epsilon=0.01, theta_cap=1000).points[10, 1.0][1]
+    assert stats["theta"] == stats["check_theta"] == 1000 and stats["theta_capped"] == 1
+
+
+def test_check_corpus_holds_the_capital_to_its_precision():
+    g, ts, ps = _instance()
+    for (k, alpha), (res, stats) in _sized(g, ts, ps, ks=(5, 20)).points.items():
+        assert stats["check_theta"] >= stats["theta"]
+        if alpha > 0:
+            assert stats["capital_stderr"] <= CAPITAL_RSE * res.expected_capital * (1 + 1e-12)
+
+
+def test_sizing_deterministic():
+    g, ts, ps = _instance(n=60)
+    runs = [_sized(g, ts, ps, ks=(3, 5)) for _ in range(2)]
+    assert [(res.seeds, res.expected_capital, stats) for res, stats in runs[0].points.values()] \
+        == [(res.seeds, res.expected_capital, stats) for res, stats in runs[1].points.values()]
+
+
+def test_sizing_on_two_nodes():
+    g = make_graph([("x", "y", 1.0)])
+    ts = select_targets(g, "threshold", tau=0.0)
+    params = estimate_params(g, ts, "ic", [1], [1.0], Coverage(np.zeros(3, int), np.zeros(0, int),
+                                                                0, 0.0),
+                             epsilon=0.1, master_seed=0)
+    res, stats = params.points[1, 1.0]
+    assert res.seeds == [0] and stats["theta_capped"] == 0
+    assert res.expected_capital == pytest.approx(ts.total_score)    # x reaches y with certainty
+
+
+def test_sizing_complete_graph_stops_at_first_round():
+    # every set holds every node, so one seed covers them all at once
     n = 8
     g = make_graph([(str(u), str(v), 1.0) for u in range(n) for v in range(n) if u != v])
     ts = select_targets(g, "threshold", tau=0.0)
-    kpt, last_round = kpt_estimation(RRStream(g, ts, "ic", 5, KPT_PHASE), k=2, ell=1.0)
-    set_ptr, members = last_round.set_ptr, last_round.members
-    assert kpt == pytest.approx(n / 2)
-    assert len(set_ptr) > 1 and len(members) > 0
+    params = estimate_params(g, ts, "ic", [2], [1.0], Coverage(np.zeros(n + 1, int),
+                                                                np.zeros(0, int), 0, 0.0),
+                             epsilon=0.1, master_seed=5)
+    res, stats = params.points[2, 1.0]
+    assert stats["theta"] == stats["check_theta"] == batch_size(n)
+    assert res.expected_capital == pytest.approx(ts.total_score)
 
 
-def test_kpt_deterministic():
-    g = make_graph([(str(u), str((u + 1) % 10), 0.7) for u in range(10)])
-    ts = select_targets(g, "threshold", tau=0.0)
-    a, _ = kpt_estimation(RRStream(g, ts, "ic", 17, KPT_PHASE), k=3, ell=1.0)
-    b, _ = kpt_estimation(RRStream(g, ts, "ic", 17, KPT_PHASE), k=3, ell=1.0)
-    assert a == b
+def test_theta_grows_as_epsilon_shrinks():
+    g, ts, ps = _instance()
+    thetas = [_sized(g, ts, ps, ks=(20,), alphas=(1.0,), epsilon=eps).points[20, 1.0][1]["theta"]
+              for eps in (0.3, 0.1, 0.03)]
+    assert thetas == sorted(thetas) and thetas[0] < thetas[-1]
 
 
-def test_refine_never_lowers_kpt():
-    g = make_graph([(str(u), str((u + 1) % 12), 0.5) for u in range(12)])
-    ts = select_targets(g, "threshold", tau=0.0)
-    kpt, sets = kpt_estimation(RRStream(g, ts, "ic", 2, KPT_PHASE), k=3, ell=1.0)
-    refined = refine_kpt(RRStream(g, ts, "ic", 2, REFINE_PHASE), 3, 0.3, 1.0, kpt, sets,
-                         theta_cap=DEFAULT_THETA_CAP)
-    assert refined >= kpt
+def test_estimated_seeds_are_the_override_seeds_on_the_same_corpus():
+    # R1 is the corpus phase, so a sized theta selects as --theta-override theta does
+    g, ts, ps = _instance()
+    sized = _sized(g, ts, ps, ks=(10, 20))
+    for (k, alpha), (res, stats) in sized.points.items():
+        fixed = _sized(g, ts, ps, ks=(k,), alphas=(alpha,), theta_override=stats["theta"])
+        given, none = fixed.points[k, alpha]
+        assert none == {} and given.seeds == res.seeds
+        assert given.expected_capital == stats["capital_in_sample"]
 
 
-def test_greedy_cover_matches_eager_reference():
-    # few nodes and short sets, so equal counts (ties) are common
+def test_capital_greedy_matches_eager_cover():
+    # at alpha 1 the greedy is a maximum cover; few nodes and short sets, so
+    # equal counts (ties) are common
     rng = np.random.default_rng(53)
     for trial in range(400):
         n = int(rng.integers(1, 9))
@@ -94,19 +141,22 @@ def test_greedy_cover_matches_eager_reference():
         corpus = corpus_from_sets(sets, n, 1.0)
         k = int(rng.integers(1, n + 2))
         expect = reference_greedy_cover(corpus.set_ptr, corpus.members, n, k)
-        assert greedy_cover(corpus, k) == expect, trial
+        nothing = Coverage(np.zeros(n + 1, int), np.zeros(0, int), 0, 0.0)
+        assert build_seed_set(corpus, k, 1.0, nothing).seeds == expect, trial
 
 
 def test_estimate_params_pipeline_and_override():
     g = make_graph([(str(u), str((u + 1) % 10), 0.6) for u in range(10)])
     ts = select_targets(g, "threshold", tau=0.0)
-    params = estimate_params(g, ts, "ic", k=2, epsilon=0.4, master_seed=4,
+    nothing = Coverage(np.zeros(11, int), np.zeros(0, int), 0, 0.0)
+    params = estimate_params(g, ts, "ic", [2], [1.0], nothing, epsilon=0.4, master_seed=4,
                              theta_cap=50_000)
-    assert params.theta >= 1
-    assert params.kpt_plus >= params.kpt_star / 2  # refinement contract, loose form
-    override = estimate_params(g, ts, "ic", k=2, epsilon=0.1, master_seed=0, theta_override=123)
-    assert override.theta == 123
-    assert override.kpt_star is None and override.kpt_plus is None
+    res, stats = params.points[2, 1.0]
+    assert params.theta == stats["theta"] == params.corpora[2].theta >= 1
+    assert 0 < stats["approx_ratio"] <= 1 and 0 < res.expected_capital <= ts.total_score
+    override = estimate_params(g, ts, "ic", [2], [1.0], nothing, epsilon=0.1, master_seed=0,
+                               theta_override=123)
+    assert override.theta == 123 and override.points[2, 1.0][1] == {}
 
 
 def test_expected_capital_forced_chain():

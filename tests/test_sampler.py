@@ -10,8 +10,8 @@ from divtim import sampler
 from divtim.errors import ConfigError
 from divtim.graph import _assemble, select_targets, synth_graph
 from divtim.rng import stream
-from divtim.sampler import (CORPUS_PHASE, RRStream, _distinct, batch_size, generate_corpus,
-                            live_edge_search, sample_roots)
+from divtim.sampler import (CORPUS_PHASE, RRCorpus, RRStream, _distinct, batch_size,
+                            generate_corpus, live_edge_search, sample_roots)
 from divtim.simulator import simulate
 
 import oracles
@@ -244,6 +244,12 @@ def test_corpus_rejects_nonpositive_theta():
         generate_corpus(g, targets_of(g), "ic", 0, master_seed=1)
 
 
+def _prefix(corpus, m):
+    """The corpus of the first m sets of corpus, indexed anew."""
+    return RRCorpus(corpus.roots[:m], corpus.set_ptr[:m + 1], corpus.members[:corpus.set_ptr[m]],
+                    corpus.n_nodes, corpus.target_total)
+
+
 def test_corpus_prefix_equals_smaller_corpus():
     g = ring_with_chords()
     ts = targets_of(g)
@@ -255,7 +261,7 @@ def test_corpus_prefix_equals_smaller_corpus():
             assert np.array_equal(small.roots, large.roots[:m])
             assert np.array_equal(small.set_ptr, large.set_ptr[:m + 1])
             assert np.array_equal(small.members, large.members[:large.set_ptr[m]])
-            same = large.prefix(m)
+            same = _prefix(large, m)
             assert np.array_equal(same.node_ptr, small.node_ptr)
             assert np.array_equal(same.node_sets, small.node_sets)
 
@@ -313,7 +319,7 @@ def test_index_equals_stable_argsort_construction():
         corpora.append(corpus_from_sets(sets, n, target_total=1.0))
     for corpus in corpora:
         for m in (0, 1, corpus.theta // 3, corpus.theta):
-            part = corpus.prefix(m)
+            part = _prefix(corpus, m)
             node_ptr, node_sets = oracles.stable_argsort_index(part.set_ptr, part.members,
                                                                part.n_nodes)
             assert np.array_equal(part.node_ptr, node_ptr)
