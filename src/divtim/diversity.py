@@ -89,6 +89,8 @@ class Coverage(DiversityFunction):
 
     def gains(self) -> np.ndarray:
         """Every node's gain on the committed set: its uncovered elements times the unit."""
+        if not self._committed:     # a greedy's first gains: every element is uncovered
+            return self.unit * np.diff(self.ptr)
         uncovered = np.concatenate([[0], np.cumsum(~self._covered[self.elements])])
         return self.unit * np.diff(uncovered[self.ptr])
 

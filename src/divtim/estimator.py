@@ -15,10 +15,9 @@ grows with x, and alpha * u * x <= F1(O) <= U1 gives x <= x_max = min(theta,
 U1 / (alpha * u)).  So F(O) <= U1 + alpha * u * (a + sqrt(2a * (x_max +
 a/2))), OPIM-C's own bound at alpha = 1.
 
-Each k doubles R1 and R2 from one batch until the lower bound reaches
-(1 - 1/e - epsilon) times the upper at every alpha (alpha = 1 first, the
-rest once those pass) or theta reaches the cap; R2 then doubles alone
-until each alpha > 0 capital has relative standard error <= CAPITAL_RSE.
+Each k doubles R1 and R2 from one batch until lower >= (1 - 1/e - epsilon) *
+upper at every alpha (alpha = 1 first) or theta hits the cap; R2 then doubles
+alone until each alpha > 0 capital has relative standard error <= CAPITAL_RSE.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ from .graph import DiffusionGraph, TargetSet
 DEFAULT_THETA_CAP = 2_000_000
 #: delta = n^-ell is at most 2^-1000 here; past it only overflow is left
 MAX_ELL = 1000.0
-#: so a 5% capital deviation is three standard errors
+#: R2's most relative standard error of an alpha > 0 capital: 5% off is three of them
 CAPITAL_RSE = 1 / 60
 
 

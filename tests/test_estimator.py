@@ -19,8 +19,13 @@ TARGET = 1 - 1 / math.e
 
 def _instance(n=250, seed=3):
     g = synth_graph(n, 4, seed=seed, score_mode="uniform")
-    return g, select_targets(g, "top_percent", percent=25), synth_profiles(n, m=5, domain_sizes=8,
-                                                                          seed=seed)
+    ps = synth_profiles(n, m=5, domain_sizes=8, seed=seed)
+    return g, select_targets(g, "top_percent", percent=25), ps
+
+
+def _nothing(n):
+    """A diversity term that is 0 everywhere, for capital-only sizing."""
+    return Coverage(np.zeros(n + 1, int), np.zeros(0, int), 0, 0.0)
 
 
 def _sized(g, ts, ps, ks=(10,), alphas=(0.0, 0.5, 1.0), epsilon=0.2, seed=7, **kwargs):
@@ -91,9 +96,7 @@ def test_sizing_deterministic():
 def test_sizing_on_two_nodes():
     g = make_graph([("x", "y", 1.0)])
     ts = select_targets(g, "threshold", tau=0.0)
-    params = estimate_params(g, ts, "ic", [1], [1.0], Coverage(np.zeros(3, int), np.zeros(0, int),
-                                                                0, 0.0),
-                             epsilon=0.1, master_seed=0)
+    params = estimate_params(g, ts, "ic", [1], [1.0], _nothing(2), epsilon=0.1, master_seed=0)
     res, stats = params.points[1, 1.0]
     assert res.seeds == [0] and stats["theta_capped"] == 0
     assert res.expected_capital == pytest.approx(ts.total_score)    # x reaches y with certainty
@@ -104,9 +107,7 @@ def test_sizing_complete_graph_stops_at_first_round():
     n = 8
     g = make_graph([(str(u), str(v), 1.0) for u in range(n) for v in range(n) if u != v])
     ts = select_targets(g, "threshold", tau=0.0)
-    params = estimate_params(g, ts, "ic", [2], [1.0], Coverage(np.zeros(n + 1, int),
-                                                                np.zeros(0, int), 0, 0.0),
-                             epsilon=0.1, master_seed=5)
+    params = estimate_params(g, ts, "ic", [2], [1.0], _nothing(n), epsilon=0.1, master_seed=5)
     res, stats = params.points[2, 1.0]
     assert stats["theta"] == stats["check_theta"] == batch_size(n)
     assert res.expected_capital == pytest.approx(ts.total_score)
@@ -141,14 +142,13 @@ def test_capital_greedy_matches_eager_cover():
         corpus = corpus_from_sets(sets, n, 1.0)
         k = int(rng.integers(1, n + 2))
         expect = reference_greedy_cover(corpus.set_ptr, corpus.members, n, k)
-        nothing = Coverage(np.zeros(n + 1, int), np.zeros(0, int), 0, 0.0)
-        assert build_seed_set(corpus, k, 1.0, nothing).seeds == expect, trial
+        assert build_seed_set(corpus, k, 1.0, _nothing(n)).seeds == expect, trial
 
 
 def test_estimate_params_pipeline_and_override():
     g = make_graph([(str(u), str((u + 1) % 10), 0.6) for u in range(10)])
     ts = select_targets(g, "threshold", tau=0.0)
-    nothing = Coverage(np.zeros(11, int), np.zeros(0, int), 0, 0.0)
+    nothing = _nothing(g.node_count)
     params = estimate_params(g, ts, "ic", [2], [1.0], nothing, epsilon=0.4, master_seed=4,
                              theta_cap=50_000)
     res, stats = params.points[2, 1.0]
