@@ -336,7 +336,7 @@ def test_stats_lines_only_when_estimated(tmp_path, small_dataset, sizing, stats_
     doc = (out / "seeds_k2_a0.5.txt").read_text(encoding="utf-8")
     assert [line.split(":")[0] for line in doc.splitlines()
             if line.startswith("stats.")] == stats_lines
-    if stats_lines:     # R1 selects: theta is its size, and the lines are the ones it read
+    if stats_lines:     # R1 selects and sets theta; expected_capital is read from R2
         parsed = parse_result_doc(str(out / "seeds_k2_a0.5.txt"))
         assert parsed["stats.theta"] == parsed["theta"]
         assert float(parsed["stats.capital_in_sample"]) != float(parsed["expected_capital"])
