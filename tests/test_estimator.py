@@ -131,7 +131,7 @@ def test_estimated_seeds_are_the_override_seeds_on_the_same_corpus():
         assert given.expected_capital == stats["capital_in_sample"]
 
 
-def test_capital_greedy_matches_eager_cover():
+def test_greedy_cover_matches_eager_reference():
     # at alpha 1 the greedy is a maximum cover; few nodes and short sets, so
     # equal counts (ties) are common
     rng = np.random.default_rng(53)
