@@ -40,7 +40,5 @@ def deg_d_greedy(graph: DiffusionGraph, preferences: np.ndarray, g_mode: str,
     m = graph.edge_count
     degree = Coverage(graph.out_indptr, np.arange(m), m, m)
     diversity = NumericDiversity(preferences, node_gain_vector(graph, g_mode))
-    picks = lazy_greedy(k, [
-        (1.0 - gamma, degree, degree.gains),
-        (gamma, diversity, lambda: [diversity.gain(v) for v in range(graph.node_count)])])
+    picks = lazy_greedy(k, [(1.0 - gamma, degree), (gamma, diversity)])
     return [v for v, _, _ in picks]

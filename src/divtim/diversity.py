@@ -3,9 +3,10 @@ the weighted ``Coverage`` that the capital and the hamming balls share.
 
 All functions share one stateful contract: ``value()`` is the value
 of the committed set, ``gain(v)`` is the marginal value of adding ``v``,
-and ``commit(v)`` applies the addition.  Gains are computed
-incrementally, never by re-evaluating the whole set, and are clipped at
-zero to absorb negative floating-point dust.
+``gains()`` is every node's, 0.0 for a committed one, and ``commit(v)``
+applies the addition.  Gains are computed incrementally, never by
+re-evaluating the whole set, and are clipped at zero to absorb negative
+floating-point dust.
 """
 
 from __future__ import annotations
@@ -32,12 +33,9 @@ class DiversityFunction:
 
     name = "abstract"
 
-    def __init__(self):
+    def __init__(self, node_count: int):
+        self.node_count = node_count
         self._committed: set[int] = set()
-
-    @property
-    def committed(self) -> tuple[int, ...]:
-        return tuple(sorted(self._committed))
 
     def value(self) -> float:
         raise NotImplementedError
@@ -46,6 +44,11 @@ class DiversityFunction:
         if v in self._committed:
             raise UsageError(f"node {v} already committed")
         return max(0.0, float(self._gain(v)))
+
+    def gains(self) -> np.ndarray:
+        """Every node's gain on the committed set, 0.0 for a committed node."""
+        return np.array([0.0 if v in self._committed else self.gain(v)
+                         for v in range(self.node_count)])
 
     def commit(self, v: int) -> float:
         g = self.gain(v)
@@ -79,7 +82,7 @@ class Coverage(DiversityFunction):
     name = "coverage"
 
     def __init__(self, ptr: np.ndarray, elements: np.ndarray, size: int, total: float):
-        super().__init__()
+        super().__init__(len(ptr) - 1)
         self.ptr, self.elements, self.size, self.total = ptr, elements, size, total
         self.unit = total / size if size else 0.0
         self._covered = np.zeros(size, dtype=bool)
@@ -88,7 +91,7 @@ class Coverage(DiversityFunction):
         return self.elements[self.ptr[v]:self.ptr[v + 1]]
 
     def gains(self) -> np.ndarray:
-        """Every node's gain on the committed set: its uncovered elements times the unit."""
+        """Every node's uncovered elements times the unit; a committed node has none."""
         if not self._committed:     # a greedy's first gains: every element is uncovered
             return self.unit * np.diff(self.ptr)
         uncovered = np.concatenate([[0], np.cumsum(~self._covered[self.elements])])
@@ -146,7 +149,7 @@ class AttributeWiseDiversity(DiversityFunction):
     name = "aw"
 
     def __init__(self, profiles: ProfileSet, lam: float = 1.0):
-        super().__init__()
+        super().__init__(profiles.node_count)
         if not lam >= 1.0:
             raise ConfigError("lambda must be >= 1")
         self.profiles = profiles
@@ -298,7 +301,7 @@ class EntropyDiversity(DiversityFunction):
     name = "entropy"
 
     def __init__(self, profiles: ProfileSet):
-        super().__init__()
+        super().__init__(profiles.node_count)
         self.profiles = profiles
         total = profiles.total_value_occurrences()
         self._prior: dict[tuple[int, int], float] = {}
@@ -373,7 +376,7 @@ class ClassDiversity(DiversityFunction):
     name = "class"
 
     def __init__(self, classes: Sequence[int], rewards: Sequence[float]):
-        super().__init__()
+        super().__init__(len(classes))
         # Python lists: the greedy reads one entry at a time
         self.classes = np.asarray(classes, dtype=np.int64).tolist()
         self.rewards = np.asarray(rewards, dtype=np.float64).tolist()
@@ -420,10 +423,10 @@ class NumericDiversity(DiversityFunction):
     name = "numeric"
 
     def __init__(self, preferences: np.ndarray, node_gains: np.ndarray):
-        super().__init__()
         self.preferences = np.asarray(preferences, dtype=np.float64)
         if self.preferences.ndim != 2:
             raise ConfigError("preference matrix must be node x type")
+        super().__init__(len(self.preferences))
         self.node_gains = np.asarray(node_gains, dtype=np.float64)
         self._acc = np.zeros(self.preferences.shape[1], dtype=np.float64)
 

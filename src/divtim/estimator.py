@@ -49,12 +49,6 @@ class EstimationParams:
     points: dict[tuple[int, float], tuple[selector.SeedResult, dict[str, float]]]
 
 
-def _select(corpus: sampler.RRCorpus, k: int, alpha: float,
-            diversity: DiversityFunction) -> selector.SeedResult:
-    diversity.reset()
-    return selector.build_seed_set(corpus, k, alpha, diversity)
-
-
 def _hits(held_out: tuple[np.ndarray, np.ndarray, np.ndarray], seeds: list[int]) -> int:
     _, ptr, members = held_out
     return int(np.count_nonzero(np.logical_or.reduceat(np.isin(members, seeds), ptr[:-1])))
@@ -63,15 +57,13 @@ def _hits(held_out: tuple[np.ndarray, np.ndarray, np.ndarray], seeds: list[int])
 def _ratio(corpus: sampler.RRCorpus, held_out: tuple[np.ndarray, np.ndarray, np.ndarray],
            res: selector.SeedResult, diversity: DiversityFunction, a: float) -> float:
     """R2's lower bound on F(S) over R1's upper one on F(O); ``diversity`` holds S."""
-    n, alpha, u = corpus.n_nodes, res.alpha, corpus.target_total / corpus.theta
+    alpha, u = res.alpha, corpus.target_total / corpus.theta
     capital = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.target_total)
     for v in res.seeds:
         capital.commit(v)
     gains = alpha * capital.gains()
     if alpha < 1.0:
-        picked = set(res.seeds)
-        gains += (1 - alpha) * np.array([0.0 if v in picked else diversity.gain(v)
-                                         for v in range(n)])
+        gains += (1 - alpha) * diversity.gains()
     upper = min(res.objective() / (1 - 1 / math.e),
                 res.objective() + float(np.sort(gains)[-res.k:].sum()))
     if alpha > 0.0:
@@ -95,12 +87,14 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, ks: S
                           f"at most 2^-{MAX_ELL:g} there")
     if theta_cap < 1:
         raise ConfigError("theta cap must be at least 1")
+    if len(set(ks)) < len(ks) or len(set(alphas)) < len(alphas):
+        raise ConfigError("each k and each alpha must be listed once")
     if theta_override is not None:
         if theta_override < 1:
             raise ConfigError("theta override must be positive")
         corpus = sampler.generate_corpus(graph, targets, model, theta_override, master_seed)
         return EstimationParams({k: corpus for k in ks}, theta_override, {
-            (k, alpha): (_select(corpus, k, alpha, diversity), {})
+            (k, alpha): (selector.build_seed_set(corpus, k, alpha, diversity), {})
             for k in ks for alpha in alphas})
 
     n, total = graph.node_count, targets.total_score
@@ -113,19 +107,19 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, ks: S
     corpora, points = {}, {}
     for k in ks:
         for theta in sizes:
-            corpus = sampler.RRCorpus(*r1.sets(0, theta), n, total)
-            held_out, picks = r2.sets(0, theta), {}
+            corpus = sampler.RRCorpus(*r1.sets(theta), n, total)
+            held_out, picks = r2.sets(theta), {}
             for alpha in sorted(alphas, key=lambda x: x != 1.0):
                 if alpha != 1.0 and theta < theta_cap and any(
                         ratio < target for _, ratio in picks.values()):
                     break
-                res = _select(corpus, k, alpha, diversity)
+                res = selector.build_seed_set(corpus, k, alpha, diversity)
                 picks[alpha] = res, _ratio(corpus, held_out, res, diversity, a)
             passed = len(picks) == len(alphas) and all(r >= target for _, r in picks.values())
             if passed:
                 break
         for check in sizes[sizes.index(theta):]:
-            held_out = r2.sets(0, check)
+            held_out = r2.sets(check)
             hits = {alpha: _hits(held_out, res.seeds) for alpha, (res, _) in picks.items()}
             if all(alpha == 0.0 or check - h <= CAPITAL_RSE ** 2 * h * check
                    for alpha, h in hits.items()):

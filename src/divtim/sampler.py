@@ -142,12 +142,12 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
 
 
 class RRStream:
-    """The reverse reachable sets of one phase, read by set index.
+    """The reverse reachable sets of one phase, read as prefixes.
 
     Batch b holds sets ``b * size`` to ``(b + 1) * size - 1``, with ``size = batch_size(n)``,
     and draws only from the stream keyed by (master seed, phase, b).  Batches are drawn whole,
-    on demand, and kept, so a set is the same whatever range, in whatever order, reads it; a
-    read expands the batches it lacks together, up to ``CALL_MASK_BYTES`` of mask per call.
+    in order, on demand, and kept, so a set is the same whatever prefix reads it; a read
+    expands the batches it lacks together, up to ``CALL_MASK_BYTES`` of mask per call.
     """
 
     def __init__(self, graph: DiffusionGraph, targets: TargetSet, model: str,
@@ -156,9 +156,9 @@ class RRStream:
         self.graph, self.targets, self.model, self.name = graph, targets, model, PHASES[phase]
         self.base = phase_seed(master_seed, phase)
         self.size = batch_size(graph.node_count)
-        self.batches: dict[int, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+        self.batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def _draw(self, ids: list[int]) -> None:
+    def _draw(self, ids: range) -> None:
         n, size, rngs = self.graph.node_count, self.size, [stream(self.base, b) for b in ids]
         roots = [sample_roots(self.targets, rng, size) for rng in rngs]
         keys = live_edge_search(self.graph, self.model, False, size,
@@ -166,29 +166,24 @@ class RRStream:
         item, members = np.divmod(np.sort(keys), n)
         widths = np.bincount(item, minlength=len(ids) * size).reshape(len(ids), size)
         members = np.split(members.astype(np.int32), np.cumsum(widths.sum(axis=1))[:-1])
-        self.batches.update(zip(ids, zip(roots, widths, members)))
+        self.batches.extend(zip(roots, widths, members))
 
-    def sets(self, start: int, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Sets start..stop-1 as ``(roots, set_ptr, members)``.
+    def sets(self, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The first stop sets as ``(roots, set_ptr, members)``.
 
-        The j-th set read has root ``roots[j]`` and members
-        ``members[set_ptr[j]:set_ptr[j + 1]]``, in ascending node order,
-        its root included.
+        Set j has root ``roots[j]`` and members ``members[set_ptr[j]:set_ptr[j + 1]]``,
+        in ascending node order, its root included.
         """
-        first = start // self.size
-        wanted = range(first, -(-stop // self.size))
+        wanted = -(-stop // self.size)
         per_call = max(1, CALL_MASK_BYTES // (self.size * self.graph.node_count))
         try:
-            missing = [b for b in wanted if b not in self.batches]
-            for at in range(0, len(missing), per_call):
-                self._draw(missing[at:at + per_call])
-            drawn = [self.batches[b] for b in wanted]
-            lo, hi = start - first * self.size, stop - first * self.size
-            roots, widths, members = (np.concatenate(part) for part in zip(*drawn))
+            for at in range(len(self.batches), wanted, per_call):
+                self._draw(range(at, min(at + per_call, wanted)))
+            roots, widths, members = (np.concatenate(part) for part in zip(*self.batches[:wanted]))
             set_ptr = np.concatenate([[0], np.cumsum(widths)])
-            return roots[lo:hi], set_ptr[lo:hi + 1] - set_ptr[lo], members[set_ptr[lo]:set_ptr[hi]]
+            return roots[:stop], set_ptr[:stop + 1], members[:set_ptr[stop]]
         except MemoryError:
-            raise MemoryError(f"drawing {stop - start} RR sets of the {self.name}") from None
+            raise MemoryError(f"drawing {stop} RR sets of the {self.name}") from None
 
 
 class RRCorpus:
@@ -234,5 +229,5 @@ def generate_corpus(graph: DiffusionGraph, targets: TargetSet, model: str,
     first m sets of a corpus equal the corpus of size m."""
     if theta < 1:
         raise ConfigError("theta must be at least 1")
-    return RRCorpus(*RRStream(graph, targets, model, master_seed, CORPUS_PHASE).sets(0, theta),
+    return RRCorpus(*RRStream(graph, targets, model, master_seed, CORPUS_PHASE).sets(theta),
                     graph.node_count, targets.total_score)

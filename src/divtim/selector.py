@@ -13,21 +13,18 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass
-from typing import Callable, Sequence
-
-import numpy as np
+from typing import Sequence
 
 from .diversity import Coverage, DiversityFunction
 from .errors import ConfigError
 from .sampler import RRCorpus
 
 
-def lazy_greedy(k: int, terms: Sequence[tuple[float, DiversityFunction,
-                                              Callable[[], Sequence[float]]]]
+def lazy_greedy(k: int, terms: Sequence[tuple[float, DiversityFunction]]
                 ) -> list[tuple[int, list[float], float]]:
-    """Up to k picks for ``sum(weight * f(S))``; each term is (weight, f, a
-    function returning every node's first gain).  A pick is (node, its gain
-    per term, combined gain).
+    """Up to k picks for ``sum(weight * f(S))`` over terms (weight, f), each f
+    scored first by ``f.gains()``.  A pick is (node, its gain per term,
+    combined gain).
 
     A term of weight 0.0 adds exactly 0.0 to every score, so it is
     committed with each pick but never scored: its first gains are never
@@ -36,9 +33,9 @@ def lazy_greedy(k: int, terms: Sequence[tuple[float, DiversityFunction,
     was committed in between.  Stops at the first combined gain that is
     not positive; among equal scores the smallest node id wins.
     """
-    functions = [f for _, f, _ in terms]
+    functions = [f for _, f in terms]
     scored = [term for term in terms if term[0] != 0.0]
-    neg_scores = -sum(w * np.asarray(first(), dtype=np.float64) for w, _, first in scored)
+    neg_scores = -sum(w * f.gains() for w, f in scored)
     heap = list(zip(neg_scores.tolist(), range(neg_scores.size), [0] * neg_scores.size))
     heapq.heapify(heap)
     picks: list[tuple[int, list[float], float]] = []
@@ -50,7 +47,7 @@ def lazy_greedy(k: int, terms: Sequence[tuple[float, DiversityFunction,
             picks.append((v, [f.commit(v) for f in functions], -neg_score))
         else:
             score = 0.0
-            for w, f, _ in scored:
+            for w, f in scored:
                 score += w * f.gain(v)
             heapq.heappush(heap, (-score, v, len(picks)))
     return picks
@@ -102,9 +99,9 @@ class SeedResult:
 
 def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
                    diversity: DiversityFunction) -> SeedResult:
-    """Select up to k seeds with the lazy greedy over capital and diversity;
-    fewer once no node's combined gain is positive (``select`` writes that
-    count as ``stats.early_stop``)."""
+    """Select up to k seeds with the lazy greedy over capital and diversity,
+    which is reset first; fewer once no node's combined gain is positive
+    (``select`` writes that count as ``stats.early_stop``)."""
     start = time.perf_counter()
     if corpus.theta == 0:
         raise ConfigError("empty corpus")
@@ -112,13 +109,12 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
         raise ConfigError("alpha must lie in [0, 1]")
     if k < 1:
         raise ConfigError("budget k must be at least 1")
-    if diversity.committed:
-        raise ConfigError("diversity state must be fresh")
+    if diversity.node_count != corpus.n_nodes:
+        raise ConfigError("diversity function and corpus disagree on node count")
 
+    diversity.reset()
     capital = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.target_total)
-    picks = lazy_greedy(k, [
-        (alpha, capital, capital.gains),
-        (1 - alpha, diversity, lambda: [diversity.gain(v) for v in range(corpus.n_nodes)])])
+    picks = lazy_greedy(k, [(alpha, capital), (1 - alpha, diversity)])
 
     return SeedResult(
         seeds=[v for v, _, _ in picks],

@@ -14,7 +14,7 @@ from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, Coverage,
                               EntropyDiversity, HammingBallDiversity, NumericDiversity,
                               aw_theoretical_max, hamming_balls, load_class_map)
 from divtim.errors import ConfigError, UsageError
-from divtim.graph import strong_components
+from divtim.graph import strong_components, synth_graph
 from divtim.sampler import batch_size
 
 import oracles
@@ -235,6 +235,39 @@ def test_coverage_gains_and_value():
             cover.commit(v)
             covered |= set(lists[v].tolist())
             assert cover.value() == total * len(covered) / size
+
+
+def _any_kind(name, n, rng):
+    if name == "coverage":
+        lists = [np.unique(rng.integers(0, 12, size=rng.integers(0, 5))) for _ in range(n)]
+        ptr = np.concatenate([[0], np.cumsum([len(x) for x in lists])])
+        return Coverage(ptr, np.concatenate(lists), 12, float(rng.uniform(0.5, 10.0)))
+    if name == "class":
+        return ClassDiversity(rng.integers(0, 3, size=n), rng.uniform(0.5, 2.0, size=n))
+    if name == "numeric":
+        return NumericDiversity(rng.uniform(0.0, 1.0, size=(n, 3)), rng.uniform(0.5, 2.0, n))
+    ps = random_profiles(rng, n, 3, 3, missing_prob=0.2)
+    if name == "hamming":
+        return HammingBallDiversity(synth_graph(n, 3, seed=int(rng.integers(100)),
+                                                score_mode="uniform"), ps, radius=2)
+    return AttributeWiseDiversity(ps) if name == "aw" else EntropyDiversity(ps)
+
+
+@pytest.mark.parametrize("name", ["aw", "entropy", "class", "numeric", "hamming", "coverage"])
+def test_gains_equal_gain_after_random_commits(name):
+    # gains() is every node's gain(v) on the committed set, and 0.0 for a committed node
+    rng = np.random.default_rng(43)
+    for _ in range(8):
+        n = int(rng.integers(2, 16))
+        f = _any_kind(name, n, rng)
+        committed = set()
+        for v in [None, *rng.permutation(n)[:rng.integers(1, n + 1)].tolist()]:
+            if v is not None:
+                f.commit(v)
+                committed.add(v)
+            gains = f.gains()
+            assert gains.dtype == np.float64
+            assert gains.tolist() == [0.0 if u in committed else f.gain(u) for u in range(n)]
 
 
 def test_coverage_of_empty_ground_set():

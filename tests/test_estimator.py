@@ -52,6 +52,15 @@ def test_theta_rejects_bad_inputs():
             _sized(g, ts, ps, **kwargs)
 
 
+def test_repeated_grid_point_is_rejected():
+    # a grid point listed twice would never let the sizing pass, so it ran to the cap
+    g = synth_graph(60, 3, seed=1, score_mode="uniform")
+    ts, ps = select_targets(g, "top_percent", percent=25), synth_profiles(60, m=3, domain_sizes=4, seed=1)
+    for ks, alphas in (((3,), (1.0, 1.0)), ((3, 3), (1.0,)), ((3,), (0.5, 0.0, 0.5))):
+        with pytest.raises(ConfigError, match="listed once"):
+            _sized(g, ts, ps, ks=ks, alphas=alphas, theta_cap=4 * batch_size(60))
+
+
 def test_approx_ratio_reaches_target_unless_capped():
     for seed, epsilon, cap in ((3, 0.2, DEFAULT_THETA_CAP), (4, 0.1, DEFAULT_THETA_CAP),
                                (5, 0.05, DEFAULT_THETA_CAP), (5, 0.05, 3000)):

@@ -212,12 +212,12 @@ def test_forward_lt_matches_levelwise_oracle():
 @pytest.mark.parametrize("model", ["ic", "lt"])
 def test_rr_stream_groups_batches_within_the_call_budget(model, monkeypatch):
     # a read expands its missing batches together, several per kernel call,
-    # and each batch is the one it is when read alone
+    # and each batch is the one it is when read one batch at a time
     plain = synth_graph(300, 4, seed=21, score_mode="uniform")
     g = plain if model == "ic" else plain.with_probs(plain.b * 0.9)
     ts, size = targets_of(g), batch_size(g.node_count)
     per_call = sampler.CALL_MASK_BYTES // (size * g.node_count)
-    count = per_call + 2
+    count = per_call + 3
     kernel, calls = sampler.live_edge_search, []
 
     def counted(graph, model, forward, items, start, rngs):
@@ -226,16 +226,17 @@ def test_rr_stream_groups_batches_within_the_call_budget(model, monkeypatch):
 
     monkeypatch.setattr(sampler, "live_edge_search", counted)
     alone = RRStream(g, ts, model, 9, CORPUS_PHASE)
-    parts = [alone.sets(b * size, (b + 1) * size) for b in reversed(range(count))][::-1]
+    for b in range(count):
+        roots_alone, ptr_alone, members_alone = alone.sets((b + 1) * size)
     assert [k for k, _ in calls] == [1] * count
     grouped = RRStream(g, ts, model, 9, CORPUS_PHASE)
-    grouped.sets(2 * size, 3 * size)
-    roots, set_ptr, members = grouped.sets(0, count * size)
-    assert [k for k, _ in calls[count:]] == [1, per_call, 1] and per_call > 1
+    grouped.sets(2 * size - 3)
+    roots, set_ptr, members = grouped.sets(count * size)
+    assert [k for k, _ in calls[count:]] == [2, per_call, 1] and per_call > 2
     assert max(mask for _, mask in calls) <= sampler.CALL_MASK_BYTES
-    assert np.array_equal(roots, np.concatenate([p[0] for p in parts]))
-    assert np.array_equal(np.diff(set_ptr), np.concatenate([np.diff(p[1]) for p in parts]))
-    assert np.array_equal(members, np.concatenate([p[2] for p in parts]))
+    assert np.array_equal(roots, roots_alone)
+    assert np.array_equal(set_ptr, ptr_alone)
+    assert np.array_equal(members, members_alone)
 
 
 def test_corpus_rejects_nonpositive_theta():
@@ -267,20 +268,19 @@ def test_corpus_prefix_equals_smaller_corpus():
 
 
 def test_rr_stream_reads_by_index():
-    # a set is the same whatever range reads it, in whatever order
+    # a set is the same whatever prefix reads it, longer or shorter than the last
     g = ring_with_chords()
     ts = targets_of(g)
     b = batch_size(g.node_count)
     for model in ("ic", "lt"):
         corpus = generate_corpus(g, ts, model, 2 * b + 7, master_seed=9)
         rr = RRStream(g, ts, model, 9, CORPUS_PHASE)
-        for start, stop in ((b + 3, 2 * b + 7), (0, 5), (b - 2, b + 2)):
-            roots, set_ptr, members = rr.sets(start, stop)
-            lo, hi = corpus.set_ptr[start], corpus.set_ptr[stop]
-            assert np.array_equal(roots, corpus.roots[start:stop])
-            assert np.array_equal(set_ptr, corpus.set_ptr[start:stop + 1] - lo)
-            assert np.array_equal(members, corpus.members[lo:hi])
-        assert sorted(rr.batches) == [0, 1, 2]     # each batch drawn once
+        for stop in (b + 2, 5, 2 * b + 7, b):
+            roots, set_ptr, members = rr.sets(stop)
+            assert np.array_equal(roots, corpus.roots[:stop])
+            assert np.array_equal(set_ptr, corpus.set_ptr[:stop + 1])
+            assert np.array_equal(members, corpus.members[:corpus.set_ptr[stop]])
+        assert len(rr.batches) == 3     # each batch drawn once
 
 
 def test_only_the_sampler_draws_rr_sets():

@@ -183,10 +183,14 @@ def test_bad_arguments():
         build_seed_set(corpus, 0, 0.5, AttributeWiseDiversity(ps))
     with pytest.raises(ConfigError):
         build_seed_set(corpus, 1, 1.5, AttributeWiseDiversity(ps))
+    with pytest.raises(ConfigError):
+        build_seed_set(corpus, 1, 0.5, AttributeWiseDiversity(make_profiles([(0,)], [2])))
+    # a used function is reset before the greedy runs
     used = AttributeWiseDiversity(ps)
     used.commit(0)
-    with pytest.raises(ConfigError):
-        build_seed_set(corpus, 1, 0.5, used)
+    res = build_seed_set(corpus, 2, 0.5, used)
+    assert res == replace(build_seed_set(corpus, 2, 0.5, AttributeWiseDiversity(ps)),
+                          timing_seconds=res.timing_seconds)
 
 
 def _oracle_corpora():
@@ -259,8 +263,7 @@ def test_zero_weight_term_is_never_scored():
     cover = counting_gains(Coverage)(corpus.node_ptr, corpus.node_sets, corpus.theta,
                                      float(corpus.theta))
     div = AttributeWiseDiversity(profiles)
-    picks = lazy_greedy(2, [(0.0, cover, cover.gains),
-                            (1.0, div, lambda: [div.gain(v) for v in range(corpus.n_nodes)])])
+    picks = lazy_greedy(2, [(0.0, cover), (1.0, div)])
     assert cover.calls == len(picks) == 2
     assert cover.value() == sum(c for _, (c, _), _ in picks)
 
@@ -270,16 +273,15 @@ def test_lazy_greedy_ties_stop_and_per_term_gains():
     ptr, elements = np.array([0, 1, 3, 4, 6]), np.array([0, 1, 2, 0, 1, 2])
     cover = Coverage(ptr, elements, 3, 3.0)
     # 1 beats its tie 3; after 0 every gain is 0, so k = 4 stops at two picks
-    assert lazy_greedy(4, [(1.0, cover, cover.gains)]) == [(1, [2.0], 2.0), (0, [1.0], 1.0)]
-    assert cover.committed == (0, 1)
+    assert lazy_greedy(4, [(1.0, cover)]) == [(1, [2.0], 2.0), (0, [1.0], 1.0)]
+    assert cover._committed == {0, 1}
 
     cover.reset()
     classes = ClassDiversity([0, 0, 1, 1], np.ones(4))
-    picks = lazy_greedy(2, [(0.25, cover, cover.gains),
-                            (0.75, classes, lambda: [classes.gain(v) for v in range(4)])])
+    picks = lazy_greedy(2, [(0.25, cover), (0.75, classes)])
     # 1 scores 0.25 * 2 + 0.75 * 1; then 2 (new element, new class) beats 3 and 0
     assert picks == [(1, [2.0, 1.0], 1.25), (2, [1.0, 1.0], 1.0)]
-    assert cover.committed == classes.committed == (1, 2)
+    assert cover._committed == classes._committed == {1, 2}
 
 
 def test_only_the_selector_imports_heapq():
@@ -288,3 +290,11 @@ def test_only_the_selector_imports_heapq():
                        if re.search(r"^\s*(import|from)\s+heapq\b",
                                     path.read_text(encoding="utf-8"), re.M))
     assert importers == ["selector.py"]
+
+
+def test_only_diversity_loops_over_nodes_for_gains():
+    # one gain path: every node's gain comes from DiversityFunction.gains()
+    loopers = sorted(path.name for path in Path(divtim.__file__).parent.glob("*.py")
+                     if re.search(r"\.gain\((\w+)\)\s+for\s+\1\s+in\s+range\b",
+                                  path.read_text(encoding="utf-8")))
+    assert loopers == ["diversity.py"]
