@@ -15,8 +15,6 @@ from .errors import ConfigError
 from .graph import DiffusionGraph
 from .selector import lazy_greedy
 
-G_MODES = ("unit", "degree")
-
 
 def node_gain_vector(graph: DiffusionGraph, g_mode: str) -> np.ndarray:
     if g_mode == "unit":

@@ -17,9 +17,10 @@ import sys
 
 import numpy as np
 
-from . import baselines, diversity, estimator, metrics, profiles, sampler, selector, simulator
+# Each command imports the modules it runs, so a command compiles no module it does not use.
+from . import sampler
 from .errors import ConfigError, FormatError, UsageError
-from .graph import (WEIGHT_MODES, DiffusionGraph, derive_targets_indegree, load_graph,
+from .graph import (G_MODES, WEIGHT_MODES, DiffusionGraph, derive_targets_indegree, load_graph,
                     load_node_weights, select_targets)
 from .textio import data_lines, node_rows
 
@@ -95,11 +96,13 @@ def _targets_from_args(args):
 
 def _load_preferences(path: str, graph: DiffusionGraph) -> np.ndarray:
     """The numeric CSV at path as per-node preference rows; an empty cell reads 0."""
+    from . import profiles
     mat, _ = profiles.load_numeric_matrix(path, graph.labels)
     return profiles.derive_numeric_preferences(np.nan_to_num(mat))
 
 
 def _build_diversity(graph, profile_set, args):
+    from . import baselines, diversity
     kind = args.diversity
     if kind in ("aw", "hamming", "entropy") and profile_set is None:
         raise ConfigError(f"{kind} diversity needs --profiles")
@@ -151,7 +154,8 @@ def _grid_list(flag: str, text: str, cast) -> tuple[list[str], list]:
     return tokens, values
 
 
-def _result_doc(res: selector.SeedResult, labels, config_pairs, extra) -> str:
+def _result_doc(res, labels, config_pairs, extra) -> str:
+    """One grid point's result document; ``res`` is its ``selector.SeedResult``."""
     lines = ["# seed selection result"]
     for key in sorted(config_pairs):
         lines.append(f"config.{key}: {config_pairs[key]}")
@@ -254,7 +258,7 @@ def _select_parser(sub) -> _Parser:
     p.add_argument("--epsilon", type=float, default=0.1)
     p.add_argument("--ell", type=float, default=1.0)
     p.add_argument("--theta-override", type=int)
-    p.add_argument("--theta-cap", type=int, default=estimator.DEFAULT_THETA_CAP)
+    p.add_argument("--theta-cap", type=int, default=sampler.DEFAULT_THETA_CAP)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, help="accepted for compatibility; no effect")
     p.add_argument("--jobs", type=int, help="accepted for compatibility; no effect")
@@ -271,6 +275,7 @@ CONFIG_KEYS = ("graph", "weight_mode", "node_weights", "derive_targets", "target
 
 
 def cmd_select(args) -> int:
+    from . import estimator, metrics, profiles
     if not args.out:
         raise UsageError("select needs --out DIR")
     graph, targets, target_param = _targets_from_args(args)
@@ -337,6 +342,7 @@ def _simulate_parser(sub) -> _Parser:
 
 
 def cmd_simulate(args) -> int:
+    from . import simulator
     given = [flag for flag, value in (("--seeds", args.seeds), ("--seeds-file", args.seeds_file),
                                       ("--from-result", args.from_result)) if value]
     if len(given) > 1:
@@ -357,24 +363,19 @@ def cmd_simulate(args) -> int:
     labels = [graph.labels[v] for v in seed_ids]
     report = simulator.simulate(graph, args.model, seed_ids, args.runs, args.seed,
                                 targets=targets)
+    values = {key: repr(getattr(report, key)) for key in
+              ("runs", "mean_spread", "stderr_spread", "mean_capital", "stderr_capital")}
     if args.out:
         new = not os.path.exists(args.out)
         with open(args.out, "a", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             if new:
-                writer.writerow(["dataset", "target_mode", "target_param", "runs",
-                                 "mean_spread", "stderr_spread", "mean_capital",
-                                 "stderr_capital", "seeds"])
+                writer.writerow(["dataset", "target_mode", "target_param", *values, "seeds"])
             writer.writerow([os.path.basename(args.graph), args.target_mode, target_param,
-                             report.runs, repr(report.mean_spread), repr(report.stderr_spread),
-                             repr(report.mean_capital), repr(report.stderr_capital),
-                             " ".join(labels)])
+                             *values.values(), " ".join(labels)])
     else:
-        print(f"runs: {report.runs}")
-        print(f"mean_spread: {report.mean_spread!r}")
-        print(f"stderr_spread: {report.stderr_spread!r}")
-        print(f"mean_capital: {report.mean_capital!r}")
-        print(f"stderr_capital: {report.stderr_capital!r}")
+        for key, value in values.items():
+            print(f"{key}: {value}")
     return 0
 
 
@@ -386,7 +387,7 @@ def _baseline_parser(sub) -> _Parser:
     _add_graph_flags(p)
     p.add_argument("--preferences", default="",
                    help="CSV of per-node numeric preference vectors")
-    p.add_argument("--g-mode", choices=baselines.G_MODES, default="unit")
+    p.add_argument("--g-mode", choices=G_MODES, default="unit")
     p.add_argument("--gamma", type=float)
     p.add_argument("--alpha", type=float, help="alternative parameterization, gamma = 1 - alpha")
     p.add_argument("--k", type=int, default=10)
@@ -395,6 +396,7 @@ def _baseline_parser(sub) -> _Parser:
 
 
 def cmd_baseline(args) -> int:
+    from . import baselines
     if args.gamma is not None and args.alpha is not None:
         raise UsageError("give either --gamma or --alpha, not both")
     graph = _load_graph_from_args(args)
@@ -446,6 +448,7 @@ def _synth_parser(sub) -> _Parser:
 
 
 def cmd_synth(args) -> int:
+    from . import profiles
     # checked here, not by argparse, so a config file can give them
     for flag in ("nodes", "out"):
         if getattr(args, flag) is None:

@@ -32,8 +32,8 @@ from . import sampler, selector
 from .diversity import Coverage, DiversityFunction
 from .errors import ConfigError
 from .graph import DiffusionGraph, TargetSet
+from .sampler import DEFAULT_THETA_CAP
 
-DEFAULT_THETA_CAP = 2_000_000
 #: delta = n^-ell is at most 2^-1000 here; past it only overflow is left
 MAX_ELL = 1000.0
 #: R2's most relative standard error of an alpha > 0 capital: 5% off is three of them
@@ -49,13 +49,15 @@ class EstimationParams:
     points: dict[tuple[int, float], tuple[selector.SeedResult, dict[str, float]]]
 
 
-def _hits(held_out: tuple[np.ndarray, np.ndarray, np.ndarray], seeds: list[int]) -> int:
+def _hits(held_out: tuple[np.ndarray, ...], seeds: list[int], n: int) -> int:
+    """The held-out sets that hold a seed, over a mask of the n nodes."""
     _, ptr, members = held_out
-    return int(np.count_nonzero(np.logical_or.reduceat(np.isin(members, seeds), ptr[:-1])))
+    seeded = np.bincount(seeds, minlength=n) > 0
+    return int(np.count_nonzero(np.logical_or.reduceat(seeded.take(members), ptr[:-1])))
 
 
-def _ratio(corpus: sampler.RRCorpus, held_out: tuple[np.ndarray, np.ndarray, np.ndarray],
-           res: selector.SeedResult, diversity: DiversityFunction, a: float) -> float:
+def _ratio(corpus: sampler.RRCorpus, hits: int, res: selector.SeedResult,
+           diversity: DiversityFunction, a: float) -> float:
     """R2's lower bound on F(S) over R1's upper one on F(O); ``diversity`` holds S."""
     alpha, u = res.alpha, corpus.target_total / corpus.theta
     capital = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.target_total)
@@ -69,7 +71,7 @@ def _ratio(corpus: sampler.RRCorpus, held_out: tuple[np.ndarray, np.ndarray, np.
     if alpha > 0.0:
         x_max = min(corpus.theta, upper / (alpha * u))
         upper += alpha * u * (a + math.sqrt(2 * a * (x_max + a / 2)))
-    low = (math.sqrt(_hits(held_out, res.seeds) + 2 * a / 9) - math.sqrt(a / 2)) ** 2 - a / 18
+    low = (math.sqrt(hits + 2 * a / 9) - math.sqrt(a / 2)) ** 2 - a / 18
     lower = alpha * u * max(0.0, low) + (1 - alpha) * res.diversity_value
     return lower / upper if upper > 0 else 1.0
 
@@ -114,13 +116,13 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, ks: S
                         ratio < target for _, ratio in picks.values()):
                     break
                 res = selector.build_seed_set(corpus, k, alpha, diversity)
-                picks[alpha] = res, _ratio(corpus, held_out, res, diversity, a)
+                picks[alpha] = res, _ratio(corpus, _hits(held_out, res.seeds, n), res, diversity, a)
             passed = len(picks) == len(alphas) and all(r >= target for _, r in picks.values())
             if passed:
                 break
         for check in sizes[sizes.index(theta):]:
             held_out = r2.sets(check)
-            hits = {alpha: _hits(held_out, res.seeds) for alpha, (res, _) in picks.items()}
+            hits = {alpha: _hits(held_out, res.seeds, n) for alpha, (res, _) in picks.items()}
             if all(alpha == 0.0 or check - h <= CAPITAL_RSE ** 2 * h * check
                    for alpha, h in hits.items()):
                 break

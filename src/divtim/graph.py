@@ -19,6 +19,7 @@ from .errors import ConfigError, FormatError
 from .textio import data_lines, node_rows
 
 WEIGHT_MODES = ("explicit", "uniform_indegree", "interaction")
+G_MODES = ("unit", "degree")
 
 
 @dataclass

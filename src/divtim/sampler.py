@@ -27,6 +27,7 @@ from .rng import phase_seed, stream
 from .textio import open_text
 
 MODELS = ("ic", "lt")
+DEFAULT_THETA_CAP = 2_000_000
 
 #: phase tags of the corpus that selects seeds and of the held-out corpus that checks them
 CORPUS_PHASE, CHECK_PHASE = 0, 1

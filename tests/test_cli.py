@@ -606,6 +606,35 @@ def test_select_out_of_memory_is_one_line_and_leaves_no_out(tmp_path, small_data
     assert not out.exists()
 
 
+@pytest.mark.parametrize("case, loaded", [
+    ("setup", {"divtim", "divtim.errors", "divtim.graph", "divtim.profiles", "divtim.rng",
+               "divtim.textio"}),
+    ("simulate", {"divtim", "divtim.cli", "divtim.errors", "divtim.graph", "divtim.rng",
+                  "divtim.sampler", "divtim.simulator", "divtim.textio"}),
+])
+def test_each_command_imports_only_the_modules_it_runs(tmp_path, case, loaded):
+    # a fresh interpreter, since this one has imported every module already
+    (tmp_path / "edges.txt").write_text("a b 0.5\nb c 0.5\nc d 0.5\nd a 0.5\n", encoding="utf-8")
+    (tmp_path / "weights.txt").write_text("a 1.0\nb 0.5\nc 0.2\nd 0.9\n", encoding="utf-8")
+    (tmp_path / "profiles.csv").write_text("node,x\na,1\nb,2\nc,1\nd,3\n", encoding="utf-8")
+    code = {
+        # the loaders of perfbench/setup_probe.py, through the package's names
+        "setup": "import divtim\n"
+                 "g = divtim.load_graph('edges.txt', 'explicit')\n"
+                 "g = divtim.load_node_weights(g, 'weights.txt')\n"
+                 "divtim.select_targets(g, 'top_percent', percent=25.0)\n"
+                 "divtim.load_profiles('profiles.csv', node_labels=g.labels)\n",
+        "simulate": "import divtim.cli\n"
+                    "assert divtim.cli.main(['simulate', '--graph', 'edges.txt', '--weight-mode',"
+                    " 'explicit', '--seeds', 'a', '--runs', '10']) == 0\n",
+    }[case] + "import sys\nprint(*sorted(m for m in sys.modules if m.startswith('divtim')))\n"
+    env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert set(proc.stdout.splitlines()[-1].split()) == loaded
+
+
 def test_simulate_out_of_memory_is_one_line(small_dataset, monkeypatch, capsys):
     monkeypatch.setattr("divtim.simulator.live_edge_search", _out_of_memory)
     code = main(["simulate", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",

@@ -197,9 +197,11 @@ class _CallResolver:
     def __init__(self, src: Path, local: dict[str, str], bases: dict[str, list[str]]):
         self.local, self.bases = local, bases
         self.modules = {path.stem for path in src.glob("*.py")}
+        # the package exports each name of its _EXPORTS table from that submodule
         package = ast.parse((src / "__init__.py").read_text(encoding="utf-8"))
-        self.exported = {alias.asname or alias.name: node.module for node in package.body
-                         if isinstance(node, ast.ImportFrom) for alias in node.names}
+        table = next(ast.literal_eval(node.value) for node in package.body
+                     if isinstance(node, ast.Assign) and ast.unparse(node.targets[0]) == "_EXPORTS")
+        self.exported = {name: module for module, names in table.items() for name in names}
 
     def bind(self, path: Path, tree: ast.Module) -> None:
         """Bind the names path imports or defines at top level to ("module",
@@ -399,6 +401,9 @@ def test_every_parameter_is_set_by_a_program():
     for module, entry in re.findall(r'= "divtim\.(\w+):(\w+)"',
                                     (root / "pyproject.toml").read_text(encoding="utf-8")):
         calls.setdefault((module, entry), []).append((0, set()))
+    for key in defined:     # the import system calls a module's PEP 562 hook with the name
+        if key[1] == "__getattr__":
+            calls.setdefault(key, []).append((1, set()))
     unset, overridden = [], []
     for key, entries in defined.items():
         if key in escaped:
