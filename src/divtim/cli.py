@@ -102,7 +102,7 @@ def _load_preferences(path: str, graph: DiffusionGraph) -> np.ndarray:
 
 
 def _build_diversity(graph, profile_set, args):
-    from . import baselines, diversity
+    from . import diversity
     kind = args.diversity
     if kind in ("aw", "hamming", "entropy") and profile_set is None:
         raise ConfigError(f"{kind} diversity needs --profiles")
@@ -122,6 +122,7 @@ def _build_diversity(graph, profile_set, args):
         return diversity.ClassDiversity(classes, rewards)
     if not args.preferences:
         raise ConfigError("numeric diversity needs --preferences")
+    from . import baselines
     g_mode = {"numeric-u": "unit", "numeric-w": "degree"}[kind]
     return diversity.NumericDiversity(_load_preferences(args.preferences, graph),
                                       baselines.node_gain_vector(graph, g_mode))
@@ -366,10 +367,9 @@ def cmd_simulate(args) -> int:
     values = {key: repr(getattr(report, key)) for key in
               ("runs", "mean_spread", "stderr_spread", "mean_capital", "stderr_capital")}
     if args.out:
-        new = not os.path.exists(args.out)
         with open(args.out, "a", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
-            if new:
+            if not fh.seekable() or fh.tell() == 0:     # a new, empty or piped file
                 writer.writerow(["dataset", "target_mode", "target_param", *values, "seeds"])
             writer.writerow([os.path.basename(args.graph), args.target_mode, target_param,
                              *values.values(), " ".join(labels)])

@@ -188,37 +188,34 @@ class RRStream:
 
 
 class RRCorpus:
-    """A fixed collection of reverse reachable sets plus its inverted index.
+    """The inverted index of a fixed collection of reverse reachable sets.
 
-    Both directions are CSR arrays: set i has root ``roots[i]`` and
-    members ``members[set_ptr[i]:set_ptr[i + 1]]``; node v lies in the sets
-    ``node_sets[node_ptr[v]:node_ptr[v + 1]]``, listed in ascending order.
-    ``target_total`` is the total target score the roots were drawn by.
-    The total member count is kept for memory/width accounting.
+    Node v lies in the sets ``node_sets[node_ptr[v]:node_ptr[v + 1]]``, in
+    ascending order, and set i has root ``roots[i]``; the sets' CSR arrays it is
+    built from are not kept.  ``target_total`` is the total target score the
+    roots were drawn by, and ``total_width`` the member count.
     """
 
     def __init__(self, roots, set_ptr, members, node_count: int, target_total: float):
         self.roots = np.asarray(roots, dtype=np.int64)
-        self.set_ptr = np.asarray(set_ptr, dtype=np.int64)
-        self.members = np.asarray(members, dtype=np.int32)
+        self.theta = len(self.roots)
         self.n_nodes = node_count
         self.target_total = float(target_total)
-        self.total_width = int(self.members.size)
         # one sort of the distinct keys member * theta + set lists each node's sets in order
-        keys = np.multiply(self.members, self.theta, dtype=np.int64)
-        keys += np.repeat(np.arange(self.theta, dtype=np.int32), np.diff(self.set_ptr))
+        keys = np.multiply(np.asarray(members, dtype=np.int32), self.theta, dtype=np.int64)
+        keys += np.repeat(np.arange(self.theta, dtype=np.int32), np.diff(set_ptr))
         keys.sort()
         self.node_ptr = np.searchsorted(keys, np.arange(node_count + 1) * self.theta)
         keys %= self.theta
         self.node_sets = keys.astype(np.int32)
-
-    @property
-    def theta(self) -> int:
-        return len(self.roots)
+        self.total_width = int(self.node_sets.size)
 
     def dump(self, sink: str | TextIO) -> None:
-        """Debug dump, one line per set: ``id root member*`` (format unstable)."""
-        ptr, members = self.set_ptr.tolist(), self.members.tolist()
+        """Debug dump, one line per set: ``id root member*`` (format unstable), each
+        set's members rebuilt from the index in ascending node order, as drawn."""
+        order = np.argsort(self.node_sets, kind="stable")
+        members = np.repeat(np.arange(self.n_nodes), np.diff(self.node_ptr))[order].tolist()
+        ptr = np.searchsorted(self.node_sets[order], np.arange(self.theta + 1)).tolist()
         with open_text(sink, "w") as fh:
             for i, root in enumerate(self.roots.tolist()):
                 fh.write(f"{i} {root} " + " ".join(map(str, members[ptr[i]:ptr[i + 1]])) + "\n")

@@ -50,11 +50,21 @@ def mixed_components_graph(rng, n=300, tail=60) -> DiffusionGraph:
     return make_graph([(u, v, 0.5) for u, v in sorted(edges)])
 
 
-def corpus_from_sets(sets, node_count, target_total) -> RRCorpus:
-    """Corpus from hand-written (root, members) pairs, set ids in list order."""
+def csr_from_sets(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(roots, set_ptr, members)`` of hand-written (root, members) pairs, set
+    ids in list order, as ``RRStream.sets`` returns drawn sets."""
     set_ptr = np.cumsum([0] + [len(members) for _, members in sets])
-    members = [int(v) for _, mem in sets for v in mem]
-    return RRCorpus([root for root, _ in sets], set_ptr, members, node_count, target_total)
+    members = np.array([int(v) for _, mem in sets for v in mem], dtype=np.int32)
+    return np.array([root for root, _ in sets], dtype=np.int64), set_ptr, members
+
+
+def corpus_from_sets(sets, node_count, target_total) -> RRCorpus:
+    """Corpus from hand-written (root, members) pairs, set ids in list order.
+
+    List each set's members in ascending node order, as ``RRStream`` draws
+    them: the corpus keeps only its inverted index, and its dump rebuilds each
+    set from it in that order."""
+    return RRCorpus(*csr_from_sets(sets), node_count, target_total)
 
 
 def coverage_fraction(corpus, seeds) -> float:

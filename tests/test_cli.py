@@ -131,6 +131,30 @@ def test_simulate_csv_row(tmp_path, small_dataset):
     assert len(rows) == 1 and rows[0]["runs"] == "100"
 
 
+def test_simulate_csv_header_lands_in_an_existing_empty_file(tmp_path, small_dataset):
+    csv_path = tmp_path / "sim.csv"
+    csv_path.touch()
+    for seed in ("1", "2"):
+        assert main(["simulate", "--graph", str(small_dataset["edges"]),
+                     "--weight-mode", "explicit", "--seeds", "0,1",
+                     "--runs", "100", "--seed", seed, "--out", str(csv_path)]) == 0
+    with open(csv_path, encoding="utf-8") as fh:
+        rows = list(csv.DictReader(fh))
+    assert [row["runs"] for row in rows] == ["100", "100"]
+
+
+def test_simulate_csv_header_lands_in_a_pipe(small_dataset):
+    code = ("import sys, divtim.cli\n"
+            f"sys.exit(divtim.cli.main(['simulate', '--graph', {str(small_dataset['edges'])!r},"
+            " '--weight-mode', 'explicit', '--seeds', '0,1', '--runs', '100',"
+            " '--out', '/dev/stdout']))\n")
+    env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    rows = list(csv.DictReader(proc.stdout.splitlines()))
+    assert [row["runs"] for row in rows] == ["100"]
+
+
 def test_baseline_subcommand(tmp_path, small_dataset):
     prefs = tmp_path / "prefs.csv"
     rng = np.random.default_rng(3)
@@ -522,6 +546,28 @@ def test_one_corpus_serves_every_k(tmp_path, small_dataset, sizing):
         assert len(sizes) == 2
 
 
+@pytest.mark.parametrize("model, sizing", [("ic", ["--epsilon", "0.5"]),
+                                           ("lt", ["--theta-override", "300"])],
+                         ids=["ic-sized", "lt-override"])
+def test_corpus_dump_lists_the_first_theta_sets_as_drawn(tmp_path, small_dataset, model,
+                                                         sizing):
+    # the dump rebuilds each set from the inverted index; it reads as R1's sets do
+    out = tmp_path / "out"
+    assert main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), "--model", model, *sizing,
+                 "--k", "3", "--alpha", "1", "--seed", "4", "--out", str(out),
+                 "--dump-corpus", str(out / "corpus.dump")]) == 0
+    doc = parse_result_doc(str(out / "seeds_k3_a1.txt"))
+    theta = int(sizing[1]) if sizing[0] == "--theta-override" else int(doc["stats.theta"])
+    g = load_graph(str(small_dataset["edges"]), "explicit")
+    ts = select_targets(g, "top_percent", percent=25.0)
+    roots, set_ptr, members = sampler.RRStream(g, ts, model, 4, sampler.CORPUS_PHASE).sets(theta)
+    lines = [f"{i} {root} " + " ".join(map(str, members[set_ptr[i]:set_ptr[i + 1]].tolist()))
+             for i, root in enumerate(roots.tolist())]
+    assert (out / "corpus.dump").read_text(encoding="utf-8") == "".join(f"{line}\n"
+                                                                         for line in lines)
+
+
 def test_unwritable_dump_leaves_no_documents(tmp_path, small_dataset, capsys):
     out = tmp_path / "out"
     code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
@@ -611,6 +657,9 @@ def test_select_out_of_memory_is_one_line_and_leaves_no_out(tmp_path, small_data
                "divtim.textio"}),
     ("simulate", {"divtim", "divtim.cli", "divtim.errors", "divtim.graph", "divtim.rng",
                   "divtim.sampler", "divtim.simulator", "divtim.textio"}),
+    ("select", {"divtim", "divtim.cli", "divtim.diversity", "divtim.errors", "divtim.estimator",
+                "divtim.graph", "divtim.metrics", "divtim.profiles", "divtim.rng",
+                "divtim.sampler", "divtim.selector", "divtim.textio"}),
 ])
 def test_each_command_imports_only_the_modules_it_runs(tmp_path, case, loaded):
     # a fresh interpreter, since this one has imported every module already
@@ -627,6 +676,10 @@ def test_each_command_imports_only_the_modules_it_runs(tmp_path, case, loaded):
         "simulate": "import divtim.cli\n"
                     "assert divtim.cli.main(['simulate', '--graph', 'edges.txt', '--weight-mode',"
                     " 'explicit', '--seeds', 'a', '--runs', '10']) == 0\n",
+        "select": "import divtim.cli\n"
+                  "assert divtim.cli.main(['select', '--graph', 'edges.txt', '--weight-mode',"
+                  " 'explicit', '--profiles', 'profiles.csv', '--diversity', 'aw', '--k', '2',"
+                  " '--theta-override', '20', '--out', 'out']) == 0\n",
     }[case] + "import sys\nprint(*sorted(m for m in sys.modules if m.startswith('divtim')))\n"
     env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path, env=env,

@@ -11,7 +11,7 @@ from divtim.profiles import synth_profiles
 from divtim.sampler import batch_size, generate_corpus
 from divtim.selector import build_seed_set
 
-from conftest import corpus_from_sets, coverage_fraction, make_graph
+from conftest import corpus_from_sets, coverage_fraction, csr_from_sets, make_graph
 from oracles import exhaustive_expectation, reference_greedy_cover
 
 TARGET = 1 - 1 / math.e
@@ -150,7 +150,8 @@ def test_greedy_cover_matches_eager_reference():
                 for _ in range(int(rng.integers(1, 25)))]
         corpus = corpus_from_sets(sets, n, 1.0)
         k = int(rng.integers(1, n + 2))
-        expect = reference_greedy_cover(corpus.set_ptr, corpus.members, n, k)
+        _, set_ptr, members = csr_from_sets(sets)
+        expect = reference_greedy_cover(set_ptr, members, n, k)
         assert build_seed_set(corpus, k, 1.0, _nothing(n)).seeds == expect, trial
 
 

@@ -15,14 +15,16 @@ from divtim.sampler import (CORPUS_PHASE, RRCorpus, RRStream, _distinct, batch_s
 from divtim.simulator import simulate
 
 import oracles
-from conftest import corpus_from_sets, coverage_fraction, make_graph
+from conftest import corpus_from_sets, coverage_fraction, csr_from_sets, make_graph
 
 # chi-square critical value, 3 degrees of freedom, p = 0.01
 CHI2_3_P01 = 11.345
 
 
-def set_members(corpus, i):
-    return corpus.members[corpus.set_ptr[i]:corpus.set_ptr[i + 1]]
+def drawn_sets(g, ts, model, theta, master_seed):
+    """The members of each set that ``generate_corpus`` with these arguments indexes."""
+    _, set_ptr, members = RRStream(g, ts, model, master_seed, CORPUS_PHASE).sets(theta)
+    return np.split(members, set_ptr[1:-1])
 
 
 def sets_containing(corpus, v):
@@ -89,14 +91,13 @@ def test_rr_set_deterministic_chain():
     ts = select_targets(g, "threshold", tau=0.5)
     corpus = generate_corpus(g, ts, "ic", 1, master_seed=1)
     assert corpus.roots[0] == g.label_ids["v"]
-    assert set(set_members(corpus, 0)) == {g.label_ids["u"], g.label_ids["v"]}
+    assert set(drawn_sets(g, ts, "ic", 1, 1)[0]) == {g.label_ids["u"], g.label_ids["v"]}
 
 
 def test_rr_set_isolated_root():
     g = make_graph([("a", "b", 1.0)], t={"a": 1.0, "b": 0.1})
     ts = select_targets(g, "threshold", tau=0.5)  # only 'a', which has no in-edges
-    corpus = generate_corpus(g, ts, "ic", 1, master_seed=1)
-    assert set(set_members(corpus, 0)) == {g.label_ids["a"]}
+    assert set(drawn_sets(g, ts, "ic", 1, 1)[0]) == {g.label_ids["a"]}
 
 
 def test_rr_half_edge_inclusion_rate():
@@ -245,10 +246,10 @@ def test_corpus_rejects_nonpositive_theta():
         generate_corpus(g, targets_of(g), "ic", 0, master_seed=1)
 
 
-def _prefix(corpus, m):
-    """The corpus of the first m sets of corpus, indexed anew."""
-    return RRCorpus(corpus.roots[:m], corpus.set_ptr[:m + 1], corpus.members[:corpus.set_ptr[m]],
-                    corpus.n_nodes, corpus.target_total)
+def _prefix(sets, m, node_count):
+    """The corpus of the first m of the sets ``(roots, set_ptr, members)``, indexed anew."""
+    roots, set_ptr, members = sets
+    return RRCorpus(roots[:m], set_ptr[:m + 1], members[:set_ptr[m]], node_count, 1.0)
 
 
 def test_corpus_prefix_equals_smaller_corpus():
@@ -256,13 +257,15 @@ def test_corpus_prefix_equals_smaller_corpus():
     ts = targets_of(g)
     size = batch_size(g.node_count)
     for model in ("ic", "lt"):
-        large = generate_corpus(g, ts, model, 2 * size + 7, master_seed=9)
+        large = RRStream(g, ts, model, 9, CORPUS_PHASE).sets(2 * size + 7)
+        roots, set_ptr, members = large
         for m in (50, size, size + 1):
+            small_roots, small_ptr, small_members = RRStream(g, ts, model, 9, CORPUS_PHASE).sets(m)
+            assert np.array_equal(small_roots, roots[:m])
+            assert np.array_equal(small_ptr, set_ptr[:m + 1])
+            assert np.array_equal(small_members, members[:set_ptr[m]])
             small = generate_corpus(g, ts, model, m, master_seed=9)
-            assert np.array_equal(small.roots, large.roots[:m])
-            assert np.array_equal(small.set_ptr, large.set_ptr[:m + 1])
-            assert np.array_equal(small.members, large.members[:large.set_ptr[m]])
-            same = _prefix(large, m)
+            same = _prefix(large, m, g.node_count)
             assert np.array_equal(same.node_ptr, small.node_ptr)
             assert np.array_equal(same.node_sets, small.node_sets)
 
@@ -273,13 +276,13 @@ def test_rr_stream_reads_by_index():
     ts = targets_of(g)
     b = batch_size(g.node_count)
     for model in ("ic", "lt"):
-        corpus = generate_corpus(g, ts, model, 2 * b + 7, master_seed=9)
+        all_roots, all_ptr, all_members = RRStream(g, ts, model, 9, CORPUS_PHASE).sets(2 * b + 7)
         rr = RRStream(g, ts, model, 9, CORPUS_PHASE)
         for stop in (b + 2, 5, 2 * b + 7, b):
             roots, set_ptr, members = rr.sets(stop)
-            assert np.array_equal(roots, corpus.roots[:stop])
-            assert np.array_equal(set_ptr, corpus.set_ptr[:stop + 1])
-            assert np.array_equal(members, corpus.members[:corpus.set_ptr[stop]])
+            assert np.array_equal(roots, all_roots[:stop])
+            assert np.array_equal(set_ptr, all_ptr[:stop + 1])
+            assert np.array_equal(members, all_members[:all_ptr[stop]])
         assert len(rr.batches) == 3     # each batch drawn once
 
 
@@ -311,17 +314,19 @@ def test_sampler_dedupes_without_np_unique():
 def test_index_equals_stable_argsort_construction():
     rng = np.random.default_rng(8)
     g = ring_with_chords()
-    corpora = [generate_corpus(g, targets_of(g), model, 700, master_seed=3)
+    corpora = [(RRStream(g, targets_of(g), model, 3, CORPUS_PHASE).sets(700), g.node_count)
                for model in ("ic", "lt")]
     for n in (1, 40, 3000):
-        sets = [(0, rng.choice(n, size=int(rng.integers(0, min(n, 9) + 1)), replace=False))
+        sets = [(0, np.sort(rng.choice(n, size=int(rng.integers(0, min(n, 9) + 1)),
+                                       replace=False)))
                 for _ in range(int(rng.integers(1, 400)))]
-        corpora.append(corpus_from_sets(sets, n, target_total=1.0))
-    for corpus in corpora:
-        for m in (0, 1, corpus.theta // 3, corpus.theta):
-            part = _prefix(corpus, m)
-            node_ptr, node_sets = oracles.stable_argsort_index(part.set_ptr, part.members,
-                                                               part.n_nodes)
+        corpora.append((csr_from_sets(sets), n))
+    for sets, n in corpora:
+        roots, set_ptr, members = sets
+        for m in (0, 1, len(roots) // 3, len(roots)):
+            part = _prefix(sets, m, n)
+            node_ptr, node_sets = oracles.stable_argsort_index(set_ptr[:m + 1],
+                                                               members[:set_ptr[m]], n)
             assert np.array_equal(part.node_ptr, node_ptr)
             assert part.node_sets.dtype == node_sets.dtype == np.int32
             assert np.array_equal(part.node_sets, node_sets)
@@ -330,24 +335,24 @@ def test_index_equals_stable_argsort_construction():
 def test_corpus_forced_membership():
     g = make_graph([("u", "v", 1.0)], t={"u": 0.1, "v": 1.0})
     ts = select_targets(g, "threshold", tau=0.5)
-    corpus = generate_corpus(g, ts, "ic", 100, master_seed=2)
-    for i in range(corpus.theta):
-        assert set(set_members(corpus, i)) == {g.label_ids["u"], g.label_ids["v"]}
+    for members in drawn_sets(g, ts, "ic", 100, 2):
+        assert set(members) == {g.label_ids["u"], g.label_ids["v"]}
 
 
 def test_corpus_index_inverts_membership():
     g = make_graph([(str(u), str(v), 0.4) for u in range(6) for v in range(6) if u != v][:20])
     ts = targets_of(g)
     corpus = generate_corpus(g, ts, "ic", 150, master_seed=4)
+    sets = drawn_sets(g, ts, "ic", 150, 4)
     for i in range(corpus.theta):
-        for v in set_members(corpus, i):
+        for v in sets[i]:
             assert i in sets_containing(corpus, v)
     for v in range(g.node_count):
         ids = sets_containing(corpus, v)
         assert np.all(np.diff(ids) > 0)
         for i in ids:
-            assert v in set_members(corpus, i)
-    assert corpus.total_width == sum(len(set_members(corpus, i)) for i in range(corpus.theta))
+            assert v in sets[i]
+    assert corpus.total_width == sum(len(members) for members in sets)
 
 
 def test_root_scores_match_roots():
@@ -355,8 +360,8 @@ def test_root_scores_match_roots():
     ts = targets_of(g)
     corpus = generate_corpus(g, ts, "ic", 50, master_seed=6)
     assert corpus.target_total == ts.total_score == pytest.approx(1.6)
-    for i, root in enumerate(corpus.roots):
-        assert root in set_members(corpus, i)
+    for root, members in zip(corpus.roots, drawn_sets(g, ts, "ic", 50, 6)):
+        assert root in members
 
 
 def test_lt_requires_subunit_in_mass():
@@ -368,9 +373,8 @@ def test_lt_requires_subunit_in_mass():
 def test_lt_chain_follows_single_pick():
     g = make_graph([("u", "v", 1.0)], t={"u": 0.1, "v": 1.0})
     ts = select_targets(g, "threshold", tau=0.5)
-    corpus = generate_corpus(g, ts, "lt", 50, master_seed=3)
-    for i in range(corpus.theta):
-        assert set(set_members(corpus, i)) == {g.label_ids["u"], g.label_ids["v"]}
+    for members in drawn_sets(g, ts, "lt", 50, 3):
+        assert set(members) == {g.label_ids["u"], g.label_ids["v"]}
 
 
 def test_coverage_fraction_and_scores():
@@ -381,9 +385,10 @@ def test_coverage_fraction_and_scores():
     assert corpus.target_total == 1.75
 
 
-# sha256 of (roots, set_ptr, members) as little-endian int64, and of the
-# simulate report's repr, on synth_graph(300, 4, seed=21): a change here
-# is a change of the draws, and must be named as one
+# sha256 of the corpus phase's first 2000 (roots, set_ptr, members) as
+# little-endian int64, and of the simulate report's repr, on
+# synth_graph(300, 4, seed=21): a change here is a change of the draws,
+# and must be named as one
 GOLDEN_DRAWS = {
     "ic": ("2157837b0656e4014b28bd0660fd685dfa6c1223001e5e378b7628a0fa8bf95f",
            "428f99058e8d37404fb476dded3f76940b80111a695d15f200b5b1c6d2c6b1a5"),
@@ -396,9 +401,8 @@ GOLDEN_DRAWS = {
 def test_draws_match_golden_digests(model):
     g = synth_graph(300, 4, seed=21, score_mode="uniform")
     ts = select_targets(g, "threshold", tau=0.5)
-    corpus = generate_corpus(g, ts, model, 2000, master_seed=5)     # two batches
     digest = hashlib.sha256()
-    for a in (corpus.roots, corpus.set_ptr, corpus.members):
+    for a in RRStream(g, ts, model, 5, CORPUS_PHASE).sets(2000):     # two batches
         digest.update(a.astype("<i8").tobytes())
     report = simulate(g, model, [0, 7, 42, 99, 250], 2000, 5, ts)
     assert (digest.hexdigest(), hashlib.sha256(repr(report).encode()).hexdigest()) \
@@ -422,3 +426,14 @@ def test_index_matches_golden_digest(model):
     for a in (corpus.node_ptr, corpus.node_sets):
         digest.update(a.astype("<i8").tobytes())
     assert digest.hexdigest() == GOLDEN_INDEX[model]
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_corpus_holds_only_its_index(model):
+    # node_sets (4 B per member), roots (8 B per set) and node_ptr (8 B per
+    # node plus one): no set-major copy of the members
+    g = synth_graph(300, 4, seed=21, score_mode="uniform")
+    ts = select_targets(g, "threshold", tau=0.5)
+    corpus = generate_corpus(g, ts, model, 2000, master_seed=5)
+    held = sum(a.nbytes for a in vars(corpus).values() if isinstance(a, np.ndarray))
+    assert held <= 4 * corpus.total_width + 8 * corpus.theta + 8 * (g.node_count + 1)

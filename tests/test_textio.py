@@ -25,7 +25,7 @@ PLAIN = {
     "node-weights": "a 0.5\nb 1\n",
     "class-map": "a red\nb blue 2\nc red\n",
     "config": "seed=3\nk = 2,4\n",
-    "corpus-dump": "0 2 2 0\n1 1 1\n2 0 0 1 2\n",
+    "corpus-dump": "0 2 0 2\n1 1 1\n2 0 0 1 2\n",
 }
 
 LOADERS = {
@@ -85,7 +85,7 @@ def test_decorated_seeds_file_reads_like_plain(tmp_path, capsys):
 
 
 def test_corpus_dump_writes_to_an_open_file_as_to_a_path(tmp_path):
-    corpus = corpus_from_sets([(2, [2, 0]), (1, [1]), (0, [0, 1, 2])], 3, 3.0)
+    corpus = corpus_from_sets([(2, [0, 2]), (1, [1]), (0, [0, 1, 2])], 3, 3.0)
     path = tmp_path / "corpus.txt"
     corpus.dump(str(path))
     buf = io.StringIO()
