@@ -478,7 +478,7 @@ def build_parser() -> tuple[_Parser, dict[str, _Parser]]:
     return parser, {name: add(sub) for name, (add, _) in _COMMANDS.items()}
 
 
-def run(argv: list[str] | None) -> int:
+def run(argv: list[str]) -> int:
     parser, commands = build_parser()
     args = parser.parse_args(argv)
     if getattr(args, "config", ""):
@@ -489,6 +489,7 @@ def run(argv: list[str] | None) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     try:
         return run(argv)
     except UsageError as exc:
@@ -498,7 +499,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:    # numpy's allocation failures are MemoryErrors too
-        print(f"out of memory: {exc}", file=sys.stderr)
+        # a bare MemoryError says nothing, so name the command that ran out
+        print(f"out of memory: {str(exc) or 'running ' + argv[0]}", file=sys.stderr)
         return 2
 
 

@@ -31,8 +31,6 @@ def _h(mass: float) -> float:
 class DiversityFunction:
     """Base contract: value / gain / commit / reset over node ids."""
 
-    name = "abstract"
-
     def __init__(self, node_count: int):
         self.node_count = node_count
         self._committed: set[int] = set()
@@ -78,8 +76,6 @@ class Coverage(DiversityFunction):
     """Node v covers ``elements[ptr[v]:ptr[v + 1]]`` of ``size`` elements, each
     worth ``total / size``: the capital over an RR corpus, the hamming balls
     and out-degree.  Gains are uncovered counts times that one unit."""
-
-    name = "coverage"
 
     def __init__(self, ptr: np.ndarray, elements: np.ndarray, size: int, total: float):
         super().__init__(len(ptr) - 1)
@@ -146,8 +142,6 @@ class AttributeWiseDiversity(DiversityFunction):
     Each of the m attributes weighs 1/m.
     """
 
-    name = "aw"
-
     def __init__(self, profiles: ProfileSet, lam: float = 1.0):
         super().__init__(profiles.node_count)
         if not lam >= 1.0:
@@ -162,22 +156,24 @@ class AttributeWiseDiversity(DiversityFunction):
 
     def _gain(self, v: int) -> float:
         g = 0.0
-        for j, c in self.profiles.values_of(v):
-            g += self._weight * (self._counts[j][c] + 1.0) ** -self.lam
+        for i in self.profiles.values[v]:
+            g += self._weight * (self._counts[i] + 1.0) ** -self.lam
         return g
 
     def _apply(self, v: int) -> None:
-        for j, c in self.profiles.values_of(v):
-            self._value += self._weight * (self._counts[j][c] + 1.0) ** -self.lam
-            self._counts[j][c] += 1
+        for i in self.profiles.values[v]:
+            self._value += self._weight * (self._counts[i] + 1.0) ** -self.lam
+            self._counts[i] += 1
 
     def _reset(self) -> None:
         # Python ints: numpy scalar reads would cost more than the arithmetic
-        self._counts = [[0] * d for d in self.profiles.schema.domain_sizes()]
+        self._counts = [0] * len(self.profiles.value_counts)
         self._value = 0.0
 
     def max_value_for_budget(self, k: int) -> float:
-        return aw_theoretical_max(k, self.profiles.schema.domain_sizes(), self.lam)
+        # a seed set holds at most n nodes, however large the budget
+        return aw_theoretical_max(min(k, self.node_count), self.profiles.schema.domain_sizes(),
+                                  self.lam)
 
 
 def _ball_chunk(centre: np.ndarray, lo: np.ndarray, hi: np.ndarray, reach: np.ndarray,
@@ -275,8 +271,6 @@ class HammingBallDiversity(Coverage):
     Every ball is built once, at construction.
     """
 
-    name = "hamming"
-
     def __init__(self, graph: DiffusionGraph, profiles: ProfileSet, radius: int):
         if radius < 1:
             raise ConfigError("radius must be a positive integer")
@@ -298,35 +292,31 @@ class EntropyDiversity(DiversityFunction):
     partition instead of enumerating 0/1 tuples.
     """
 
-    name = "entropy"
-
     def __init__(self, profiles: ProfileSet):
         super().__init__(profiles.node_count)
         self.profiles = profiles
-        total = profiles.total_value_occurrences()
-        self._prior: dict[tuple[int, int], float] = {}
-        for j, counts in enumerate(profiles.value_counts):
-            for c in np.flatnonzero(counts):
-                self._prior[(j, int(c))] = float(counts[c]) / total
+        counts = profiles.value_counts
+        # per value id; a value no node has weighs 0.0 and never leaves group 0
+        self._prior = (counts / max(int(counts.sum()), 1)).tolist()
+        self._observed = int(np.count_nonzero(counts))
         self._reset()
 
     def _reset(self) -> None:
-        self._group_of = {val: 0 for val in self._prior}
-        self._mass = {0: 1.0}
-        self._size = {0: len(self._prior)}
-        self._next_gid = 1
+        # per value id its group; per group id its mass and its observed values
+        self._group_of = [0] * len(self._prior)
+        self._mass = [1.0]
+        self._size = [self._observed]
 
     def value(self) -> float:
-        return float(sum(_h(m) for m in self._mass.values()))
+        return float(sum(_h(m) for m in self._mass))
 
     def _split_masses(self, v: int) -> dict[int, tuple[float, int]]:
         """Per affected group: (mass moving to v's side, values moving)."""
         hit: dict[int, tuple[float, int]] = {}
-        # a value present on a node has a positive count, so it has a prior
-        for val in self.profiles.values_of(v):
-            gid = self._group_of[val]
+        for i in self.profiles.values[v]:
+            gid = self._group_of[i]
             mass, cnt = hit.get(gid, (0.0, 0))
-            hit[gid] = (mass + self._prior[val], cnt + 1)
+            hit[gid] = (mass + self._prior[i], cnt + 1)
         return hit
 
     def _gain(self, v: int) -> float:
@@ -344,16 +334,14 @@ class EntropyDiversity(DiversityFunction):
         for gid, (m_in, cnt) in hit.items():
             if cnt == self._size[gid]:
                 continue  # the group lies entirely inside v's profile and keeps its id
-            new_gid = self._next_gid
-            self._next_gid += 1
-            self._mass[new_gid] = m_in
-            self._size[new_gid] = cnt
+            moved_gids[gid] = len(self._mass)
+            self._mass.append(m_in)
+            self._size.append(cnt)
             self._mass[gid] -= m_in
             self._size[gid] -= cnt
-            moved_gids[gid] = new_gid
-        for val in self.profiles.values_of(v):
-            old = self._group_of[val]
-            self._group_of[val] = moved_gids.get(old, old)
+        for i in self.profiles.values[v]:
+            old = self._group_of[i]
+            self._group_of[i] = moved_gids.get(old, old)
 
     def max_value_for_budget(self, k: int) -> float:
         """min(k, H(prior)), at most log2 D over the D values of the domains.
@@ -363,7 +351,7 @@ class EntropyDiversity(DiversityFunction):
         and it coarsens the partition into single values, whose entropy is
         H(prior); no distribution over D values has more than log2 D bits.
         """
-        return min(float(k), sum(_h(p) for p in self._prior.values()))
+        return min(float(k), sum(_h(p) for p in self._prior))
 
 
 class ClassDiversity(DiversityFunction):
@@ -372,8 +360,6 @@ class ClassDiversity(DiversityFunction):
     Picking from a class that already holds reward mass R adds
     log2(1 + r / (1 + R)); fresh classes therefore dominate stale ones.
     """
-
-    name = "class"
 
     def __init__(self, classes: Sequence[int], rewards: Sequence[float]):
         super().__init__(len(classes))
@@ -419,8 +405,6 @@ class NumericDiversity(DiversityFunction):
     ``D(S) = sum_m log2(1 + sum_{u in S} pref[u, m] * g(u))`` with g
     either identically 1 or the node out-degree.
     """
-
-    name = "numeric"
 
     def __init__(self, preferences: np.ndarray, node_gains: np.ndarray):
         self.preferences = np.asarray(preferences, dtype=np.float64)

@@ -25,14 +25,13 @@ def seed_entropy(seed_set: Sequence[int], profiles: ProfileSet) -> float:
     """
     if not seed_set:
         raise UsageError("seed set must be non-empty")
-    counts = Counter(value for v in seed_set for value in profiles.values_of(v))
+    counts = Counter(i for v in seed_set for i in profiles.values[v])
     if not counts:
         return 0.0
     total = sum(counts.values())
     # summing negated terms keeps a one-value entropy at 0.0, not -0.0
     entropy = sum(-(c / total) * math.log2(c / total) for c in counts.values())
-    dom_total = profiles.schema.total_domain_size()
-    zeta = 1.0 / (1.0 + math.log2(dom_total / len(counts)))
+    zeta = 1.0 / (1.0 + math.log2(len(profiles.value_counts) / len(counts)))
     return entropy * zeta
 
 

@@ -1,8 +1,8 @@
 """Categorical node profiles: schema, loading, synthesis, discretization.
 
 A profile assigns each node at most one value per attribute; absent
-cells are missing.  Values are qualified internally by their attribute,
-so value "3" of attribute 1 never collides with value "3" of attribute 2.
+cells are missing.  Each (attribute, value) pair has one flat id, so
+value "3" of attribute 1 never collides with value "3" of attribute 2.
 """
 
 from __future__ import annotations
@@ -35,32 +35,33 @@ class Schema:
     def domain_sizes(self) -> list[int]:
         return [len(d) for d in self.domains]
 
-    def total_domain_size(self) -> int:
-        return sum(len(d) for d in self.domains)
-
 
 @dataclass
 class ProfileSet:
-    """Per-node sparse categorical tuples plus corpus-wide value counts."""
+    """Per-node sparse categorical tuples plus corpus-wide value counts.
+
+    Value c of attribute j has the flat id ``offset_j + c``, where offset_j
+    sums the earlier attributes' domain sizes, so the ids run over
+    0..D-1 for D values in all.  ``values[v]`` lists node v's present ids in
+    attribute order (Python ints: the greedy reads them one node at a
+    time), and ``value_counts[i]`` counts id i over all nodes.
+    """
 
     schema: Schema
     codes: np.ndarray            # (n, m) int32, MISSING where absent
-    value_counts: list[np.ndarray] = field(init=False)  # per attribute, len dom
+    values: list[list[int]] = field(init=False, repr=False)
+    value_counts: np.ndarray = field(init=False)     # length D
 
     def __post_init__(self):
-        self.value_counts = [np.bincount(col[col != MISSING], minlength=len(dom))
-                             for col, dom in zip(self.codes.T, self.schema.domains)]
+        sizes = self.schema.domain_sizes()
+        offsets = np.cumsum([0] + sizes[:-1])
+        ids = np.where(self.codes == MISSING, MISSING, self.codes + offsets)
+        self.values = [[i for i in row if i != MISSING] for row in ids.tolist()]
+        self.value_counts = np.bincount(ids[ids != MISSING], minlength=sum(sizes))
 
     @property
     def node_count(self) -> int:
         return self.codes.shape[0]
-
-    def values_of(self, v: int) -> list[tuple[int, int]]:
-        """Qualified (attribute index, value code) pairs present on v."""
-        return [(j, c) for j, c in enumerate(self.codes[v].tolist()) if c != MISSING]
-
-    def total_value_occurrences(self) -> int:
-        return int(sum(c.sum() for c in self.value_counts))
 
 
 def _node_cells(source, node_labels: list[str]

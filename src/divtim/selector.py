@@ -73,7 +73,6 @@ class SeedResult:
     target_total: float
     expected_capital: float
     diversity_value: float
-    diversity_name: str
     diversity_max: float | None
     timing_seconds: float
 
@@ -90,8 +89,7 @@ class SeedResult:
             if self.target_total <= 0:
                 raise ConfigError("cannot normalize without a target score total")
             if self.diversity_max is None:
-                raise ConfigError(
-                    f"diversity function {self.diversity_name!r} has no known maximum")
+                raise ConfigError("the diversity function has no known maximum")
             cap = cap / self.target_total
             div = div / self.diversity_max if self.diversity_max > 0 else 0.0
         return self.alpha * cap + (1 - self.alpha) * div
@@ -122,7 +120,7 @@ def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
                for v, (c, d), s in picks],
         alpha=alpha, k=k, theta=corpus.theta, target_total=corpus.target_total,
         expected_capital=capital.value(),
-        diversity_value=diversity.value(), diversity_name=diversity.name,
+        diversity_value=diversity.value(),
         diversity_max=diversity.max_value_for_budget(k),
         timing_seconds=time.perf_counter() - start,
     )

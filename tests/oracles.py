@@ -79,12 +79,16 @@ def hamming_value(graph, profiles, seed_set, radius) -> float:
 
 
 def _atom_prior(profiles) -> dict:
-    total = profiles.total_value_occurrences()
+    """(attribute, code) -> share of all present cells, counted from
+    ``codes`` and the domains, not from the profiles' value ids."""
+    codes = profiles.codes
+    total = int(np.count_nonzero(codes != MISSING))
     prior = {}
-    for j, counts in enumerate(profiles.value_counts):
-        for c, cnt in enumerate(counts):
+    for j, domain in enumerate(profiles.schema.domains):
+        for c in range(len(domain)):
+            cnt = int(np.count_nonzero(codes[:, j] == c))
             if cnt > 0:
-                prior[(j, int(c))] = cnt / total
+                prior[(j, c)] = cnt / total
     return prior
 
 

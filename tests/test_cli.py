@@ -633,7 +633,7 @@ def test_ell_past_its_bound_is_one_line_data_error(tmp_path, small_dataset, caps
     assert not (tmp_path / "out").exists()
 
 
-def _out_of_memory(*args):
+def _out_of_memory(*args, **kwargs):
     raise MemoryError
 
 
@@ -694,6 +694,32 @@ def test_simulate_out_of_memory_is_one_line(small_dataset, monkeypatch, capsys):
                  "--seeds", small_dataset["graph"].labels[0], "--runs", "10000000000"])
     assert code == 2
     assert capsys.readouterr().err == "out of memory: simulating 10000000000 runs\n"
+
+
+def test_bare_out_of_memory_names_the_command(tmp_path, small_dataset, monkeypatch, capsys):
+    monkeypatch.setattr("divtim.profiles.load_profiles", _out_of_memory)
+    code = main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), "--k", "2",
+                 "--theta-override", "300", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert capsys.readouterr().err == "out of memory: running select\n"
+
+
+def test_aw_maximum_for_a_budget_past_the_node_count(tmp_path):
+    # a seed set holds at most n nodes; a subprocess with a timeout, because a
+    # maximum summed over all k picks would not return for this k
+    (tmp_path / "edges.txt").write_text("a b 0.5\nb c 0.5\nc d 0.5\nd a 0.5\n", encoding="utf-8")
+    (tmp_path / "profiles.csv").write_text("node,x\na,1\nb,2\nc,1\nd,3\n", encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
+    proc = subprocess.run([sys.executable, "-m", "divtim.cli", "select", "--graph", "edges.txt",
+                           "--weight-mode", "explicit", "--profiles", "profiles.csv",
+                           "--diversity", "aw", "--k", "1000000000000", "--theta-override", "20",
+                           "--out", "out"], cwd=tmp_path, env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    doc = parse_result_doc(str(tmp_path / "out" / "seeds_k1000000000000_a0.5.txt"))
+    # four nodes over the values 1, 2, 1, 3: value 1 repeats once, 1 + 1 + 1 + 1/2
+    assert doc["diversity_max"] == "3.5"
 
 
 def test_early_stop_is_a_stats_line(tmp_path, monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from divtim.errors import ConfigError, FormatError
-from divtim.profiles import (MISSING, derive_numeric_preferences,
+from divtim.profiles import (MISSING, ProfileSet, derive_numeric_preferences,
                              load_numeric_matrix, load_profiles, quantile_discretize,
                              save_profiles, synth_profiles)
 
@@ -17,7 +17,8 @@ CHI2_9_P01 = 21.666
 def test_load_sparse_row():
     ps = load_profiles(io.StringIO("A1,A2,A3\na1,,c2\n"), node_labels=["0"])
     assert np.count_nonzero(ps.codes[0] != MISSING) == 2
-    assert ps.values_of(0) == [(0, 0), (2, 0)]
+    # the middle attribute has no values, so c2 follows a1 directly
+    assert ps.values[0] == [0, 1]
 
 
 def test_load_all_empty_row():
@@ -28,8 +29,24 @@ def test_load_all_empty_row():
 def test_global_value_counts():
     ps = load_profiles(io.StringIO("A1\na1\na1\nb\n"), node_labels=["0", "1", "2"])
     code_a1 = ps.schema.domains[0].index("a1")
-    assert ps.value_counts[0][code_a1] == 2
-    assert ps.total_value_occurrences() == 3
+    assert ps.value_counts[code_a1] == 2
+    assert ps.value_counts.sum() == 3
+
+
+def test_value_ids_are_offset_per_attribute():
+    full = synth_profiles(200, m=3, domain_sizes=[4, 1, 6], seed=5)
+    codes = full.codes.copy()
+    codes[::3, 1] = MISSING
+    codes[::5, 2] = MISSING
+    ps = ProfileSet(schema=full.schema, codes=codes)
+    offsets, sizes = [0, 4, 5], [4, 1, 6]
+    for v, ids in enumerate(ps.values):
+        present = [j for j in range(3) if codes[v, j] != MISSING]
+        assert ids == [offsets[j] + int(codes[v, j]) for j in present]
+        for j, i in zip(present, ids):
+            assert offsets[j] <= i < offsets[j] + sizes[j]
+    assert len(ps.value_counts) == sum(sizes)
+    assert ps.value_counts.sum() == np.count_nonzero(ps.codes != MISSING)
 
 
 def test_reload_idempotence(tmp_path):
@@ -57,7 +74,7 @@ def test_synth_uniform_chi_square():
     ps = synth_profiles(5000, m=10, domain_sizes=10, distribution="uniform", seed=7)
     expected = 5000 / 10
     for j in range(10):
-        counts = ps.value_counts[j]
+        counts = np.bincount(ps.codes[:, j], minlength=10)
         chi2 = float(np.sum((counts - expected) ** 2 / expected))
         assert chi2 < CHI2_9_P01
 
@@ -69,7 +86,7 @@ def test_synth_exponential_chi_square():
     weights = np.exp(-np.arange(size)) - np.exp(-np.arange(1, size + 1))
     weights /= 1.0 - np.exp(-size)
     expected = n * weights
-    counts = ps.value_counts[0]
+    counts = np.bincount(ps.codes[:, 0], minlength=size)
     chi2 = float(np.sum((counts - expected) ** 2 / expected))
     assert chi2 < CHI2_9_P01
 
