@@ -235,8 +235,8 @@ def hamming_balls(graph: DiffusionGraph, codes: np.ndarray, radius: int
     sizes, reached, done, pairs = [], [], 0, 0
     for lo in range(0, starts.size, per_call):
         hi = min(lo + per_call, starts.size)
-        keys = np.sort(live_edge_search(certain, "ic", True, hi - lo,
-                                        np.arange(hi - lo) * n + starts[lo:hi], rngs))
+        keys = np.sort(np.concatenate(list(live_edge_search(
+            certain, "ic", True, hi - lo, np.arange(hi - lo) * n + starts[lo:hi], rngs))))
         item, u = np.divmod(keys, n)
         sizes.append(np.bincount(item, minlength=hi - lo))
         reached.append(u)

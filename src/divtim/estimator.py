@@ -49,13 +49,6 @@ class EstimationParams:
     points: dict[tuple[int, float], tuple[selector.SeedResult, dict[str, float]]]
 
 
-def _hits(held_out: tuple[np.ndarray, ...], seeds: list[int], n: int) -> int:
-    """The held-out sets that hold a seed, over a mask of the n nodes."""
-    _, ptr, members = held_out
-    seeded = np.bincount(seeds, minlength=n) > 0
-    return int(np.count_nonzero(np.logical_or.reduceat(seeded.take(members), ptr[:-1])))
-
-
 def _ratio(corpus: sampler.RRCorpus, hits: int, res: selector.SeedResult,
            diversity: DiversityFunction, a: float) -> float:
     """R2's lower bound on F(S) over R1's upper one on F(O); ``diversity`` holds S."""
@@ -109,20 +102,18 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, ks: S
     corpora, points = {}, {}
     for k in ks:
         for theta in sizes:
-            corpus = sampler.RRCorpus(*r1.sets(theta), n, total)
-            held_out, picks = r2.sets(theta), {}
+            corpus, picks = r1.sets(theta), {}
             for alpha in sorted(alphas, key=lambda x: x != 1.0):
                 if alpha != 1.0 and theta < theta_cap and any(
                         ratio < target for _, ratio in picks.values()):
                     break
                 res = selector.build_seed_set(corpus, k, alpha, diversity)
-                picks[alpha] = res, _ratio(corpus, _hits(held_out, res.seeds, n), res, diversity, a)
+                picks[alpha] = res, _ratio(corpus, r2.hits(res.seeds, theta), res, diversity, a)
             passed = len(picks) == len(alphas) and all(r >= target for _, r in picks.values())
             if passed:
                 break
         for check in sizes[sizes.index(theta):]:
-            held_out = r2.sets(check)
-            hits = {alpha: _hits(held_out, res.seeds, n) for alpha, (res, _) in picks.items()}
+            hits = {alpha: r2.hits(res.seeds, check) for alpha, (res, _) in picks.items()}
             if all(alpha == 0.0 or check - h <= CAPITAL_RSE ** 2 * h * check
                    for alpha, h in hits.items()):
                 break

@@ -8,16 +8,15 @@ sets a seed set covers estimates its captured share of total target score.
 
 Sets are drawn in batches by one level-synchronous live-edge kernel,
 ``live_edge_search``, which also runs the forward Monte Carlo simulation.
-Both readers, the corpus that selects seeds and the held-out corpus that
-checks them, read one phase's sets by index through ``RRStream``: a batch
-always holds ``batch_size(n)`` sets and draws from its own stream keyed by
-(master seed, phase, batch id), however many batches one kernel call
-expands, so the first m sets of a corpus equal the m-set corpus.
+The corpus that selects seeds and the held-out one that checks them read
+their phase's sets through ``RRStream``: batch b holds ``batch_size(n)``
+sets drawn from the stream keyed by (master seed, phase, b) alone, so the
+first m sets of a corpus are the m-set corpus.
 """
 
 from __future__ import annotations
 
-from typing import TextIO
+from typing import Callable, Iterator, TextIO
 
 import numpy as np
 
@@ -81,12 +80,14 @@ def _distinct(keys: np.ndarray) -> np.ndarray:
 
 
 def _random(rngs: list[np.random.Generator], cut: np.ndarray) -> np.ndarray:
-    """``cut[j + 1] - cut[j]`` uniform draws from each ``rngs[j]``, in turn."""
-    return np.concatenate([rng.random(k) for rng, k in zip(rngs, np.diff(cut).tolist())])
+    """``cut[j + 1] - cut[j]`` uniform draws from each ``rngs[j]``, in turn; a stream
+    with none is not called, as ``random(0)`` would leave it where it is."""
+    draws = [rng.random(k) for rng, k in zip(rngs, np.diff(cut).tolist()) if k]
+    return np.concatenate(draws) if draws else np.empty(0)
 
 
 def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: int,
-                     start: np.ndarray, rngs: list[np.random.Generator]) -> np.ndarray:
+                     start: np.ndarray, rngs: list[np.random.Generator]) -> Iterator[np.ndarray]:
     """Everything reached over live edges in ``items`` independent draws per generator.
 
     A reached node is named by the key ``item * n + node``; ``start`` holds
@@ -98,8 +99,9 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
     the edge's ``[in_cum_lo, in_cum)`` (forward ``[out_cum_lo, out_cum_hi)``): at
     most one is, so a forward match is new.  IC deduplicates each level by
     ``_distinct``; reverse LT's levels are distinct and ascending, as its one
-    caller, ``RRStream``, starts each item from one root in key order.  Returns
-    every reached key, each level sorted.
+    caller, ``RRStream``, starts each item from one root in key order.  Yields
+    ``start``, then each level's new keys sorted, the last level empty, each once
+    its edge and draw arrays are freed.
     """
     n = graph.node_count
     ptr, heads, probs, lo, hi = (
@@ -113,8 +115,8 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
     else:
         seen = np.zeros(bounds[-1], dtype=bool)
         seen[start] = True
-    found, frontier = [start], start
-    while frontier.size:
+
+    def step(frontier: np.ndarray) -> np.ndarray:
         item, x = np.divmod(frontier, n)
         edge, owner = _expand(ptr[x], ptr[x + 1])
         if model == "ic":
@@ -130,85 +132,101 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
                 r = _random(rngs, np.searchsorted(frontier, bounds)).take(owner)
             live = (lo.take(edge) <= r) & (r < hi.take(edge))
         live = np.flatnonzero(live)
-        edge, owner = edge.take(live), owner.take(live)
-        keys = item.take(owner) * n + heads.take(edge)
+        keys = item.take(owner.take(live)) * n + heads.take(edge.take(live))
         if model == "lt" and forward:
-            frontier = np.sort(keys)
-        else:
-            frontier = keys.compress(~seen.take(keys))
-            frontier = frontier if model == "lt" else _distinct(frontier)
-            seen[frontier] = True
-        found.append(frontier)
-    return np.concatenate(found)
+            return np.sort(keys)
+        keys = keys.compress(~seen.take(keys))
+        keys = keys if model == "lt" else _distinct(keys)
+        seen[keys] = True
+        return keys
+
+    yield start
+    while start.size:
+        start = step(start)
+        yield start
 
 
 class RRStream:
-    """The reverse reachable sets of one phase, read as prefixes.
+    """The reverse reachable sets of one phase as one growing inverted index, read as prefixes.
 
-    Batch b holds sets ``b * size`` to ``(b + 1) * size - 1``, with ``size = batch_size(n)``,
-    and draws only from the stream keyed by (master seed, phase, b).  Batches are drawn whole,
-    in order, on demand, and kept, so a set is the same whatever prefix reads it; a read
-    expands the batches it lacks together, up to ``CALL_MASK_BYTES`` of mask per call.
+    Batches of ``size = batch_size(n)`` sets are drawn whole, in order, on demand, so a set is
+    the same whatever prefix reads it.  A read expands the batches it lacks together, up to
+    ``CALL_MASK_BYTES`` of mask per kernel call, and merges them into the index once: node v
+    lies in the drawn sets ``node_sets[node_ptr[v]:node_ptr[v + 1]]``, ascending.
     """
 
     def __init__(self, graph: DiffusionGraph, targets: TargetSet, model: str,
                  master_seed: int, phase: int):
         check_model(graph, model)
         self.graph, self.targets, self.model, self.name = graph, targets, model, PHASES[phase]
-        self.base = phase_seed(master_seed, phase)
-        self.size = batch_size(graph.node_count)
-        self.batches: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self.base, self.size = phase_seed(master_seed, phase), batch_size(graph.node_count)
+        self.drawn, self.node_sets = 0, np.empty(0, dtype=np.int32)
+        self.node_ptr = np.zeros(graph.node_count + 1, dtype=np.int64)
 
-    def _draw(self, ids: range) -> None:
-        n, size, rngs = self.graph.node_count, self.size, [stream(self.base, b) for b in ids]
-        roots = [sample_roots(self.targets, rng, size) for rng in rngs]
-        keys = live_edge_search(self.graph, self.model, False, size,
-                                np.arange(len(ids) * size) * n + np.concatenate(roots), rngs)
-        item, members = np.divmod(np.sort(keys), n)
-        widths = np.bincount(item, minlength=len(ids) * size).reshape(len(ids), size)
-        members = np.split(members.astype(np.int32), np.cumsum(widths.sum(axis=1))[:-1])
-        self.batches.extend(zip(roots, widths, members))
-
-    def sets(self, stop: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The first stop sets as ``(roots, set_ptr, members)``.
-
-        Set j has root ``roots[j]`` and members ``members[set_ptr[j]:set_ptr[j + 1]]``,
-        in ascending node order, its root included.
-        """
-        wanted = -(-stop // self.size)
-        per_call = max(1, CALL_MASK_BYTES // (self.size * self.graph.node_count))
+    def _read(self, stop: int) -> None:
+        n, size, first = self.graph.node_count, self.size, self.drawn // self.size
+        wanted, calls, counts = -(-stop // size), [], np.zeros(n, dtype=np.int64)
+        per_call = max(1, CALL_MASK_BYTES // (size * n))
         try:
-            for at in range(len(self.batches), wanted, per_call):
-                self._draw(range(at, min(at + per_call, wanted)))
-            roots, widths, members = (np.concatenate(part) for part in zip(*self.batches[:wanted]))
-            set_ptr = np.concatenate([[0], np.cumsum(widths)])
-            return roots[:stop], set_ptr[:stop + 1], members[:set_ptr[stop]]
+            for at in range(first, wanted, per_call):
+                rngs = [stream(self.base, b) for b in range(at, min(at + per_call, wanted))]
+                roots = np.concatenate([sample_roots(self.targets, rng, size) for rng in rngs])
+                levels = live_edge_search(self.graph, self.model, False, size,
+                                          np.arange(roots.size) * n + roots, rngs)
+                item, node = np.divmod(np.concatenate(list(levels)), n)
+                np.add.at(counts, node, 1)
+                # node * per_call * size + item, below a call's mask bytes: a node's sets in order
+                calls.append(np.sort((node * (per_call * size) + item).astype(np.int32)))
+            if not calls:
+                return
+            # each node's old sets, then its new ones call by call: a counting sort by node
+            new_ptr = np.concatenate([[0], np.cumsum(counts)])
+            node_sets = np.empty(self.node_sets.size + new_ptr[-1], dtype=np.int32)
+            node_sets[np.repeat(np.resize([True, False], 2 * n), np.stack(
+                [np.diff(self.node_ptr), counts], 1).ravel())] = self.node_sets
+            fill = self.node_ptr[1:] + new_ptr[:-1]
+            for c, keys in enumerate(calls):
+                node, item = np.divmod(keys, per_call * size)
+                slot = fill[node] + np.arange(node.size) - np.searchsorted(node, node)
+                node_sets[slot] = item + (self.drawn + c * per_call * size)
+                np.add.at(fill, node, 1)
         except MemoryError:
             raise MemoryError(f"drawing {stop} RR sets of the {self.name}") from None
+        self.node_ptr += new_ptr
+        self.node_sets, self.drawn = node_sets, wanted * size
+
+    def sets(self, stop: int) -> RRCorpus:
+        """The first stop sets: the index's set ids below stop, shared if that is all of it."""
+        self._read(stop)
+        node_ptr, node_sets = self.node_ptr, self.node_sets
+        targets, base, size = self.targets, self.base, self.size   # roots() must not hold self
+        if stop < self.drawn:
+            keep = node_sets < stop
+            node_ptr = node_ptr - np.searchsorted(np.flatnonzero(~keep), node_ptr)
+            node_sets = node_sets.compress(keep)
+        return RRCorpus(stop, node_ptr, node_sets, targets.total_score, lambda: np.concatenate(
+            [sample_roots(targets, stream(base, b), size) for b in range(-(-stop // size))])[:stop])
+
+    def hits(self, seeds: list[int], stop: int) -> int:
+        """How many of the first stop sets hold a seed: the distinct ids below stop in its lists."""
+        self._read(stop)
+        ids = np.concatenate([self.node_sets[:0]] + [
+            self.node_sets[self.node_ptr[v]:self.node_ptr[v + 1]] for v in seeds])
+        return int(_distinct(ids.compress(ids < stop)).size)
 
 
 class RRCorpus:
-    """The inverted index of a fixed collection of reverse reachable sets.
-
-    Node v lies in the sets ``node_sets[node_ptr[v]:node_ptr[v + 1]]``, in
-    ascending order, and set i has root ``roots[i]``; the sets' CSR arrays it is
-    built from are not kept.  ``target_total`` is the total target score the
-    roots were drawn by, and ``total_width`` the member count.
+    """The inverted index of theta reverse reachable sets: node v lies in the sets
+    ``node_sets[node_ptr[v]:node_ptr[v + 1]]``, ascending.  ``roots()`` draws their
+    roots again, as only the dump reads them; ``target_total`` is the total target
+    score they were drawn by, and ``total_width`` the member count.
     """
 
-    def __init__(self, roots, set_ptr, members, node_count: int, target_total: float):
-        self.roots = np.asarray(roots, dtype=np.int64)
-        self.theta = len(self.roots)
-        self.n_nodes = node_count
-        self.target_total = float(target_total)
-        # one sort of the distinct keys member * theta + set lists each node's sets in order
-        keys = np.multiply(np.asarray(members, dtype=np.int32), self.theta, dtype=np.int64)
-        keys += np.repeat(np.arange(self.theta, dtype=np.int32), np.diff(set_ptr))
-        keys.sort()
-        self.node_ptr = np.searchsorted(keys, np.arange(node_count + 1) * self.theta)
-        keys %= self.theta
-        self.node_sets = keys.astype(np.int32)
-        self.total_width = int(self.node_sets.size)
+    def __init__(self, theta: int, node_ptr: np.ndarray, node_sets: np.ndarray,
+                 target_total: float, roots: Callable[[], np.ndarray]):
+        self.theta, self.node_ptr, self.node_sets, self.roots = theta, node_ptr, node_sets, roots
+        self.n_nodes, self.target_total = len(node_ptr) - 1, float(target_total)
+        self.total_width = int(node_sets.size)
 
     def dump(self, sink: str | TextIO) -> None:
         """Debug dump, one line per set: ``id root member*`` (format unstable), each
@@ -217,7 +235,7 @@ class RRCorpus:
         members = np.repeat(np.arange(self.n_nodes), np.diff(self.node_ptr))[order].tolist()
         ptr = np.searchsorted(self.node_sets[order], np.arange(self.theta + 1)).tolist()
         with open_text(sink, "w") as fh:
-            for i, root in enumerate(self.roots.tolist()):
+            for i, root in enumerate(self.roots().tolist()):
                 fh.write(f"{i} {root} " + " ".join(map(str, members[ptr[i]:ptr[i + 1]])) + "\n")
 
 
@@ -227,5 +245,4 @@ def generate_corpus(graph: DiffusionGraph, targets: TargetSet, model: str,
     first m sets of a corpus equal the corpus of size m."""
     if theta < 1:
         raise ConfigError("theta must be at least 1")
-    return RRCorpus(*RRStream(graph, targets, model, master_seed, CORPUS_PHASE).sets(theta),
-                    graph.node_count, targets.total_score)
+    return RRStream(graph, targets, model, master_seed, CORPUS_PHASE).sets(theta)

@@ -37,7 +37,8 @@ def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
     Runs are drawn in full batches of ``batch_size(n)`` by the live-edge
     kernel; batch b draws from the stream keyed by (master seed, simulation
     phase, b), so a report is reproducible and its first m runs are those
-    of an m-run report.
+    of an m-run report.  Each level the kernel yields is added into its runs'
+    sums by ``np.add.at``, in the order one ``bincount`` over all keys adds.
     """
     seeds = sorted({int(v) for v in seeds})
     if not seeds:
@@ -52,15 +53,15 @@ def simulate(graph: DiffusionGraph, model: str, seeds, runs: int,
     n, size = graph.node_count, batch_size(graph.node_count)
     base = phase_seed(master_seed, SIM_PHASE)
     start = (np.arange(size)[:, None] * n + seeds).ravel()
-    spreads, capitals = [], []
     try:
-        for b in range(-(-runs // size)):
-            run, node = np.divmod(live_edge_search(graph, model, True, size, start,
-                                                   [stream(base, b)]), n)
-            spreads.append(np.bincount(run, minlength=size))
-            capitals.append(np.bincount(run, weights=target_score[node], minlength=size))
-        spreads = np.concatenate(spreads)[:runs]
-        capitals = np.concatenate(capitals)[:runs]
+        spreads = np.zeros((-(-runs // size), size), dtype=np.int64)
+        capitals = np.zeros(spreads.shape)
+        for b, (spread, capital) in enumerate(zip(spreads, capitals)):
+            for level in live_edge_search(graph, model, True, size, start, [stream(base, b)]):
+                run, node = np.divmod(level, n)
+                spread += np.bincount(run, minlength=size)
+                np.add.at(capital, run, target_score.take(node))
+        spreads, capitals = spreads.ravel()[:runs], capitals.ravel()[:runs]
     except MemoryError:
         raise MemoryError(f"simulating {runs} runs") from None
     return SimulationReport(

@@ -6,7 +6,10 @@ import pytest
 from divtim.diversity import Coverage
 from divtim.graph import DiffusionGraph, _assemble, load_graph
 from divtim.profiles import MISSING, ProfileSet, Schema
-from divtim.sampler import RRCorpus
+from divtim.rng import phase_seed, stream
+from divtim.sampler import RRCorpus, batch_size, live_edge_search, sample_roots
+
+from oracles import stable_argsort_index
 
 
 def make_graph(edges, mode="explicit", t=None) -> DiffusionGraph:
@@ -52,7 +55,7 @@ def mixed_components_graph(rng, n=300, tail=60) -> DiffusionGraph:
 
 def csr_from_sets(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``(roots, set_ptr, members)`` of hand-written (root, members) pairs, set
-    ids in list order, as ``RRStream.sets`` returns drawn sets."""
+    ids in list order, as ``drawn`` returns drawn sets."""
     set_ptr = np.cumsum([0] + [len(members) for _, members in sets])
     members = np.array([int(v) for _, mem in sets for v in mem], dtype=np.int32)
     return np.array([root for root, _ in sets], dtype=np.int64), set_ptr, members
@@ -64,7 +67,29 @@ def corpus_from_sets(sets, node_count, target_total) -> RRCorpus:
     List each set's members in ascending node order, as ``RRStream`` draws
     them: the corpus keeps only its inverted index, and its dump rebuilds each
     set from it in that order."""
-    return RRCorpus(*csr_from_sets(sets), node_count, target_total)
+    roots, set_ptr, members = csr_from_sets(sets)
+    return RRCorpus(len(roots), *stable_argsort_index(set_ptr, members, node_count),
+                    target_total, lambda: roots)
+
+
+def reach(graph, model, forward, items, start, rngs) -> np.ndarray:
+    """Every key ``live_edge_search`` reaches: its levels concatenated, each sorted."""
+    return np.concatenate(list(live_edge_search(graph, model, forward, items, start, rngs)))
+
+
+def drawn(graph, targets, model, master_seed, phase, stop):
+    """The first stop RR sets of a phase as ``(roots, set_ptr, members)``, set-major, each
+    set's members ascending: batch by batch from the kernel, as ``RRStream`` draws them."""
+    n, size, base = graph.node_count, batch_size(graph.node_count), phase_seed(master_seed, phase)
+    roots, keys = [], []
+    for b in range(-(-stop // size)):
+        rng = stream(base, b)
+        roots.append(sample_roots(targets, rng, size))
+        keys.append(np.sort(reach(graph, model, False, size, np.arange(size) * n + roots[-1],
+                                  [rng])) + b * size * n)
+    item, members = np.divmod(np.concatenate(keys), n)
+    set_ptr = np.searchsorted(item, np.arange(stop + 1))
+    return np.concatenate(roots)[:stop], set_ptr, members[:set_ptr[-1]].astype(np.int32)
 
 
 def coverage_fraction(corpus, seeds) -> float:

@@ -14,6 +14,8 @@ from divtim.cli import main, parse_result_doc
 from divtim.graph import (derive_targets_indegree, load_graph, load_node_weights, save_graph,
                           select_targets, synth_graph)
 
+from conftest import drawn
+
 
 @pytest.fixture
 def small_dataset(tmp_path):
@@ -561,7 +563,7 @@ def test_corpus_dump_lists_the_first_theta_sets_as_drawn(tmp_path, small_dataset
     theta = int(sizing[1]) if sizing[0] == "--theta-override" else int(doc["stats.theta"])
     g = load_graph(str(small_dataset["edges"]), "explicit")
     ts = select_targets(g, "top_percent", percent=25.0)
-    roots, set_ptr, members = sampler.RRStream(g, ts, model, 4, sampler.CORPUS_PHASE).sets(theta)
+    roots, set_ptr, members = drawn(g, ts, model, 4, sampler.CORPUS_PHASE, theta)
     lines = [f"{i} {root} " + " ".join(map(str, members[set_ptr[i]:set_ptr[i + 1]].tolist()))
              for i, root in enumerate(roots.tolist())]
     assert (out / "corpus.dump").read_text(encoding="utf-8") == "".join(f"{line}\n"

@@ -10,12 +10,12 @@ from divtim import sampler
 from divtim.errors import ConfigError
 from divtim.graph import _assemble, select_targets, synth_graph
 from divtim.rng import stream
-from divtim.sampler import (CORPUS_PHASE, RRCorpus, RRStream, _distinct, batch_size,
+from divtim.sampler import (CHECK_PHASE, CORPUS_PHASE, RRStream, _distinct, batch_size,
                             generate_corpus, live_edge_search, sample_roots)
 from divtim.simulator import simulate
 
 import oracles
-from conftest import corpus_from_sets, coverage_fraction, csr_from_sets, make_graph
+from conftest import corpus_from_sets, coverage_fraction, csr_from_sets, drawn, make_graph, reach
 
 # chi-square critical value, 3 degrees of freedom, p = 0.01
 CHI2_3_P01 = 11.345
@@ -23,8 +23,17 @@ CHI2_3_P01 = 11.345
 
 def drawn_sets(g, ts, model, theta, master_seed):
     """The members of each set that ``generate_corpus`` with these arguments indexes."""
-    _, set_ptr, members = RRStream(g, ts, model, master_seed, CORPUS_PHASE).sets(theta)
+    _, set_ptr, members = drawn(g, ts, model, master_seed, CORPUS_PHASE, theta)
     return np.split(members, set_ptr[1:-1])
+
+
+def same_index(corpus, sets, m):
+    """Whether corpus is the inverted index of the first m of ``sets = (roots, set_ptr, members)``."""
+    _, set_ptr, members = sets
+    node_ptr, node_sets = oracles.stable_argsort_index(set_ptr[:m + 1], members[:set_ptr[m]],
+                                                       len(corpus.node_ptr) - 1)
+    return (corpus.theta == m and np.array_equal(corpus.node_ptr, node_ptr)
+            and corpus.node_sets.dtype == np.int32 and np.array_equal(corpus.node_sets, node_sets))
 
 
 def sets_containing(corpus, v):
@@ -90,7 +99,7 @@ def test_rr_set_deterministic_chain():
     g = make_graph([("u", "v", 1.0)], t={"u": 0.1, "v": 1.0})
     ts = select_targets(g, "threshold", tau=0.5)
     corpus = generate_corpus(g, ts, "ic", 1, master_seed=1)
-    assert corpus.roots[0] == g.label_ids["v"]
+    assert corpus.roots()[0] == g.label_ids["v"]
     assert set(drawn_sets(g, ts, "ic", 1, 1)[0]) == {g.label_ids["u"], g.label_ids["v"]}
 
 
@@ -134,7 +143,7 @@ def test_reverse_lt_levels_are_distinct_without_a_dedupe():
         ts, n, size = targets_of(g), g.node_count, batch_size(g.node_count)
         for b in range(2):
             start = np.arange(size) * n + sample_roots(ts, stream(7, b), size)
-            got = live_edge_search(g, "lt", False, size, start, [np.random.default_rng(b)])
+            got = reach(g, "lt", False, size, start, [np.random.default_rng(b)])
             want = oracles.levelwise_reverse_lt(g, start, np.random.default_rng(b))
             assert got.dtype == want.dtype and np.array_equal(got, want)
 
@@ -163,7 +172,7 @@ def test_reverse_lt_matches_levelwise_oracle_on_interval_bounds():
         values = np.concatenate([np.zeros(n), g.in_cum,
                                  np.nextafter(g.in_cum[g.in_indptr[has + 1] - 1], 2.0)])
         start = np.arange(roots.size) * n + roots
-        got = live_edge_search(g, "lt", False, roots.size, start, [CycledDraws(values)])
+        got = reach(g, "lt", False, roots.size, start, [CycledDraws(values)])
         want = oracles.levelwise_reverse_lt(g, start, CycledDraws(values))
         assert got.dtype == want.dtype and np.array_equal(got, want)
         reached = np.bincount(got // n, minlength=roots.size) > 1
@@ -187,14 +196,14 @@ def test_forward_lt_matches_levelwise_oracle():
     for g in (ring_with_chords(), lt_graph_with_hub(1), scaled):
         for b in range(2):
             start = starts(g, b)
-            got = live_edge_search(g, "lt", True, items, start, [np.random.default_rng(b)])
+            got = reach(g, "lt", True, items, start, [np.random.default_rng(b)])
             want = oracles.levelwise_forward_lt(g, start, np.random.default_rng(b))
             assert got.dtype == want.dtype and np.array_equal(got, want)
         # two blocks in one call draw as two calls do
-        both = live_edge_search(g, "lt", True, items, np.concatenate(
+        both = reach(g, "lt", True, items, np.concatenate(
             [starts(g, 0), starts(g, 1) + items * g.node_count]),
             [np.random.default_rng(0), np.random.default_rng(1)])
-        apart = [live_edge_search(g, "lt", True, items, starts(g, b), [np.random.default_rng(b)])
+        apart = [reach(g, "lt", True, items, starts(g, b), [np.random.default_rng(b)])
                  for b in range(2)]
         apart[1] += items * g.node_count
         assert np.array_equal(np.sort(both), np.sort(np.concatenate(apart)))
@@ -205,7 +214,7 @@ def test_forward_lt_matches_levelwise_oracle():
     ties = np.concatenate([[0.0], scaled.in_cum[:4], [np.nextafter(scaled.in_cum[3], 2.0)]])
     for g, values in ((scaled, ties), (ring_with_chords(), np.unique(ring_with_chords().in_cum))):
         start = starts(g, 2)
-        got = live_edge_search(g, "lt", True, items, start, [CycledDraws(values[::-1])])
+        got = reach(g, "lt", True, items, start, [CycledDraws(values[::-1])])
         want = oracles.levelwise_forward_lt(g, start, CycledDraws(values[::-1]))
         assert np.array_equal(got, want) and got.size > start.size
 
@@ -228,16 +237,16 @@ def test_rr_stream_groups_batches_within_the_call_budget(model, monkeypatch):
     monkeypatch.setattr(sampler, "live_edge_search", counted)
     alone = RRStream(g, ts, model, 9, CORPUS_PHASE)
     for b in range(count):
-        roots_alone, ptr_alone, members_alone = alone.sets((b + 1) * size)
+        corpus_alone = alone.sets((b + 1) * size)
     assert [k for k, _ in calls] == [1] * count
     grouped = RRStream(g, ts, model, 9, CORPUS_PHASE)
     grouped.sets(2 * size - 3)
-    roots, set_ptr, members = grouped.sets(count * size)
+    corpus = grouped.sets(count * size)
     assert [k for k, _ in calls[count:]] == [2, per_call, 1] and per_call > 2
     assert max(mask for _, mask in calls) <= sampler.CALL_MASK_BYTES
-    assert np.array_equal(roots, roots_alone)
-    assert np.array_equal(set_ptr, ptr_alone)
-    assert np.array_equal(members, members_alone)
+    assert np.array_equal(corpus.roots(), corpus_alone.roots())
+    assert np.array_equal(corpus.node_ptr, corpus_alone.node_ptr)
+    assert np.array_equal(corpus.node_sets, corpus_alone.node_sets)
 
 
 def test_corpus_rejects_nonpositive_theta():
@@ -246,44 +255,89 @@ def test_corpus_rejects_nonpositive_theta():
         generate_corpus(g, targets_of(g), "ic", 0, master_seed=1)
 
 
-def _prefix(sets, m, node_count):
-    """The corpus of the first m of the sets ``(roots, set_ptr, members)``, indexed anew."""
-    roots, set_ptr, members = sets
-    return RRCorpus(roots[:m], set_ptr[:m + 1], members[:set_ptr[m]], node_count, 1.0)
-
-
 def test_corpus_prefix_equals_smaller_corpus():
     g = ring_with_chords()
     ts = targets_of(g)
     size = batch_size(g.node_count)
     for model in ("ic", "lt"):
-        large = RRStream(g, ts, model, 9, CORPUS_PHASE).sets(2 * size + 7)
-        roots, set_ptr, members = large
+        sets = drawn(g, ts, model, 9, CORPUS_PHASE, 2 * size + 7)
+        large = RRStream(g, ts, model, 9, CORPUS_PHASE)
+        large.sets(2 * size + 7)
         for m in (50, size, size + 1):
-            small_roots, small_ptr, small_members = RRStream(g, ts, model, 9, CORPUS_PHASE).sets(m)
-            assert np.array_equal(small_roots, roots[:m])
-            assert np.array_equal(small_ptr, set_ptr[:m + 1])
-            assert np.array_equal(small_members, members[:set_ptr[m]])
-            small = generate_corpus(g, ts, model, m, master_seed=9)
-            same = _prefix(large, m, g.node_count)
-            assert np.array_equal(same.node_ptr, small.node_ptr)
-            assert np.array_equal(same.node_sets, small.node_sets)
+            small, same = generate_corpus(g, ts, model, m, master_seed=9), large.sets(m)
+            assert np.array_equal(small.roots(), sets[0][:m])
+            assert np.array_equal(same.roots(), sets[0][:m])
+            assert same_index(small, sets, m) and same_index(same, sets, m)
 
 
-def test_rr_stream_reads_by_index():
+def test_rr_stream_reads_by_index(monkeypatch):
     # a set is the same whatever prefix reads it, longer or shorter than the last
     g = ring_with_chords()
     ts = targets_of(g)
     b = batch_size(g.node_count)
+    kernel, batches = sampler.live_edge_search, []
+
+    def counted(graph, model, forward, items, start, rngs):
+        batches.append(len(rngs))
+        return kernel(graph, model, forward, items, start, rngs)
+
+    monkeypatch.setattr(sampler, "live_edge_search", counted)
     for model in ("ic", "lt"):
-        all_roots, all_ptr, all_members = RRStream(g, ts, model, 9, CORPUS_PHASE).sets(2 * b + 7)
-        rr = RRStream(g, ts, model, 9, CORPUS_PHASE)
+        sets = drawn(g, ts, model, 9, CORPUS_PHASE, 2 * b + 7)
+        rr, batches[:] = RRStream(g, ts, model, 9, CORPUS_PHASE), []
         for stop in (b + 2, 5, 2 * b + 7, b):
-            roots, set_ptr, members = rr.sets(stop)
-            assert np.array_equal(roots, all_roots[:stop])
-            assert np.array_equal(set_ptr, all_ptr[:stop + 1])
-            assert np.array_equal(members, all_members[:all_ptr[stop]])
-        assert len(rr.batches) == 3     # each batch drawn once
+            corpus = rr.sets(stop)
+            assert np.array_equal(corpus.roots(), sets[0][:stop])
+            assert same_index(corpus, sets, stop)
+        assert sum(batches) == 3     # each batch drawn once
+
+
+def test_rr_stream_hits_count_the_prefix_sets_that_hold_a_seed():
+    g = synth_graph(300, 4, seed=21, score_mode="uniform")
+    ts = targets_of(g, tau=0.5)
+    for model in ("ic", "lt"):
+        rr = RRStream(g, ts, model, 5, CHECK_PHASE)
+        _, set_ptr, members = drawn(g, ts, model, 5, CHECK_PHASE, 2500)
+        sets = [set(m.tolist()) for m in np.split(members, set_ptr[1:-1])]
+        for seeds, stop in (([], 10), ([3], 2500), ([0, 7, 42], 900), ([0, 7, 42], 2500)):
+            assert rr.hits(seeds, stop) == sum(bool(s.intersection(seeds)) for s in sets[:stop])
+
+
+class CountedDraws:
+    """Stands in for a generator: records the size of each draw it is asked for."""
+
+    def __init__(self, seed):
+        self.rng, self.asked = np.random.default_rng(seed), []
+
+    def random(self, size):
+        self.asked.append(size)
+        return self.rng.random(size)
+
+
+@pytest.mark.parametrize("model, forward", [("ic", False), ("lt", False), ("lt", True)])
+def test_one_call_over_many_streams_draws_as_one_call_per_stream(model, forward):
+    # Most RR sets and runs die within a few levels while those through the
+    # hub go on, so most streams draw nothing on most levels: such a stream is
+    # not asked for zero draws, and each stream draws and reaches, level by
+    # level, what it draws and reaches in a call of its own.
+    g = lt_graph_with_hub(2)
+    n, streams, items = g.node_count, 40, 3
+    rng = np.random.default_rng(6)
+    starts = [np.arange(items) * n + rng.choice(n, items) for _ in range(streams)]
+    grouped = [CountedDraws(j) for j in range(streams)]
+    levels = list(live_edge_search(g, model, forward, items, np.concatenate(
+        [start + j * items * n for j, start in enumerate(starts)]), grouped))
+    alone = [CountedDraws(j) for j in range(streams)]
+    apart = [[level + j * items * n for level in live_edge_search(g, model, forward, items,
+                                                                  start, [alone[j]])]
+             for j, start in enumerate(starts)]
+    assert len(levels) == max(map(len, apart))
+    for depth, level in enumerate(levels):
+        assert np.array_equal(level, np.sort(np.concatenate(
+            [own[depth] for own in apart if depth < len(own)])))
+    assert [s.asked for s in grouped] == [s.asked for s in alone]
+    assert 0 not in [k for s in grouped for k in s.asked]
+    assert sum(map(len, (s.asked for s in grouped))) < streams * (len(levels) - 1) / 2
 
 
 def test_only_the_sampler_draws_rr_sets():
@@ -311,25 +365,41 @@ def test_sampler_dedupes_without_np_unique():
     assert not re.search(r"\bnp\.unique\b", source)
 
 
-def test_index_equals_stable_argsort_construction():
+def test_index_equals_stable_argsort_construction(monkeypatch):
+    # each read merges its new sets into the one index, which lists each
+    # node's sets as a stable argsort of the members does; a prefix is its set
+    # ids below m.  The kernel's sets on 9 nodes, then made-up ones on 1 to 3000
     rng = np.random.default_rng(8)
     g = ring_with_chords()
-    corpora = [(RRStream(g, targets_of(g), model, 3, CORPUS_PHASE).sets(700), g.node_count)
-               for model in ("ic", "lt")]
+    for model in ("ic", "lt"):
+        sets = drawn(g, targets_of(g), model, 3, CORPUS_PHASE, 3 * 2048)
+        rr = RRStream(g, targets_of(g), model, 3, CORPUS_PHASE)
+        for m in (700, 1, 2049, 3 * 2048, 2048):
+            assert same_index(rr.sets(m), sets, m)
+    made = []
+
+    def kernel(graph, model, forward, items, start, rngs):
+        n, first = graph.node_count, len(made)
+        made.extend(np.sort(rng.choice(n, int(rng.integers(0, min(n, 9) + 1)), replace=False))
+                    for _ in range(items * len(rngs)))
+        keys = np.concatenate([i * n + members for i, members in enumerate(made[first:])])
+        level = rng.random(keys.size) < 0.5
+        yield keys[level]
+        yield keys[~level]
+
+    monkeypatch.setattr(sampler, "live_edge_search", kernel)
     for n in (1, 40, 3000):
-        sets = [(0, np.sort(rng.choice(n, size=int(rng.integers(0, min(n, 9) + 1)),
-                                       replace=False)))
-                for _ in range(int(rng.integers(1, 400)))]
-        corpora.append((csr_from_sets(sets), n))
-    for sets, n in corpora:
-        roots, set_ptr, members = sets
-        for m in (0, 1, len(roots) // 3, len(roots)):
-            part = _prefix(sets, m, n)
-            node_ptr, node_sets = oracles.stable_argsort_index(set_ptr[:m + 1],
-                                                               members[:set_ptr[m]], n)
-            assert np.array_equal(part.node_ptr, node_ptr)
-            assert part.node_sets.dtype == node_sets.dtype == np.int32
-            assert np.array_equal(part.node_sets, node_sets)
+        labels = [str(v) for v in range(n)]
+        none = np.zeros(0, dtype=np.int64)
+        g = _assemble(labels, {v: i for i, v in enumerate(labels)}, none, none, np.zeros(0),
+                      np.ones(n))
+        rr, size, made[:] = RRStream(g, targets_of(g), "ic", 3, CORPUS_PHASE), batch_size(n), []
+        for stop in (size + 1, 1, 3 * size + 5, 2 * size):
+            corpus = rr.sets(stop)
+            sets = csr_from_sets([(0, members) for members in made])
+            assert same_index(corpus, sets, stop)
+            node_ptr, node_sets = oracles.stable_argsort_index(sets[1], sets[2], n)
+            assert np.array_equal(rr.node_ptr, node_ptr) and np.array_equal(rr.node_sets, node_sets)
 
 
 def test_corpus_forced_membership():
@@ -360,7 +430,7 @@ def test_root_scores_match_roots():
     ts = targets_of(g)
     corpus = generate_corpus(g, ts, "ic", 50, master_seed=6)
     assert corpus.target_total == ts.total_score == pytest.approx(1.6)
-    for root, members in zip(corpus.roots, drawn_sets(g, ts, "ic", 50, 6)):
+    for root, members in zip(corpus.roots(), drawn_sets(g, ts, "ic", 50, 6)):
         assert root in members
 
 
@@ -386,7 +456,8 @@ def test_coverage_fraction_and_scores():
 
 
 # sha256 of the corpus phase's first 2000 (roots, set_ptr, members) as
-# little-endian int64, and of the simulate report's repr, on
+# little-endian int64, drawn batch by batch as ``drawn`` does, and of the
+# simulate report's repr, on
 # synth_graph(300, 4, seed=21): a change here is a change of the draws,
 # and must be named as one
 GOLDEN_DRAWS = {
@@ -402,7 +473,7 @@ def test_draws_match_golden_digests(model):
     g = synth_graph(300, 4, seed=21, score_mode="uniform")
     ts = select_targets(g, "threshold", tau=0.5)
     digest = hashlib.sha256()
-    for a in RRStream(g, ts, model, 5, CORPUS_PHASE).sets(2000):     # two batches
+    for a in drawn(g, ts, model, 5, CORPUS_PHASE, 2000):     # two batches
         digest.update(a.astype("<i8").tobytes())
     report = simulate(g, model, [0, 7, 42, 99, 250], 2000, 5, ts)
     assert (digest.hexdigest(), hashlib.sha256(repr(report).encode()).hexdigest()) \
@@ -430,10 +501,19 @@ def test_index_matches_golden_digest(model):
 
 @pytest.mark.parametrize("model", ["ic", "lt"])
 def test_corpus_holds_only_its_index(model):
-    # node_sets (4 B per member), roots (8 B per set) and node_ptr (8 B per
-    # node plus one): no set-major copy of the members
+    # node_sets (4 B per member) and node_ptr (8 B per node plus one): no
+    # set-major copy of the members, and no roots, which are drawn again
     g = synth_graph(300, 4, seed=21, score_mode="uniform")
     ts = select_targets(g, "threshold", tau=0.5)
     corpus = generate_corpus(g, ts, model, 2000, master_seed=5)
     held = sum(a.nbytes for a in vars(corpus).values() if isinstance(a, np.ndarray))
-    assert held <= 4 * corpus.total_width + 8 * corpus.theta + 8 * (g.node_count + 1)
+    assert held <= 4 * corpus.total_width + 8 * (g.node_count + 1)
+    # and so does each phase's stream, after reads of R1's sets and R2's hits
+    r1, r2 = (RRStream(g, ts, model, 5, phase) for phase in (CORPUS_PHASE, CHECK_PHASE))
+    r1.sets(900)
+    r1.sets(2000)
+    r2.hits([0, 7], 1000)
+    r2.hits([0, 7], 4000)
+    for rr in (r1, r2):
+        held = sum(a.nbytes for a in vars(rr).values() if isinstance(a, np.ndarray))
+        assert rr.drawn >= 2000 and held <= 4 * rr.node_sets.size + 8 * (g.node_count + 1)

@@ -1,11 +1,16 @@
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from divtim.errors import ConfigError
-from divtim.graph import select_targets
-from divtim.simulator import simulate
+from divtim.graph import select_targets, synth_graph
+from divtim.rng import phase_seed, stream
+from divtim.sampler import batch_size
+from divtim.simulator import SIM_PHASE, SimulationReport, simulate
 
-from conftest import make_graph
+from conftest import make_graph, reach
 from oracles import exhaustive_expectation
 
 
@@ -125,3 +130,53 @@ def test_lt_rejects_overweight_node():
     with pytest.raises(ConfigError):
         simulate(g, "lt", [0], runs=5, master_seed=0,
                  targets=select_targets(g, "threshold", tau=0.0))
+
+
+def all_keys_report(graph, model, seeds, runs, master_seed, targets) -> SimulationReport:
+    """``simulate``'s report from all of each batch's keys, its levels concatenated,
+    counted per run by one ``bincount``."""
+    n, size = graph.node_count, batch_size(graph.node_count)
+    score = np.zeros(n)
+    score[targets.members] = graph.t[targets.members]
+    start = (np.arange(size)[:, None] * n + sorted(set(seeds))).ravel()
+    spreads, capitals = [], []
+    for b in range(-(-runs // size)):
+        keys = reach(graph, model, True, size, start, [stream(phase_seed(master_seed, SIM_PHASE), b)])
+        run, node = np.divmod(keys, n)
+        spreads.append(np.bincount(run, minlength=size))
+        capitals.append(np.bincount(run, weights=score[node], minlength=size))
+    spreads, capitals = np.concatenate(spreads)[:runs], np.concatenate(capitals)[:runs]
+    return SimulationReport(runs, float(spreads.mean()), float(capitals.mean()),
+                            float(spreads.std(ddof=1) / math.sqrt(runs)),
+                            float(capitals.std(ddof=1) / math.sqrt(runs)))
+
+
+@pytest.mark.parametrize("model", ["ic", "lt"])
+def test_level_by_level_sums_equal_one_bincount_over_all_keys(model):
+    # np.add.at adds each run's target scores in the order one bincount over
+    # all keys does, so the float sums are the same to the bit
+    g = synth_graph(600, 4, seed=5, score_mode="uniform")
+    g = g if model == "ic" else g.with_probs(g.b * 0.9)
+    g.t[:] = np.random.default_rng(3).uniform(1e-3, 1.0, g.node_count)
+    ts = select_targets(g, "threshold", tau=0.3)
+    runs = batch_size(g.node_count) + 7
+    seeds = [0, 11, 42, 99, 250, 512]
+    assert simulate(g, model, seeds, runs, 8, ts) == all_keys_report(g, model, seeds, runs, 8, ts)
+
+
+def test_simulate_holds_one_level_of_keys_at_a_time():
+    # Every run on a ring of certain edges reaches all n nodes, one a level,
+    # so the 8 B keys of a batch outweigh the rest of what simulate holds; it
+    # folds each level as the kernel yields it and never holds them all.
+    n = 2000
+    g = make_graph([(str(u), str((u + 1) % n), 1.0) for u in range(n)])
+    ts = select_targets(g, "threshold", tau=0.0)
+    runs = batch_size(n)
+    tracemalloc.start()
+    try:
+        report = simulate(g, "ic", [0], runs, 1, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mean_spread == n
+    assert peak < 8 * runs * n
