@@ -49,20 +49,17 @@ class EstimationParams:
     points: dict[tuple[int, float], tuple[selector.SeedResult, dict[str, float]]]
 
 
-def _ratio(corpus: sampler.RRCorpus, hits: int, res: selector.SeedResult,
+def _ratio(capital: Coverage, hits: int, res: selector.SeedResult,
            diversity: DiversityFunction, a: float) -> float:
-    """R2's lower bound on F(S) over R1's upper one on F(O); ``diversity`` holds S."""
-    alpha, u = res.alpha, corpus.target_total / corpus.theta
-    capital = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.target_total)
-    for v in res.seeds:
-        capital.commit(v)
+    """R2's lower bound on F(S) over R1's upper one; the greedy left both terms holding S."""
+    alpha, u = res.alpha, capital.unit
     gains = alpha * capital.gains()
     if alpha < 1.0:
         gains += (1 - alpha) * diversity.gains()
     upper = min(res.objective() / (1 - 1 / math.e),
                 res.objective() + float(np.sort(gains)[-res.k:].sum()))
     if alpha > 0.0:
-        x_max = min(corpus.theta, upper / (alpha * u))
+        x_max = min(capital.size, upper / (alpha * u))
         upper += alpha * u * (a + math.sqrt(2 * a * (x_max + a / 2)))
     low = (math.sqrt(hits + 2 * a / 9) - math.sqrt(a / 2)) ** 2 - a / 18
     lower = alpha * u * max(0.0, low) + (1 - alpha) * res.diversity_value
@@ -84,15 +81,16 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, ks: S
         raise ConfigError("theta cap must be at least 1")
     if len(set(ks)) < len(ks) or len(set(alphas)) < len(alphas):
         raise ConfigError("each k and each alpha must be listed once")
+    n, total = graph.node_count, targets.total_score
     if theta_override is not None:
         if theta_override < 1:
             raise ConfigError("theta override must be positive")
         corpus = sampler.generate_corpus(graph, targets, model, theta_override, master_seed)
+        capital = Coverage(corpus.node_ptr, corpus.node_sets, theta_override, total)
         return EstimationParams({k: corpus for k in ks}, theta_override, {
-            (k, alpha): (selector.build_seed_set(corpus, k, alpha, diversity), {})
+            (k, alpha): (selector.build_seed_set(capital, k, alpha, diversity), {})
             for k in ks for alpha in alphas})
 
-    n, total = graph.node_count, targets.total_score
     r1, r2 = (sampler.RRStream(graph, targets, model, master_seed, phase)
               for phase in (sampler.CORPUS_PHASE, sampler.CHECK_PHASE))
     first = min(theta_cap, r1.size)
@@ -103,12 +101,12 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, ks: S
     for k in ks:
         for theta in sizes:
             corpus, picks = r1.sets(theta), {}
+            capital = Coverage(corpus.node_ptr, corpus.node_sets, theta, total)
             for alpha in sorted(alphas, key=lambda x: x != 1.0):
-                if alpha != 1.0 and theta < theta_cap and any(
-                        ratio < target for _, ratio in picks.values()):
+                if theta < theta_cap and any(ratio < target for _, ratio in picks.values()):
                     break
-                res = selector.build_seed_set(corpus, k, alpha, diversity)
-                picks[alpha] = res, _ratio(corpus, r2.hits(res.seeds, theta), res, diversity, a)
+                res = selector.build_seed_set(capital, k, alpha, diversity)
+                picks[alpha] = res, _ratio(capital, r2.hits(res.seeds, theta), res, diversity, a)
             passed = len(picks) == len(alphas) and all(r >= target for _, r in picks.values())
             if passed:
                 break

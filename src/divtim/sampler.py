@@ -204,7 +204,7 @@ class RRStream:
             keep = node_sets < stop
             node_ptr = node_ptr - np.searchsorted(np.flatnonzero(~keep), node_ptr)
             node_sets = node_sets.compress(keep)
-        return RRCorpus(stop, node_ptr, node_sets, targets.total_score, lambda: np.concatenate(
+        return RRCorpus(stop, node_ptr, node_sets, lambda: np.concatenate(
             [sample_roots(targets, stream(base, b), size) for b in range(-(-stop // size))])[:stop])
 
     def hits(self, seeds: list[int], stop: int) -> int:
@@ -218,21 +218,20 @@ class RRStream:
 class RRCorpus:
     """The inverted index of theta reverse reachable sets: node v lies in the sets
     ``node_sets[node_ptr[v]:node_ptr[v + 1]]``, ascending.  ``roots()`` draws their
-    roots again, as only the dump reads them; ``target_total`` is the total target
-    score they were drawn by, and ``total_width`` the member count.
+    roots again, as only the dump reads them, and ``total_width`` is the member
+    count; the estimator turns a count of covered sets into capital.
     """
 
     def __init__(self, theta: int, node_ptr: np.ndarray, node_sets: np.ndarray,
-                 target_total: float, roots: Callable[[], np.ndarray]):
+                 roots: Callable[[], np.ndarray]):
         self.theta, self.node_ptr, self.node_sets, self.roots = theta, node_ptr, node_sets, roots
-        self.n_nodes, self.target_total = len(node_ptr) - 1, float(target_total)
         self.total_width = int(node_sets.size)
 
     def dump(self, sink: str | TextIO) -> None:
         """Debug dump, one line per set: ``id root member*`` (format unstable), each
         set's members rebuilt from the index in ascending node order, as drawn."""
-        order = np.argsort(self.node_sets, kind="stable")
-        members = np.repeat(np.arange(self.n_nodes), np.diff(self.node_ptr))[order].tolist()
+        order, counts = np.argsort(self.node_sets, kind="stable"), np.diff(self.node_ptr)
+        members = np.repeat(np.arange(counts.size), counts)[order].tolist()
         ptr = np.searchsorted(self.node_sets[order], np.arange(self.theta + 1)).tolist()
         with open_text(sink, "w") as fh:
             for i, root in enumerate(self.roots().tolist()):

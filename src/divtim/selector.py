@@ -4,8 +4,8 @@ A candidate's score is the weighted sum of its gains in the terms, tagged
 with the seed count at which it was computed.  By submodularity a stale
 score is an upper bound, so a popped candidate whose tag is current is
 the best choice and is committed without re-evaluation.  Seed selection
-maximizes ``alpha * capital + (1 - alpha) * diversity``; the capital is a
-``Coverage`` of the corpus's sets, each worth ``target_total / theta``.
+maximizes ``alpha * capital + (1 - alpha) * diversity``; the caller builds the
+capital, a ``Coverage`` of theta RR sets each worth ``target_total / theta``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ from typing import Sequence
 
 from .diversity import Coverage, DiversityFunction
 from .errors import ConfigError
-from .sampler import RRCorpus
 
 
 def lazy_greedy(k: int, terms: Sequence[tuple[float, DiversityFunction]]
@@ -95,32 +94,31 @@ class SeedResult:
         return self.alpha * cap + (1 - self.alpha) * div
 
 
-def build_seed_set(corpus: RRCorpus, k: int, alpha: float,
+def build_seed_set(capital: Coverage, k: int, alpha: float,
                    diversity: DiversityFunction) -> SeedResult:
     """Select up to k seeds with the lazy greedy over capital and diversity,
-    which is reset first; fewer once no node's combined gain is positive
-    (``select`` writes that count as ``stats.early_stop``)."""
+    both reset first and left holding the seeds; fewer once no node's combined
+    gain is positive (``select`` writes that count as ``stats.early_stop``)."""
     start = time.perf_counter()
-    if corpus.theta == 0:
+    if capital.size == 0:
         raise ConfigError("empty corpus")
     if not (0.0 <= alpha <= 1.0):
         raise ConfigError("alpha must lie in [0, 1]")
     if k < 1:
         raise ConfigError("budget k must be at least 1")
-    if diversity.node_count != corpus.n_nodes:
+    if diversity.node_count != capital.node_count:
         raise ConfigError("diversity function and corpus disagree on node count")
 
+    capital.reset()
     diversity.reset()
-    capital = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, corpus.target_total)
     picks = lazy_greedy(k, [(alpha, capital), (1 - alpha, diversity)])
 
     return SeedResult(
         seeds=[v for v, _, _ in picks],
         trace=[IterationTrace(node=v, capital_gain=c, diversity_gain=d, combined_gain=s)
                for v, (c, d), s in picks],
-        alpha=alpha, k=k, theta=corpus.theta, target_total=corpus.target_total,
-        expected_capital=capital.value(),
-        diversity_value=diversity.value(),
+        alpha=alpha, k=k, theta=capital.size, target_total=capital.total,
+        expected_capital=capital.value(), diversity_value=diversity.value(),
         diversity_max=diversity.max_value_for_budget(k),
         timing_seconds=time.perf_counter() - start,
     )

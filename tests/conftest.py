@@ -61,7 +61,7 @@ def csr_from_sets(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array([root for root, _ in sets], dtype=np.int64), set_ptr, members
 
 
-def corpus_from_sets(sets, node_count, target_total) -> RRCorpus:
+def corpus_from_sets(sets, node_count) -> RRCorpus:
     """Corpus from hand-written (root, members) pairs, set ids in list order.
 
     List each set's members in ascending node order, as ``RRStream`` draws
@@ -69,7 +69,12 @@ def corpus_from_sets(sets, node_count, target_total) -> RRCorpus:
     set from it in that order."""
     roots, set_ptr, members = csr_from_sets(sets)
     return RRCorpus(len(roots), *stable_argsort_index(set_ptr, members, node_count),
-                    target_total, lambda: roots)
+                    lambda: roots)
+
+
+def capital_of(corpus, total) -> Coverage:
+    """The capital ``estimate_params`` builds on a corpus: each set worth total / theta."""
+    return Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, float(total))
 
 
 def reach(graph, model, forward, items, start, rngs) -> np.ndarray:

@@ -412,12 +412,13 @@ def _capital_score(set_ids, covered, unit) -> float:
     return unit * sum(1 for i in set_ids if not covered[i])
 
 
-def reference_seed_set(corpus, k, alpha, diversity, lazy=True):
-    """The lazy (CELF) or eager greedy with each node's capital gain counted
-    in Python over its own list of uncovered set ids.  Returns the seeds and
-    the per-round ``(capital, diversity, combined)`` gains."""
-    n = corpus.n_nodes
-    unit = corpus.target_total / corpus.theta
+def reference_seed_set(corpus, total, k, alpha, diversity, lazy=True):
+    """The lazy (CELF) or eager greedy with each node's capital gain, each
+    set worth total / theta, counted in Python over its own list of uncovered
+    set ids.  Returns the seeds and the per-round ``(capital, diversity,
+    combined)`` gains."""
+    n = len(corpus.node_ptr) - 1
+    unit = float(total) / corpus.theta
     covered = np.zeros(corpus.theta, dtype=bool)
     ptr, ids = corpus.node_ptr.tolist(), corpus.node_sets.tolist()
     remaining = [ids[ptr[v]:ptr[v + 1]] for v in range(n)]   # lazy mode drops covered ids

@@ -25,7 +25,8 @@ from divtim.selector import build_seed_set
 from divtim.simulator import simulate
 
 import oracles
-from conftest import corpus_from_sets, coverage_fraction, make_graph, make_profiles
+from conftest import (capital_of, corpus_from_sets, coverage_fraction, make_graph,
+                      make_profiles)
 from oracles import (exhaustive_expectation, hamming_sum_halved, hamming_sum_pairnorm,
                      hamming_sum_score, jaccard_sum_score, mismatch_pair_score)
 
@@ -89,12 +90,12 @@ def _random_instance(rng, n):
     return ps, g
 
 
-def _manual_corpus(rng, n, theta, t):
+def _manual_corpus(rng, n, theta):
     sets = []
     for i in range(theta):
         members = sorted({int(x) for x in rng.integers(0, n, size=rng.integers(1, 5))})
         sets.append((int(rng.choice(members)), members))
-    return corpus_from_sets(sets, n, target_total=float(t.sum()))
+    return corpus_from_sets(sets, n)
 
 
 def _random_diversity(rng, n, ps, g):
@@ -345,16 +346,17 @@ def test_c07_greedy_near_optimality_on_fixed_corpus():
         n = int(rng.integers(5, 13))
         ps, g = _random_instance(rng, n)
         t = rng.uniform(0.1, 1.0, size=n)
-        corpus = _manual_corpus(rng, n, theta=int(rng.integers(15, 60)), t=t)
+        corpus = _manual_corpus(rng, n, theta=int(rng.integers(15, 60)))
+        capital = capital_of(corpus, t.sum())
         k = int(rng.integers(1, 4))
         alpha = float(rng.uniform(0, 1))
         div = _random_diversity(rng, n, ps, g)
-        res = build_seed_set(corpus, k, alpha, div)
+        res = build_seed_set(capital, k, alpha, div)
         achieved = res.objective()
 
         best = 0.0
         for combo in itertools.combinations(range(n), k):
-            cov = corpus.target_total * coverage_fraction(corpus, combo)
+            cov = capital.total * coverage_fraction(corpus, combo)
             fresh = _fresh_like(div, ps, g)
             for v in combo:
                 fresh.commit(v)
@@ -402,13 +404,13 @@ def test_c09_lazy_greedy_equivalence():
         n = int(rng.integers(5, 12))
         ps, g = _random_instance(rng, n)
         t = rng.uniform(0.1, 1.0, size=n)
-        corpus = _manual_corpus(rng, n, theta=int(rng.integers(10, 70)), t=t)
+        corpus = _manual_corpus(rng, n, theta=int(rng.integers(10, 70)))
         alpha = float(rng.uniform(0, 1))
         k = int(rng.integers(1, 5))
         div = _random_diversity(rng, n, ps, g)
-        lazy = build_seed_set(corpus, k, alpha, _fresh_like(div, ps, g))
-        eager, _ = oracles.reference_seed_set(corpus, k, alpha, _fresh_like(div, ps, g),
-                                              lazy=False)
+        lazy = build_seed_set(capital_of(corpus, t.sum()), k, alpha, _fresh_like(div, ps, g))
+        eager, _ = oracles.reference_seed_set(corpus, t.sum(), k, alpha,
+                                              _fresh_like(div, ps, g), lazy=False)
         assert lazy.seeds == eager, (trial, lazy.seeds, eager)
     _verdict(9, True, "lazy greedy and reference eager greedy pick identical seeds on 200 "
                       "random instances")
@@ -567,11 +569,11 @@ def test_trend_seed_entropy_ordering():
                             seed=seed)
         rng = np.random.default_rng(seed)
         classes = rng.integers(0, 4, size=60)
-        corpus = generate_corpus(g, ts, "ic", 300, master_seed=seed)
+        capital = capital_of(generate_corpus(g, ts, "ic", 300, master_seed=seed), ts.total_score)
         for name, div in (("aw", AttributeWiseDiversity(ps)),
                           ("entropy", EntropyDiversity(ps)),
                           ("class", ClassDiversity(classes, np.ones(60)))):
-            res = build_seed_set(corpus, 8, 0.0, div)
+            res = build_seed_set(capital, 8, 0.0, div)
             sums[name] += seed_entropy(res.seeds, ps)
     assert sums["aw"] >= sums["entropy"] >= sums["class"]
     print(f"TREND: PASS - mean seed entropy ordering aw >= entropy >= class "

@@ -1,9 +1,10 @@
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
-from divtim.diversity import AttributeWiseDiversity, Coverage
+from divtim.diversity import AttributeWiseDiversity, Coverage, HammingBallDiversity
 from divtim.errors import ConfigError
 from divtim.estimator import CAPITAL_RSE, DEFAULT_THETA_CAP, MAX_ELL, estimate_params
 from divtim.graph import select_targets, synth_graph
@@ -11,7 +12,7 @@ from divtim.profiles import synth_profiles
 from divtim.sampler import batch_size, generate_corpus
 from divtim.selector import build_seed_set
 
-from conftest import corpus_from_sets, coverage_fraction, csr_from_sets, make_graph
+from conftest import capital_of, corpus_from_sets, coverage_fraction, csr_from_sets, make_graph
 from oracles import exhaustive_expectation, reference_greedy_cover
 
 TARGET = 1 - 1 / math.e
@@ -148,11 +149,11 @@ def test_greedy_cover_matches_eager_reference():
         n = int(rng.integers(1, 9))
         sets = [(0, list(np.unique(rng.integers(0, n, size=rng.integers(1, 4)))))
                 for _ in range(int(rng.integers(1, 25)))]
-        corpus = corpus_from_sets(sets, n, 1.0)
+        capital = capital_of(corpus_from_sets(sets, n), 1.0)
         k = int(rng.integers(1, n + 2))
         _, set_ptr, members = csr_from_sets(sets)
         expect = reference_greedy_cover(set_ptr, members, n, k)
-        assert build_seed_set(corpus, k, 1.0, _nothing(n)).seeds == expect, trial
+        assert build_seed_set(capital, k, 1.0, _nothing(n)).seeds == expect, trial
 
 
 def test_estimate_params_pipeline_and_override():
@@ -206,3 +207,39 @@ def test_expected_capital_unbiased_with_spread_scores():
         p = exact / ts.total_score
         stderr = ts.total_score * math.sqrt(p * (1 - p) / corpus.theta)
         assert abs(estimate - exact) <= 4 * stderr, (trial, estimate, exact, stderr)
+
+
+def _golden_digest(params):
+    """sha256 of the repr of every value ``estimate_params`` returned, point by point."""
+    digest = hashlib.sha256(repr(params.theta).encode())
+    for (k, alpha), (res, stats) in params.points.items():
+        digest.update(repr((k, alpha, res.seeds, [(t.node, t.capital_gain, t.diversity_gain,
+                                                   t.combined_gain) for t in res.trace],
+                            res.expected_capital, res.diversity_value, res.diversity_max,
+                            res.theta, res.target_total, sorted(stats.items()))).encode())
+    return digest.hexdigest()
+
+
+# _golden_digest on three micro-instances: an IC sized aw grid and an LT sized
+# hamming run on edges scaled to 0.9, both over several doubling rounds, and an
+# IC theta override; a change here is a change of the seeds, their gains or the
+# sizing's floats, and must be named as one
+GOLDEN_ESTIMATES = {
+    "ic-sized": "2fdc1ff8c85533b4f4afa140ef410c8afbbd3a6213a059a6af4a844b4ba9cb3e",
+    "lt-sized": "6eb952ec661fa3ad38bc00904ce76dce21c52ccbcafed70be4cd637610ba84da",
+    "ic-override": "6e4f409225f90a73ae6f668a933ce73fd42a99e0cc078b54b9e63490d6327a71",
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_ESTIMATES))
+def test_estimates_match_golden_digests(case):
+    g, ts, ps = _instance(n=60, seed=11)
+    if case == "ic-sized":
+        params = _sized(g, ts, ps, ks=(2, 4), epsilon=0.05, seed=12)
+    elif case == "lt-sized":
+        g = g.with_probs(g.b * 0.9)
+        params = estimate_params(g, ts, "lt", [3], [0.25, 1.0], HammingBallDiversity(g, ps, 1),
+                                 epsilon=0.05, master_seed=13)
+    else:
+        params = _sized(g, ts, ps, ks=(2, 4), seed=14, theta_override=500)
+    assert _golden_digest(params) == GOLDEN_ESTIMATES[case]

@@ -15,7 +15,8 @@ from divtim.sampler import (CHECK_PHASE, CORPUS_PHASE, RRStream, _distinct, batc
 from divtim.simulator import simulate
 
 import oracles
-from conftest import corpus_from_sets, coverage_fraction, csr_from_sets, drawn, make_graph, reach
+from conftest import (capital_of, corpus_from_sets, coverage_fraction, csr_from_sets, drawn,
+                      make_graph, reach)
 
 # chi-square critical value, 3 degrees of freedom, p = 0.01
 CHI2_3_P01 = 11.345
@@ -429,7 +430,10 @@ def test_root_scores_match_roots():
     g = make_graph([("0", "1", 0.5)], t={"0": 0.7, "1": 0.9})
     ts = targets_of(g)
     corpus = generate_corpus(g, ts, "ic", 50, master_seed=6)
-    assert corpus.target_total == ts.total_score == pytest.approx(1.6)
+    capital = capital_of(corpus, ts.total_score)     # every set holds its root, 0 or 1
+    capital.commit(0)
+    capital.commit(1)
+    assert capital.value() == ts.total_score == pytest.approx(1.6)
     for root, members in zip(corpus.roots(), drawn_sets(g, ts, "ic", 50, 6)):
         assert root in members
 
@@ -448,11 +452,14 @@ def test_lt_chain_follows_single_pick():
 
 
 def test_coverage_fraction_and_scores():
-    corpus = corpus_from_sets([(0, [0, 1]), (2, [2]), (0, [0])], 3, target_total=1.75)
+    corpus = corpus_from_sets([(0, [0, 1]), (2, [2]), (0, [0])], 3)
     assert coverage_fraction(corpus, [0]) == pytest.approx(2 / 3)
     assert coverage_fraction(corpus, [2]) == pytest.approx(1 / 3)
     assert coverage_fraction(corpus, [0, 2]) == 1.0
-    assert corpus.target_total == 1.75
+    capital = capital_of(corpus, 1.75)
+    capital.commit(0)
+    capital.commit(2)
+    assert capital.value() == 1.75
 
 
 # sha256 of the corpus phase's first 2000 (roots, set_ptr, members) as
@@ -506,6 +513,8 @@ def test_corpus_holds_only_its_index(model):
     g = synth_graph(300, 4, seed=21, score_mode="uniform")
     ts = select_targets(g, "threshold", tau=0.5)
     corpus = generate_corpus(g, ts, model, 2000, master_seed=5)
+    # the estimator turns a count of covered sets into capital, so no total lives here
+    assert sorted(vars(corpus)) == ["node_ptr", "node_sets", "roots", "theta", "total_width"]
     held = sum(a.nbytes for a in vars(corpus).values() if isinstance(a, np.ndarray))
     assert held <= 4 * corpus.total_width + 8 * (g.node_count + 1)
     # and so does each phase's stream, after reads of R1's sets and R2's hits

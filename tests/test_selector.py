@@ -14,13 +14,9 @@ from divtim.profiles import synth_profiles
 from divtim.sampler import generate_corpus
 from divtim.selector import build_seed_set, lazy_greedy
 
-from conftest import (corpus_from_sets, coverage_fraction, make_graph, make_profiles,
-                      random_profiles)
+from conftest import (capital_of, corpus_from_sets, coverage_fraction, make_graph,
+                      make_profiles, random_profiles)
 from oracles import reference_seed_set
-
-
-def manual_corpus(sets, n, target_total=None):
-    return corpus_from_sets(sets, n, float(n) if target_total is None else target_total)
 
 
 def flat_profiles(n, m=2, d=4, seed=0):
@@ -31,9 +27,9 @@ def flat_profiles(n, m=2, d=4, seed=0):
 def test_hand_traced_coverage_pick():
     # node 0 sits in all three sets, node 1 in one; alpha=1, k=1 -> pick node 0
     # with gain T * 3/3 = 4.0 (target total 4, all three sets covered)
-    corpus = manual_corpus([(3, [0, 3]), (3, [0, 1, 3]), (3, [0, 3])], n=4)
+    corpus = corpus_from_sets([(3, [0, 3]), (3, [0, 1, 3]), (3, [0, 3])], 4)
     div = AttributeWiseDiversity(flat_profiles(4))
-    res = build_seed_set(corpus, 1, 1.0, div)
+    res = build_seed_set(capital_of(corpus, 4.0), 1, 1.0, div)
     assert res.seeds == [0]
     assert res.trace[0].capital_gain == pytest.approx(4.0)
 
@@ -45,9 +41,9 @@ def test_alpha_one_equals_pure_weighted_coverage():
              list(np.unique(rng.integers(0, n, size=rng.integers(1, 5)))))
             for _ in range(theta)]
     t = rng.uniform(0.1, 1.0, size=n)
-    corpus = manual_corpus(sets, n, target_total=float(t.sum()))
+    capital = capital_of(corpus_from_sets(sets, n), t.sum())
     div = AttributeWiseDiversity(flat_profiles(n))
-    res = build_seed_set(corpus, 3, 1.0, div)
+    res = build_seed_set(capital, 3, 1.0, div)
 
     # independent greedy max-coverage: roots were drawn by target score,
     # so every set weighs the same
@@ -70,8 +66,8 @@ def test_alpha_one_equals_pure_weighted_coverage():
 def test_alpha_zero_equals_pure_diversity_greedy():
     n = 8
     ps = flat_profiles(n, m=2, d=3, seed=2)
-    corpus = manual_corpus([(0, [0])], n)  # corpus is irrelevant at alpha=0
-    res = build_seed_set(corpus, 4, 0.0, AttributeWiseDiversity(ps))
+    capital = capital_of(corpus_from_sets([(0, [0])], n), n)  # irrelevant at alpha=0
+    res = build_seed_set(capital, 4, 0.0, AttributeWiseDiversity(ps))
 
     ref = AttributeWiseDiversity(ps)
     expect = []
@@ -96,12 +92,13 @@ def test_lazy_equals_eager_on_random_instances():
                  list(np.unique(rng.integers(0, n, size=rng.integers(1, 6)))))
                 for _ in range(theta)]
         t = rng.uniform(0.1, 1.0, size=n)
-        corpus = manual_corpus(sets, n, target_total=float(t.sum()))
+        corpus = corpus_from_sets(sets, n)
         ps = flat_profiles(n, seed=trial)
         alpha = float(rng.uniform(0, 1))
         k = int(rng.integers(1, 5))
-        lazy = build_seed_set(corpus, k, alpha, AttributeWiseDiversity(ps))
-        eager, _ = reference_seed_set(corpus, k, alpha, AttributeWiseDiversity(ps), lazy=False)
+        lazy = build_seed_set(capital_of(corpus, t.sum()), k, alpha, AttributeWiseDiversity(ps))
+        eager, _ = reference_seed_set(corpus, t.sum(), k, alpha, AttributeWiseDiversity(ps),
+                                      lazy=False)
         assert lazy.seeds == eager
 
 
@@ -110,8 +107,9 @@ def test_alpha_trades_capital_for_diversity():
     g = synth_graph(500, 4, seed=7, score_mode="uniform")
     targets = select_targets(g, "top_percent", percent=25)
     ps = synth_profiles(500, m=10, domain_sizes=10, distribution="exponential", seed=7)
-    corpus = generate_corpus(g, targets, "ic", 20_000, master_seed=7)
-    res = {alpha: build_seed_set(corpus, 10, alpha, AttributeWiseDiversity(ps))
+    capital = capital_of(generate_corpus(g, targets, "ic", 20_000, master_seed=7),
+                         targets.total_score)
+    res = {alpha: build_seed_set(capital, 10, alpha, AttributeWiseDiversity(ps))
            for alpha in (0.0, 0.5, 1.0)}
     assert res[1.0].expected_capital >= res[0.0].expected_capital
     assert res[0.0].diversity_value >= res[1.0].diversity_value
@@ -124,17 +122,17 @@ def test_selection_deterministic():
     ps = flat_profiles(10, seed=3)
     runs = []
     for _ in range(2):
-        corpus = generate_corpus(g, ts, "ic", 300, master_seed=21)
-        res = build_seed_set(corpus, 3, 0.6, AttributeWiseDiversity(ps))
+        capital = capital_of(generate_corpus(g, ts, "ic", 300, master_seed=21), ts.total_score)
+        res = build_seed_set(capital, 3, 0.6, AttributeWiseDiversity(ps))
         runs.append((res.seeds, res.expected_capital, res.diversity_value))
     assert runs[0] == runs[1]
 
 
 def test_zero_gain_nodes_never_selected():
     # only node 0 covers anything; profiles identical so diversity saturates
-    corpus = manual_corpus([(0, [0])], n=3)
+    capital = capital_of(corpus_from_sets([(0, [0])], 3), 3.0)
     ps = make_profiles([(0,), (0,), (0,)], domain_sizes=[1])
-    res = build_seed_set(corpus, 3, 1.0, AttributeWiseDiversity(ps))
+    res = build_seed_set(capital, 3, 1.0, AttributeWiseDiversity(ps))
     assert res.seeds == [0] and res.k == 3
 
 
@@ -143,25 +141,26 @@ def test_trace_gains_sum_to_objective_components():
     n, theta = 8, 40
     sets = [(int(rng.integers(0, n)),
              list(np.unique(rng.integers(0, n, size=3)))) for _ in range(theta)]
-    corpus = manual_corpus(sets, n)
+    capital = capital_of(corpus_from_sets(sets, n), n)
     ps = flat_profiles(n, seed=9)
-    res = build_seed_set(corpus, 4, 0.5, AttributeWiseDiversity(ps))
+    res = build_seed_set(capital, 4, 0.5, AttributeWiseDiversity(ps))
     assert sum(s.capital_gain for s in res.trace) == pytest.approx(res.expected_capital)
     assert sum(s.diversity_gain for s in res.trace) == pytest.approx(
         res.diversity_value, abs=1e-9)
 
 
 def test_covered_ids_grow_and_match():
-    corpus = manual_corpus([(0, [0, 1]), (1, [1]), (2, [2])], n=3)
+    corpus = corpus_from_sets([(0, [0, 1]), (1, [1]), (2, [2])], 3)
+    capital = capital_of(corpus, 3.0)
     ps = flat_profiles(3)
-    res = build_seed_set(corpus, 2, 1.0, AttributeWiseDiversity(ps))
-    assert res.expected_capital == corpus.target_total * coverage_fraction(corpus, res.seeds)
+    res = build_seed_set(capital, 2, 1.0, AttributeWiseDiversity(ps))
+    assert res.expected_capital == capital.total * coverage_fraction(corpus, res.seeds)
 
 
 def test_objective_value_mixing():
-    corpus = manual_corpus([(0, [0])], n=2, target_total=8.0)
+    capital = capital_of(corpus_from_sets([(0, [0])], 2), 8.0)
     ps = make_profiles([(0,), (1,)], domain_sizes=[2])
-    res = build_seed_set(corpus, 1, 1.0, AttributeWiseDiversity(ps))
+    res = build_seed_set(capital, 1, 1.0, AttributeWiseDiversity(ps))
     res.expected_capital, res.diversity_value = 4.0, 2.0
     assert replace(res, alpha=1.0).objective() == 4.0
     assert replace(res, alpha=0.0).objective() == 2.0
@@ -169,31 +168,32 @@ def test_objective_value_mixing():
 
 
 def test_objective_normalized():
-    corpus = manual_corpus([(0, [0]), (1, [1])], n=2, target_total=2.0)
+    capital = capital_of(corpus_from_sets([(0, [0]), (1, [1])], 2), 2.0)
     ps = make_profiles([(0,), (1,)], domain_sizes=[2])
-    res = build_seed_set(corpus, 2, 0.5, AttributeWiseDiversity(ps))
+    res = build_seed_set(capital, 2, 0.5, AttributeWiseDiversity(ps))
     # full coverage and maximal diversity: both terms normalize to 1
     assert res.objective(normalize=True) == pytest.approx(1.0)
 
 
 def test_bad_arguments():
-    corpus = manual_corpus([(0, [0])], n=2)
+    capital = capital_of(corpus_from_sets([(0, [0])], 2), 2.0)
     ps = make_profiles([(0,), (1,)], domain_sizes=[2])
     with pytest.raises(ConfigError):
-        build_seed_set(corpus, 0, 0.5, AttributeWiseDiversity(ps))
+        build_seed_set(capital, 0, 0.5, AttributeWiseDiversity(ps))
     with pytest.raises(ConfigError):
-        build_seed_set(corpus, 1, 1.5, AttributeWiseDiversity(ps))
+        build_seed_set(capital, 1, 1.5, AttributeWiseDiversity(ps))
     with pytest.raises(ConfigError):
-        build_seed_set(corpus, 1, 0.5, AttributeWiseDiversity(make_profiles([(0,)], [2])))
+        build_seed_set(capital, 1, 0.5, AttributeWiseDiversity(make_profiles([(0,)], [2])))
     # a used function is reset before the greedy runs
     used = AttributeWiseDiversity(ps)
     used.commit(0)
-    res = build_seed_set(corpus, 2, 0.5, used)
-    assert res == replace(build_seed_set(corpus, 2, 0.5, AttributeWiseDiversity(ps)),
+    res = build_seed_set(capital, 2, 0.5, used)
+    assert res == replace(build_seed_set(capital, 2, 0.5, AttributeWiseDiversity(ps)),
                           timing_seconds=res.timing_seconds)
 
 
 def _oracle_corpora():
+    """(corpus, target total) pairs: six hand-made, then IC and LT draws."""
     rng = np.random.default_rng(29)
     corpora = []
     for _ in range(6):
@@ -201,11 +201,12 @@ def _oracle_corpora():
         sets = [(int(rng.integers(0, n)),
                  list(np.unique(rng.integers(0, n, size=rng.integers(1, 6)))))
                 for _ in range(int(rng.integers(20, 120)))]
-        corpora.append(manual_corpus(sets, n, target_total=float(rng.uniform(0.1, 1.0) * n)))
+        corpora.append((corpus_from_sets(sets, n), float(rng.uniform(0.1, 1.0) * n)))
     g = synth_graph(60, 3, seed=5, score_mode="uniform")
     targets = select_targets(g, "top_percent", percent=30)
     for model in ("ic", "lt"):
-        corpora.append(generate_corpus(g, targets, model, 3000, master_seed=17))
+        corpora.append((generate_corpus(g, targets, model, 3000, master_seed=17),
+                        targets.total_score))
     return corpora
 
 
@@ -224,11 +225,12 @@ def test_matches_reference_greedy_bitwise(name, lazy):
                                         radius=2)
         return AttributeWiseDiversity(ps) if name == "aw" else EntropyDiversity(ps)
 
-    for i, corpus in enumerate(_oracle_corpora()):
+    for i, (corpus, total) in enumerate(_oracle_corpora()):
+        capital = capital_of(corpus, total)
         for alpha in (0.0, 0.5, 1.0):
-            res = build_seed_set(corpus, 6, alpha, make_div(corpus.n_nodes, i))
-            seeds, trace = reference_seed_set(corpus, 6, alpha, make_div(corpus.n_nodes, i),
-                                              lazy=lazy)
+            res = build_seed_set(capital, 6, alpha, make_div(capital.node_count, i))
+            seeds, trace = reference_seed_set(corpus, total, 6, alpha,
+                                              make_div(capital.node_count, i), lazy=lazy)
             assert res.seeds == seeds
             assert [(s.capital_gain, s.diversity_gain, s.combined_gain)
                     for s in res.trace] == trace
@@ -246,15 +248,17 @@ def counting_gains(cls):
 
 
 def test_zero_weight_term_is_never_scored():
-    corpus = _oracle_corpora()[-1]
-    profiles = flat_profiles(corpus.n_nodes, seed=3)
+    corpus, total = _oracle_corpora()[-1]
+    capital = capital_of(corpus, total)
+    profiles = flat_profiles(capital.node_count, seed=3)
     for alpha in (0.0, 1.0):
         div = counting_gains(AttributeWiseDiversity)(profiles)
-        res = build_seed_set(corpus, 6, alpha, div)
+        res = build_seed_set(capital, 6, alpha, div)
         # diversity weighs 1 - alpha: scored at alpha 0, and at alpha 1 the
         # commits' own gain calls are its only ones
         assert (div.calls == len(res.seeds)) == (alpha == 1.0)
-        seeds, trace = reference_seed_set(corpus, 6, alpha, AttributeWiseDiversity(profiles))
+        seeds, trace = reference_seed_set(corpus, total, 6, alpha,
+                                          AttributeWiseDiversity(profiles))
         assert res.seeds == seeds
         assert [(s.capital_gain, s.diversity_gain, s.combined_gain)
                 for s in res.trace] == trace
@@ -282,6 +286,28 @@ def test_lazy_greedy_ties_stop_and_per_term_gains():
     # 1 scores 0.25 * 2 + 0.75 * 1; then 2 (new element, new class) beats 3 and 0
     assert picks == [(1, [2.0, 1.0], 1.25), (2, [1.0, 1.0], 1.0)]
     assert cover._committed == classes._committed == {1, 2}
+
+
+def test_build_seed_set_leaves_a_capital_no_corpus_built_holding_the_seeds():
+    # Deg-D's out-degree coverage as the capital: the greedy reads only the Coverage
+    g = synth_graph(40, 3, seed=5, score_mode="uniform")
+    ps, m = synth_profiles(40, m=3, domain_sizes=4, seed=5), g.edge_count
+    capital, div = Coverage(g.out_indptr, np.arange(m), m, m), AttributeWiseDiversity(ps)
+    first = build_seed_set(capital, 5, 0.75, div)
+    assert capital.value() == first.expected_capital and div.value() == first.diversity_value
+    assert capital.gains()[first.seeds].tolist() == [0.0] * 5
+    # both terms are reset first, so a second call equals one on fresh functions
+    second = build_seed_set(capital, 5, 0.25, div)
+    fresh = build_seed_set(Coverage(g.out_indptr, np.arange(m), m, m), 5, 0.25,
+                           AttributeWiseDiversity(ps))
+    assert second == replace(fresh, timing_seconds=second.timing_seconds)
+    assert second.seeds != first.seeds
+
+
+def test_selector_imports_nothing_from_sampler():
+    # the caller builds the capital, so the greedy never sees a corpus
+    source = (Path(divtim.__file__).parent / "selector.py").read_text(encoding="utf-8")
+    assert not re.search(r"^\s*(import|from)\s+\S*sampler\b", source, re.M)
 
 
 def test_only_the_selector_imports_heapq():

@@ -85,7 +85,7 @@ def test_decorated_seeds_file_reads_like_plain(tmp_path, capsys):
 
 
 def test_corpus_dump_writes_to_an_open_file_as_to_a_path(tmp_path):
-    corpus = corpus_from_sets([(2, [0, 2]), (1, [1]), (0, [0, 1, 2])], 3, 3.0)
+    corpus = corpus_from_sets([(2, [0, 2]), (1, [1]), (0, [0, 1, 2])], 3)
     path = tmp_path / "corpus.txt"
     corpus.dump(str(path))
     buf = io.StringIO()
