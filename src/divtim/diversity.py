@@ -181,7 +181,7 @@ def _ball_chunk(centre: np.ndarray, lo: np.ndarray, hi: np.ndarray, reach: np.nd
                 ) -> tuple[np.ndarray, np.ndarray]:
     """Ball sizes of the nodes in ``centre`` and their members, grouped by
     centre: centre[i] is compared with each node of reach[lo[i]:hi[i]]."""
-    pos, owner = _expand(lo, hi)
+    pos, owner = _expand(lo, hi - lo)
     node, width, m = reach[pos], hi - lo, len(theirs)
     same = np.zeros(node.size, np.min_scalar_type(m))
     for mine, other in zip(ours, theirs):
@@ -258,7 +258,7 @@ def hamming_balls(graph: DiffusionGraph, codes: np.ndarray, radius: int
     ball_ptr = np.concatenate([[0], np.cumsum(count)])
     ball_nodes = np.empty(ball_ptr[-1], dtype=np.int32)
     for chunk, nodes in pieces:
-        ball_nodes[_expand(ball_ptr[chunk], ball_ptr[chunk + 1])[0]] = nodes
+        ball_nodes[_expand(ball_ptr[chunk], count[chunk])[0]] = nodes
     return ball_ptr, ball_nodes
 
 

@@ -38,6 +38,8 @@ MAX_BATCH = 2048
 MASK_BYTES = 1 << 19
 #: RRStream's kernel calls each expand as many whole batches as keep their mask below this
 CALL_MASK_BYTES = 4 * MASK_BYTES
+#: the kernel expands a level in frontier slices of at most this many edges (see live_edge_search)
+LEVEL_EDGES = 1 << 15
 
 
 def check_model(graph: DiffusionGraph, model: str) -> None:
@@ -61,9 +63,8 @@ def sample_roots(targets: TargetSet, rng: np.random.Generator, count: int) -> np
     return targets.members[np.minimum(i, len(targets) - 1)]
 
 
-def _expand(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """CSR positions lo[i]..hi[i]-1 for every i, with the i each came from."""
-    deg = hi - lo
+def _expand(lo: np.ndarray, deg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """CSR positions lo[i]..lo[i]+deg[i]-1 for every i, with the i each came from."""
     owner = np.repeat(np.arange(deg.size), deg)
     edge = np.arange(owner.size)
     edge += np.repeat(lo - (np.cumsum(deg) - deg), deg)
@@ -86,22 +87,32 @@ def _random(rngs: list[np.random.Generator], cut: np.ndarray) -> np.ndarray:
     return np.concatenate(draws) if draws else np.empty(0)
 
 
+def _slices(deg: np.ndarray, groups: np.ndarray) -> list[int]:
+    """Cuts of a level into slices of at most LEVEL_EDGES edges where ``groups`` changes."""
+    at = np.flatnonzero(np.diff(groups, prepend=-1, append=-1))
+    cum, cuts = np.concatenate([[0], np.cumsum(deg)])[at], [0]
+    while cuts[-1] < at.size - 1:       # a group over the budget is a slice alone
+        cuts.append(max(cuts[-1] + 1, cum.searchsorted(cum[cuts[-1]] + LEVEL_EDGES, "right") - 1))
+    return at[cuts].tolist()
+
+
 def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: int,
                      start: np.ndarray, rngs: list[np.random.Generator]) -> Iterator[np.ndarray]:
     """Everything reached over live edges in ``items`` independent draws per generator.
 
-    A reached node is named by the key ``item * n + node``; ``start`` holds
-    distinct keys in ascending order, and items ``j * items`` to ``(j + 1) *
-    items - 1`` draw from ``rngs[j]`` alone, in key order.  Per level, IC draws
-    one coin per expanded edge.  LT draws one number per node, in reverse when
-    the node is expanded, forward when an active in-neighbour first asks (never
-    for a start node), and an edge into the node is live iff the number lies in
-    the edge's ``[in_cum_lo, in_cum)`` (forward ``[out_cum_lo, out_cum_hi)``): at
-    most one is, so a forward match is new.  IC deduplicates each level by
-    ``_distinct``; reverse LT's levels are distinct and ascending, as its one
-    caller, ``RRStream``, starts each item from one root in key order.  Yields
-    ``start``, then each level's new keys sorted, the last level empty, each once
-    its edge and draw arrays are freed.
+    A reached node is named by the key ``item * n + node``; ``start`` holds distinct keys in
+    ascending order, and items ``j * items`` to ``(j + 1) * items - 1`` draw from ``rngs[j]``
+    alone, in key order.  Per level, IC draws one coin per expanded edge.  LT draws one number
+    per node, in reverse when the node is expanded, forward when an active in-neighbour first
+    asks (never for a start node), and an edge into the node is live iff the number lies in the
+    edge's ``[in_cum_lo, in_cum)`` (forward ``[out_cum_lo, out_cum_hi)``): at most one is, so a
+    forward match is new.  A level of over ``LEVEL_EDGES`` edges is expanded in frontier slices
+    whose draws follow each other in key order (``random(a)`` then ``random(b)`` is ``random(a +
+    b)``); forward LT cuts only between runs, as a run's fresh numbers go to the nodes its whole
+    level asks, in key order.  IC deduplicates each level by ``_distinct``; reverse LT's levels
+    are distinct and ascending, as its one caller, ``RRStream``, starts each item from one root
+    in key order.  Yields ``start``, then each level's new keys sorted, the last level empty,
+    each once its edge and draw arrays are freed.
     """
     n = graph.node_count
     ptr, heads, probs, lo, hi = (
@@ -116,9 +127,8 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
         seen = np.zeros(bounds[-1], dtype=bool)
         seen[start] = True
 
-    def step(frontier: np.ndarray) -> np.ndarray:
-        item, x = np.divmod(frontier, n)
-        edge, owner = _expand(ptr[x], ptr[x + 1])
+    def step(frontier: np.ndarray, item: np.ndarray, x: np.ndarray, deg: np.ndarray) -> np.ndarray:
+        edge, owner = _expand(ptr[x], deg)
         if model == "ic":
             cut = owner.searchsorted(np.searchsorted(frontier, bounds))    # edges per block
             live = _random(rngs, cut) < probs.take(edge)
@@ -133,16 +143,26 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
             live = (lo.take(edge) <= r) & (r < hi.take(edge))
         live = np.flatnonzero(live)
         keys = item.take(owner.take(live)) * n + heads.take(edge.take(live))
+        return keys if model == "lt" and forward else keys.compress(~seen.take(keys))
+
+    def level(frontier: np.ndarray) -> np.ndarray:
+        item, x = np.divmod(frontier, n)
+        deg = ptr[x + 1] - ptr[x]
+        if deg.sum() <= LEVEL_EDGES:
+            keys = step(frontier, item, x, deg)
+        else:
+            cuts = _slices(deg, item if model == "lt" and forward else frontier)
+            keys = np.concatenate([step(frontier[a:b], item[a:b], x[a:b], deg[a:b])
+                                   for a, b in zip(cuts, cuts[1:])])
         if model == "lt" and forward:
             return np.sort(keys)
-        keys = keys.compress(~seen.take(keys))
         keys = keys if model == "lt" else _distinct(keys)
         seen[keys] = True
         return keys
 
     yield start
     while start.size:
-        start = step(start)
+        start = level(start)
         yield start
 
 
@@ -185,11 +205,12 @@ class RRStream:
             node_sets[np.repeat(np.resize([True, False], 2 * n), np.stack(
                 [np.diff(self.node_ptr), counts], 1).ravel())] = self.node_sets
             fill = self.node_ptr[1:] + new_ptr[:-1]
-            for c, keys in enumerate(calls):
+            for c, keys in zip(range(self.drawn, wanted * size, per_call * size), calls):
                 node, item = np.divmod(keys, per_call * size)
-                slot = fill[node] + np.arange(node.size) - np.searchsorted(node, node)
-                node_sets[slot] = item + (self.drawn + c * per_call * size)
-                np.add.at(fill, node, 1)
+                head = np.flatnonzero(np.diff(node, prepend=-1))    # where each node's run starts
+                here, node = np.diff(head, append=node.size), node.take(head)
+                node_sets[np.repeat(fill.take(node) - head, here) + np.arange(item.size)] = item + c
+                fill[node] += here
         except MemoryError:
             raise MemoryError(f"drawing {stop} RR sets of the {self.name}") from None
         self.node_ptr += new_ptr

@@ -526,3 +526,62 @@ def test_corpus_holds_only_its_index(model):
     for rr in (r1, r2):
         held = sum(a.nbytes for a in vars(rr).values() if isinstance(a, np.ndarray))
         assert rr.drawn >= 2000 and held <= 4 * rr.node_sets.size + 8 * (g.node_count + 1)
+
+
+@pytest.mark.parametrize("model, forward", [("ic", False), ("lt", False), ("lt", True)])
+def test_levels_cut_into_slices_equal_whole_levels(model, forward, monkeypatch):
+    # A level over the edge budget is expanded in frontier slices, forward LT's
+    # only between runs, and each stream draws in key order across them, so
+    # every level, every draw and every stream's state match the whole level's.
+    # On the hub's graph one node, and one run's level, exceed a budget of 5.
+    g = lt_graph_with_hub(5)
+    n, items, streams = g.node_count, 4, 3
+    rng = np.random.default_rng(12)
+    per_item = 3 if forward else 1        # reverse LT starts each item from one root
+    start = np.concatenate([np.sort(rng.choice(n, per_item, replace=False)) + i * n
+                            for i in range(items * streams)])
+
+    def run():
+        """Every level, ``conftest.reach`` and the streams' next draws."""
+        rngs, again = ([stream(7, j) for j in range(streams)] for _ in range(2))
+        levels = list(live_edge_search(g, model, forward, items, start, rngs))
+        return levels, reach(g, model, forward, items, start, again), [r.random() for r in rngs]
+
+    whole, expand, sizes = run(), sampler._expand, []
+
+    def counted(lo, deg):
+        sizes.append((deg.size, int(deg.sum())))
+        return expand(lo, deg)
+
+    monkeypatch.setattr(sampler, "_expand", counted)
+    monkeypatch.setattr(sampler, "LEVEL_EDGES", 5)
+    sliced = run()
+    assert len(sliced[0]) == len(whole[0]) > 2
+    assert all(np.array_equal(a, b) for a, b in zip(sliced[0], whole[0]))
+    assert np.array_equal(sliced[1], whole[1]) and sliced[2] == whole[2]
+    assert len(sizes) > len(whole[0]) and max(edges for _, edges in sizes) > 5
+    if not forward:
+        assert all(edges <= 5 or nodes == 1 for nodes, edges in sizes)
+
+
+def test_sliced_stream_and_simulation_equal_whole_levels(monkeypatch):
+    # one RR read over several streams per kernel call, and a simulate report,
+    # under a budget that cuts nearly every level, equal the default budget's
+    plain = synth_graph(300, 4, seed=21, score_mode="uniform")
+    ts = targets_of(plain, tau=0.5)
+    size = batch_size(plain.node_count)
+    assert sampler.CALL_MASK_BYTES // (size * plain.node_count) > 2
+
+    def outputs():
+        got = []
+        for g, model in ((plain, "ic"), (plain.with_probs(plain.b * 0.9), "lt")):
+            rr = RRStream(g, ts, model, 4, CORPUS_PHASE)
+            rr.sets(3 * size + 5)
+            got += [rr.node_ptr, rr.node_sets, simulate(g, model, [0, 9, 77], size + 3, 4, ts)]
+        return got
+
+    whole = outputs()
+    monkeypatch.setattr(sampler, "LEVEL_EDGES", 64)
+    sliced = outputs()
+    for a, b in zip(sliced, whole):
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b

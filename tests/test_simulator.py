@@ -7,10 +7,10 @@ import pytest
 from divtim.errors import ConfigError
 from divtim.graph import select_targets, synth_graph
 from divtim.rng import phase_seed, stream
-from divtim.sampler import batch_size
+from divtim.sampler import LEVEL_EDGES, batch_size
 from divtim.simulator import SIM_PHASE, SimulationReport, simulate
 
-from conftest import make_graph, reach
+from conftest import graph_on, make_graph, reach
 from oracles import exhaustive_expectation
 
 
@@ -180,3 +180,27 @@ def test_simulate_holds_one_level_of_keys_at_a_time():
         tracemalloc.stop()
     assert report.mean_spread == n
     assert peak < 8 * runs * n
+
+
+def test_simulate_expands_a_level_in_slices_of_bounded_edges():
+    # Every run starts from all 64 nodes of a complete core of certain edges,
+    # so its one level expands 64 * 63 edges a run, 63 * LEVEL_EDGES in a
+    # batch, and reaches nothing new.  The kernel expands it in slices of at
+    # most LEVEL_EDGES edges, so its temporaries (about 50 B an edge) are one
+    # slice's, beside the frontier-sized arrays (8 B a key each) and the
+    # visited mask (1 B per run and node).  A kernel that expands a level whole
+    # peaks near 100 MB here, so the test fails on it.
+    n, core = 1024, 64
+    g = graph_on(n, [(u, v) for u in range(core) for v in range(core) if u != v])
+    ts = select_targets(g, "threshold", tau=0.0)
+    runs = batch_size(n)
+    frontier = runs * core
+    assert frontier * (core - 1) >= 16 * LEVEL_EDGES
+    tracemalloc.start()
+    try:
+        report = simulate(g, "ic", range(core), runs, 1, ts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.mean_spread == core
+    assert peak < 96 * LEVEL_EDGES + 64 * frontier + runs * n
