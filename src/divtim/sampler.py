@@ -87,32 +87,34 @@ def _random(rngs: list[np.random.Generator], cut: np.ndarray) -> np.ndarray:
     return np.concatenate(draws) if draws else np.empty(0)
 
 
-def _slices(deg: np.ndarray, groups: np.ndarray) -> list[int]:
-    """Cuts of a level into slices of at most LEVEL_EDGES edges where ``groups`` changes."""
-    at = np.flatnonzero(np.diff(groups, prepend=-1, append=-1))
-    cum, cuts = np.concatenate([[0], np.cumsum(deg)])[at], [0]
-    while cuts[-1] < at.size - 1:       # a group over the budget is a slice alone
-        cuts.append(max(cuts[-1] + 1, cum.searchsorted(cum[cuts[-1]] + LEVEL_EDGES, "right") - 1))
-    return at[cuts].tolist()
+def _slices(deg: np.ndarray, groups: np.ndarray) -> Iterator[tuple[int, int]]:
+    """Bounds of a level's slices of at most LEVEL_EDGES edges, cut where ``groups`` changes."""
+    end, b = np.cumsum(deg), 0
+    while b < deg.size:
+        a, b = b, end.searchsorted(end[b] - deg[b] + LEVEL_EDGES, "right")
+        if b < deg.size:    # back to the start of b's group, past a's if a's alone is over
+            b = max(groups.searchsorted(groups[b]), groups.searchsorted(groups[a], "right"))
+        yield a, b
 
 
 def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: int,
                      start: np.ndarray, rngs: list[np.random.Generator]) -> Iterator[np.ndarray]:
     """Everything reached over live edges in ``items`` independent draws per generator.
 
-    A reached node is named by the key ``item * n + node``; ``start`` holds distinct keys in
-    ascending order, and items ``j * items`` to ``(j + 1) * items - 1`` draw from ``rngs[j]``
-    alone, in key order.  Per level, IC draws one coin per expanded edge.  LT draws one number
-    per node, in reverse when the node is expanded, forward when an active in-neighbour first
-    asks (never for a start node), and an edge into the node is live iff the number lies in the
-    edge's ``[in_cum_lo, in_cum)`` (forward ``[out_cum_lo, out_cum_hi)``): at most one is, so a
-    forward match is new.  A level of over ``LEVEL_EDGES`` edges is expanded in frontier slices
-    whose draws follow each other in key order (``random(a)`` then ``random(b)`` is ``random(a +
-    b)``); forward LT cuts only between runs, as a run's fresh numbers go to the nodes its whole
-    level asks, in key order.  IC deduplicates each level by ``_distinct``; reverse LT's levels
-    are distinct and ascending, as its one caller, ``RRStream``, starts each item from one root
-    in key order.  Yields ``start``, then each level's new keys sorted, the last level empty,
-    each once its edge and draw arrays are freed.
+    A reached node is named by the key ``item * n + node``; ``start`` holds
+    distinct keys in ascending order, and items ``j * items`` to ``(j + 1) *
+    items - 1`` draw from ``rngs[j]`` alone, in key order.  Per level, IC draws
+    one coin per expanded edge.  LT draws one number per node, in reverse when
+    the node is expanded, forward when an active in-neighbour first asks (never
+    for a start node), and an edge into the node is live iff the number lies in
+    the edge's ``[in_cum_lo, in_cum)`` (forward ``[out_cum_lo, out_cum_hi)``):
+    at most one is, so a forward match is new.  Levels over ``LEVEL_EDGES``
+    edges run in frontier slices, each stream drawing in key order across them;
+    forward LT cuts only between runs, as a run draws for its whole level at
+    once.  IC deduplicates each level by ``_distinct``; reverse LT's levels are
+    distinct and ascending, as its one caller, ``RRStream``, starts each item
+    from one root in key order.  Yields ``start``, then each level's new keys
+    sorted, the last level empty, each once its edge and draw arrays are freed.
     """
     n = graph.node_count
     ptr, heads, probs, lo, hi = (
@@ -148,17 +150,12 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
     def level(frontier: np.ndarray) -> np.ndarray:
         item, x = np.divmod(frontier, n)
         deg = ptr[x + 1] - ptr[x]
-        if deg.sum() <= LEVEL_EDGES:
-            keys = step(frontier, item, x, deg)
-        else:
-            cuts = _slices(deg, item if model == "lt" and forward else frontier)
-            keys = np.concatenate([step(frontier[a:b], item[a:b], x[a:b], deg[a:b])
-                                   for a, b in zip(cuts, cuts[1:])])
+        keys = np.concatenate([step(frontier[a:b], item[a:b], x[a:b], deg[a:b]) for a, b in
+                               _slices(deg, item if model == "lt" and forward else frontier)])
         if model == "lt" and forward:
             return np.sort(keys)
-        keys = keys if model == "lt" else _distinct(keys)
         seen[keys] = True
-        return keys
+        return keys if model == "lt" else _distinct(keys)
 
     yield start
     while start.size:
