@@ -20,7 +20,7 @@ _EXPORTS = {
     "metrics": ("seed_entropy", "seed_overlap"),
     "profiles": ("ProfileSet", "Schema", "derive_numeric_preferences", "load_profiles",
                  "quantile_discretize", "save_profiles", "synth_profiles"),
-    "sampler": ("RRCorpus", "generate_corpus", "sample_roots"),
+    "sampler": ("sample_roots",),
     "selector": ("SeedResult", "build_seed_set"),
     "simulator": ("SimulationReport", "simulate"),
 }

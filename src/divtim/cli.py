@@ -306,7 +306,7 @@ def cmd_select(args) -> int:
         theta_cap=args.theta_cap)
     os.makedirs(args.out, exist_ok=True)    # after the draw, so a failed one leaves no directory
     if args.dump_corpus:        # before any document, so a dump that fails leaves none
-        sized.corpora[ks[-1]].dump(args.dump_corpus)
+        sized.r1.dump(sized.capitals[ks[-1]].size, args.dump_corpus)
     rows = []
     for k in ks:
         for alpha_token, alpha in zip(alpha_tokens, alphas):
@@ -314,7 +314,7 @@ def cmd_select(args) -> int:
             extra = {f"stats.{key}": repr(value) for key, value in stats.items()}
             if len(res.seeds) < k:
                 extra["stats.early_stop"] = len(res.seeds)
-            extra["corpus_width"] = sized.corpora[k].total_width
+            extra["corpus_width"] = sized.capitals[k].elements.size
             if profile_set is not None and res.seeds:
                 extra["seed_entropy"] = repr(metrics.seed_entropy(res.seeds, profile_set))
             if res.diversity_max is not None:

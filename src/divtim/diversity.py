@@ -220,9 +220,9 @@ def hamming_balls(graph: DiffusionGraph, codes: np.ndarray, radius: int
     by_component = np.argsort(component, kind="stable")
     members = np.bincount(component)
     member_ptr = np.concatenate([[0], np.cumsum(members)])
-    # A forward search over every edge finds about n keys per start, not
-    # the handful of an RR set, so a call expands batch_size(n) // 32
-    # starts to keep its edge gathers as small as a sampling batch's.
+    # A forward search over every edge reaches about n keys per start, not the
+    # handful of an RR set; LEVEL_EDGES bounds its edge gathers, and
+    # batch_size(n) // 32 starts per call bound the reached keys a call holds.
     per_call = max(1, batch_size(n) // 32)
     # With every edge certain each coin lands live, so the forward search
     # is topological and its result does not depend on the stream.

@@ -42,9 +42,11 @@ CAPITAL_RSE = 1 / 60
 
 @dataclass
 class EstimationParams:
-    """Per k its R1 corpus, their largest theta, per (k, alpha) its result and ``stats``."""
+    """R1, per k the capital its seeds were picked on, their largest theta, per (k, alpha)
+    its result and ``stats``."""
 
-    corpora: dict[int, sampler.RRCorpus]
+    r1: sampler.RRStream
+    capitals: dict[int, Coverage]
     theta: int
     points: dict[tuple[int, float], tuple[selector.SeedResult, dict[str, float]]]
 
@@ -70,8 +72,8 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, ks: S
                     alphas: Sequence[float], diversity: DiversityFunction, epsilon: float,
                     master_seed: int, ell: float = 1.0, theta_override: int | None = None,
                     theta_cap: int = DEFAULT_THETA_CAP) -> EstimationParams:
-    """Size the corpora and select every grid point's seeds; ``theta_override`` sizes
-    nothing, and its corpus selects every point and scores its capital in sample."""
+    """Size R1 and R2 and select every grid point's seeds; ``theta_override`` sizes
+    nothing: that prefix of R1 selects every point and scores its capital in sample."""
     if not 0 < epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
     if not 0 < ell <= MAX_ELL:
@@ -81,27 +83,25 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, ks: S
         raise ConfigError("theta cap must be at least 1")
     if len(set(ks)) < len(ks) or len(set(alphas)) < len(alphas):
         raise ConfigError("each k and each alpha must be listed once")
+    if theta_override is not None and theta_override < 1:
+        raise ConfigError("theta override must be positive")
     n, total = graph.node_count, targets.total_score
+    r1 = sampler.RRStream(graph, targets, model, master_seed, sampler.CORPUS_PHASE)
     if theta_override is not None:
-        if theta_override < 1:
-            raise ConfigError("theta override must be positive")
-        corpus = sampler.generate_corpus(graph, targets, model, theta_override, master_seed)
-        capital = Coverage(corpus.node_ptr, corpus.node_sets, theta_override, total)
-        return EstimationParams({k: corpus for k in ks}, theta_override, {
+        capital = Coverage(*r1.sets(theta_override), theta_override, total)
+        return EstimationParams(r1, {k: capital for k in ks}, theta_override, {
             (k, alpha): (selector.build_seed_set(capital, k, alpha, diversity), {})
             for k in ks for alpha in alphas})
 
-    r1, r2 = (sampler.RRStream(graph, targets, model, master_seed, phase)
-              for phase in (sampler.CORPUS_PHASE, sampler.CHECK_PHASE))
+    r2 = sampler.RRStream(graph, targets, model, master_seed, sampler.CHECK_PHASE)
     first = min(theta_cap, r1.size)
     sizes = [min(first << i, theta_cap) for i in range(1 + math.ceil(math.log2(theta_cap / first)))]
     a = ell * math.log(n) + math.log(2 * len(sizes))
     target = 1 - 1 / math.e - epsilon
-    corpora, points = {}, {}
+    capitals, points = {}, {}
     for k in ks:
         for theta in sizes:
-            corpus, picks = r1.sets(theta), {}
-            capital = Coverage(corpus.node_ptr, corpus.node_sets, theta, total)
+            capital, picks = Coverage(*r1.sets(theta), theta, total), {}
             for alpha in sorted(alphas, key=lambda x: x != 1.0):
                 if theta < theta_cap and any(ratio < target for _, ratio in picks.values()):
                     break
@@ -115,11 +115,11 @@ def estimate_params(graph: DiffusionGraph, targets: TargetSet, model: str, ks: S
             if all(alpha == 0.0 or check - h <= CAPITAL_RSE ** 2 * h * check
                    for alpha, h in hits.items()):
                 break
-        corpora[k] = corpus
+        capitals[k] = capital
         for alpha, (res, ratio) in picks.items():
             p = hits[alpha] / check
             points[k, alpha] = replace(res, expected_capital=total * p), {
                 "theta": theta, "check_theta": check, "theta_capped": int(not passed),
                 "approx_ratio": ratio, "capital_in_sample": res.expected_capital,
                 "capital_stderr": total * math.sqrt(p * (1 - p) / check)}
-    return EstimationParams(corpora, max(c.theta for c in corpora.values()), points)
+    return EstimationParams(r1, capitals, max(c.size for c in capitals.values()), points)

@@ -16,7 +16,7 @@ first m sets of a corpus are the m-set corpus.
 
 from __future__ import annotations
 
-from typing import Callable, Iterator, TextIO
+from typing import Iterator, TextIO
 
 import numpy as np
 
@@ -129,8 +129,8 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
         seen = np.zeros(bounds[-1], dtype=bool)
         seen[start] = True
 
-    def step(frontier: np.ndarray, item: np.ndarray, x: np.ndarray, deg: np.ndarray) -> np.ndarray:
-        edge, owner = _expand(ptr[x], deg)
+    def step(frontier: np.ndarray, item: np.ndarray, at: np.ndarray, deg: np.ndarray) -> np.ndarray:
+        edge, owner = _expand(at, deg)
         if model == "ic":
             cut = owner.searchsorted(np.searchsorted(frontier, bounds))    # edges per block
             live = _random(rngs, cut) < probs.take(edge)
@@ -148,9 +148,10 @@ def live_edge_search(graph: DiffusionGraph, model: str, forward: bool, items: in
         return keys if model == "lt" and forward else keys.compress(~seen.take(keys))
 
     def level(frontier: np.ndarray) -> np.ndarray:
-        item, x = np.divmod(frontier, n)
-        deg = ptr[x + 1] - ptr[x]
-        keys = np.concatenate([step(frontier[a:b], item[a:b], x[a:b], deg[a:b]) for a, b in
+        item, at = np.divmod(frontier, n)
+        deg, at = ptr[at + 1], ptr[at]      # at: each node's first CSR position, gathered once
+        deg -= at
+        keys = np.concatenate([step(frontier[a:b], item[a:b], at[a:b], deg[a:b]) for a, b in
                                _slices(deg, item if model == "lt" and forward else frontier)])
         if model == "lt" and forward:
             return np.sort(keys)
@@ -210,20 +211,18 @@ class RRStream:
                 fill[node] += here
         except MemoryError:
             raise MemoryError(f"drawing {stop} RR sets of the {self.name}") from None
-        self.node_ptr += new_ptr
+        self.node_ptr = self.node_ptr + new_ptr     # not +=: a prefix sharing the old one keeps it
         self.node_sets, self.drawn = node_sets, wanted * size
 
-    def sets(self, stop: int) -> RRCorpus:
-        """The first stop sets: the index's set ids below stop, shared if that is all of it."""
+    def sets(self, stop: int) -> tuple[np.ndarray, np.ndarray]:
+        """The inverted index ``(node_ptr, node_sets)`` of the first stop sets: the
+        index's set ids below stop, shared if that is all of it."""
         self._read(stop)
-        node_ptr, node_sets = self.node_ptr, self.node_sets
-        targets, base, size = self.targets, self.base, self.size   # roots() must not hold self
-        if stop < self.drawn:
-            keep = node_sets < stop
-            node_ptr = node_ptr - np.searchsorted(np.flatnonzero(~keep), node_ptr)
-            node_sets = node_sets.compress(keep)
-        return RRCorpus(stop, node_ptr, node_sets, lambda: np.concatenate(
-            [sample_roots(targets, stream(base, b), size) for b in range(-(-stop // size))])[:stop])
+        if stop == self.drawn:
+            return self.node_ptr, self.node_sets
+        keep = self.node_sets < stop
+        return (self.node_ptr - np.searchsorted(np.flatnonzero(~keep), self.node_ptr),
+                self.node_sets.compress(keep))
 
     def hits(self, seeds: list[int], stop: int) -> int:
         """How many of the first stop sets hold a seed: the distinct ids below stop in its lists."""
@@ -232,34 +231,16 @@ class RRStream:
             self.node_sets[self.node_ptr[v]:self.node_ptr[v + 1]] for v in seeds])
         return int(_distinct(ids.compress(ids < stop)).size)
 
-
-class RRCorpus:
-    """The inverted index of theta reverse reachable sets: node v lies in the sets
-    ``node_sets[node_ptr[v]:node_ptr[v + 1]]``, ascending.  ``roots()`` draws their
-    roots again, as only the dump reads them, and ``total_width`` is the member
-    count; the estimator turns a count of covered sets into capital.
-    """
-
-    def __init__(self, theta: int, node_ptr: np.ndarray, node_sets: np.ndarray,
-                 roots: Callable[[], np.ndarray]):
-        self.theta, self.node_ptr, self.node_sets, self.roots = theta, node_ptr, node_sets, roots
-        self.total_width = int(node_sets.size)
-
-    def dump(self, sink: str | TextIO) -> None:
-        """Debug dump, one line per set: ``id root member*`` (format unstable), each
-        set's members rebuilt from the index in ascending node order, as drawn."""
-        order, counts = np.argsort(self.node_sets, kind="stable"), np.diff(self.node_ptr)
+    def dump(self, stop: int, sink: str | TextIO) -> None:
+        """Debug dump of the first stop sets, one line per set: ``id root member*`` (format
+        unstable), each set's members rebuilt from the index in ascending node order, as
+        drawn, and its root drawn again from its batch's stream."""
+        node_ptr, node_sets = self.sets(stop)
+        order, counts = np.argsort(node_sets, kind="stable"), np.diff(node_ptr)
         members = np.repeat(np.arange(counts.size), counts)[order].tolist()
-        ptr = np.searchsorted(self.node_sets[order], np.arange(self.theta + 1)).tolist()
+        ptr = np.searchsorted(node_sets[order], np.arange(stop + 1)).tolist()
+        roots = np.concatenate([sample_roots(self.targets, stream(self.base, b), self.size)
+                                for b in range(-(-stop // self.size))])[:stop]
         with open_text(sink, "w") as fh:
-            for i, root in enumerate(self.roots().tolist()):
+            for i, root in enumerate(roots.tolist()):
                 fh.write(f"{i} {root} " + " ".join(map(str, members[ptr[i]:ptr[i + 1]])) + "\n")
-
-
-def generate_corpus(graph: DiffusionGraph, targets: TargetSet, model: str,
-                    theta: int, master_seed: int) -> RRCorpus:
-    """The first theta reverse reachable sets of the corpus phase, so the
-    first m sets of a corpus equal the corpus of size m."""
-    if theta < 1:
-        raise ConfigError("theta must be at least 1")
-    return RRStream(graph, targets, model, master_seed, CORPUS_PHASE).sets(theta)

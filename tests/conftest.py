@@ -7,7 +7,7 @@ from divtim.diversity import Coverage
 from divtim.graph import DiffusionGraph, _assemble, load_graph
 from divtim.profiles import MISSING, ProfileSet, Schema
 from divtim.rng import phase_seed, stream
-from divtim.sampler import RRCorpus, batch_size, live_edge_search, sample_roots
+from divtim.sampler import CORPUS_PHASE, RRStream, batch_size, live_edge_search, sample_roots
 
 from oracles import stable_argsort_index
 
@@ -61,20 +61,21 @@ def csr_from_sets(sets) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return np.array([root for root, _ in sets], dtype=np.int64), set_ptr, members
 
 
-def corpus_from_sets(sets, node_count) -> RRCorpus:
-    """Corpus from hand-written (root, members) pairs, set ids in list order.
-
-    List each set's members in ascending node order, as ``RRStream`` draws
-    them: the corpus keeps only its inverted index, and its dump rebuilds each
-    set from it in that order."""
-    roots, set_ptr, members = csr_from_sets(sets)
-    return RRCorpus(len(roots), *stable_argsort_index(set_ptr, members, node_count),
-                    lambda: roots)
+def corpus_from_sets(sets, node_count) -> tuple[np.ndarray, np.ndarray]:
+    """The inverted index ``(node_ptr, node_sets)`` of hand-written (root, members)
+    pairs, set ids in list order; their theta is ``len(sets)``."""
+    _, set_ptr, members = csr_from_sets(sets)
+    return stable_argsort_index(set_ptr, members, node_count)
 
 
-def capital_of(corpus, total) -> Coverage:
-    """The capital ``estimate_params`` builds on a corpus: each set worth total / theta."""
-    return Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, float(total))
+def r1_sets(graph, targets, model, theta, master_seed) -> tuple[np.ndarray, np.ndarray]:
+    """The inverted index of R1's first theta sets, as ``estimate_params`` reads it."""
+    return RRStream(graph, targets, model, master_seed, CORPUS_PHASE).sets(theta)
+
+
+def capital_of(corpus, theta, total) -> Coverage:
+    """The capital ``estimate_params`` builds on theta indexed sets, each worth total / theta."""
+    return Coverage(*corpus, theta, float(total))
 
 
 def reach(graph, model, forward, items, start, rngs) -> np.ndarray:
@@ -97,9 +98,9 @@ def drawn(graph, targets, model, master_seed, phase, stop):
     return np.concatenate(roots)[:stop], set_ptr, members[:set_ptr[-1]].astype(np.int32)
 
 
-def coverage_fraction(corpus, seeds) -> float:
-    """Fraction of the corpus's sets that the seeds cover."""
-    sets = Coverage(corpus.node_ptr, corpus.node_sets, corpus.theta, 1.0)
+def coverage_fraction(corpus, theta, seeds) -> float:
+    """Fraction of the theta sets of an inverted index that the seeds cover."""
+    sets = Coverage(*corpus, theta, 1.0)
     for v in seeds:
         sets.commit(v)
     return sets.value()

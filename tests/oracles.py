@@ -412,15 +412,15 @@ def _capital_score(set_ids, covered, unit) -> float:
     return unit * sum(1 for i in set_ids if not covered[i])
 
 
-def reference_seed_set(corpus, total, k, alpha, diversity, lazy=True):
-    """The lazy (CELF) or eager greedy with each node's capital gain, each
-    set worth total / theta, counted in Python over its own list of uncovered
-    set ids.  Returns the seeds and the per-round ``(capital, diversity,
-    combined)`` gains."""
-    n = len(corpus.node_ptr) - 1
-    unit = float(total) / corpus.theta
-    covered = np.zeros(corpus.theta, dtype=bool)
-    ptr, ids = corpus.node_ptr.tolist(), corpus.node_sets.tolist()
+def reference_seed_set(node_ptr, node_sets, theta, total, k, alpha, diversity, lazy=True):
+    """The lazy (CELF) or eager greedy with each node's capital gain over the
+    theta sets of an inverted index, each set worth total / theta, counted in
+    Python over its own list of uncovered set ids.  Returns the seeds and the
+    per-round ``(capital, diversity, combined)`` gains."""
+    n = len(node_ptr) - 1
+    unit = float(total) / theta
+    covered = np.zeros(theta, dtype=bool)
+    ptr, ids = node_ptr.tolist(), node_sets.tolist()
     remaining = [ids[ptr[v]:ptr[v + 1]] for v in range(n)]   # lazy mode drops covered ids
     push_c = np.zeros(n, dtype=np.float64)
     push_d = np.zeros(n, dtype=np.float64)
@@ -463,7 +463,7 @@ def reference_seed_set(corpus, total, k, alpha, diversity, lazy=True):
                 break
             seeds.append(best_v)
             candidates.discard(best_v)
-            covered[corpus.node_sets[corpus.node_ptr[best_v]:corpus.node_ptr[best_v + 1]]] = True
+            covered[node_sets[node_ptr[best_v]:node_ptr[best_v + 1]]] = True
             diversity.commit(best_v)
             trace.append((float(best_c), float(best_d), float(best_score)))
     return seeds, trace

@@ -20,13 +20,12 @@ from divtim.estimator import estimate_params
 from divtim.graph import save_graph, select_targets, synth_graph
 from divtim.metrics import seed_entropy, seed_overlap
 from divtim.profiles import synth_profiles
-from divtim.sampler import generate_corpus
 from divtim.selector import build_seed_set
 from divtim.simulator import simulate
 
 import oracles
 from conftest import (capital_of, corpus_from_sets, coverage_fraction, make_graph,
-                      make_profiles)
+                      make_profiles, r1_sets)
 from oracles import (exhaustive_expectation, hamming_sum_halved, hamming_sum_pairnorm,
                      hamming_sum_score, jaccard_sum_score, mismatch_pair_score)
 
@@ -346,8 +345,9 @@ def test_c07_greedy_near_optimality_on_fixed_corpus():
         n = int(rng.integers(5, 13))
         ps, g = _random_instance(rng, n)
         t = rng.uniform(0.1, 1.0, size=n)
-        corpus = _manual_corpus(rng, n, theta=int(rng.integers(15, 60)))
-        capital = capital_of(corpus, t.sum())
+        theta = int(rng.integers(15, 60))
+        corpus = _manual_corpus(rng, n, theta)
+        capital = capital_of(corpus, theta, t.sum())
         k = int(rng.integers(1, 4))
         alpha = float(rng.uniform(0, 1))
         div = _random_diversity(rng, n, ps, g)
@@ -356,7 +356,7 @@ def test_c07_greedy_near_optimality_on_fixed_corpus():
 
         best = 0.0
         for combo in itertools.combinations(range(n), k):
-            cov = capital.total * coverage_fraction(corpus, combo)
+            cov = capital.total * coverage_fraction(corpus, theta, combo)
             fresh = _fresh_like(div, ps, g)
             for v in combo:
                 fresh.commit(v)
@@ -386,8 +386,8 @@ def test_c08_sampler_unbiasedness():
         g = g.with_target_scores(scores)
         ts = select_targets(g, "threshold", tau=0.0)
         seeds = sorted({0, 1 % g.node_count})
-        corpus = generate_corpus(g, ts, model, 100_000, master_seed=31 + trial)
-        frac = coverage_fraction(corpus, seeds)
+        corpus = r1_sets(g, ts, model, 100_000, master_seed=31 + trial)
+        frac = coverage_fraction(corpus, 100_000, seeds)
         _, exact_capital = exhaustive_expectation(g, model, seeds, targets=ts)
         exact_prob = exact_capital / ts.total_score
         cases.append(abs(frac - exact_prob))
@@ -404,12 +404,14 @@ def test_c09_lazy_greedy_equivalence():
         n = int(rng.integers(5, 12))
         ps, g = _random_instance(rng, n)
         t = rng.uniform(0.1, 1.0, size=n)
-        corpus = _manual_corpus(rng, n, theta=int(rng.integers(10, 70)))
+        theta = int(rng.integers(10, 70))
+        corpus = _manual_corpus(rng, n, theta)
         alpha = float(rng.uniform(0, 1))
         k = int(rng.integers(1, 5))
         div = _random_diversity(rng, n, ps, g)
-        lazy = build_seed_set(capital_of(corpus, t.sum()), k, alpha, _fresh_like(div, ps, g))
-        eager, _ = oracles.reference_seed_set(corpus, t.sum(), k, alpha,
+        lazy = build_seed_set(capital_of(corpus, theta, t.sum()), k, alpha,
+                              _fresh_like(div, ps, g))
+        eager, _ = oracles.reference_seed_set(*corpus, theta, t.sum(), k, alpha,
                                               _fresh_like(div, ps, g), lazy=False)
         assert lazy.seeds == eager, (trial, lazy.seeds, eager)
     _verdict(9, True, "lazy greedy and reference eager greedy pick identical seeds on 200 "
@@ -569,7 +571,7 @@ def test_trend_seed_entropy_ordering():
                             seed=seed)
         rng = np.random.default_rng(seed)
         classes = rng.integers(0, 4, size=60)
-        capital = capital_of(generate_corpus(g, ts, "ic", 300, master_seed=seed), ts.total_score)
+        capital = capital_of(r1_sets(g, ts, "ic", 300, master_seed=seed), 300, ts.total_score)
         for name, div in (("aw", AttributeWiseDiversity(ps)),
                           ("entropy", EntropyDiversity(ps)),
                           ("class", ClassDiversity(classes, np.ones(60)))):

@@ -152,9 +152,9 @@ def test_simulate_csv_header_lands_in_a_pipe(small_dataset):
             " '--out', '/dev/stdout']))\n")
     env = dict(os.environ, PYTHONPATH=str(Path(divtim.__file__).parent.parent))
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, (proc.stdout, proc.stderr)
     rows = list(csv.DictReader(proc.stdout.splitlines()))
-    assert [row["runs"] for row in rows] == ["100"]
+    assert [row.get("runs") for row in rows] == ["100"], (proc.stdout, proc.stderr)
 
 
 def test_baseline_subcommand(tmp_path, small_dataset):
@@ -546,6 +546,29 @@ def test_one_corpus_serves_every_k(tmp_path, small_dataset, sizing):
             doc = parse_result_doc(str(runs["2,4"] / f"seeds_k{k}_a1.txt"))
             sizes.add((doc["stats.theta"], doc["stats.check_theta"]))
         assert len(sizes) == 2
+
+
+@pytest.mark.parametrize("sizing", [["--epsilon", "0.02", "--theta-cap", "3000"],
+                                    ["--theta-override", "300"]], ids=["estimated", "override"])
+def test_corpus_width_counts_the_members_of_the_first_theta_sets(tmp_path, small_dataset,
+                                                                 sizing):
+    # each k's document counts the members of the R1 prefix its seeds were picked on; sized,
+    # k = 2 stops at the cap and k = 4 at one batch, both short of the two batches drawn
+    out = tmp_path / "out"
+    assert main(["select", "--graph", str(small_dataset["edges"]), "--weight-mode", "explicit",
+                 "--profiles", str(small_dataset["profiles"]), *sizing,
+                 "--k", "2,4", "--alpha", "0,1", "--seed", "3", "--out", str(out)]) == 0
+    g = load_graph(str(small_dataset["edges"]), "explicit")
+    ts = select_targets(g, "top_percent", percent=25.0)
+    thetas = set()
+    for k in (2, 4):
+        for alpha in ("0", "1"):
+            doc = parse_result_doc(str(out / f"seeds_k{k}_a{alpha}.txt"))
+            theta = int(doc["stats.theta"] if "stats.theta" in doc else sizing[1])
+            _, set_ptr, _ = drawn(g, ts, "ic", 3, sampler.CORPUS_PHASE, theta)
+            assert int(doc["corpus_width"]) == set_ptr[-1] > theta
+            thetas.add(theta)
+    assert thetas == ({2048, 3000} if sizing[0] == "--epsilon" else {300})
 
 
 @pytest.mark.parametrize("model, sizing", [("ic", ["--epsilon", "0.5"]),

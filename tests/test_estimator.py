@@ -9,10 +9,11 @@ from divtim.errors import ConfigError
 from divtim.estimator import CAPITAL_RSE, DEFAULT_THETA_CAP, MAX_ELL, estimate_params
 from divtim.graph import select_targets, synth_graph
 from divtim.profiles import synth_profiles
-from divtim.sampler import batch_size, generate_corpus
+from divtim.sampler import batch_size
 from divtim.selector import build_seed_set
 
-from conftest import capital_of, corpus_from_sets, coverage_fraction, csr_from_sets, make_graph
+from conftest import (capital_of, corpus_from_sets, coverage_fraction, csr_from_sets, make_graph,
+                      r1_sets)
 from oracles import exhaustive_expectation, reference_greedy_cover
 
 TARGET = 1 - 1 / math.e
@@ -60,6 +61,22 @@ def test_repeated_grid_point_is_rejected():
     for ks, alphas in (((3,), (1.0, 1.0)), ((3, 3), (1.0,)), ((3,), (0.5, 0.0, 0.5))):
         with pytest.raises(ConfigError, match="listed once"):
             _sized(g, ts, ps, ks=ks, alphas=alphas, theta_cap=4 * batch_size(60))
+
+
+def test_each_capital_stays_the_one_its_seeds_were_picked_on():
+    # k = 3 stops at one batch and shares R1's whole index; k = 1 then grows R1
+    # to the cap, which leaves the k = 3 capital as it was read
+    g = synth_graph(40, 3, seed=13, score_mode="uniform")
+    ts = select_targets(g, "top_percent", percent=25)
+    ps = synth_profiles(40, m=3, domain_sizes=4, seed=5)
+    params = _sized(g, ts, ps, ks=(3, 1), alphas=(1.0,), epsilon=0.02, seed=2, theta_cap=3000)
+    assert [params.capitals[k].size for k in (3, 1)] == [batch_size(40), 3000]
+    for k in (3, 1):
+        capital = params.capitals[k]
+        node_ptr, node_sets = params.r1.sets(capital.size)
+        assert np.array_equal(capital.ptr, node_ptr) and np.array_equal(capital.elements, node_sets)
+        picked = build_seed_set(capital, k, 1.0, AttributeWiseDiversity(ps))
+        assert picked.seeds == params.points[k, 1.0][0].seeds
 
 
 def test_approx_ratio_reaches_target_unless_capped():
@@ -149,7 +166,7 @@ def test_greedy_cover_matches_eager_reference():
         n = int(rng.integers(1, 9))
         sets = [(0, list(np.unique(rng.integers(0, n, size=rng.integers(1, 4)))))
                 for _ in range(int(rng.integers(1, 25)))]
-        capital = capital_of(corpus_from_sets(sets, n), 1.0)
+        capital = capital_of(corpus_from_sets(sets, n), len(sets), 1.0)
         k = int(rng.integers(1, n + 2))
         _, set_ptr, members = csr_from_sets(sets)
         expect = reference_greedy_cover(set_ptr, members, n, k)
@@ -163,18 +180,19 @@ def test_estimate_params_pipeline_and_override():
     params = estimate_params(g, ts, "ic", [2], [1.0], nothing, epsilon=0.4, master_seed=4,
                              theta_cap=50_000)
     res, stats = params.points[2, 1.0]
-    assert params.theta == stats["theta"] == params.corpora[2].theta >= 1
+    assert params.theta == stats["theta"] == params.capitals[2].size >= 1
     assert 0 < stats["approx_ratio"] <= 1 and 0 < res.expected_capital <= ts.total_score
     override = estimate_params(g, ts, "ic", [2], [1.0], nothing, epsilon=0.1, master_seed=0,
                                theta_override=123)
-    assert override.theta == 123 and override.points[2, 1.0][1] == {}
+    assert override.theta == override.capitals[2].size == 123
+    assert override.points[2, 1.0][1] == {}
 
 
 def test_expected_capital_forced_chain():
     g = make_graph([("u", "v", 1.0)], t={"u": 0.1, "v": 1.0})
     ts = select_targets(g, "threshold", tau=0.5)
-    corpus = generate_corpus(g, ts, "ic", 64, master_seed=3)
-    estimate = ts.total_score * coverage_fraction(corpus, [g.label_ids["u"]])
+    corpus = r1_sets(g, ts, "ic", 64, master_seed=3)
+    estimate = ts.total_score * coverage_fraction(corpus, 64, [g.label_ids["u"]])
     assert estimate == pytest.approx(1.0)
 
 
@@ -201,11 +219,12 @@ def test_expected_capital_unbiased_with_spread_scores():
         g = g.with_target_scores(rng.uniform(0.05, 1.0, size=g.node_count))
         ts = select_targets(g, "threshold", tau=0.0)
         seeds = [0, 1]
-        corpus = generate_corpus(g, ts, model, 100_000, master_seed=41 + trial)
-        estimate = ts.total_score * coverage_fraction(corpus, seeds)
+        theta = 100_000
+        corpus = r1_sets(g, ts, model, theta, master_seed=41 + trial)
+        estimate = ts.total_score * coverage_fraction(corpus, theta, seeds)
         _, exact = exhaustive_expectation(g, model, seeds, targets=ts)
         p = exact / ts.total_score
-        stderr = ts.total_score * math.sqrt(p * (1 - p) / corpus.theta)
+        stderr = ts.total_score * math.sqrt(p * (1 - p) / theta)
         assert abs(estimate - exact) <= 4 * stderr, (trial, estimate, exact, stderr)
 
 

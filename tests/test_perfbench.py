@@ -30,8 +30,10 @@ def test_benchmark_workload_runs_without_failures(workload):
 def test_traced_benchmark_run_finds_what_the_tracer_wraps():
     lines = _bench("--workload", "select-hamming", "--trace", "1")
     info = json.loads(next(line for line in lines if line.startswith("info: "))[len("info: "):])
-    # the three names of functions that the one RR stream replaced, and the two
-    # TIM+ stages that OPIM-C's stopping rule replaced
+    # the three names of functions that the one RR stream replaced, the two
+    # TIM+ stages that OPIM-C's stopping rule replaced, and the corpus class and
+    # its one-call wrapper that the stream's own prefixes replaced
     assert info["absent"] == ["divtim.estimator.generate_rr_set",
                               "divtim.estimator.kpt_estimation", "divtim.estimator.refine_kpt",
-                              "divtim.estimator.stream", "divtim.sampler.generate_rr_set"]
+                              "divtim.estimator.stream", "divtim.sampler.RRCorpus",
+                              "divtim.sampler.generate_corpus", "divtim.sampler.generate_rr_set"]

@@ -1,4 +1,5 @@
 import hashlib
+import io
 import re
 from pathlib import Path
 
@@ -11,34 +12,45 @@ from divtim.errors import ConfigError
 from divtim.graph import _assemble, select_targets, synth_graph
 from divtim.rng import stream
 from divtim.sampler import (CHECK_PHASE, CORPUS_PHASE, RRStream, _distinct, batch_size,
-                            generate_corpus, live_edge_search, sample_roots)
+                            live_edge_search, sample_roots)
 from divtim.simulator import simulate
 
 import oracles
 from conftest import (capital_of, corpus_from_sets, coverage_fraction, csr_from_sets, drawn,
-                      make_graph, reach)
+                      make_graph, r1_sets, reach)
 
 # chi-square critical value, 3 degrees of freedom, p = 0.01
 CHI2_3_P01 = 11.345
 
 
 def drawn_sets(g, ts, model, theta, master_seed):
-    """The members of each set that ``generate_corpus`` with these arguments indexes."""
+    """The members of each set that ``r1_sets`` with these arguments indexes."""
     _, set_ptr, members = drawn(g, ts, model, master_seed, CORPUS_PHASE, theta)
     return np.split(members, set_ptr[1:-1])
 
 
 def same_index(corpus, sets, m):
-    """Whether corpus is the inverted index of the first m of ``sets = (roots, set_ptr, members)``."""
-    _, set_ptr, members = sets
+    """Whether ``corpus = (node_ptr, node_sets)`` is the inverted index of the first m of
+    ``sets = (roots, set_ptr, members)``."""
+    (got_ptr, got_sets), (_, set_ptr, members) = corpus, sets
     node_ptr, node_sets = oracles.stable_argsort_index(set_ptr[:m + 1], members[:set_ptr[m]],
-                                                       len(corpus.node_ptr) - 1)
-    return (corpus.theta == m and np.array_equal(corpus.node_ptr, node_ptr)
-            and corpus.node_sets.dtype == np.int32 and np.array_equal(corpus.node_sets, node_sets))
+                                                       len(got_ptr) - 1)
+    return (np.array_equal(got_ptr, node_ptr) and got_sets.dtype == np.int32
+            and np.array_equal(got_sets, node_sets))
 
 
 def sets_containing(corpus, v):
-    return corpus.node_sets[corpus.node_ptr[v]:corpus.node_ptr[v + 1]]
+    node_ptr, node_sets = corpus
+    return node_sets[node_ptr[v]:node_ptr[v + 1]]
+
+
+def dumped_roots(rr, stop):
+    """The roots of a stream's first stop sets, as its dump writes them."""
+    buf = io.StringIO()
+    rr.dump(stop, buf)
+    rows = [[int(x) for x in line.split()] for line in buf.getvalue().splitlines()]
+    assert [row[0] for row in rows] == list(range(stop))
+    return np.array([row[1] for row in rows])
 
 
 def targets_of(g, tau=0.0):
@@ -99,8 +111,7 @@ def test_sample_root_weighted_three_sigma():
 def test_rr_set_deterministic_chain():
     g = make_graph([("u", "v", 1.0)], t={"u": 0.1, "v": 1.0})
     ts = select_targets(g, "threshold", tau=0.5)
-    corpus = generate_corpus(g, ts, "ic", 1, master_seed=1)
-    assert corpus.roots()[0] == g.label_ids["v"]
+    assert dumped_roots(RRStream(g, ts, "ic", 1, CORPUS_PHASE), 1)[0] == g.label_ids["v"]
     assert set(drawn_sets(g, ts, "ic", 1, 1)[0]) == {g.label_ids["u"], g.label_ids["v"]}
 
 
@@ -114,7 +125,7 @@ def test_rr_half_edge_inclusion_rate():
     g = make_graph([("u", "v", 0.5)], t={"u": 0.1, "v": 1.0})
     ts = select_targets(g, "threshold", tau=0.5)
     trials = 100_000
-    corpus = generate_corpus(g, ts, "ic", trials, master_seed=5)
+    corpus = r1_sets(g, ts, "ic", trials, master_seed=5)
     hits = len(sets_containing(corpus, g.label_ids["u"]))
     sigma = (0.25 / trials) ** 0.5
     assert abs(hits / trials - 0.5) < 3 * sigma
@@ -125,7 +136,7 @@ def test_kernel_matches_reference_sampler(model):
     g = ring_with_chords()
     ts = targets_of(g)
     draws = 20_000
-    corpus = generate_corpus(g, ts, model, draws, master_seed=12)
+    corpus = r1_sets(g, ts, model, draws, master_seed=12)
     kernel = np.array([len(sets_containing(corpus, v)) for v in range(g.node_count)]) / draws
     rng = np.random.default_rng(12)
     counts = np.zeros(g.node_count)
@@ -245,15 +256,9 @@ def test_rr_stream_groups_batches_within_the_call_budget(model, monkeypatch):
     corpus = grouped.sets(count * size)
     assert [k for k, _ in calls[count:]] == [2, per_call, 1] and per_call > 2
     assert max(mask for _, mask in calls) <= sampler.CALL_MASK_BYTES
-    assert np.array_equal(corpus.roots(), corpus_alone.roots())
-    assert np.array_equal(corpus.node_ptr, corpus_alone.node_ptr)
-    assert np.array_equal(corpus.node_sets, corpus_alone.node_sets)
-
-
-def test_corpus_rejects_nonpositive_theta():
-    g = make_graph([("a", "b", 1.0)])
-    with pytest.raises(ConfigError):
-        generate_corpus(g, targets_of(g), "ic", 0, master_seed=1)
+    assert np.array_equal(dumped_roots(grouped, count * size), dumped_roots(alone, count * size))
+    assert np.array_equal(corpus[0], corpus_alone[0])
+    assert np.array_equal(corpus[1], corpus_alone[1])
 
 
 def test_corpus_prefix_equals_smaller_corpus():
@@ -265,10 +270,10 @@ def test_corpus_prefix_equals_smaller_corpus():
         large = RRStream(g, ts, model, 9, CORPUS_PHASE)
         large.sets(2 * size + 7)
         for m in (50, size, size + 1):
-            small, same = generate_corpus(g, ts, model, m, master_seed=9), large.sets(m)
-            assert np.array_equal(small.roots(), sets[0][:m])
-            assert np.array_equal(same.roots(), sets[0][:m])
-            assert same_index(small, sets, m) and same_index(same, sets, m)
+            small = RRStream(g, ts, model, 9, CORPUS_PHASE)
+            assert np.array_equal(dumped_roots(small, m), sets[0][:m])
+            assert np.array_equal(dumped_roots(large, m), sets[0][:m])
+            assert same_index(small.sets(m), sets, m) and same_index(large.sets(m), sets, m)
 
 
 def test_rr_stream_reads_by_index(monkeypatch):
@@ -287,9 +292,8 @@ def test_rr_stream_reads_by_index(monkeypatch):
         sets = drawn(g, ts, model, 9, CORPUS_PHASE, 2 * b + 7)
         rr, batches[:] = RRStream(g, ts, model, 9, CORPUS_PHASE), []
         for stop in (b + 2, 5, 2 * b + 7, b):
-            corpus = rr.sets(stop)
-            assert np.array_equal(corpus.roots(), sets[0][:stop])
-            assert same_index(corpus, sets, stop)
+            assert same_index(rr.sets(stop), sets, stop)
+            assert np.array_equal(dumped_roots(rr, stop), sets[0][:stop])
         assert sum(batches) == 3     # each batch drawn once
 
 
@@ -413,9 +417,9 @@ def test_corpus_forced_membership():
 def test_corpus_index_inverts_membership():
     g = make_graph([(str(u), str(v), 0.4) for u in range(6) for v in range(6) if u != v][:20])
     ts = targets_of(g)
-    corpus = generate_corpus(g, ts, "ic", 150, master_seed=4)
+    corpus = r1_sets(g, ts, "ic", 150, master_seed=4)
     sets = drawn_sets(g, ts, "ic", 150, 4)
-    for i in range(corpus.theta):
+    for i in range(150):
         for v in sets[i]:
             assert i in sets_containing(corpus, v)
     for v in range(g.node_count):
@@ -423,25 +427,25 @@ def test_corpus_index_inverts_membership():
         assert np.all(np.diff(ids) > 0)
         for i in ids:
             assert v in sets[i]
-    assert corpus.total_width == sum(len(members) for members in sets)
+    assert corpus[1].size == sum(len(members) for members in sets)
 
 
 def test_root_scores_match_roots():
     g = make_graph([("0", "1", 0.5)], t={"0": 0.7, "1": 0.9})
     ts = targets_of(g)
-    corpus = generate_corpus(g, ts, "ic", 50, master_seed=6)
-    capital = capital_of(corpus, ts.total_score)     # every set holds its root, 0 or 1
+    rr = RRStream(g, ts, "ic", 6, CORPUS_PHASE)
+    capital = capital_of(rr.sets(50), 50, ts.total_score)     # every set holds its root, 0 or 1
     capital.commit(0)
     capital.commit(1)
     assert capital.value() == ts.total_score == pytest.approx(1.6)
-    for root, members in zip(corpus.roots(), drawn_sets(g, ts, "ic", 50, 6)):
+    for root, members in zip(dumped_roots(rr, 50), drawn_sets(g, ts, "ic", 50, 6)):
         assert root in members
 
 
 def test_lt_requires_subunit_in_mass():
     g = make_graph([("a", "c", 0.8), ("b", "c", 0.8)])
     with pytest.raises(ConfigError):
-        generate_corpus(g, targets_of(g), "lt", 10, master_seed=0)
+        r1_sets(g, targets_of(g), "lt", 10, master_seed=0)
 
 
 def test_lt_chain_follows_single_pick():
@@ -453,10 +457,10 @@ def test_lt_chain_follows_single_pick():
 
 def test_coverage_fraction_and_scores():
     corpus = corpus_from_sets([(0, [0, 1]), (2, [2]), (0, [0])], 3)
-    assert coverage_fraction(corpus, [0]) == pytest.approx(2 / 3)
-    assert coverage_fraction(corpus, [2]) == pytest.approx(1 / 3)
-    assert coverage_fraction(corpus, [0, 2]) == 1.0
-    capital = capital_of(corpus, 1.75)
+    assert coverage_fraction(corpus, 3, [0]) == pytest.approx(2 / 3)
+    assert coverage_fraction(corpus, 3, [2]) == pytest.approx(1 / 3)
+    assert coverage_fraction(corpus, 3, [0, 2]) == 1.0
+    capital = capital_of(corpus, 3, 1.75)
     capital.commit(0)
     capital.commit(2)
     assert capital.value() == 1.75
@@ -499,9 +503,8 @@ GOLDEN_INDEX = {
 def test_index_matches_golden_digest(model):
     g = synth_graph(300, 4, seed=21, score_mode="uniform")
     ts = select_targets(g, "threshold", tau=0.5)
-    corpus = generate_corpus(g, ts, model, 2000, master_seed=5)
     digest = hashlib.sha256()
-    for a in (corpus.node_ptr, corpus.node_sets):
+    for a in r1_sets(g, ts, model, 2000, master_seed=5):
         digest.update(a.astype("<i8").tobytes())
     assert digest.hexdigest() == GOLDEN_INDEX[model]
 
@@ -512,18 +515,19 @@ def test_corpus_holds_only_its_index(model):
     # set-major copy of the members, and no roots, which are drawn again
     g = synth_graph(300, 4, seed=21, score_mode="uniform")
     ts = select_targets(g, "threshold", tau=0.5)
-    corpus = generate_corpus(g, ts, model, 2000, master_seed=5)
-    # the estimator turns a count of covered sets into capital, so no total lives here
-    assert sorted(vars(corpus)) == ["node_ptr", "node_sets", "roots", "theta", "total_width"]
-    held = sum(a.nbytes for a in vars(corpus).values() if isinstance(a, np.ndarray))
-    assert held <= 4 * corpus.total_width + 8 * (g.node_count + 1)
-    # and so does each phase's stream, after reads of R1's sets and R2's hits
+    node_ptr, node_sets = r1_sets(g, ts, model, 2000, master_seed=5)
+    assert node_ptr.size == g.node_count + 1 and node_sets.dtype == np.int32
+    assert node_ptr.nbytes + node_sets.nbytes <= 4 * node_sets.size + 8 * (g.node_count + 1)
+    # and so does each phase's stream, after reads of R1's sets and R2's hits; it keeps
+    # no total, as the estimator turns a count of covered sets into capital
     r1, r2 = (RRStream(g, ts, model, 5, phase) for phase in (CORPUS_PHASE, CHECK_PHASE))
     r1.sets(900)
     r1.sets(2000)
     r2.hits([0, 7], 1000)
     r2.hits([0, 7], 4000)
     for rr in (r1, r2):
+        assert sorted(vars(rr)) == ["base", "drawn", "graph", "model", "name", "node_ptr",
+                                    "node_sets", "size", "targets"]
         held = sum(a.nbytes for a in vars(rr).values() if isinstance(a, np.ndarray))
         assert rr.drawn >= 2000 and held <= 4 * rr.node_sets.size + 8 * (g.node_count + 1)
 

@@ -11,11 +11,10 @@ from divtim.diversity import (AttributeWiseDiversity, ClassDiversity, Coverage, 
 from divtim.errors import ConfigError
 from divtim.graph import select_targets, synth_graph
 from divtim.profiles import synth_profiles
-from divtim.sampler import generate_corpus
 from divtim.selector import build_seed_set, lazy_greedy
 
 from conftest import (capital_of, corpus_from_sets, coverage_fraction, make_graph,
-                      make_profiles, random_profiles)
+                      make_profiles, r1_sets, random_profiles)
 from oracles import reference_seed_set
 
 
@@ -29,7 +28,7 @@ def test_hand_traced_coverage_pick():
     # with gain T * 3/3 = 4.0 (target total 4, all three sets covered)
     corpus = corpus_from_sets([(3, [0, 3]), (3, [0, 1, 3]), (3, [0, 3])], 4)
     div = AttributeWiseDiversity(flat_profiles(4))
-    res = build_seed_set(capital_of(corpus, 4.0), 1, 1.0, div)
+    res = build_seed_set(capital_of(corpus, 3, 4.0), 1, 1.0, div)
     assert res.seeds == [0]
     assert res.trace[0].capital_gain == pytest.approx(4.0)
 
@@ -41,7 +40,7 @@ def test_alpha_one_equals_pure_weighted_coverage():
              list(np.unique(rng.integers(0, n, size=rng.integers(1, 5)))))
             for _ in range(theta)]
     t = rng.uniform(0.1, 1.0, size=n)
-    capital = capital_of(corpus_from_sets(sets, n), t.sum())
+    capital = capital_of(corpus_from_sets(sets, n), theta, t.sum())
     div = AttributeWiseDiversity(flat_profiles(n))
     res = build_seed_set(capital, 3, 1.0, div)
 
@@ -66,7 +65,7 @@ def test_alpha_one_equals_pure_weighted_coverage():
 def test_alpha_zero_equals_pure_diversity_greedy():
     n = 8
     ps = flat_profiles(n, m=2, d=3, seed=2)
-    capital = capital_of(corpus_from_sets([(0, [0])], n), n)  # irrelevant at alpha=0
+    capital = capital_of(corpus_from_sets([(0, [0])], n), 1, n)  # irrelevant at alpha=0
     res = build_seed_set(capital, 4, 0.0, AttributeWiseDiversity(ps))
 
     ref = AttributeWiseDiversity(ps)
@@ -96,9 +95,10 @@ def test_lazy_equals_eager_on_random_instances():
         ps = flat_profiles(n, seed=trial)
         alpha = float(rng.uniform(0, 1))
         k = int(rng.integers(1, 5))
-        lazy = build_seed_set(capital_of(corpus, t.sum()), k, alpha, AttributeWiseDiversity(ps))
-        eager, _ = reference_seed_set(corpus, t.sum(), k, alpha, AttributeWiseDiversity(ps),
-                                      lazy=False)
+        lazy = build_seed_set(capital_of(corpus, theta, t.sum()), k, alpha,
+                              AttributeWiseDiversity(ps))
+        eager, _ = reference_seed_set(*corpus, theta, t.sum(), k, alpha,
+                                      AttributeWiseDiversity(ps), lazy=False)
         assert lazy.seeds == eager
 
 
@@ -107,7 +107,7 @@ def test_alpha_trades_capital_for_diversity():
     g = synth_graph(500, 4, seed=7, score_mode="uniform")
     targets = select_targets(g, "top_percent", percent=25)
     ps = synth_profiles(500, m=10, domain_sizes=10, distribution="exponential", seed=7)
-    capital = capital_of(generate_corpus(g, targets, "ic", 20_000, master_seed=7),
+    capital = capital_of(r1_sets(g, targets, "ic", 20_000, master_seed=7), 20_000,
                          targets.total_score)
     res = {alpha: build_seed_set(capital, 10, alpha, AttributeWiseDiversity(ps))
            for alpha in (0.0, 0.5, 1.0)}
@@ -122,7 +122,7 @@ def test_selection_deterministic():
     ps = flat_profiles(10, seed=3)
     runs = []
     for _ in range(2):
-        capital = capital_of(generate_corpus(g, ts, "ic", 300, master_seed=21), ts.total_score)
+        capital = capital_of(r1_sets(g, ts, "ic", 300, master_seed=21), 300, ts.total_score)
         res = build_seed_set(capital, 3, 0.6, AttributeWiseDiversity(ps))
         runs.append((res.seeds, res.expected_capital, res.diversity_value))
     assert runs[0] == runs[1]
@@ -130,7 +130,7 @@ def test_selection_deterministic():
 
 def test_zero_gain_nodes_never_selected():
     # only node 0 covers anything; profiles identical so diversity saturates
-    capital = capital_of(corpus_from_sets([(0, [0])], 3), 3.0)
+    capital = capital_of(corpus_from_sets([(0, [0])], 3), 1, 3.0)
     ps = make_profiles([(0,), (0,), (0,)], domain_sizes=[1])
     res = build_seed_set(capital, 3, 1.0, AttributeWiseDiversity(ps))
     assert res.seeds == [0] and res.k == 3
@@ -141,7 +141,7 @@ def test_trace_gains_sum_to_objective_components():
     n, theta = 8, 40
     sets = [(int(rng.integers(0, n)),
              list(np.unique(rng.integers(0, n, size=3)))) for _ in range(theta)]
-    capital = capital_of(corpus_from_sets(sets, n), n)
+    capital = capital_of(corpus_from_sets(sets, n), theta, n)
     ps = flat_profiles(n, seed=9)
     res = build_seed_set(capital, 4, 0.5, AttributeWiseDiversity(ps))
     assert sum(s.capital_gain for s in res.trace) == pytest.approx(res.expected_capital)
@@ -151,14 +151,14 @@ def test_trace_gains_sum_to_objective_components():
 
 def test_covered_ids_grow_and_match():
     corpus = corpus_from_sets([(0, [0, 1]), (1, [1]), (2, [2])], 3)
-    capital = capital_of(corpus, 3.0)
+    capital = capital_of(corpus, 3, 3.0)
     ps = flat_profiles(3)
     res = build_seed_set(capital, 2, 1.0, AttributeWiseDiversity(ps))
-    assert res.expected_capital == capital.total * coverage_fraction(corpus, res.seeds)
+    assert res.expected_capital == capital.total * coverage_fraction(corpus, 3, res.seeds)
 
 
 def test_objective_value_mixing():
-    capital = capital_of(corpus_from_sets([(0, [0])], 2), 8.0)
+    capital = capital_of(corpus_from_sets([(0, [0])], 2), 1, 8.0)
     ps = make_profiles([(0,), (1,)], domain_sizes=[2])
     res = build_seed_set(capital, 1, 1.0, AttributeWiseDiversity(ps))
     res.expected_capital, res.diversity_value = 4.0, 2.0
@@ -168,7 +168,7 @@ def test_objective_value_mixing():
 
 
 def test_objective_normalized():
-    capital = capital_of(corpus_from_sets([(0, [0]), (1, [1])], 2), 2.0)
+    capital = capital_of(corpus_from_sets([(0, [0]), (1, [1])], 2), 2, 2.0)
     ps = make_profiles([(0,), (1,)], domain_sizes=[2])
     res = build_seed_set(capital, 2, 0.5, AttributeWiseDiversity(ps))
     # full coverage and maximal diversity: both terms normalize to 1
@@ -176,7 +176,7 @@ def test_objective_normalized():
 
 
 def test_bad_arguments():
-    capital = capital_of(corpus_from_sets([(0, [0])], 2), 2.0)
+    capital = capital_of(corpus_from_sets([(0, [0])], 2), 1, 2.0)
     ps = make_profiles([(0,), (1,)], domain_sizes=[2])
     with pytest.raises(ConfigError):
         build_seed_set(capital, 0, 0.5, AttributeWiseDiversity(ps))
@@ -193,7 +193,7 @@ def test_bad_arguments():
 
 
 def _oracle_corpora():
-    """(corpus, target total) pairs: six hand-made, then IC and LT draws."""
+    """(corpus, theta, target total) triples: six hand-made, then IC and LT draws."""
     rng = np.random.default_rng(29)
     corpora = []
     for _ in range(6):
@@ -201,11 +201,11 @@ def _oracle_corpora():
         sets = [(int(rng.integers(0, n)),
                  list(np.unique(rng.integers(0, n, size=rng.integers(1, 6)))))
                 for _ in range(int(rng.integers(20, 120)))]
-        corpora.append((corpus_from_sets(sets, n), float(rng.uniform(0.1, 1.0) * n)))
+        corpora.append((corpus_from_sets(sets, n), len(sets), float(rng.uniform(0.1, 1.0) * n)))
     g = synth_graph(60, 3, seed=5, score_mode="uniform")
     targets = select_targets(g, "top_percent", percent=30)
     for model in ("ic", "lt"):
-        corpora.append((generate_corpus(g, targets, model, 3000, master_seed=17),
+        corpora.append((r1_sets(g, targets, model, 3000, master_seed=17), 3000,
                         targets.total_score))
     return corpora
 
@@ -225,11 +225,11 @@ def test_matches_reference_greedy_bitwise(name, lazy):
                                         radius=2)
         return AttributeWiseDiversity(ps) if name == "aw" else EntropyDiversity(ps)
 
-    for i, (corpus, total) in enumerate(_oracle_corpora()):
-        capital = capital_of(corpus, total)
+    for i, (corpus, theta, total) in enumerate(_oracle_corpora()):
+        capital = capital_of(corpus, theta, total)
         for alpha in (0.0, 0.5, 1.0):
             res = build_seed_set(capital, 6, alpha, make_div(capital.node_count, i))
-            seeds, trace = reference_seed_set(corpus, total, 6, alpha,
+            seeds, trace = reference_seed_set(*corpus, theta, total, 6, alpha,
                                               make_div(capital.node_count, i), lazy=lazy)
             assert res.seeds == seeds
             assert [(s.capital_gain, s.diversity_gain, s.combined_gain)
@@ -248,8 +248,8 @@ def counting_gains(cls):
 
 
 def test_zero_weight_term_is_never_scored():
-    corpus, total = _oracle_corpora()[-1]
-    capital = capital_of(corpus, total)
+    corpus, theta, total = _oracle_corpora()[-1]
+    capital = capital_of(corpus, theta, total)
     profiles = flat_profiles(capital.node_count, seed=3)
     for alpha in (0.0, 1.0):
         div = counting_gains(AttributeWiseDiversity)(profiles)
@@ -257,15 +257,14 @@ def test_zero_weight_term_is_never_scored():
         # diversity weighs 1 - alpha: scored at alpha 0, and at alpha 1 the
         # commits' own gain calls are its only ones
         assert (div.calls == len(res.seeds)) == (alpha == 1.0)
-        seeds, trace = reference_seed_set(corpus, total, 6, alpha,
+        seeds, trace = reference_seed_set(*corpus, theta, total, 6, alpha,
                                           AttributeWiseDiversity(profiles))
         assert res.seeds == seeds
         assert [(s.capital_gain, s.diversity_gain, s.combined_gain)
                 for s in res.trace] == trace
 
     # a coverage term of weight 0 likewise: only the two commits call its gain
-    cover = counting_gains(Coverage)(corpus.node_ptr, corpus.node_sets, corpus.theta,
-                                     float(corpus.theta))
+    cover = counting_gains(Coverage)(*corpus, theta, float(theta))
     div = AttributeWiseDiversity(profiles)
     picks = lazy_greedy(2, [(0.0, cover), (1.0, div)])
     assert cover.calls == len(picks) == 2

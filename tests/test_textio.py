@@ -12,11 +12,12 @@ import divtim
 
 from divtim.cli import _read_config_file, main
 from divtim.diversity import load_class_map
-from divtim.graph import load_graph, load_node_weights, save_graph, synth_graph
+from divtim.graph import load_graph, load_node_weights, save_graph, select_targets, synth_graph
 from divtim.profiles import load_numeric_matrix, load_profiles
+from divtim.sampler import CORPUS_PHASE, RRStream
 from divtim.textio import data_lines
 
-from conftest import corpus_from_sets, make_graph
+from conftest import make_graph
 
 BASE = make_graph([("a", "b", 0.5), ("b", "c", 0.5)])
 
@@ -25,7 +26,7 @@ PLAIN = {
     "node-weights": "a 0.5\nb 1\n",
     "class-map": "a red\nb blue 2\nc red\n",
     "config": "seed=3\nk = 2,4\n",
-    "corpus-dump": "0 2 0 2\n1 1 1\n2 0 0 1 2\n",
+    "corpus-dump": "0 2 0 1 2\n1 2 0 1 2\n2 2 0 1 2\n",
 }
 
 LOADERS = {
@@ -85,11 +86,13 @@ def test_decorated_seeds_file_reads_like_plain(tmp_path, capsys):
 
 
 def test_corpus_dump_writes_to_an_open_file_as_to_a_path(tmp_path):
-    corpus = corpus_from_sets([(2, [0, 2]), (1, [1]), (0, [0, 1, 2])], 3)
+    # c, the one target, reaches back to a and b over certain edges in every set
+    g = make_graph([("a", "b", 1.0), ("b", "c", 1.0)], t={"a": 0.1, "b": 0.1, "c": 1.0})
+    r1 = RRStream(g, select_targets(g, "threshold", tau=0.5), "ic", 1, CORPUS_PHASE)
     path = tmp_path / "corpus.txt"
-    corpus.dump(str(path))
+    r1.dump(3, str(path))
     buf = io.StringIO()
-    corpus.dump(buf)
+    r1.dump(3, buf)
     assert not buf.closed
     assert buf.getvalue() == path.read_text(encoding="utf-8") == PLAIN["corpus-dump"]
 
@@ -356,7 +359,7 @@ def test_call_resolver_types_receivers():
                      "    rr.value(); d.value(); RRStream(g).value(); x.value()\n")
     resolver.bind(Path("probe.py"), tree)
     every = {("RRStream", "sets"), ("Coverage", "value"), ("DiversityFunction", "value"),
-             ("RRCorpus", "value"), ("diversity", "value")}
+             ("TargetSet", "value"), ("diversity", "value")}
     reached = {ast.unparse(node.func.value): resolver.resolve(node, every) & every
                for node in ast.walk(tree) if isinstance(node, ast.Call)
                and getattr(node.func, "attr", "") == "value"}
@@ -364,7 +367,7 @@ def test_call_resolver_types_receivers():
     assert reached == {"rr": set(), "RRStream(g)": set(),
                        "d": {("Coverage", "value"), ("DiversityFunction", "value")},
                        "x": {("Coverage", "value"), ("DiversityFunction", "value"),
-                             ("RRCorpus", "value")}}
+                             ("TargetSet", "value")}}
 
 
 def test_every_parameter_is_set_by_a_program():
