@@ -306,7 +306,8 @@ def cmd_select(args) -> int:
         theta_cap=args.theta_cap)
     os.makedirs(args.out, exist_ok=True)    # after the draw, so a failed one leaves no directory
     if args.dump_corpus:        # before any document, so a dump that fails leaves none
-        sized.r1.dump(sized.capitals[ks[-1]].size, args.dump_corpus)
+        capital = sized.capitals[ks[-1]]
+        sized.r1.dump(capital.ptr, capital.elements, capital.size, args.dump_corpus)
     rows = []
     for k in ks:
         for alpha_token, alpha in zip(alpha_tokens, alphas):

@@ -36,8 +36,10 @@ PHASES = {CORPUS_PHASE: "corpus", CHECK_PHASE: "check corpus"}
 MAX_BATCH = 2048
 #: a batch's visited mask (one byte per item and node) stays below this; it fixes the draws
 MASK_BYTES = 1 << 19
-#: RRStream's kernel calls each expand as many whole batches as keep their mask below this
-CALL_MASK_BYTES = 4 * MASK_BYTES
+#: RRStream's kernel calls each expand as many whole batches as keep their mask below this:
+#: 8 or more while n <= MASK_BYTES, so a narrow read (one LT walk per set) runs about half
+#: the levels that 4 per call would
+CALL_MASK_BYTES = 8 * MASK_BYTES
 #: the kernel expands a level in frontier slices of at most this many edges (see live_edge_search)
 LEVEL_EDGES = 1 << 15
 
@@ -168,9 +170,10 @@ class RRStream:
     """The reverse reachable sets of one phase as one growing inverted index, read as prefixes.
 
     Batches of ``size = batch_size(n)`` sets are drawn whole, in order, on demand, so a set is
-    the same whatever prefix reads it.  A read expands the batches it lacks together, up to
-    ``CALL_MASK_BYTES`` of mask per kernel call, and merges them into the index once: node v
-    lies in the drawn sets ``node_sets[node_ptr[v]:node_ptr[v + 1]]``, ascending.
+    the same whatever prefix reads it.  A read expands the batches it lacks together, as many
+    per kernel call as keep its mask within ``CALL_MASK_BYTES`` (a call runs as many levels
+    as its deepest set), and merges them into the index once: node v lies in the drawn sets
+    ``node_sets[node_ptr[v]:node_ptr[v + 1]]``, ascending.
     """
 
     def __init__(self, graph: DiffusionGraph, targets: TargetSet, model: str,
@@ -231,16 +234,19 @@ class RRStream:
             self.node_sets[self.node_ptr[v]:self.node_ptr[v + 1]] for v in seeds])
         return int(_distinct(ids.compress(ids < stop)).size)
 
-    def dump(self, stop: int, sink: str | TextIO) -> None:
-        """Debug dump of the first stop sets, one line per set: ``id root member*`` (format
-        unstable), each set's members rebuilt from the index in ascending node order, as
-        drawn, and its root drawn again from its batch's stream."""
-        node_ptr, node_sets = self.sets(stop)
-        order, counts = np.argsort(node_sets, kind="stable"), np.diff(node_ptr)
-        members = np.repeat(np.arange(counts.size), counts)[order].tolist()
-        ptr = np.searchsorted(node_sets[order], np.arange(stop + 1)).tolist()
-        roots = np.concatenate([sample_roots(self.targets, stream(self.base, b), self.size)
-                                for b in range(-(-stop // self.size))])[:stop]
+    def dump(self, node_ptr: np.ndarray, node_sets: np.ndarray, stop: int,
+             sink: str | TextIO) -> None:
+        """Debug dump of the first stop sets from their index, as ``sets(stop)`` returns it,
+        one line per set: ``id root member*`` (format unstable), each set's members in
+        ascending node order, as drawn, and its root drawn again from its batch's stream.
+        The lines are written a batch at a time."""
+        members = np.repeat(np.arange(len(node_ptr) - 1, dtype=np.int32),
+                            np.diff(node_ptr)).take(np.argsort(node_sets, kind="stable"))
+        ptr = np.concatenate([[0], np.cumsum(np.bincount(node_sets, minlength=stop))])
         with open_text(sink, "w") as fh:
-            for i, root in enumerate(roots.tolist()):
-                fh.write(f"{i} {root} " + " ".join(map(str, members[ptr[i]:ptr[i + 1]])) + "\n")
+            for lo in range(0, stop, self.size):
+                roots = sample_roots(self.targets, stream(self.base, lo // self.size), self.size)
+                cut = ptr[lo:lo + self.size + 1].tolist()
+                fh.writelines(f"{i} {root} " + " ".join(map(str, members[a:b].tolist())) + "\n"
+                              for i, root, a, b in zip(range(lo, stop), roots.tolist(), cut,
+                                                       cut[1:]))

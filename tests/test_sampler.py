@@ -1,6 +1,7 @@
 import hashlib
 import io
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +48,7 @@ def sets_containing(corpus, v):
 def dumped_roots(rr, stop):
     """The roots of a stream's first stop sets, as its dump writes them."""
     buf = io.StringIO()
-    rr.dump(stop, buf)
+    rr.dump(*rr.sets(stop), stop, buf)
     rows = [[int(x) for x in line.split()] for line in buf.getvalue().splitlines()]
     assert [row[0] for row in rows] == list(range(stop))
     return np.array([row[1] for row in rows])
@@ -259,6 +260,43 @@ def test_rr_stream_groups_batches_within_the_call_budget(model, monkeypatch):
     assert np.array_equal(dumped_roots(grouped, count * size), dumped_roots(alone, count * size))
     assert np.array_equal(corpus[0], corpus_alone[0])
     assert np.array_equal(corpus[1], corpus_alone[1])
+
+
+def test_an_lt_read_expands_eight_batches_per_kernel_call(monkeypatch):
+    # an LT set is one reverse walk, so a call's levels follow its deepest
+    # walk: 8 batches per call run 290 levels here, 4 ran 555
+    plain = synth_graph(500, 4, seed=1, score_mode="uniform")
+    g = plain.with_probs(plain.b * 0.9)
+    kernel, levels = sampler.live_edge_search, []
+
+    def counted(*args):
+        for keys in kernel(*args):
+            levels.append(keys.size)
+            yield keys
+
+    monkeypatch.setattr(sampler, "live_edge_search", counted)
+    targets = select_targets(g, "top_percent", percent=25)
+    RRStream(g, targets, "lt", 1, CORPUS_PHASE).sets(40000)
+    assert len(levels) <= 320
+
+
+def test_dump_holds_no_second_copy_of_its_index(tmp_path):
+    # the dump reads the compressed prefix it is given and writes a batch of
+    # sets at a time, so its peak stays a small multiple of that index
+    g = synth_graph(500, 4, seed=1, score_mode="uniform")
+    rr = RRStream(g, targets_of(g, tau=0.5), "ic", 1, CORPUS_PHASE)
+    rr.sets(30000)
+    node_ptr, node_sets = rr.sets(20000)
+    assert rr.drawn > 20000 and node_sets is not rr.node_sets
+    tracemalloc.start()
+    try:
+        rr.dump(node_ptr, node_sets, 20000, str(tmp_path / "corpus.dump"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * node_sets.nbytes
+    lines = (tmp_path / "corpus.dump").read_text(encoding="utf-8").splitlines()
+    assert len(lines) == 20000 and sum(len(line.split()) - 2 for line in lines) == node_sets.size
 
 
 def test_corpus_prefix_equals_smaller_corpus():

@@ -90,9 +90,9 @@ def test_corpus_dump_writes_to_an_open_file_as_to_a_path(tmp_path):
     g = make_graph([("a", "b", 1.0), ("b", "c", 1.0)], t={"a": 0.1, "b": 0.1, "c": 1.0})
     r1 = RRStream(g, select_targets(g, "threshold", tau=0.5), "ic", 1, CORPUS_PHASE)
     path = tmp_path / "corpus.txt"
-    r1.dump(3, str(path))
+    r1.dump(*r1.sets(3), 3, str(path))
     buf = io.StringIO()
-    r1.dump(3, buf)
+    r1.dump(*r1.sets(3), 3, buf)
     assert not buf.closed
     assert buf.getvalue() == path.read_text(encoding="utf-8") == PLAIN["corpus-dump"]
 
